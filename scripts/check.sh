@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure, build, run the full test suite,
-# the verification layer, and the tracked solver benchmark with schema
-# validation. This is the tier-1 entry point — if this script exits 0 the
-# tree is good.
+# the verification layer, the metrics key-set gate, and the performance
+# ledger's self-test. This is the tier-1 entry point — if this script exits
+# 0 the tree is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -62,35 +62,35 @@ ctest --test-dir "${BUILD_DIR}" -L trace --output-on-failure -j "${JOBS}"
 
 step "golden / oracle / fuzz summary (verify_runner)"
 "${BUILD_DIR}/tools/verify_runner" golden
-"${BUILD_DIR}/tools/verify_runner" oracle
+# Traced: the oracle run's metrics snapshot feeds the key-set gate below.
+"${BUILD_DIR}/tools/verify_runner" oracle \
+  --trace "${BUILD_DIR}/trace_oracle.json" \
+  --metrics "${BUILD_DIR}/metrics_oracle.json"
 "${BUILD_DIR}/tools/verify_runner" fuzz --count 200 --dump "${BUILD_DIR}"
 
-step "solver benchmark smoke + JSON schema validation (traced)"
-"${BUILD_DIR}/bench/perf_simulator" --smoke \
-  --json "${BUILD_DIR}/BENCH_solver.json" \
-  --trace "${BUILD_DIR}/trace_smoke.json" \
-  --metrics "${BUILD_DIR}/metrics_smoke.json"
-"${BUILD_DIR}/tools/verify_runner" check-bench "${BUILD_DIR}/BENCH_solver.json" \
-  --keys tests/goldens/bench_solver_keys.json
-# Key-set stability gate: the deterministic counter/histogram names a smoke
-# run registers must match the reviewed golden — silent instrumentation
-# drift in the solver hot path fails the tree.
-"${BUILD_DIR}/tools/verify_runner" check-metrics "${BUILD_DIR}/metrics_smoke.json" \
+step "metrics key-set gate (traced verify_runner oracle)"
+# The deterministic counter/histogram names the oracle run registers (both
+# Newton paths, transients, Monte Carlo fan-out) must match the reviewed
+# golden — silent instrumentation drift in the solver hot path fails the
+# tree.
+"${BUILD_DIR}/tools/verify_runner" check-metrics "${BUILD_DIR}/metrics_oracle.json" \
   --golden tests/goldens/metrics_keys.json
+
+step "performance ledger self-test (perfbench, counters at 1 vs T threads)"
+python3 perfbench/run.py --selftest
 
 step "SFC_TRACE=OFF build (zero-instrumentation flavour stays green)"
 NOTRACE_DIR="${BUILD_DIR}-notrace"
 cmake -B "${NOTRACE_DIR}" -S . -DSFC_TRACE=OFF \
   -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${NOTRACE_DIR}" -j "${JOBS}" \
-  --target perf_simulator verify_runner test_trace test_exec
+  --target verify_runner test_trace test_exec
 ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS}"
-# The disabled flavour still emits schema-3 BENCH JSON (counters present,
-# zero) and must pass the same schema + key-set validation.
-"${NOTRACE_DIR}/bench/perf_simulator" --smoke \
-  --json "${NOTRACE_DIR}/BENCH_solver.json"
-"${NOTRACE_DIR}/tools/verify_runner" check-bench "${NOTRACE_DIR}/BENCH_solver.json" \
-  --keys tests/goldens/bench_solver_keys.json
+# The disabled flavour registers no metrics, yet still writes a snapshot
+# that must pass the schema check.
+"${NOTRACE_DIR}/tools/verify_runner" oracle \
+  --metrics "${NOTRACE_DIR}/metrics_oracle.json"
+"${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_oracle.json"
 
 step "UBSan pass (ctest -L \"spice|verify|lint|trace\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.

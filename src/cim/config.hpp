@@ -118,7 +118,7 @@ struct ArrayConfig {
   Cell1RConfig cell1r;
   SenseConfig sense;
   /// Newton solver knobs for every MAC-cycle transient; defaults enable
-  /// the stamp-plan hot path. Benchmarks and A/B tests flip
+  /// the stamp-plan hot path. Tests and oracles flip
   /// newton.use_stamp_plan to compare against the legacy assembler.
   sfc::spice::NewtonOptions newton;
 

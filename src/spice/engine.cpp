@@ -112,7 +112,6 @@ void Engine::prepare_workspace(const SimContext& ctx) {
   ws.a_base = DenseMatrix(size, size);
   ws.b.assign(size, 0.0);
   ws.b_base.assign(size, 0.0);
-  ws.x_new.assign(size, 0.0);
   ws.pattern.assign(size * size, 0);
   ws.pattern_valid = false;
   ws.plan.reset();
@@ -185,36 +184,30 @@ bool Engine::newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
       dev->stamp(ctx, stamper);
     }
     ws.pattern_valid = true;
-    ws.x_new.assign(ws.b.begin(), ws.b.end());
   };
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     restamp();
+    // solve_frozen's schedule is pivot-robust (drift just re-records the
+    // order), so a false return means a genuinely singular system —
+    // exactly when factor_and_compile/lu_solve would fail too. Both solve
+    // in ws.b, which the next restamp restores from b_base.
     bool factored;
-    if (options.reuse_pivot_order) {
-      // solve_frozen's schedule is pivot-robust (drift just re-records
-      // the order), so a false return means a genuinely singular system —
-      // exactly when factor_and_compile/lu_solve would fail too.
-      if (ws.plan.valid()) {
-        const std::size_t refreezes_before = ws.plan.refreeze_count();
-        factored =
-            ws.plan.solve_frozen(ws.a, ws.x_new, options.pivot_degradation);
-        SFC_TRACE_COUNT("spice.lu.frozen_solves", 1);
-        SFC_TRACE_COUNT("spice.lu.refreezes",
-                        ws.plan.refreeze_count() - refreezes_before);
-      } else {
-        factored = ws.plan.factor_and_compile(ws.a, ws.x_new, ws.pattern);
-        SFC_TRACE_COUNT("spice.lu.factorizations", 1);
-      }
+    if (ws.plan.valid()) {
+      const std::size_t refreezes_before = ws.plan.refreeze_count();
+      factored = ws.plan.solve_frozen(ws.a, ws.b);
+      SFC_TRACE_COUNT("spice.lu.frozen_solves", 1);
+      SFC_TRACE_COUNT("spice.lu.refreezes",
+                      ws.plan.refreeze_count() - refreezes_before);
     } else {
-      factored = lu_solve(ws.a, ws.x_new);
-      SFC_TRACE_COUNT("spice.lu.dense_solves", 1);
+      factored = ws.plan.factor_and_compile(ws.a, ws.b, ws.pattern);
+      SFC_TRACE_COUNT("spice.lu.factorizations", 1);
     }
     if (!factored) {
       if (iterations_out) *iterations_out = iter + 1;
       return false;
     }
-    const bool converged = apply_update(x, ws.x_new, options);
+    const bool converged = apply_update(x, ws.b, options);
     if (iterations_out) *iterations_out = iter + 1;
     if (converged && iter > 0) return true;
   }
@@ -431,14 +424,9 @@ TransientResult Engine::transient(double t_stop,
 
   double t = 0.0;
   bool just_crossed_breakpoint = true;  // first step uses BE for robustness
-  // Adaptive stepping state: the current nominal step size.
-  double dt_nominal = options.dt;
-  const double dt_max =
-      options.dt_max > 0.0 ? options.dt_max : 16.0 * options.dt;
   while (t < t_stop - 1e-18) {
     // Choose the step: nominal dt, clipped to the next breakpoint / stop.
-    double dt = dt_nominal;
-    double target = t + dt;
+    double target = t + options.dt;
     bool hits_bp = false;
     if (next_bp < bps.size() && bps[next_bp] <= target + 1e-18) {
       target = bps[next_bp];
@@ -448,7 +436,7 @@ TransientResult Engine::transient(double t_stop,
       target = t_stop;
       hits_bp = false;
     }
-    dt = target - t;
+    const double dt = target - t;
     if (dt <= 0.0) {  // breakpoint coincides with current time
       ++next_bp;
       continue;
@@ -485,20 +473,6 @@ TransientResult Engine::transient(double t_stop,
 
     SFC_TRACE_COUNT("spice.tran.steps_accepted", 1);
     SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", last_iters);
-
-    if (options.adaptive) {
-      // Iteration-count step control: easy steps grow the nominal step,
-      // hard-fought ones shrink it. Failure halving (above) already
-      // handled outright rejections.
-      if (retries > 0 || last_iters > options.shrink_above_iterations) {
-        dt_nominal = std::max(options.dt * 1e-3,
-                              dt_nominal * options.shrink_factor);
-        SFC_TRACE_COUNT("spice.tran.dt_shrinks", 1);
-      } else if (last_iters < options.grow_below_iterations) {
-        dt_nominal = std::min(dt_max, dt_nominal * options.grow_factor);
-        SFC_TRACE_COUNT("spice.tran.dt_grows", 1);
-      }
-    }
 
     x = x_try;
     for (const auto& dev : circuit_.devices()) {

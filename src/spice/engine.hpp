@@ -32,21 +32,11 @@ struct NewtonOptions {
   /// Assemble through the compiled stamp plan: linear devices + gmin are
   /// stamped once per solve into a cached baseline, each Newton iteration
   /// restores the baseline with a memcpy and restamps only the nonlinear
-  /// devices, and all solver buffers live in a per-Engine workspace (no
-  /// per-iteration heap allocation). Off = the legacy full-restamp path,
-  /// kept for A/B validation. Both paths are bit-identical.
+  /// devices, and the system is solved through the workspace's compiled
+  /// LuPlan (no per-iteration heap allocation). Off = the legacy
+  /// full-restamp, dense-LU path: the reference that tests and oracles
+  /// compare against. Both paths are bit-identical.
   bool use_stamp_plan = true;
-  /// Replay the compiled sparse elimination schedule from the first full
-  /// factorization on later iterations/steps. Each step runs the exact
-  /// partial-pivot search restricted to the compiled candidate rows (the
-  /// only rows that can be nonzero in that column), so results stay
-  /// bit-identical to full pivoting; a pivot that moved or degraded past
-  /// `pivot_degradation` is simply re-recorded (the schedule is
-  /// pivot-robust). Only active with use_stamp_plan.
-  bool reuse_pivot_order = true;
-  /// A pivot whose magnitude drops below this fraction of its value at
-  /// freeze time counts as drift (re-recorded; see LuPlan).
-  double pivot_degradation = 1e-6;
 };
 
 /// Reusable per-Engine solver buffers: the Newton system, the cached
@@ -56,9 +46,8 @@ struct NewtonOptions {
 struct SolverWorkspace {
   DenseMatrix a;              ///< working matrix, factored in place
   DenseMatrix a_base;         ///< linear stamps + gmin baseline
-  std::vector<double> b;      ///< working RHS
+  std::vector<double> b;      ///< working RHS, solved in place
   std::vector<double> b_base; ///< linear-stamp RHS baseline
-  std::vector<double> x_new;  ///< solve target / Newton update
   std::vector<char> pattern;  ///< structural nonzeros (row-major flags)
   LuPlan plan;
   std::size_t size = 0;
@@ -77,17 +66,6 @@ struct TransientOptions {
   int max_step_retries = 12;
   /// Record waveforms (disable for energy-only runs to save memory).
   bool record_waveforms = true;
-
-  /// Iteration-count adaptive stepping: when a step converges quickly the
-  /// next step grows (up to dt_max); a hard-fought step shrinks the next
-  /// one. Breakpoints and failure-halving behave as in fixed-step mode,
-  /// so waveform corners are never skipped.
-  bool adaptive = false;
-  double dt_max = 0.0;          ///< 0 = 16x the nominal dt
-  int grow_below_iterations = 4;
-  int shrink_above_iterations = 9;
-  double grow_factor = 1.4;
-  double shrink_factor = 0.6;
 };
 
 class Engine {
@@ -132,7 +110,7 @@ class Engine {
 
   /// One Newton solve of the system at the given context. `x` is the
   /// initial guess on entry and the solution on success. Public so tests
-  /// and benchmarks can exercise the hot path directly; most callers want
+  /// can exercise the hot path directly; most callers want
   /// dc_operating_point()/transient().
   bool newton_solve(const SimContext& ctx, std::vector<double>& x,
                     const NewtonOptions& options, int* iterations_out);

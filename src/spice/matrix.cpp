@@ -7,16 +7,6 @@
 
 namespace sfc::spice {
 
-template <typename T>
-double DenseMatrixT<T>::frobenius_norm() const {
-  double s = 0.0;
-  for (const T& v : data_) s += std::norm(v);
-  return std::sqrt(s);
-}
-
-template class DenseMatrixT<double>;
-template class DenseMatrixT<std::complex<double>>;
-
 namespace {
 
 /// Shared real/complex LU factor-and-solve core: partial pivoting, in-place
@@ -24,15 +14,17 @@ namespace {
 /// substitution. Optionally records the pivot sequence (`swap_with`, the
 /// row swapped into position k at step k) and the pivot magnitudes —
 /// LuPlan uses the recording to freeze and compile the pivot order.
+/// Elimination starts at step `k0`: the columns left of it must already
+/// be eliminated (LuPlan's dense finish of a partly scheduled solve).
 template <typename T>
 bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
-             double* pivot_mag_out) {
+             double* pivot_mag_out, std::size_t k0 = 0) {
   const std::size_t n = a.rows();
   assert(a.cols() == n);
   assert(b.size() == n);
   if (n == 0) return true;
 
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = k0; k < n; ++k) {
     // Pivot search in column k.
     std::size_t pivot_row = k;
     double pivot_mag = std::abs(a.at(k, k));
@@ -81,13 +73,6 @@ bool lu_solve(DenseMatrix& a, std::vector<double>& b) {
 
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b) {
   return lu_core(a, b, nullptr, nullptr);
-}
-
-bool lu_solve_copy(const DenseMatrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, DenseMatrix& scratch) {
-  scratch.copy_from(a);
-  x = b;
-  return lu_solve(scratch, x);
 }
 
 bool LuPlan::factor_and_compile(DenseMatrix& a, std::vector<double>& b,
@@ -215,8 +200,7 @@ void LuPlan::compile_schedule() {
   }
 }
 
-bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b,
-                          double degradation) {
+bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b) {
   const std::size_t n = n_;
   assert(valid());
   assert(a.rows() == n && a.cols() == n && b.size() == n);
@@ -256,7 +240,7 @@ bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b,
       return false;
     }
     if (pivot_row != static_cast<std::size_t>(swap_with_[k]) ||
-        pivot_mag < degradation * ref_pivot_mag_[k]) {
+        pivot_mag < kPivotDegradation * ref_pivot_mag_[k]) {
       // Pivot drifted off the frozen order (near-tied rows trading places
       // by ulps) or degraded. Inside the interchange class the compiled
       // structure already covers the swap: re-record and carry on. A
@@ -352,46 +336,11 @@ bool LuPlan::solve_dense_from(std::size_t k0, DenseMatrix& a,
                               std::vector<double>& b) {
   // Continue with full partial pivoting. Entries the schedule skipped so
   // far are exact structural zeros, so the matrix holds bit-identical
-  // values to a dense factorization at step k0 and the tail below matches
-  // lu_core exactly.
-  const std::size_t n = n_;
-  for (std::size_t k = k0; k < n; ++k) {
-    std::size_t pivot_row = k;
-    double pivot_mag = std::fabs(a.at(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = std::fabs(a.at(r, k));
-      if (m > pivot_mag) {
-        pivot_mag = m;
-        pivot_row = r;
-      }
-    }
-    if (pivot_mag < 1e-300) {
-      reset();
-      return false;
-    }
-    if (pivot_row != k) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(a.at(k, c), a.at(pivot_row, c));
-      }
-      std::swap(b[k], b[pivot_row]);
-    }
-    swap_with_[k] = static_cast<int>(pivot_row);
-    ref_pivot_mag_[k] = pivot_mag;
-    const double pivot = a.at(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = a.at(r, k) / pivot;
-      if (factor == 0.0) continue;
-      a.at(r, k) = 0.0;
-      for (std::size_t c = k + 1; c < n; ++c) {
-        a.at(r, c) -= factor * a.at(k, c);
-      }
-      b[r] -= factor * b[k];
-    }
-  }
-  for (std::size_t ri = n; ri-- > 0;) {
-    double sum = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) sum -= a.at(ri, c) * b[c];
-    b[ri] = sum / a.at(ri, ri);
+  // values to a dense factorization at step k0 and lu_core's tail from k0
+  // gives lu_solve's bits, re-recording the order as it goes.
+  if (!lu_core(a, b, swap_with_.data(), ref_pivot_mag_.data(), k0)) {
+    reset();
+    return false;
   }
   ++refreezes_;
   compile_schedule();

@@ -46,9 +46,6 @@ class DenseMatrixT {
   T* data() { return data_.data(); }
   const T* data() const { return data_.data(); }
 
-  /// Frobenius norm, used in conditioning diagnostics.
-  double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -64,12 +61,6 @@ bool lu_solve(DenseMatrix& a, std::vector<double>& b);
 
 /// Complex LU with partial pivoting; A and b are overwritten.
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b);
-
-/// Solve keeping A/b intact; x receives the solution. `scratch` is the
-/// factorization buffer: passing the same matrix across calls avoids one
-/// matrix allocation per solve (it is resized on shape mismatch).
-bool lu_solve_copy(const DenseMatrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, DenseMatrix& scratch);
 
 /// Compiled frozen-pivot LU. One full partial-pivot factorization records
 /// the pivot order and, combined with the structural nonzero pattern of
@@ -106,22 +97,25 @@ class LuPlan {
   /// compiled candidate rows (the only rows that can be nonzero in the
   /// pivot column), so the numeric result is bit-identical to lu_solve()
   /// by construction. A winning pivot that differs from the frozen order
-  /// but stays in the interchange class (or merely degraded past
-  /// `degradation` times its freeze-time magnitude) is re-recorded in
+  /// but stays in the interchange class (or merely degraded below
+  /// kPivotDegradation times its freeze-time magnitude) is re-recorded in
   /// place at no cost; one that leaves the class finishes the solve with
   /// dense elimination from that step — still bit-identical — and
   /// recompiles the schedule around the new order (see refreeze_count()).
   /// Returns false (plan invalidated) only when the matrix is numerically
   /// singular.
-  bool solve_frozen(DenseMatrix& a, std::vector<double>& b,
-                    double degradation);
+  bool solve_frozen(DenseMatrix& a, std::vector<double>& b);
+
+  /// A pivot whose magnitude drops below this fraction of its value at
+  /// freeze time counts as drift and is re-recorded.
+  static constexpr double kPivotDegradation = 1e-6;
 
   /// Inner multiply-add updates the compiled schedule performs per
   /// factorization (diagnostics; dense elimination does ~n^3/3).
   std::size_t compiled_ops() const { return ops_; }
 
   /// Solves (since construction) whose pivot search drifted off the
-  /// frozen order (or hit the degradation threshold) and re-recorded it.
+  /// frozen order (or hit kPivotDegradation) and re-recorded it.
   /// In-class drift is free; a steadily rising count alongside slow
   /// solves means pivots keep leaving their interchange class.
   std::size_t refreeze_count() const { return refreezes_; }
@@ -140,9 +134,9 @@ class LuPlan {
   /// widening each step's envelope over the pivot's interchange class.
   void compile_schedule();
 
-  /// Finish a solve with dense partial-pivot elimination from step k
-  /// (values up to k are bit-identical to lu_core's), re-recording the
-  /// order and recompiling. Returns false only on a singular matrix.
+  /// Finish a solve with lu_core's dense partial-pivot elimination from
+  /// step k (values up to k are bit-identical to lu_core's), re-recording
+  /// the order and recompiling. Returns false only on a singular matrix.
   bool solve_dense_from(std::size_t k, DenseMatrix& a,
                         std::vector<double>& b);
 

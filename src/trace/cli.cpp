@@ -22,25 +22,7 @@ std::string& metrics_path() {
   return path;
 }
 
-void flush_observability() {
-  if (!trace_path().empty()) {
-    Tracer::global().stop();
-    try {
-      Tracer::global().write_chrome(trace_path());
-      std::fprintf(stderr, "trace: wrote %s\n", trace_path().c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trace: %s\n", e.what());
-    }
-  }
-  if (!metrics_path().empty()) {
-    try {
-      write_metrics_file(metrics_path());
-      std::fprintf(stderr, "metrics: wrote %s\n", metrics_path().c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "metrics: %s\n", e.what());
-    }
-  }
-}
+void finish_at_exit() { finish_cli_observability(); }
 
 }  // namespace
 
@@ -69,7 +51,34 @@ void install_cli_observability(int* argc, char** argv) {
   Registry::global();
   Tracer& tracer = Tracer::global();
   if (!trace_path().empty()) tracer.start();
-  std::atexit(flush_observability);
+  std::atexit(finish_at_exit);
+}
+
+bool finish_cli_observability() {
+  bool ok = true;
+  if (!trace_path().empty()) {
+    Tracer::global().stop();
+    try {
+      Tracer::global().write_chrome(trace_path());
+      std::fprintf(stderr, "trace: wrote %s\n", trace_path().c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "trace: %s\n", e.what());
+      ok = false;
+    }
+  }
+  if (!metrics_path().empty()) {
+    try {
+      write_metrics_file(metrics_path());
+      std::fprintf(stderr, "metrics: wrote %s\n", metrics_path().c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "metrics: %s\n", e.what());
+      ok = false;
+    }
+  }
+  // Written (or failed) once: leave nothing for the atexit hook.
+  trace_path().clear();
+  metrics_path().clear();
+  return ok;
 }
 
 }  // namespace sfc::trace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cim/array.hpp"
+#include "cim/montecarlo.hpp"
 #include "spice/engine.hpp"
 #include "spice/matrix.hpp"
 #include "spice/netlist.hpp"
@@ -86,10 +87,9 @@ NewtonOptions legacy_options() {
   return o;
 }
 
-NewtonOptions hot_options(bool reuse_pivots = true) {
+NewtonOptions hot_options() {
   NewtonOptions o;
   o.use_stamp_plan = true;
-  o.reuse_pivot_order = reuse_pivots;
   return o;
 }
 
@@ -118,36 +118,28 @@ TEST(SolverHotPath, Fig7CellDcBitIdentical) {
   EXPECT_EQ(legacy_probe.counter_delta("spice.stampplan.compiles"), 0u);
 #endif
 
-  for (const bool reuse : {false, true}) {
-    Engine hot_engine(row.circuit(), 27.0);
+  Engine hot_engine(row.circuit(), 27.0);
 #if SFC_TRACE_ENABLED
-    sfc::trace::TestProbe hot_probe;
+  sfc::trace::TestProbe hot_probe;
 #endif
-    const DcResult hot = hot_engine.dc_operating_point(hot_options(reuse));
-    ASSERT_TRUE(hot.converged);
-    EXPECT_EQ(hot.iterations, ref.iterations) << "reuse=" << reuse;
-    EXPECT_TRUE(bits_equal(hot.gmin_used, ref.gmin_used));
-    expect_vectors_bitwise_equal(hot.x, ref.x,
-                                 reuse ? "x (frozen pivots)" : "x");
+  const DcResult hot = hot_engine.dc_operating_point(hot_options());
+  ASSERT_TRUE(hot.converged);
+  EXPECT_EQ(hot.iterations, ref.iterations);
+  EXPECT_TRUE(bits_equal(hot.gmin_used, ref.gmin_used));
+  expect_vectors_bitwise_equal(hot.x, ref.x, "x");
 #if SFC_TRACE_ENABLED
-    EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
-              static_cast<std::uint64_t>(hot.iterations));
-    EXPECT_GT(hot_probe.counter_delta("spice.stampplan.compiles"), 0u);
-    if (reuse) {
-      EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
-      EXPECT_EQ(hot_probe.counter_delta("spice.lu.dense_solves"), 0u);
-    } else {
-      EXPECT_GT(hot_probe.counter_delta("spice.lu.dense_solves"), 0u);
-      EXPECT_EQ(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
-    }
+  EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
+            static_cast<std::uint64_t>(hot.iterations));
+  EXPECT_GT(hot_probe.counter_delta("spice.stampplan.compiles"), 0u);
+  EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
+  EXPECT_EQ(hot_probe.counter_delta("spice.lu.dense_solves"), 0u);
 #endif
-  }
 }
 
 // ---------------------------------------------------------------------
-// Fig. 8 row: full 8-cell MAC transient, legacy vs stamp plan. This is
-// the benchmark workload, so bit-identity here directly validates the
-// numbers in BENCH_solver.json.
+// Fig. 8 row: full 8-cell MAC transients at the paper's temperature
+// corners, legacy vs stamp plan. Each row keeps its engine across the
+// three cycles, so the compiled plan is reused across temperature changes.
 // ---------------------------------------------------------------------
 
 TEST(SolverHotPath, Fig8RowTransientBitIdentical) {
@@ -161,44 +153,83 @@ TEST(SolverHotPath, Fig8RowTransientBitIdentical) {
 
   cim::CiMRow legacy_row(legacy_cfg);
   legacy_row.set_stored(stored);
-#if SFC_TRACE_ENABLED
-  sfc::trace::TestProbe legacy_probe;
-#endif
-  const cim::MacResult ref =
-      legacy_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
-  ASSERT_TRUE(ref.converged);
-
   cim::CiMRow hot_row(hot_cfg);
   hot_row.set_stored(stored);
+
+  for (const double temp : {0.0, 27.0, 85.0}) {
+    SCOPED_TRACE("T = " + std::to_string(temp) + " degC");
 #if SFC_TRACE_ENABLED
-  // Every Newton iteration the MAC transient reports must have passed
-  // through the instrumented wrapper — exact, not approximate.
-  EXPECT_EQ(legacy_probe.counter_delta("spice.newton.iterations"),
-            static_cast<std::uint64_t>(ref.newton_iterations));
-  sfc::trace::TestProbe hot_probe;
+    sfc::trace::TestProbe legacy_probe;
 #endif
-  const cim::MacResult hot =
-      hot_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
-  ASSERT_TRUE(hot.converged);
+    const cim::MacResult ref =
+        legacy_row.evaluate(inputs, temp, /*keep_waveforms=*/true);
+    ASSERT_TRUE(ref.converged);
 #if SFC_TRACE_ENABLED
-  EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
-            static_cast<std::uint64_t>(hot.newton_iterations));
-  EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
-  // Exactly one histogram record per accepted step, by construction.
-  EXPECT_EQ(hot_probe.histogram_delta("spice.tran.newton_iterations_per_step"),
-            hot_probe.counter_delta("spice.tran.steps_accepted"));
-  EXPECT_GT(hot_probe.counter_delta("spice.tran.steps_accepted"), 0u);
-  // No step on this workload fights Newton past the 16-iteration band.
-  EXPECT_EQ(hot_probe.histogram_delta_above(
-                "spice.tran.newton_iterations_per_step", 16.0),
-            0u);
+    // Every Newton iteration the MAC transient reports must have passed
+    // through the instrumented wrapper — exact, not approximate.
+    EXPECT_EQ(legacy_probe.counter_delta("spice.newton.iterations"),
+              static_cast<std::uint64_t>(ref.newton_iterations));
+    sfc::trace::TestProbe hot_probe;
+#endif
+    const cim::MacResult hot =
+        hot_row.evaluate(inputs, temp, /*keep_waveforms=*/true);
+    ASSERT_TRUE(hot.converged);
+#if SFC_TRACE_ENABLED
+    EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
+              static_cast<std::uint64_t>(hot.newton_iterations));
+    EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
+    // Exactly one histogram record per accepted step, by construction.
+    EXPECT_EQ(
+        hot_probe.histogram_delta("spice.tran.newton_iterations_per_step"),
+        hot_probe.counter_delta("spice.tran.steps_accepted"));
+    EXPECT_GT(hot_probe.counter_delta("spice.tran.steps_accepted"), 0u);
+    // No step on this workload fights Newton past the 16-iteration band.
+    EXPECT_EQ(hot_probe.histogram_delta_above(
+                  "spice.tran.newton_iterations_per_step", 16.0),
+              0u);
 #endif
 
-  EXPECT_TRUE(bits_equal(hot.v_acc, ref.v_acc));
-  EXPECT_TRUE(bits_equal(hot.energy_joules, ref.energy_joules));
-  EXPECT_EQ(hot.newton_iterations, ref.newton_iterations);
-  expect_vectors_bitwise_equal(hot.v_cell, ref.v_cell, "v_cell");
-  expect_transients_bitwise_equal(hot.waveforms, ref.waveforms);
+    EXPECT_TRUE(bits_equal(hot.v_acc, ref.v_acc));
+    EXPECT_TRUE(bits_equal(hot.energy_joules, ref.energy_joules));
+    EXPECT_EQ(hot.newton_iterations, ref.newton_iterations);
+    expect_vectors_bitwise_equal(hot.v_cell, ref.v_cell, "v_cell");
+    expect_transients_bitwise_equal(hot.waveforms, ref.waveforms);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Reduced Fig. 9 Monte Carlo (sigma_VT = 54 mV): every run perturbs the
+// FeFET thresholds of a fresh row, so each run compiles and replays its
+// own plan. The samples must match the legacy path bit for bit.
+// ---------------------------------------------------------------------
+
+TEST(SolverHotPath, MonteCarloSamplesBitIdentical) {
+  cim::MonteCarloConfig mc;
+  mc.runs = 6;
+  mc.sigma_vt_fefet = 0.054;
+  mc.mac_values = {0, 4, 8};
+  mc.exec = sfc::exec::ExecPolicy::serial();
+  cim::ArrayConfig legacy_cfg = cim::ArrayConfig::proposed_2t1fefet();
+  legacy_cfg.newton.use_stamp_plan = false;
+  cim::ArrayConfig hot_cfg = cim::ArrayConfig::proposed_2t1fefet();
+  hot_cfg.newton.use_stamp_plan = true;
+
+  const cim::MonteCarloResult ref = cim::run_montecarlo(legacy_cfg, mc);
+  const cim::MonteCarloResult hot = cim::run_montecarlo(hot_cfg, mc);
+  ASSERT_TRUE(ref.all_converged);
+  ASSERT_TRUE(hot.all_converged);
+  EXPECT_EQ(hot.total_newton_iterations, ref.total_newton_iterations);
+  expect_vectors_bitwise_equal(hot.nominal_levels, ref.nominal_levels,
+                               "nominal levels");
+  ASSERT_EQ(hot.samples.size(), ref.samples.size());
+  ASSERT_EQ(ref.samples.size(), 6u * 3u);
+  for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+    EXPECT_EQ(hot.samples[i].run, ref.samples[i].run) << "sample " << i;
+    EXPECT_EQ(hot.samples[i].mac, ref.samples[i].mac) << "sample " << i;
+    EXPECT_TRUE(bits_equal(hot.samples[i].v_acc, ref.samples[i].v_acc))
+        << "sample " << i << ": " << hot.samples[i].v_acc << " vs "
+        << ref.samples[i].v_acc;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -302,7 +333,8 @@ TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
 
 // ---------------------------------------------------------------------
 // LuPlan: frozen-pivot replay vs dense full pivoting, and the fallback
-// triggers (argmax moved / pivot degraded) on ill-conditioned updates.
+// triggers (argmax moved at step 0 or mid-solve / pivot degraded) on
+// ill-conditioned updates.
 // ---------------------------------------------------------------------
 
 DenseMatrix matrix_from(const std::vector<std::vector<double>>& rows) {
@@ -357,7 +389,7 @@ TEST(LuPlanFallback, FrozenSolveMatchesDenseBitwise) {
   perturbed[2][0] = 2.75;
   DenseMatrix a1 = matrix_from(perturbed);
   std::vector<double> b1 = rhs;
-  ASSERT_TRUE(plan.solve_frozen(a1, b1, 1e-6));
+  ASSERT_TRUE(plan.solve_frozen(a1, b1));
   EXPECT_EQ(plan.refreeze_count(), 0u);
 
   DenseMatrix dense1 = matrix_from(perturbed);
@@ -385,7 +417,7 @@ TEST(LuPlanFallback, ArgmaxChangeRefreezesAndStaysBitIdentical) {
   swapped[0][0] = 10.0;
   DenseMatrix a1 = matrix_from(swapped);
   std::vector<double> b1 = {1.0, -2.0, 0.5};
-  ASSERT_TRUE(plan.solve_frozen(a1, b1, 1e-6));
+  ASSERT_TRUE(plan.solve_frozen(a1, b1));
   EXPECT_EQ(plan.refreeze_count(), 1u);
   DenseMatrix dense = matrix_from(swapped);
   std::vector<double> b_dense = {1.0, -2.0, 0.5};
@@ -396,9 +428,51 @@ TEST(LuPlanFallback, ArgmaxChangeRefreezesAndStaysBitIdentical) {
   // same system stays on the frozen path and still matches dense.
   DenseMatrix a2 = matrix_from(swapped);
   std::vector<double> b2 = {1.0, -2.0, 0.5};
-  ASSERT_TRUE(plan.solve_frozen(a2, b2, 1e-6));
+  ASSERT_TRUE(plan.solve_frozen(a2, b2));
   EXPECT_EQ(plan.refreeze_count(), 1u);
   expect_vectors_bitwise_equal(b2, b_dense, "refrozen solution");
+}
+
+TEST(LuPlanFallback, PivotLeavingClassMidSolveFinishesDensely) {
+  // Step 0 keeps its frozen pivot (row 0). At step 1 the frozen pivot is
+  // row 1 (pattern {2} right of the diagonal); row 2 (pattern {3}) is a
+  // candidate outside that interchange class.
+  const std::vector<std::vector<double>> base = {
+      {4.0, 1.0, 0.0, 0.0},
+      {1.0, 3.0, 1.0, 0.0},
+      {0.0, 1.0, 0.0, 1.0},
+      {0.0, 0.0, 1.0, 2.0},
+  };
+  const std::vector<double> rhs = {1.0, -2.0, 0.5, 3.0};
+  DenseMatrix a0 = matrix_from(base);
+  const std::vector<char> pattern = pattern_of(a0);
+  std::vector<double> b0 = rhs;
+  LuPlan plan;
+  ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
+
+  // Row 2 now wins column 1, so the scheduled solve runs step 0 and then
+  // finishes densely from step 1.
+  std::vector<std::vector<double>> moved = base;
+  moved[2][1] = 10.0;
+  DenseMatrix dense = matrix_from(moved);
+  std::vector<double> b_dense = rhs;
+  ASSERT_TRUE(lu_solve(dense, b_dense));
+
+  DenseMatrix a1 = matrix_from(moved);
+  std::vector<double> b1 = rhs;
+  ASSERT_TRUE(plan.solve_frozen(a1, b1));
+  EXPECT_EQ(plan.refreeze_count(), 1u);
+  EXPECT_TRUE(plan.last_factor_full());
+  expect_vectors_bitwise_equal(b1, b_dense, "mid-solve dense finish");
+
+  // The dense finish re-recorded the order from step 1 on, so the same
+  // system now stays on the compiled schedule.
+  DenseMatrix a2 = matrix_from(moved);
+  std::vector<double> b2 = rhs;
+  ASSERT_TRUE(plan.solve_frozen(a2, b2));
+  EXPECT_EQ(plan.refreeze_count(), 1u);
+  EXPECT_FALSE(plan.last_factor_full());
+  expect_vectors_bitwise_equal(b2, b_dense, "recompiled solution");
 }
 
 TEST(LuPlanFallback, DegradedPivotTriggersRefreeze) {
@@ -416,8 +490,8 @@ TEST(LuPlanFallback, DegradedPivotTriggersRefreeze) {
   ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
 
   // Scale so row 0 keeps the column-0 argmax but the pivot magnitude
-  // collapses by 1e8 relative to freeze time: the degradation rule must
-  // force the dense fallback (refreeze), and the answer still matches
+  // collapses by 1e8 relative to freeze time, past kPivotDegradation: the
+  // degradation rule must force a refreeze, and the answer still matches
   // the dense factorization bitwise.
   std::vector<std::vector<double>> shrunk = base;
   shrunk[0][0] = 4.0e-8;
@@ -426,24 +500,12 @@ TEST(LuPlanFallback, DegradedPivotTriggersRefreeze) {
   shrunk[1][1] = 4.0e-8;
   DenseMatrix a1 = matrix_from(shrunk);
   std::vector<double> b1 = {1.0, 1.0};
-  ASSERT_TRUE(plan.solve_frozen(a1, b1, 1e-6));
+  ASSERT_TRUE(plan.solve_frozen(a1, b1));
   EXPECT_EQ(plan.refreeze_count(), 1u);
   DenseMatrix dense = matrix_from(shrunk);
   std::vector<double> b_dense = {1.0, 1.0};
   ASSERT_TRUE(lu_solve(dense, b_dense));
   expect_vectors_bitwise_equal(b1, b_dense, "degraded-pivot solution");
-
-  // A permissive threshold on a fresh plan accepts the same shrink
-  // without any refreeze.
-  DenseMatrix a2 = matrix_from(base);
-  std::vector<double> b2 = {1.0, 1.0};
-  LuPlan fresh;
-  ASSERT_TRUE(fresh.factor_and_compile(a2, b2, pattern));
-  DenseMatrix a3 = matrix_from(shrunk);
-  std::vector<double> b3 = {1.0, 1.0};
-  ASSERT_TRUE(fresh.solve_frozen(a3, b3, 1e-12));
-  EXPECT_EQ(fresh.refreeze_count(), 0u);
-  expect_vectors_bitwise_equal(b3, b_dense, "permissive frozen solution");
 }
 
 TEST(LuPlanFallback, SingularUpdateInvalidatesPlan) {
@@ -466,7 +528,7 @@ TEST(LuPlanFallback, SingularUpdateInvalidatesPlan) {
   };
   DenseMatrix a1 = matrix_from(singular);
   std::vector<double> b1 = {1.0, 1.0};
-  EXPECT_FALSE(plan.solve_frozen(a1, b1, 1e-6));
+  EXPECT_FALSE(plan.solve_frozen(a1, b1));
   EXPECT_FALSE(plan.valid());
 }
 

@@ -167,51 +167,6 @@ TEST(Transient, WaveformRecordingCanBeDisabled) {
   EXPECT_NEAR(tr.final_value("out"), 1.0 - std::exp(-1.0), 5e-3);
 }
 
-TEST(Transient, AdaptiveSteppingTracksAccuracyWithFewerSteps) {
-  // Adaptive mode must stay accurate on the RC step response while taking
-  // fewer samples than the fixed fine step.
-  auto run = [](bool adaptive) {
-    Circuit ckt = make_rc(1e3, 1e-9, 1.0);
-    Engine engine(ckt, 27.0);
-    TransientOptions opts;
-    opts.dt = 5e-9;
-    opts.adaptive = adaptive;
-    opts.dt_max = 1e-7;
-    const TransientResult tr = engine.transient(3e-6, opts);
-    EXPECT_TRUE(tr.converged);
-    return tr;
-  };
-  const TransientResult fixed = run(false);
-  const TransientResult adaptive = run(true);
-  EXPECT_LT(adaptive.num_samples(), fixed.num_samples() / 2);
-  for (double t : {0.5e-6, 1e-6, 2e-6}) {
-    const double expected = 1.0 - std::exp(-t / 1e-6);
-    EXPECT_NEAR(adaptive.at("out", t), expected, 0.01) << "t=" << t;
-  }
-}
-
-TEST(Transient, AdaptiveStillHitsPulseEdges) {
-  Circuit ckt;
-  const auto in = ckt.node("in");
-  const auto out = ckt.node("out");
-  ckt.add<VSource>(
-      "V1", in, kGround,
-      Waveform::pulse(0.0, 1.0, 100e-9, 1e-9, 1e-9, 50e-9, 0.0, 1));
-  ckt.add<Resistor>("R1", in, out, 1e3);
-  ckt.add<Capacitor>("C1", out, kGround, 1e-12, 0.0);
-  Engine engine(ckt, 27.0);
-  TransientOptions opts;
-  opts.dt = 2e-9;
-  opts.adaptive = true;
-  opts.dt_max = 40e-9;  // would overshoot the pulse if corners were missed
-  const TransientResult tr = engine.transient(300e-9, opts);
-  ASSERT_TRUE(tr.converged);
-  EXPECT_NEAR(tr.at("in", 99e-9), 0.0, 1e-9);
-  EXPECT_NEAR(tr.at("in", 120e-9), 1.0, 1e-9);
-  EXPECT_NEAR(tr.at("out", 150e-9), 1.0, 0.01);  // fully charged in pulse
-  EXPECT_NEAR(tr.at("in", 200e-9), 0.0, 1e-9);
-}
-
 TEST(TransientResult, InterpolationAndErrors) {
   TransientResult tr;
   tr.set_signal_names({"x"});

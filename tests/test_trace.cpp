@@ -1,8 +1,8 @@
 // Observability layer (src/trace): registry semantics, histogram
-// bucketing, scoped-span nesting and Chrome-trace export, TestProbe
-// deltas, cross-thread-count snapshot determinism, and the SFC_TRACE=OFF
-// zero-cost contract (via trace_off_tu.cpp, compiled with the gate forced
-// off).
+// bucketing, scoped-span nesting and Chrome-trace export, the shared
+// --trace/--metrics CLI wiring, TestProbe deltas, cross-thread-count
+// snapshot determinism, and the SFC_TRACE=OFF zero-cost contract (via
+// trace_off_tu.cpp, compiled with the gate forced off).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,7 @@
 #include "cim/array.hpp"
 #include "cim/montecarlo.hpp"
 #include "exec/parallel.hpp"
+#include "trace/cli.hpp"
 #include "trace/trace.hpp"
 #include "verify/json.hpp"
 
@@ -216,6 +217,29 @@ TEST(TraceSpan, WriteChromeProducesParseableFile) {
   const Json parsed = verify::read_json_file(path);
   EXPECT_TRUE(parsed.get("traceEvents").is_array());
   std::remove(path.c_str());
+}
+
+TEST(TraceCli, FinishReportsUnwritableOutputAndDisarmsExitHook) {
+  const std::string trace_out = "test_trace_cli_out.json";
+  std::string args[] = {"prog", "--trace=" + trace_out, "keep", "--metrics",
+                        "/nonexistent-dir/metrics.json"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+  trace::install_cli_observability(&argc, argv.data());
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "keep");
+  EXPECT_TRUE(Tracer::global().enabled());
+
+  // The trace is written but the metrics file cannot be: the caller must
+  // be told, so a CLI can turn it into its exit status.
+  EXPECT_FALSE(trace::finish_cli_observability());
+  EXPECT_FALSE(Tracer::global().enabled());
+  EXPECT_TRUE(verify::read_json_file(trace_out).get("traceEvents").is_array());
+  std::remove(trace_out.c_str());
+
+  // Finished: a second call, like the atexit hook, has nothing to write.
+  EXPECT_TRUE(trace::finish_cli_observability());
 }
 
 TEST(TraceProbe, CounterAndHistogramDeltas) {

@@ -8,10 +8,6 @@
 //   verify_runner fuzz [--count N] [--seed S] [--dump DIR]
 //       Run the property-based netlist fuzz campaign; failing cases are
 //       shrunk and dumped as .cir reproducers.
-//   verify_runner check-bench PATH [--keys GOLDEN]
-//       Validate a bench/perf_simulator --json output file against the
-//       expected schema (used by scripts/check.sh). With --keys, the
-//       per-kernel key set must exactly match the golden list.
 //   verify_runner check-metrics PATH [--golden GOLDEN]
 //       Validate a --metrics snapshot (trace registry dump): schema, and —
 //       with --golden — that the non-timing counter/histogram key sets
@@ -22,12 +18,14 @@
 //       the rule-id list must exactly match the golden (CI contract for
 //       SARIF consumers).
 //
-// Every subcommand also accepts --trace OUT.json / --metrics OUT.json:
-// span-trace the run itself (Chrome trace format) and dump the metrics
-// registry at exit — the observability hooks of src/trace.
+// Every subcommand also accepts --trace OUT.json / --metrics OUT.json (or
+// --trace=OUT.json / --metrics=OUT.json): span-trace the run itself
+// (Chrome trace format) and dump the metrics registry when it is done —
+// the observability hooks of src/trace (trace::install_cli_observability).
 //
 // Exit status 0 = everything passed, 1 = a verification failure,
-// 2 = usage / IO error.
+// 2 = usage / IO error, including an observability output that could not
+// be written.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/cli.hpp"
 #include "trace/trace.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/golden.hpp"
@@ -51,7 +50,6 @@ int usage() {
                "usage: verify_runner golden [--dir DIR] [--case NAME] [--regen]\n"
                "       verify_runner oracle [--case NAME]\n"
                "       verify_runner fuzz [--count N] [--seed S] [--dump DIR]\n"
-               "       verify_runner check-bench PATH [--keys GOLDEN]\n"
                "       verify_runner check-metrics PATH [--golden GOLDEN]\n"
                "       verify_runner check-sarif PATH [--keys GOLDEN]\n"
                "(any subcommand: --trace OUT.json --metrics OUT.json)\n");
@@ -141,101 +139,6 @@ int cmd_fuzz(std::vector<const char*> args) {
   const sfc::verify::FuzzReport rep = sfc::verify::run_fuzz(opt);
   std::printf("%s\n", rep.summary().c_str());
   return rep.pass() ? 0 : 1;
-}
-
-/// Schema contract for bench/perf_simulator --json (BENCH_solver.json).
-int cmd_check_bench(std::vector<const char*> args) {
-  const char* keys_flag = flag_value(args, "--keys");
-  if (args.size() != 1) return usage();
-  Json j;
-  try {
-    j = sfc::verify::read_json_file(args[0]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "check-bench: %s\n", e.what());
-    return 2;
-  }
-  std::vector<std::string> golden_keys;
-  if (keys_flag) {
-    try {
-      const Json g = sfc::verify::read_json_file(keys_flag);
-      for (const Json& k : g.get("kernel_keys").as_array()) {
-        golden_keys.push_back(k.as_string());
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "check-bench: %s: %s\n", keys_flag, e.what());
-      return 2;
-    }
-  }
-  std::vector<std::string> problems;
-  const auto require = [&](bool ok, const std::string& what) {
-    if (!ok) problems.push_back(what);
-  };
-  try {
-    require(j.is_object(), "root must be an object");
-    if (j.is_object()) {
-      require(j.has("schema_version") && j.get("schema_version").is_number(),
-              "missing numeric 'schema_version'");
-      require(j.has("build_type") && j.get("build_type").is_string(),
-              "missing string 'build_type'");
-      require(j.has("threads") && j.get("threads").is_number(),
-              "missing numeric 'threads'");
-      require(j.has("kernels") && j.get("kernels").is_array(),
-              "missing array 'kernels'");
-    }
-    if (j.is_object() && j.has("kernels") && j.get("kernels").is_array()) {
-      const auto& kernels = j.get("kernels").as_array();
-      require(!kernels.empty(), "'kernels' must be non-empty");
-      for (const Json& k : kernels) {
-        if (!k.is_object()) {
-          problems.push_back("kernel entry must be an object");
-          continue;
-        }
-        for (const char* key : {"name", "detail"}) {
-          require(k.has(key) && k.get(key).is_string(),
-                  std::string("kernel missing string '") + key + "'");
-        }
-        for (const char* key :
-             {"samples", "legacy_ms", "hot_ms", "speedup", "solves_per_sec"}) {
-          require(k.has(key) && k.get(key).is_number(),
-                  std::string("kernel missing numeric '") + key + "'");
-        }
-        // Solver counters (schema_version >= 3): present and non-negative.
-        for (const char* key : {"newton_iterations", "step_rejections",
-                                "lu_factorizations", "gmin_steps"}) {
-          const bool present = k.has(key) && k.get(key).is_number();
-          require(present, std::string("kernel missing numeric '") + key + "'");
-          if (present) {
-            require(k.get(key).as_number() >= 0.0,
-                    std::string("kernel counter '") + key +
-                        "' must be non-negative");
-          }
-        }
-        for (const char* key : {"bit_identical", "converged"}) {
-          require(k.has(key) && k.get(key).is_bool(),
-                  std::string("kernel missing bool '") + key + "'");
-        }
-        if (!golden_keys.empty() && k.is_object()) {
-          std::vector<std::string> have;
-          for (const auto& [key, value] : k.as_object()) have.push_back(key);
-          if (have != golden_keys) {
-            std::string msg = "kernel key set differs from golden:";
-            for (const auto& key : have) msg += " " + key;
-            problems.push_back(msg);
-          }
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    problems.push_back(e.what());
-  }
-  if (!problems.empty()) {
-    for (const auto& p : problems) {
-      std::fprintf(stderr, "check-bench: %s: %s\n", args[0], p.c_str());
-    }
-    return 1;
-  }
-  std::printf("check-bench: %s: schema OK\n", args[0]);
-  return 0;
 }
 
 /// Deterministic counter/histogram names of a metrics snapshot, sorted
@@ -454,45 +357,28 @@ int cmd_check_sarif(std::vector<const char*> args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Dispatch one subcommand; returns the exit status.
+int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   std::vector<const char*> args(argv + 2, argv + argc);
-  const char* trace_flag = flag_value(args, "--trace");
-  const char* metrics_flag = flag_value(args, "--metrics");
-  if (trace_flag) sfc::trace::Tracer::global().start();
-  int rc = 2;
   try {
-    if (cmd == "golden") {
-      rc = cmd_golden(std::move(args));
-    } else if (cmd == "oracle") {
-      rc = cmd_oracle(std::move(args));
-    } else if (cmd == "fuzz") {
-      rc = cmd_fuzz(std::move(args));
-    } else if (cmd == "check-bench") {
-      rc = cmd_check_bench(std::move(args));
-    } else if (cmd == "check-metrics") {
-      rc = cmd_check_metrics(std::move(args));
-    } else if (cmd == "check-sarif") {
-      rc = cmd_check_sarif(std::move(args));
-    } else {
-      return usage();
-    }
+    if (cmd == "golden") return cmd_golden(std::move(args));
+    if (cmd == "oracle") return cmd_oracle(std::move(args));
+    if (cmd == "fuzz") return cmd_fuzz(std::move(args));
+    if (cmd == "check-metrics") return cmd_check_metrics(std::move(args));
+    if (cmd == "check-sarif") return cmd_check_sarif(std::move(args));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "verify_runner %s: %s\n", cmd.c_str(), e.what());
     return 2;
   }
-  try {
-    if (trace_flag) {
-      sfc::trace::Tracer::global().stop();
-      sfc::trace::Tracer::global().write_chrome(trace_flag);
-    }
-    if (metrics_flag) sfc::trace::write_metrics_file(metrics_flag);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "verify_runner: observability output: %s\n", e.what());
-    return 2;
-  }
-  return rc;
+  return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  sfc::trace::install_cli_observability(&argc, argv);
+  const int rc = run(argc, argv);
+  return sfc::trace::finish_cli_observability() ? rc : 2;
 }
