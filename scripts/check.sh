@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure, build, run the full test suite,
-# the verification layer, the metrics key-set gate, and the performance
-# ledger's self-test. This is the tier-1 entry point — if this script exits
-# 0 the tree is good.
+# the verification layer, the metrics key-set gate, the performance
+# ledger's self-test, and the sanitizer passes. This is the tier-1 entry
+# point — if this script exits 0 the tree is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -94,8 +94,11 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
 
 step "UBSan pass (ctest -L \"spice|verify|lint|trace\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
+# _GLIBCXX_ASSERTIONS bounds-checks every std::vector / std::optional
+# access, so an out-of-range index aborts here instead of reading garbage.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
 ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace" \
@@ -104,6 +107,16 @@ ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace" \
 # interval arithmetic and the fixpoint engine must be UB-free on 200
 # generated decks, with zero solver escapes from the static bounds.
 "${UBSAN_DIR}/tools/verify_runner" fuzz --count 200 --dump "${UBSAN_DIR}"
+
+step "ThreadSanitizer pass (ctest -L \"exec|trace\" under -fsanitize=thread)"
+# parallel_for's forked workers, the Monte Carlo / sweep / dot-batch
+# fan-outs and the relaxed-atomic metrics registry they record into must
+# be free of data races at 1 to 8 threads.
+TSAN_DIR="${BUILD_DIR}-tsan"
+cmake -B "${TSAN_DIR}" -S . -DSFC_SANITIZE=thread \
+  -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "${TSAN_DIR}" -j "${JOBS}" --target test_exec test_trace
+ctest --test-dir "${TSAN_DIR}" -L "exec|trace" --output-on-failure -j "${JOBS}"
 
 step "clang-tidy (skipped automatically when the binary is absent)"
 scripts/tidy.sh "${BUILD_DIR}"

@@ -49,7 +49,6 @@ namespace {
 /// Everything one Monte Carlo run produces; merged in run order.
 struct RunOutcome {
   std::vector<MonteCarloSample> samples;
-  bool converged = true;
   long newton_iterations = 0;
 };
 
@@ -100,9 +99,12 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
   // Independent runs: run k draws from the counter-based stream
   // (mc.seed, k) and simulates its own row replica, making each run a
   // pure function of its index — the determinism contract of the header.
-  const auto outcomes = sfc::exec::parallel_map(
-      mc.exec, static_cast<std::size_t>(std::max(0, mc.runs)),
-      [&](std::size_t run_index) {
+  // Each run writes its own outcome slot and reports whether every MAC
+  // cycle converged, so the job tallies failed runs.
+  std::vector<RunOutcome> outcomes(
+      static_cast<std::size_t>(std::max(0, mc.runs)));
+  result.job = sfc::exec::parallel_for(
+      mc.exec, outcomes.size(), [&](std::size_t run_index) {
         util::Rng rng = sfc::exec::stream_rng(mc.seed, run_index);
         std::vector<double> fe_shifts(static_cast<std::size_t>(n));
         std::vector<double> m1_shifts(static_cast<std::size_t>(n), 0.0);
@@ -118,13 +120,14 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
         row.set_fefet_vth_shifts(fe_shifts);
         row.set_mosfet_vth_shifts(m1_shifts, m2_shifts);
 
-        RunOutcome outcome;
+        RunOutcome& outcome = outcomes[run_index];
         outcome.samples.reserve(macs.size());
+        bool converged = true;
         for (int k : macs) {
           MacResult r = row.evaluate(pattern_for(k), mc.temperature_c);
           outcome.newton_iterations += r.newton_iterations;
           if (!r.converged) {
-            outcome.converged = false;
+            converged = false;
             continue;
           }
           MonteCarloSample s;
@@ -137,13 +140,12 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
           s.error_levels = deviation / result.level_spacing;
           outcome.samples.push_back(s);
         }
-        return outcome;
-      },
-      &result.job);
+        return converged;
+      });
 
   // Merge in run order; aggregate statistics stay order-independent.
+  if (result.job.failed > 0) result.all_converged = false;
   for (const auto& outcome : outcomes) {
-    if (!outcome.converged) result.all_converged = false;
     result.total_newton_iterations += outcome.newton_iterations;
     for (const auto& s : outcome.samples) {
       result.max_error_percent =

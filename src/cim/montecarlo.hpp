@@ -7,8 +7,8 @@
 // Run k draws its device-variation vector from the counter-based stream
 // exec::stream_seed(seed, k) and simulates a private row replica, so the
 // samples are a pure function of (cfg, mc) alone: the same `seed` yields
-// bit-identical MonteCarloResult samples regardless of `exec.threads`,
-// chunking, or scheduling. Threads only change wall-clock time (see
+// bit-identical MonteCarloResult samples regardless of `exec.threads` or
+// scheduling. Threads only change wall-clock time (see
 // MonteCarloResult::job).
 #pragma once
 
@@ -75,7 +75,8 @@ struct MonteCarloResult {
   /// Newton iterations summed over every simulated MAC cycle (nominal
   /// levels + all runs) — the solver benchmark's work metric.
   long total_newton_iterations = 0;
-  /// Wall time and per-run timings of the Monte Carlo fan-out.
+  /// Wall time and per-run timings of the Monte Carlo fan-out; job.failed
+  /// counts the runs in which some MAC cycle did not converge.
   sfc::exec::JobReport job;
 
   std::vector<double> errors() const;

@@ -5,7 +5,8 @@
 namespace sfc::exec {
 
 int ExecPolicy::resolved_threads(std::size_t n) const {
-  int t = threads == 0 ? ThreadPool::hardware_threads() : threads;
+  int t = threads == 0 ? static_cast<int>(std::thread::hardware_concurrency())
+                       : threads;
   t = std::max(1, t);
   if (n > 0) {
     t = static_cast<int>(
@@ -14,22 +15,10 @@ int ExecPolicy::resolved_threads(std::size_t n) const {
   return t;
 }
 
-std::size_t ExecPolicy::resolved_chunk(std::size_t n, int threads_used) const {
-  if (chunk > 0) return static_cast<std::size_t>(chunk);
-  const std::size_t workers = static_cast<std::size_t>(std::max(1, threads_used));
-  return std::max<std::size_t>(1, n / (workers * 4));
-}
-
 double JobReport::task_ms_total() const {
   double total = 0.0;
   for (double t : task_ms) total += t;
   return total;
-}
-
-double JobReport::task_ms_max() const {
-  double worst = 0.0;
-  for (double t : task_ms) worst = std::max(worst, t);
-  return worst;
 }
 
 double JobReport::speedup() const {

@@ -1,6 +1,5 @@
-// Unified fan-out API: ExecPolicy (how many threads, what chunking),
-// parallel_for / parallel_map over an index range, and JobReport (per-task
-// wall time + convergence counts).
+// Fan-out API: ExecPolicy (how many threads), parallel_for over an index
+// range, and JobReport (per-task wall time + convergence counts).
 //
 // Determinism contract
 // --------------------
@@ -12,16 +11,16 @@
 // Carlo, sweeps, batched NN rows) is structured that way.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <exception>
 #include <mutex>
+#include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "trace/trace.hpp"
 
 namespace sfc::exec {
@@ -30,21 +29,14 @@ namespace sfc::exec {
 /// parallelism explicitly and single-threaded behaviour stays the
 /// reference.
 struct ExecPolicy {
-  /// Worker threads: 1 = run inline on the caller (serial), 0 = one per
-  /// hardware thread, n > 1 = exactly n workers.
+  /// Threads that drain the job, the caller included: 1 = inline on the
+  /// caller (serial), 0 = one per hardware thread, n > 1 = exactly n.
   int threads = 1;
-  /// Indices dispensed to a worker per grab; 0 = automatic (targets ~4
-  /// chunks per worker to amortize the atomic fetch without starving the
-  /// tail).
-  int chunk = 0;
 
   static ExecPolicy serial() { return {}; }
-  static ExecPolicy max_parallel() { return {0, 0}; }
 
   /// Threads a job over `n` tasks will actually use.
   int resolved_threads(std::size_t n) const;
-  /// Chunk size a job over `n` tasks with `threads_used` workers uses.
-  std::size_t resolved_chunk(std::size_t n, int threads_used) const;
 };
 
 /// What a fan-out did: wall time of the whole job, wall time of every
@@ -59,8 +51,6 @@ struct JobReport {
 
   /// Sum of per-task times — the serial-equivalent work.
   double task_ms_total() const;
-  /// Longest single task — the critical path of one chunk.
-  double task_ms_max() const;
   /// task_ms_total / wall_ms: effective parallelism actually achieved.
   double speedup() const;
 };
@@ -77,12 +67,16 @@ inline double ms_since(Clock::time_point t0) {
 
 /// Run fn(i) for every i in [0, n) under `policy` and report timings.
 ///
+/// The caller drains indices from a shared atomic counter alongside
+/// threads_used - 1 forked std::jthreads, which join before parallel_for
+/// returns; tasks never learn which thread runs them. A one-thread job
+/// therefore runs inline on the caller, in index order fn(0), fn(1), ...,
+/// fn(n-1) — callers may rely on that order (continuation sweeps do).
+///
 /// `fn` may return void (completion counts as converged) or bool (true is
 /// tallied as converged, false as failed — e.g. a Newton solve outcome).
-/// Indices are dispensed in chunks from a shared atomic counter; workers
-/// never learn their thread id. The first exception thrown by any task
-/// aborts the dispensing and is rethrown on the caller after all workers
-/// drain.
+/// The first exception thrown by any task stops the dispensing and is
+/// rethrown on the caller once every thread has joined.
 template <typename Fn>
 JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   SFC_TRACE_SPAN("exec.parallel_for");
@@ -92,7 +86,10 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   if (n == 0) return report;
   report.task_ms.assign(n, 0.0);
 
-  const std::size_t chunk = policy.resolved_chunk(n, report.threads_used);
+  // About four chunks per thread amortize the atomic fetch without
+  // starving the tail.
+  const std::size_t chunk = std::max<std::size_t>(
+      1, n / (static_cast<std::size_t>(report.threads_used) * 4));
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> converged{0};
   std::atomic<std::size_t> failed{0};
@@ -132,13 +129,12 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   };
 
   const auto job_t0 = detail::Clock::now();
-  if (report.threads_used <= 1) {
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(static_cast<std::size_t>(report.threads_used - 1));
+    for (int w = 1; w < report.threads_used; ++w) workers.emplace_back(drain);
     drain();
-  } else {
-    ThreadPool pool(report.threads_used);
-    for (int w = 0; w < report.threads_used; ++w) pool.submit(drain);
-    pool.shutdown();  // drains the queue, joins the workers
-  }
+  }  // the forked workers join here
   report.wall_ms = detail::ms_since(job_t0);
   report.converged = converged.load();
   report.failed = failed.load();
@@ -147,21 +143,6 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   SFC_TRACE_COUNT("exec.tasks.failed", report.failed);
   if (error) std::rethrow_exception(error);
   return report;
-}
-
-/// parallel_for that collects fn(i) into a vector (slot i belongs to task
-/// i, so the output order is the index order regardless of scheduling).
-/// The result type must be default-constructible.
-template <typename Fn>
-auto parallel_map(const ExecPolicy& policy, std::size_t n, Fn&& fn,
-                  JobReport* report_out = nullptr)
-    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
-  using T = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
-  std::vector<T> results(n);
-  JobReport report =
-      parallel_for(policy, n, [&](std::size_t i) { results[i] = fn(i); });
-  if (report_out) *report_out = std::move(report);
-  return results;
 }
 
 }  // namespace sfc::exec

@@ -305,90 +305,6 @@ Tensor Dropout::backward(const Tensor& grad_output) {
   return grad_in;
 }
 
-// ---------------------------------------------------------- InstanceNorm2d
-
-InstanceNorm2d::InstanceNorm2d(int channels, double epsilon)
-    : channels_(channels),
-      epsilon_(epsilon),
-      gamma_({channels}),
-      beta_({channels}),
-      grad_gamma_({channels}),
-      grad_beta_({channels}) {
-  gamma_.fill(1.0f);
-}
-
-std::string InstanceNorm2d::name() const {
-  return "InstanceNorm2d(" + std::to_string(channels_) + ")";
-}
-
-Tensor InstanceNorm2d::forward(const Tensor& input,
-                               const LayerContext& /*ctx*/) {
-  assert(input.shape().size() == 3 && input.dim(0) == channels_);
-  const int hw = input.dim(1) * input.dim(2);
-  Tensor out = input;
-  cached_xhat_ = Tensor(input.shape());
-  inv_std_.assign(static_cast<std::size_t>(channels_), 0.0);
-
-  for (int c = 0; c < channels_; ++c) {
-    const std::size_t base =
-        static_cast<std::size_t>(c) * static_cast<std::size_t>(hw);
-    double mean = 0.0;
-    for (int i = 0; i < hw; ++i) mean += input[base + static_cast<std::size_t>(i)];
-    mean /= hw;
-    double var = 0.0;
-    for (int i = 0; i < hw; ++i) {
-      const double d = input[base + static_cast<std::size_t>(i)] - mean;
-      var += d * d;
-    }
-    var /= hw;
-    const double inv_std = 1.0 / std::sqrt(var + epsilon_);
-    inv_std_[static_cast<std::size_t>(c)] = inv_std;
-    const float g = gamma_[static_cast<std::size_t>(c)];
-    const float b = beta_[static_cast<std::size_t>(c)];
-    for (int i = 0; i < hw; ++i) {
-      const auto xhat = static_cast<float>(
-          (input[base + static_cast<std::size_t>(i)] - mean) * inv_std);
-      cached_xhat_[base + static_cast<std::size_t>(i)] = xhat;
-      out[base + static_cast<std::size_t>(i)] = g * xhat + b;
-    }
-  }
-  return out;
-}
-
-Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
-  const auto& shape = cached_xhat_.shape();
-  const int hw = shape[1] * shape[2];
-  Tensor grad_in(shape);
-
-  for (int c = 0; c < channels_; ++c) {
-    const std::size_t base =
-        static_cast<std::size_t>(c) * static_cast<std::size_t>(hw);
-    const double g = gamma_[static_cast<std::size_t>(c)];
-    const double inv_std = inv_std_[static_cast<std::size_t>(c)];
-
-    double sum_g = 0.0;    // sum of upstream grads
-    double sum_gx = 0.0;   // sum of grad * xhat
-    for (int i = 0; i < hw; ++i) {
-      const double go = grad_output[base + static_cast<std::size_t>(i)];
-      const double xh = cached_xhat_[base + static_cast<std::size_t>(i)];
-      sum_g += go;
-      sum_gx += go * xh;
-    }
-    grad_beta_[static_cast<std::size_t>(c)] += static_cast<float>(sum_g);
-    grad_gamma_[static_cast<std::size_t>(c)] += static_cast<float>(sum_gx);
-
-    const double mean_g = sum_g / hw;
-    const double mean_gx = sum_gx / hw;
-    for (int i = 0; i < hw; ++i) {
-      const double go = grad_output[base + static_cast<std::size_t>(i)];
-      const double xh = cached_xhat_[base + static_cast<std::size_t>(i)];
-      grad_in[base + static_cast<std::size_t>(i)] =
-          static_cast<float>(g * inv_std * (go - mean_g - xh * mean_gx));
-    }
-  }
-  return grad_in;
-}
-
 // ----------------------------------------------------------------- Flatten
 
 std::vector<int> Flatten::output_shape(const std::vector<int>& in) const {

@@ -139,34 +139,6 @@ class Dropout final : public Layer {
   std::vector<float> mask_;
 };
 
-/// Per-channel instance normalization with learnable scale/shift:
-/// y = gamma * (x - mean_HW) / sqrt(var_HW + eps) + beta.
-/// The per-sample statistics make it compatible with this library's
-/// single-sample training loop (unlike batch norm), while providing the
-/// same conditioning benefit for deep plain conv stacks.
-class InstanceNorm2d final : public Layer {
- public:
-  explicit InstanceNorm2d(int channels, double epsilon = 1e-5);
-
-  Tensor forward(const Tensor& input, const LayerContext& ctx) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<Tensor*> parameters() override { return {&gamma_, &beta_}; }
-  std::vector<Tensor*> gradients() override {
-    return {&grad_gamma_, &grad_beta_};
-  }
-  std::string name() const override;
-  std::vector<int> output_shape(const std::vector<int>& in) const override {
-    return in;
-  }
-
- private:
-  int channels_;
-  double epsilon_;
-  Tensor gamma_, beta_, grad_gamma_, grad_beta_;
-  Tensor cached_xhat_;          ///< normalized input
-  std::vector<double> inv_std_; ///< per channel
-};
-
 /// CHW -> flat vector.
 class Flatten final : public Layer {
  public:

@@ -23,41 +23,30 @@ Sequential build_vgg(const VggConfig& cfg) {
   Sequential net;
   const auto& ch = cfg.conv_channels;
 
-  auto norm = [&](int channels) {
-    if (cfg.with_norm) net.add<InstanceNorm2d>(channels);
-  };
-
   // Block 1: conv1(dropout 0.3) conv2, pool.
   net.add<Conv2d>(3, ch[0], 3, true, rng);
-  norm(ch[0]);
   net.add<Relu>();
   if (cfg.with_dropout) net.add<Dropout>(0.3);
   net.add<Conv2d>(ch[0], ch[1], 3, true, rng);
-  norm(ch[1]);
   net.add<Relu>();
   net.add<MaxPool2d>(2);
 
   // Block 2: conv3(dropout 0.4) conv4, pool.
   net.add<Conv2d>(ch[1], ch[2], 3, true, rng);
-  norm(ch[2]);
   net.add<Relu>();
   if (cfg.with_dropout) net.add<Dropout>(0.4);
   net.add<Conv2d>(ch[2], ch[3], 3, true, rng);
-  norm(ch[3]);
   net.add<Relu>();
   net.add<MaxPool2d>(2);
 
   // Block 3: conv5(0.4) conv6(0.4) conv7, pool.
   net.add<Conv2d>(ch[3], ch[4], 3, true, rng);
-  norm(ch[4]);
   net.add<Relu>();
   if (cfg.with_dropout) net.add<Dropout>(0.4);
   net.add<Conv2d>(ch[4], ch[5], 3, true, rng);
-  norm(ch[5]);
   net.add<Relu>();
   if (cfg.with_dropout) net.add<Dropout>(0.4);
   net.add<Conv2d>(ch[5], ch[6], 3, true, rng);
-  norm(ch[6]);
   net.add<Relu>();
   net.add<MaxPool2d>(2);
 

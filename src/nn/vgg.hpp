@@ -18,9 +18,6 @@ struct VggConfig {
   int num_classes = 10;
   /// Dropout schedule from Table I.
   bool with_dropout = true;
-  /// Insert InstanceNorm2d after every conv (not in the paper's Table I;
-  /// an optional training aid for the deep plain stack).
-  bool with_norm = false;
   std::uint64_t init_seed = 2024;
 
   /// The exact Table-I network.

@@ -30,86 +30,49 @@ std::vector<double> linspace_count(double lo, double hi, std::size_t n) {
   return values;
 }
 
-namespace {
-
-/// Continuation sweeps warm-start each point from the previous solution,
-/// making point k depend on point k-1: a strictly serial recurrence on
-/// the original circuit (exactly the historical dc_sweep behaviour).
-std::vector<SweepPoint> run_continuation_sweep(Circuit& circuit,
-                                               const SweepSpec& spec,
-                                               sfc::exec::JobReport* report) {
-  Engine engine(circuit, spec.temperature_c);
-  std::vector<SweepPoint> points;
-  points.reserve(spec.values.size());
-  sfc::exec::JobReport job;
-  job.tasks = spec.values.size();
-  job.task_ms.assign(spec.values.size(), 0.0);
-  const auto job_t0 = sfc::exec::detail::Clock::now();
-  std::vector<double> warm;
-  for (std::size_t i = 0; i < spec.values.size(); ++i) {
-    const double value = spec.values[i];
-    const auto t0 = sfc::exec::detail::Clock::now();
-    if (spec.apply) spec.apply(circuit, value);
-    SweepPoint p;
-    p.value = value;
-    p.op = engine.dc_operating_point(spec.options,
-                                     warm.empty() ? nullptr : &warm);
-    if (p.op.converged) {
-      warm = p.op.x;
-      ++job.converged;
-    } else {
-      ++job.failed;
-    }
-    job.task_ms[i] = sfc::exec::detail::ms_since(t0);
-    points.push_back(std::move(p));
-  }
-  job.wall_ms = sfc::exec::detail::ms_since(job_t0);
-  if (report) *report = std::move(job);
-  return points;
-}
-
-}  // namespace
-
 std::vector<SweepPoint> run_sweep(Circuit& circuit, const SweepSpec& spec,
                                   const sfc::exec::ExecPolicy& exec,
                                   sfc::exec::JobReport* report) {
   SFC_TRACE_SPAN("spice.run_sweep");
   SFC_TRACE_COUNT("spice.sweep.points", spec.values.size());
-  if (spec.continuation) {
-    return run_continuation_sweep(circuit, spec, report);
-  }
-  // Independent points: every point solves a private clone — also in the
-  // serial case, so the result never depends on the thread count (device
-  // state mutated by one solve cannot leak into another point).
+  // Every point writes its own slot and returns whether it converged, so
+  // the job report tallies failed points.
+  std::vector<SweepPoint> points(spec.values.size());
   sfc::exec::JobReport job;
-  auto points = sfc::exec::parallel_map(
-      exec, spec.values.size(),
-      [&](std::size_t i) {
-        const double value = spec.values[i];
-        Circuit local = circuit.clone();
-        double temperature = spec.temperature_c;
-        if (spec.apply) {
-          spec.apply(local, value);
-        } else {
-          temperature = value;  // temperature sweep
-        }
-        Engine engine(local, temperature);
-        SweepPoint p;
-        p.value = value;
-        p.op = engine.dc_operating_point(spec.options);
-        return p;
-      },
-      &job);
-  // Re-count convergence from the solver outcome (parallel_map's functor
-  // returns a value, so every completed task counted as "converged").
-  job.converged = 0;
-  job.failed = 0;
-  for (const auto& p : points) {
-    if (p.op.converged) {
-      ++job.converged;
-    } else {
-      ++job.failed;
-    }
+  if (spec.continuation) {
+    // Point k warm-starts from point k-1's solution: a strictly serial
+    // recurrence on the original circuit (the historical dc_sweep
+    // behaviour), which a one-thread job runs inline in index order.
+    Engine engine(circuit, spec.temperature_c);
+    std::vector<double> warm;
+    job = sfc::exec::parallel_for(
+        sfc::exec::ExecPolicy::serial(), points.size(), [&](std::size_t i) {
+          SweepPoint& p = points[i];
+          p.value = spec.values[i];
+          if (spec.apply) spec.apply(circuit, p.value);
+          p.op = engine.dc_operating_point(spec.options,
+                                           warm.empty() ? nullptr : &warm);
+          if (p.op.converged) warm = p.op.x;
+          return p.op.converged;
+        });
+  } else {
+    // Independent points: every point solves a private clone — also in the
+    // serial case, so the result never depends on the thread count (device
+    // state mutated by one solve cannot leak into another point).
+    job = sfc::exec::parallel_for(exec, points.size(), [&](std::size_t i) {
+      SweepPoint& p = points[i];
+      p.value = spec.values[i];
+      Circuit local = circuit.clone();
+      double temperature = spec.temperature_c;
+      if (spec.apply) {
+        spec.apply(local, p.value);
+      } else {
+        temperature = p.value;  // temperature sweep
+      }
+      Engine engine(local, temperature);
+      p.op = engine.dc_operating_point(spec.options);
+      return p.op.converged;
+    });
   }
   if (report) *report = std::move(job);
   return points;

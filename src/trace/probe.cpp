@@ -53,7 +53,7 @@ verify::Json TestProbe::delta_snapshot() const {
 
   Json counters = Json::object();
   for (const auto& [name, value] : registry_.counter_values()) {
-    if (!is_deterministic_metric(name)) continue;
+    if (is_timing_metric(name)) continue;
     const auto base = counters0_.find(name);
     const std::uint64_t delta =
         value - (base == counters0_.end() ? 0 : base->second);
@@ -63,7 +63,7 @@ verify::Json TestProbe::delta_snapshot() const {
 
   Json hists = Json::object();
   for (const auto& [name, counts] : registry_.histogram_counts()) {
-    if (!is_deterministic_metric(name)) continue;
+    if (is_timing_metric(name)) continue;
     const auto base = histograms0_.find(name);
     std::vector<double> deltas(counts.size());
     for (std::size_t i = 0; i < counts.size(); ++i) {

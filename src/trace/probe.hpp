@@ -1,13 +1,13 @@
 // Test-instrumentation harness: a TestProbe baselines the global metrics
 // registry at construction and answers *delta* questions afterwards, so a
 // test can assert on engine internals ("this transient rejected no steps",
-// "the thread pool ran exactly K tasks") without resetting global state or
+// "the sweep failed exactly K points") without resetting global state or
 // caring what earlier tests recorded.
 //
-// Delta snapshots only cover deterministic metrics (is_deterministic_metric:
-// timing and thread-pool scheduling names are skipped), so a delta snapshot
-// is bit-identical across thread counts for a deterministic workload — the
-// property test_trace pins down.
+// Delta snapshots only cover deterministic metrics (timing names, per
+// is_timing_metric, are skipped), so a delta snapshot is bit-identical
+// across thread counts for a deterministic workload — the property
+// test_trace pins down.
 #pragma once
 
 #include <cstdint>

@@ -4,25 +4,6 @@
 
 namespace sfc::trace {
 
-void Gauge::raise_max(std::int64_t candidate) {
-  std::int64_t seen = max_.load(std::memory_order_relaxed);
-  while (candidate > seen &&
-         !max_.compare_exchange_weak(seen, candidate,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void Gauge::add(std::int64_t delta) {
-  const std::int64_t now =
-      value_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  raise_max(now);
-}
-
-void Gauge::set(std::int64_t v) {
-  value_.store(v, std::memory_order_relaxed);
-  raise_max(v);
-}
-
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
@@ -81,14 +62,6 @@ bool is_timing_metric(const std::string& name) {
   return ends_with("_us") || ends_with("_ms");
 }
 
-bool is_scheduling_metric(const std::string& name) {
-  return name.rfind("exec.pool.", 0) == 0;
-}
-
-bool is_deterministic_metric(const std::string& name) {
-  return !is_timing_metric(name) && !is_scheduling_metric(name);
-}
-
 Registry& Registry::global() {
   static Registry instance;
   return instance;
@@ -98,13 +71,6 @@ Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
@@ -127,28 +93,14 @@ verify::Json Registry::snapshot(bool include_timing) const {
 
   Json counters = Json::object();
   for (const auto& [name, c] : counters_) {
-    if (!include_timing && !is_deterministic_metric(name)) continue;
+    if (!include_timing && is_timing_metric(name)) continue;
     counters.set(name, Json(static_cast<double>(c->value())));
   }
   root.set("counters", std::move(counters));
 
-  // Gauge values and high-water marks depend on scheduling (how deep the
-  // queue got, how many spans overlapped), so the deterministic snapshot
-  // drops the whole section rather than pretending they replay.
-  if (include_timing) {
-    Json gauges = Json::object();
-    for (const auto& [name, g] : gauges_) {
-      Json gj = Json::object();
-      gj.set("value", Json(static_cast<double>(g->value())));
-      gj.set("max", Json(static_cast<double>(g->max())));
-      gauges.set(name, std::move(gj));
-    }
-    root.set("gauges", std::move(gauges));
-  }
-
   Json hists = Json::object();
   for (const auto& [name, h] : histograms_) {
-    if (!include_timing && !is_deterministic_metric(name)) continue;
+    if (!include_timing && is_timing_metric(name)) continue;
     Json hj = Json::object();
     hj.set("bounds", Json::array_of(h->bounds()));
     const auto counts = h->counts();

@@ -1,6 +1,6 @@
-// Metrics registry: named counters, gauges and histograms behind atomic
-// hot paths. The registry answers "what did the engine do" (Newton
-// iterations, LU factorizations, step rejections, thread-pool load) as a
+// Metrics registry: named counters and histograms behind atomic hot
+// paths. The registry answers "what did the engine do" (Newton
+// iterations, LU factorizations, step rejections, fan-out jobs) as a
 // canonical verify::Json snapshot whose deterministic subset is
 // bit-identical across thread counts for a deterministic workload.
 //
@@ -13,8 +13,8 @@
 //   * Metric names are dot-separated paths ("spice.newton.iterations");
 //     names ending in "_us" / "_ms" are *timing* metrics, excluded from
 //     the deterministic snapshot because wall time is scheduling-
-//     dependent. Everything else must be a pure function of the workload
-//     (see DESIGN.md §11 for the name registry).
+//     dependent. Every other name is *deterministic*: a pure function of
+//     the workload (see DESIGN.md §11 for the name registry).
 #pragma once
 
 #include <atomic>
@@ -37,22 +37,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Signed instantaneous level (queue depth, live engines) with a
-/// high-water mark. add() is one fetch_add plus a CAS loop on the max.
-class Gauge {
- public:
-  void add(std::int64_t delta);
-  void set(std::int64_t v);
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
-
- private:
-  void raise_max(std::int64_t candidate);
-
-  std::atomic<std::int64_t> value_{0};
-  std::atomic<std::int64_t> max_{0};
 };
 
 /// Fixed-bound histogram: bucket k counts samples with
@@ -89,19 +73,11 @@ class Histogram {
 /// iteration counts (NewtonOptions::max_iterations defaults to 200).
 std::vector<double> iteration_buckets();
 
-/// True for metric names that measure wall time ("_us" / "_ms" suffix):
-/// excluded from the deterministic snapshot and from TestProbe deltas.
+/// True for metric names that measure wall time ("_us" / "_ms" suffix).
+/// Every other metric replays bit-identically for a deterministic
+/// workload at any thread count; only those enter Registry::snapshot(false)
+/// and TestProbe::delta_snapshot().
 bool is_timing_metric(const std::string& name);
-
-/// True for metrics that depend on how work lands on workers rather than
-/// on the workload ("exec.pool." prefix: a serial job never touches the
-/// pool, a parallel one schedules one drain per worker).
-bool is_scheduling_metric(const std::string& name);
-
-/// Metrics that replay bit-identically for a deterministic workload at any
-/// thread count: neither timing nor scheduling. Only these enter
-/// Registry::snapshot(false) and TestProbe::delta_snapshot().
-bool is_deterministic_metric(const std::string& name);
 
 class Registry {
  public:
@@ -111,18 +87,16 @@ class Registry {
   /// Find-or-create. The returned reference is stable for the process
   /// lifetime, so call sites cache it in a function-local static.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   /// First registration fixes the bounds (empty = iteration_buckets()).
   Histogram& histogram(const std::string& name,
                        std::vector<double> bounds = {});
 
   /// Canonical metrics snapshot (schema_version 1, sorted keys):
   ///   { schema_version, counters: {name: n},
-  ///     gauges: {name: {value, max}},
   ///     histograms: {name: {bounds, counts, count, sum, max}} }
-  /// `include_timing` = false drops "_us"/"_ms" metrics and gauges (whose
-  /// high-water marks depend on scheduling), leaving only values that are
-  /// deterministic for a deterministic workload.
+  /// `include_timing` = false drops "_us"/"_ms" metrics and histogram
+  /// sum/max, leaving only values that are deterministic for a
+  /// deterministic workload.
   verify::Json snapshot(bool include_timing = true) const;
 
   /// Names currently registered (sorted; diagnostics and tests).
@@ -139,7 +113,6 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

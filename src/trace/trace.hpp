@@ -13,7 +13,7 @@
 //
 // Runtime gates
 // -------------
-// Counters/gauges/histograms are always live when compiled in: one
+// Counters and histograms are always live when compiled in: one
 // relaxed atomic per event, cheap enough for every Newton iteration.
 // Spans additionally check Tracer::global().enabled() and record nothing
 // until Tracer::start() — so `--trace` runs pay for buffering, ordinary
@@ -46,14 +46,6 @@
     sfc_trace_counter_.add(static_cast<std::uint64_t>(n));            \
   } while (0)
 
-/// gauge[name] += delta (signed; tracks a high-water mark).
-#define SFC_TRACE_GAUGE_ADD(name, delta)                              \
-  do {                                                                \
-    static ::sfc::trace::Gauge& sfc_trace_gauge_ =                    \
-        ::sfc::trace::Registry::global().gauge(name);                 \
-    sfc_trace_gauge_.add(static_cast<std::int64_t>(delta));           \
-  } while (0)
-
 /// histogram[name].record(value), default iteration_buckets() bounds.
 #define SFC_TRACE_HIST(name, value)                                   \
   do {                                                                \
@@ -66,7 +58,6 @@
 
 #define SFC_TRACE_SPAN(name) ((void)0)
 #define SFC_TRACE_COUNT(name, n) ((void)0)
-#define SFC_TRACE_GAUGE_ADD(name, delta) ((void)0)
 #define SFC_TRACE_HIST(name, value) ((void)0)
 
 #endif  // SFC_TRACE_ENABLED

@@ -556,8 +556,8 @@ CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
     q_end += d.value * v;
     out.observable = hash_double(out.observable, v);
     if (opt.interval_oracle && d.n1 >= 0) {
-      const lint::Interval bound =
-          iv.envelope_at(static_cast<spice::NodeId>(d.n1));
+      // build() numbers circuit nodes in card order, not by fuzz index.
+      const lint::Interval bound = iv.envelope_at(*circuit.find_node(node));
       if (bound.is_empty() ||
           !bound.widened(1e-6 * (1.0 + std::fabs(v))).contains(v)) {
         std::ostringstream msg;

@@ -1,18 +1,18 @@
-// sfc::exec subsystem: thread pool lifecycle, parallel_for/parallel_map
-// semantics, counter-based RNG streams, and the end-to-end determinism
+// sfc::exec subsystem: parallel_for semantics, counter-based RNG streams,
+// failure tallies of the sweep fan-outs, and the end-to-end determinism
 // contract (serial vs parallel Monte Carlo and sweeps bit-identical).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cim/behavioral.hpp"
 #include "cim/montecarlo.hpp"
 #include "exec/parallel.hpp"
 #include "exec/stream.hpp"
-#include "exec/thread_pool.hpp"
 #include "nn/cim_engine.hpp"
 #include "spice/primitives.hpp"
 #include "spice/sweep.hpp"
@@ -38,67 +38,17 @@ TEST(StreamRng, SameStreamSameDraws) {
   }
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-#if SFC_TRACE_ENABLED
-  sfc::trace::TestProbe probe;
-#endif
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-#if SFC_TRACE_ENABLED
-  // Every submit passed through the instrumented worker loop, and the
-  // queue-depth gauge returned to its pre-test level (all +1s drained).
-  EXPECT_EQ(probe.counter_delta("exec.pool.tasks"), 100u);
-#endif
-}
-
-#if SFC_TRACE_ENABLED
-TEST(ThreadPool, QueueDepthGaugeDrainsToBaseline) {
-  sfc::trace::Registry& reg = sfc::trace::Registry::global();
-  const std::int64_t baseline = reg.gauge("exec.pool.queue_depth").value();
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) pool.submit([] {});
-    pool.wait_idle();
-  }
-  EXPECT_EQ(reg.gauge("exec.pool.queue_depth").value(), baseline);
-}
-#else
-TEST(ThreadPool, QueueDepthGaugeDrainsToBaseline) {
-  GTEST_SKIP() << "built with SFC_TRACE=OFF; gauges compile to no-ops";
-}
-#endif
-
-TEST(ThreadPool, ShutdownIsIdempotent) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.shutdown();
-  pool.shutdown();  // second call must be a no-op
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-}
-
 TEST(ParallelFor, EmptyRange) {
   std::atomic<int> count{0};
   const JobReport report =
-      parallel_for(ExecPolicy{4, 0}, 0, [&](std::size_t) { ++count; });
+      parallel_for(ExecPolicy{4}, 0, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 0);
   EXPECT_EQ(report.tasks, 0u);
 }
 
 TEST(ParallelFor, SingleElement) {
   std::atomic<int> count{0};
-  parallel_for(ExecPolicy{4, 0}, 1, [&](std::size_t i) {
+  parallel_for(ExecPolicy{4}, 1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
     ++count;
   });
@@ -110,7 +60,7 @@ TEST(ParallelFor, OddSizeVisitsEachIndexExactlyOnce) {
   for (int threads : {1, 2, 3, 8}) {
     std::vector<std::atomic<int>> visits(n);
     const JobReport report = parallel_for(
-        ExecPolicy{threads, 2}, n,
+        ExecPolicy{threads}, n,
         [&](std::size_t i) { visits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(visits[i].load(), 1) << "index " << i << ", " << threads
@@ -127,7 +77,7 @@ TEST(ParallelFor, TalliesConvergedAndFailed) {
 #endif
   // A bool-returning body feeds the converged / failed counters.
   const JobReport report = parallel_for(
-      ExecPolicy{2, 0}, 10, [](std::size_t i) { return i % 2 == 0; });
+      ExecPolicy{2}, 10, [](std::size_t i) { return i % 2 == 0; });
   EXPECT_EQ(report.converged, 5u);
   EXPECT_EQ(report.failed, 5u);
 #if SFC_TRACE_ENABLED
@@ -146,7 +96,7 @@ TEST(ParallelFor, TaskCountersAreThreadCountInvariant) {
   std::vector<std::uint64_t> converged_deltas;
   for (int threads : {1, 2, 8}) {
     sfc::trace::TestProbe probe;
-    parallel_for(ExecPolicy{threads, 0}, n, [](std::size_t) {});
+    parallel_for(ExecPolicy{threads}, n, [](std::size_t) {});
     EXPECT_EQ(probe.counter_delta("exec.jobs"), 1u) << threads << " threads";
     converged_deltas.push_back(probe.counter_delta("exec.tasks.converged"));
   }
@@ -161,7 +111,7 @@ TEST(ParallelFor, TaskCountersAreThreadCountInvariant) {
 TEST(ParallelFor, PropagatesExceptions) {
   for (int threads : {1, 3}) {
     EXPECT_THROW(
-        parallel_for(ExecPolicy{threads, 0}, 8,
+        parallel_for(ExecPolicy{threads}, 8,
                      [](std::size_t i) {
                        if (i == 5) throw std::runtime_error("boom");
                      }),
@@ -170,26 +120,37 @@ TEST(ParallelFor, PropagatesExceptions) {
   }
 }
 
-TEST(ParallelMap, PreservesIndexOrder) {
+TEST(ParallelFor, PreservesIndexOrder) {
+  // One thread runs every task inline on the caller, in index order.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const JobReport serial =
+      parallel_for(ExecPolicy::serial(), 9, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      });
+  ASSERT_EQ(order.size(), 9u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(serial.threads_used, 1);
+
+  // Any thread count: slot i holds task i's result.
   for (int threads : {1, 4}) {
-    JobReport report;
-    const std::vector<int> out = parallel_map(
-        ExecPolicy{threads, 1}, 9,
-        [](std::size_t i) { return static_cast<int>(i * i); }, &report);
-    ASSERT_EQ(out.size(), 9u);
+    std::vector<int> out(9, -1);
+    const JobReport report = parallel_for(
+        ExecPolicy{threads}, out.size(),
+        [&](std::size_t i) { out[i] = static_cast<int>(i * i); });
     for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i], static_cast<int>(i * i));
+      EXPECT_EQ(out[i], static_cast<int>(i * i)) << threads << " threads";
     }
     EXPECT_EQ(report.tasks, 9u);
+    EXPECT_EQ(report.threads_used, threads);
   }
 }
 
-TEST(ExecPolicy, ResolvesThreadsAndChunks) {
+TEST(ExecPolicy, ResolvesThreads) {
   EXPECT_EQ(ExecPolicy::serial().resolved_threads(100), 1);
-  EXPECT_EQ((ExecPolicy{4, 0}).resolved_threads(2), 2);  // never > n
-  EXPECT_GE(ExecPolicy::max_parallel().resolved_threads(100), 1);
-  EXPECT_EQ((ExecPolicy{2, 5}).resolved_chunk(100, 2), 5u);
-  EXPECT_GE((ExecPolicy{2, 0}).resolved_chunk(100, 2), 1u);
+  EXPECT_EQ((ExecPolicy{4}).resolved_threads(2), 2);  // never > n
+  EXPECT_GE((ExecPolicy{0}).resolved_threads(100), 1);
 }
 
 TEST(Determinism, MonteCarloBitIdenticalAcrossThreadCounts) {
@@ -318,7 +279,7 @@ TEST(Determinism, SweepBitIdenticalAcrossThreadCounts) {
 #endif
     JobReport report;
     const auto parallel =
-        spice::run_sweep(ckt, spec, ExecPolicy{threads, 0}, &report);
+        spice::run_sweep(ckt, spec, ExecPolicy{threads}, &report);
 #if SFC_TRACE_ENABLED
     EXPECT_EQ(probe.counter_delta("spice.newton.iterations"), serial_iters)
         << threads << " threads";
@@ -332,6 +293,37 @@ TEST(Determinism, SweepBitIdenticalAcrossThreadCounts) {
           << "point " << i << ", " << threads << " threads";
     }
     EXPECT_EQ(report.tasks, spec.values.size());
+  }
+}
+
+TEST(JobReport, SweepCountsFailedPoints) {
+  // One Newton iteration can never confirm convergence, so every point of
+  // either sweep arm fails; the report and the registry must say so.
+  spice::Circuit ckt;
+  const auto in = ckt.node("in");
+  ckt.add<spice::VSource>("V1", in, spice::kGround, 1.0);
+  ckt.add<spice::Resistor>("R1", in, spice::kGround, 1e3);
+
+  spice::SweepSpec spec;
+  spec.values = {0.0, 27.0, 85.0};  // temperature sweep: no apply()
+  spec.options.max_iterations = 1;
+  for (const bool continuation : {false, true}) {
+    spec.continuation = continuation;
+#if SFC_TRACE_ENABLED
+    sfc::trace::TestProbe probe;
+#endif
+    JobReport report;
+    const auto points = spice::run_sweep(ckt, spec, ExecPolicy{2}, &report);
+    ASSERT_EQ(points.size(), 3u);
+    for (const auto& p : points) EXPECT_FALSE(p.op.converged);
+    EXPECT_EQ(report.failed, 3u) << "continuation " << continuation;
+    EXPECT_EQ(report.converged, 0u) << "continuation " << continuation;
+#if SFC_TRACE_ENABLED
+    EXPECT_EQ(probe.counter_delta("exec.tasks.failed"), 3u)
+        << "continuation " << continuation;
+    EXPECT_EQ(probe.counter_delta("exec.tasks.converged"), 0u)
+        << "continuation " << continuation;
+#endif
   }
 }
 

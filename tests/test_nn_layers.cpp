@@ -186,45 +186,6 @@ TEST(Dropout, TrainingPreservesExpectation) {
   EXPECT_NEAR(zeros / 2000.0, 0.4, 0.05);
 }
 
-TEST(InstanceNorm, NormalizesPerChannel) {
-  InstanceNorm2d norm(2);
-  sfc::util::Rng rng(12);
-  const Tensor x = random_tensor({2, 4, 4}, rng);
-  LayerContext ctx;
-  const Tensor y = norm.forward(x, ctx);
-  for (int c = 0; c < 2; ++c) {
-    double mean = 0.0, var = 0.0;
-    for (int i = 0; i < 16; ++i) mean += y[static_cast<std::size_t>(c * 16 + i)];
-    mean /= 16.0;
-    for (int i = 0; i < 16; ++i) {
-      const double d = y[static_cast<std::size_t>(c * 16 + i)] - mean;
-      var += d * d;
-    }
-    var /= 16.0;
-    EXPECT_NEAR(mean, 0.0, 1e-5);
-    EXPECT_NEAR(var, 1.0, 1e-3);
-  }
-}
-
-TEST(InstanceNorm, GammaBetaAffine) {
-  InstanceNorm2d norm(1);
-  norm.parameters()[0]->fill(2.0f);   // gamma
-  norm.parameters()[1]->fill(-1.0f);  // beta
-  sfc::util::Rng rng(13);
-  const Tensor x = random_tensor({1, 3, 3}, rng);
-  LayerContext ctx;
-  const Tensor y = norm.forward(x, ctx);
-  double mean = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) mean += y[i];
-  EXPECT_NEAR(mean / static_cast<double>(y.size()), -1.0, 1e-5);
-}
-
-TEST(InstanceNorm, GradientsMatchFiniteDifferences) {
-  InstanceNorm2d norm(2);
-  sfc::util::Rng rng(14);
-  check_gradients(norm, random_tensor({2, 4, 4}, rng), 2e-2);
-}
-
 TEST(Flatten, RoundTrip) {
   Flatten flat;
   sfc::util::Rng rng(8);

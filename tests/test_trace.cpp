@@ -51,17 +51,6 @@ TEST(TraceRegistry, CounterFindOrCreateIsStableAndAccumulates) {
   EXPECT_EQ(&Registry::global().counter("test.registry.counter"), &c);
 }
 
-TEST(TraceRegistry, GaugeTracksValueAndHighWater) {
-  trace::Gauge& g = Registry::global().gauge("test.registry.gauge");
-  g.set(0);
-  g.add(5);
-  g.add(-2);
-  EXPECT_EQ(g.value(), 3);
-  EXPECT_GE(g.max(), 5);
-  g.add(1);
-  EXPECT_EQ(g.value(), 4);
-}
-
 TEST(TraceRegistry, HistogramBucketingAndCountAbove) {
   trace::Histogram h(std::vector<double>{1.0, 2.0, 4.0});
   for (const double v : {0.5, 1.0, 1.5, 2.0, 3.0, 10.0}) h.record(v);
@@ -84,31 +73,24 @@ TEST(TraceRegistry, DefaultHistogramBoundsAreIterationBuckets) {
 }
 
 TEST(TraceRegistry, MetricNameClassification) {
-  EXPECT_TRUE(trace::is_timing_metric("exec.pool.busy_us"));
+  EXPECT_TRUE(trace::is_timing_metric("nn.dot_batch_us"));
   EXPECT_TRUE(trace::is_timing_metric("spice.solve_ms"));
   EXPECT_FALSE(trace::is_timing_metric("spice.newton.iterations"));
-  EXPECT_TRUE(trace::is_scheduling_metric("exec.pool.tasks"));
-  EXPECT_FALSE(trace::is_scheduling_metric("exec.jobs"));
-  EXPECT_TRUE(trace::is_deterministic_metric("spice.newton.iterations"));
-  EXPECT_FALSE(trace::is_deterministic_metric("exec.pool.tasks"));
-  EXPECT_FALSE(trace::is_deterministic_metric("exec.pool.busy_us"));
+  EXPECT_FALSE(trace::is_timing_metric("exec.jobs"));
 }
 
 TEST(TraceRegistry, SnapshotSchemaAndDeterministicSubset) {
   Registry::global().counter("test.snapshot.events").add(1);
   Registry::global().counter("test.snapshot.wait_us").add(9);
-  Registry::global().gauge("test.snapshot.gauge").set(2);
 
   const Json full = Registry::global().snapshot(true);
   EXPECT_DOUBLE_EQ(full.number_at("schema_version"), 1.0);
   EXPECT_TRUE(full.get("counters").has("test.snapshot.events"));
   EXPECT_TRUE(full.get("counters").has("test.snapshot.wait_us"));
-  EXPECT_TRUE(full.get("gauges").has("test.snapshot.gauge"));
 
   const Json det = Registry::global().snapshot(false);
   EXPECT_TRUE(det.get("counters").has("test.snapshot.events"));
   EXPECT_FALSE(det.get("counters").has("test.snapshot.wait_us"));
-  EXPECT_FALSE(det.has("gauges"));
   // Histogram sum/max (CAS-ordering-sensitive for float sums) are full-only.
   Registry::global().histogram("test.snapshot.hist").record(3.0);
   const Json full2 = Registry::global().snapshot(true);
@@ -277,22 +259,20 @@ TEST(TraceProbe, DeltaSnapshotFiltersNondeterministicMetrics) {
   EXPECT_TRUE(snap.get("counters").has("test.probe.snap.work"));
   EXPECT_FALSE(snap.get("counters").has("test.probe.snap.wall_us"));
   for (const auto& [name, value] : snap.get("counters").as_object()) {
-    EXPECT_TRUE(trace::is_deterministic_metric(name)) << name;
+    EXPECT_FALSE(trace::is_timing_metric(name)) << name;
   }
 }
 
 #if SFC_TRACE_ENABLED
-TEST(TraceMacros, CountGaugeHistRecordIntoGlobalRegistry) {
+TEST(TraceMacros, CountAndHistRecordIntoGlobalRegistry) {
   trace::TestProbe probe;
   for (int i = 0; i < 3; ++i) SFC_TRACE_COUNT("test.macro.counter", 2);
-  SFC_TRACE_GAUGE_ADD("test.macro.gauge", 7);
   SFC_TRACE_HIST("test.macro.hist", 5.0);
   EXPECT_EQ(probe.counter_delta("test.macro.counter"), 6u);
-  EXPECT_EQ(Registry::global().gauge("test.macro.gauge").value(), 7);
   EXPECT_EQ(probe.histogram_delta("test.macro.hist"), 1u);
 }
 #else
-TEST(TraceMacros, CountGaugeHistRecordIntoGlobalRegistry) {
+TEST(TraceMacros, CountAndHistRecordIntoGlobalRegistry) {
   GTEST_SKIP() << "built with SFC_TRACE=OFF; macros compile to no-ops";
 }
 #endif

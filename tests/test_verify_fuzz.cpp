@@ -115,6 +115,33 @@ TEST(VerifyFuzz, ForcedFailureProducesMinimizedReproducer) {
   EXPECT_EQ(circuit.devices().size(), f.minimized.devices.size());
 }
 
+// build() numbers circuit nodes in card order, not by fuzz index: with C1
+// on n1 listed first, "n1" is circuit node 0. The envelope oracle must
+// check each capacitor against its own node's envelope.
+TEST(VerifyFuzz, EnvelopeOracleLooksUpNodesByName) {
+  auto cap = [](const char* name, int node, double ic) {
+    FuzzDevice c;
+    c.kind = FuzzDevice::Kind::kCapacitor;
+    c.name = name;
+    c.n1 = node;
+    c.value = 5e-15;
+    c.ic = ic;
+    c.has_ic = true;
+    return c;
+  };
+  FuzzNetlist nl;
+  nl.cls = FuzzClass::kChargeShare;
+  nl.num_nodes = 2;
+  nl.t_stop = 20e-9;
+  nl.dt = 1e-10;
+  nl.devices = {cap("C1", 1, 1.0), cap("C2", 0, 0.0)};
+  const FuzzOptions opt;
+  ASSERT_TRUE(opt.interval_oracle);
+  const auto failure = check_invariants(nl, opt);
+  EXPECT_FALSE(failure.has_value())
+      << failure->invariant << ": " << failure->detail;
+}
+
 #if SFC_TRACE_ENABLED
 // SpanScope's exception-safety contract, exercised at campaign scale: a
 // fuzz run under an active tracer — including a forced-failure campaign

@@ -15,7 +15,6 @@ int run_disabled_instrumentation() {
   int evaluations = 0;
   SFC_TRACE_SPAN("test.off_tu.span");
   SFC_TRACE_COUNT("test.off_tu.counter", ++evaluations);
-  SFC_TRACE_GAUGE_ADD("test.off_tu.gauge", ++evaluations);
   SFC_TRACE_HIST("test.off_tu.histogram", ++evaluations);
   return evaluations;
 }

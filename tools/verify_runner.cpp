@@ -142,15 +142,14 @@ int cmd_fuzz(std::vector<const char*> args) {
 }
 
 /// Deterministic counter/histogram names of a metrics snapshot, sorted
-/// (Json objects are std::map). Timing (`*_us` / `*_ms`) and thread-pool
-/// scheduling metrics vary run to run and are excluded from the stability
-/// contract.
+/// (Json objects are std::map). Timing (`*_us` / `*_ms`) metrics vary run
+/// to run and are excluded from the stability contract.
 std::vector<std::string> metric_names(const Json& snapshot,
                                       const char* section) {
   std::vector<std::string> names;
   if (snapshot.has(section) && snapshot.get(section).is_object()) {
     for (const auto& [name, value] : snapshot.get(section).as_object()) {
-      if (sfc::trace::is_deterministic_metric(name)) names.push_back(name);
+      if (!sfc::trace::is_timing_metric(name)) names.push_back(name);
     }
   }
   return names;
