@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure, build, run the full test suite,
 # the verification layer, the metrics key-set gate, the performance
-# ledger's self-test, and the sanitizer passes. This is the tier-1 entry
-# point — if this script exits 0 the tree is good.
+# ledger's self-test and pinned outputs, and the sanitizer passes. This is
+# the tier-1 entry point — if this script exits 0 the tree is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -78,6 +78,16 @@ step "metrics key-set gate (traced verify_runner oracle)"
 
 step "performance ledger self-test (perfbench, counters at 1 vs T threads)"
 python3 perfbench/run.py --selftest
+
+step "performance ledger pins (one short run per workload vs reference.json)"
+# The self-test never reads the reference. These runs do: run.py exits 1
+# when a pinned counter ledger or output hash differs ("correct": false),
+# and set -e turns that into a failed gate.
+workloads="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+for workload in ${workloads}; do
+  python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 1
+done
 
 step "SFC_TRACE=OFF build (zero-instrumentation flavour stays green)"
 NOTRACE_DIR="${BUILD_DIR}-notrace"

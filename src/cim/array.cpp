@@ -108,25 +108,6 @@ void CiMRow::set_fefet_vth_shifts(const std::vector<double>& shifts) {
   }
 }
 
-void CiMRow::set_mosfet_vth_shifts(const std::vector<double>& m1_shifts,
-                                   const std::vector<double>& m2_shifts) {
-  if (cfg_.kind != CellKind::k2T1FeFet) return;
-  assert(static_cast<int>(m1_shifts.size()) == cfg_.cells_per_row);
-  assert(static_cast<int>(m2_shifts.size()) == cfg_.cells_per_row);
-  for (std::size_t i = 0; i < m1_shifts.size(); ++i) {
-    cells_[i].m1->set_vth_shift(m1_shifts[i]);
-    cells_[i].m2->set_vth_shift(m2_shifts[i]);
-  }
-}
-
-void CiMRow::clear_vth_shifts() {
-  for (auto& h : cells_) {
-    h.fefet->set_vth_shift(0.0);
-    if (h.m1) h.m1->set_vth_shift(0.0);
-    if (h.m2) h.m2->set_vth_shift(0.0);
-  }
-}
-
 MacResult CiMRow::evaluate(const std::vector<int>& inputs,
                            double temperature_c, bool keep_waveforms) {
   assert(static_cast<int>(inputs.size()) == cfg_.cells_per_row);

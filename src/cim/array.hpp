@@ -56,11 +56,8 @@ class CiMRow {
   /// Stored bits currently held by the FeFETs.
   std::vector<int> stored() const;
 
-  /// Monte Carlo hooks: per-cell threshold shifts [V].
+  /// Monte Carlo hook: per-cell FeFET threshold shifts [V].
   void set_fefet_vth_shifts(const std::vector<double>& shifts);
-  void set_mosfet_vth_shifts(const std::vector<double>& m1_shifts,
-                             const std::vector<double>& m2_shifts);
-  void clear_vth_shifts();
 
   /// Run one MAC cycle with the given input bits at `temperature_c`.
   MacResult evaluate(const std::vector<int>& inputs, double temperature_c,

@@ -196,7 +196,17 @@ BehavioralArrayModel BehavioralArrayModel::calibrate_cached(
     std::ifstream probe(cache_path);
     if (probe) {
       try {
-        return load(cache_path);
+        BehavioralArrayModel cached = load(cache_path);
+        // The file stores temperatures at 12 significant digits.
+        const auto same_temp = [](double a, double b) {
+          return std::fabs(a - b) <= 1e-9 * std::max(1.0, std::fabs(b));
+        };
+        if (cached.cells_ == cfg.cells_per_row &&
+            std::equal(cached.temps_c_.begin(), cached.temps_c_.end(),
+                       temps_c.begin(), temps_c.end(), same_temp)) {
+          return cached;
+        }
+        // Calibrated for another row or grid: recalibrate and overwrite.
       } catch (const std::exception&) {
         // fall through to recalibration on a corrupt cache
       }

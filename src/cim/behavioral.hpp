@@ -68,7 +68,9 @@ class BehavioralArrayModel {
   void save(const std::string& path) const;
   static BehavioralArrayModel load(const std::string& path);
 
-  /// Calibrate, or load from `cache_path` when present (saves the result).
+  /// Calibrate, or load from `cache_path` when it holds a model of the same
+  /// cell count and temperature grid; otherwise calibrate and save the
+  /// result there, overwriting any stale model.
   static BehavioralArrayModel calibrate_cached(
       const ArrayConfig& cfg, const std::vector<double>& temps_c,
       const std::string& cache_path, const MonteCarloConfig* variation =

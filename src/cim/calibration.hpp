@@ -10,21 +10,6 @@
 
 namespace sfc::cim {
 
-/// Paper-reported values that calibration steers toward. These are
-/// *shape* targets (orderings / signs), not exact-match requirements; see
-/// DESIGN.md on the substitution policy.
-struct PaperTargets {
-  double fluct_1r_saturation = 0.206;   ///< Fig. 3(a)
-  double fluct_1r_subthreshold = 0.521; ///< Fig. 3(b)
-  double fluct_2t = 0.266;              ///< Fig. 7 (max, at 0 degC)
-  double fluct_2t_above_20c = 0.124;    ///< Fig. 7 (20..85 degC)
-  double nmr_min_2t = 0.22;             ///< Fig. 8(a), NMR_0
-  double nmr_min_2t_above_20c = 2.3;    ///< NMR_7 over 20..85 degC
-  double energy_per_op = 3.14e-15;      ///< Fig. 8(b) average
-  double tops_per_watt = 2866.0;
-  double mc_max_error_pct = 25.0;       ///< Fig. 9
-};
-
 struct CalibrationReport {
   // Measured values.
   double fluct_1r_saturation = 0.0;

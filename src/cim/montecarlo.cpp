@@ -107,18 +107,11 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
       mc.exec, outcomes.size(), [&](std::size_t run_index) {
         util::Rng rng = sfc::exec::stream_rng(mc.seed, run_index);
         std::vector<double> fe_shifts(static_cast<std::size_t>(n));
-        std::vector<double> m1_shifts(static_cast<std::size_t>(n), 0.0);
-        std::vector<double> m2_shifts(static_cast<std::size_t>(n), 0.0);
         for (auto& s : fe_shifts) s = rng.normal(0.0, mc.sigma_vt_fefet);
-        if (mc.sigma_vt_mosfet > 0.0) {
-          for (auto& s : m1_shifts) s = rng.normal(0.0, mc.sigma_vt_mosfet);
-          for (auto& s : m2_shifts) s = rng.normal(0.0, mc.sigma_vt_mosfet);
-        }
 
         CiMRow row(cfg);
         row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
         row.set_fefet_vth_shifts(fe_shifts);
-        row.set_mosfet_vth_shifts(m1_shifts, m2_shifts);
 
         RunOutcome& outcome = outcomes[run_index];
         outcome.samples.reserve(macs.size());

@@ -1,5 +1,5 @@
 // Monte Carlo process-variation analysis (Fig. 9): Gaussian VTH
-// variability on every FeFET (and optionally on M1/M2), measuring how far
+// variability on every FeFET, measuring how far
 // each MAC output moves relative to the nominal level spacing.
 //
 // Determinism contract
@@ -23,7 +23,6 @@ namespace sfc::cim {
 struct MonteCarloConfig {
   int runs = 100;                 ///< paper: 100
   double sigma_vt_fefet = 0.054;  ///< paper: 54 mV
-  double sigma_vt_mosfet = 0.0;   ///< optional M1/M2 variability
   double temperature_c = 27.0;
   std::uint64_t seed = 0x5eed2024;
   /// MAC values to exercise each run; empty = all 0..n.

@@ -370,7 +370,10 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
   std::unordered_map<std::size_t, std::vector<std::size_t>> members;
   for (std::size_t i = 0; i < n; ++i) members[island_root[i]].push_back(i);
 
-  for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
+  // Fixpoint sweep cap; intervals only shrink, so stopping early is always
+  // sound (just less precise).
+  constexpr int kMaxSweeps = 64;
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     changed = false;
 
     // (a) Pin equations v(a) - v(b) = value, narrowed both ways. These

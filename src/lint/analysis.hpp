@@ -150,9 +150,6 @@ struct IntervalOptions {
   /// The engine models gmin as the interval [0, gmin_max], so bounds hold
   /// whether or not the leak is present.
   double gmin_max = 1e-12;
-  /// Fixpoint sweep cap; intervals only shrink, so stopping early is
-  /// always sound (just less precise).
-  int max_sweeps = 64;
 };
 
 /// Per-node bias intervals. `dc` bounds the DC operating point (caps

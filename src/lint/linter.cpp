@@ -8,8 +8,7 @@
 
 namespace sfc::lint {
 
-Linter::Linter(LintOptions options)
-    : enabled_(builtin_rules().size(), true), options_(options) {
+Linter::Linter() : enabled_(builtin_rules().size(), true) {
   validate_rule_table(builtin_rules());
 }
 
@@ -38,7 +37,7 @@ void Linter::enable(const std::string& rule_id) {
 LintReport Linter::run(const spice::Circuit& circuit,
                        const spice::NetlistDeck* deck) const {
   AnalysisManager analyses(circuit, deck);
-  LintContext ctx{circuit, deck, analyses, options_};
+  LintContext ctx{circuit, deck, analyses};
   LintReport report;
   const auto& rules = builtin_rules();
   for (std::size_t i = 0; i < rules.size(); ++i) {

@@ -13,16 +13,14 @@ namespace sfc::lint {
 
 class Linter {
  public:
-  /// All builtin rules enabled, default semantic thresholds. Validates
-  /// the rule table (throws std::invalid_argument on duplicate ids).
-  explicit Linter(LintOptions options = {});
+  /// All builtin rules enabled. Validates the rule table (throws
+  /// std::invalid_argument on duplicate ids).
+  Linter();
 
   /// Toggle a circuit rule by id; unknown ids throw std::runtime_error
   /// naming the valid rule set.
   void disable(const std::string& rule_id);
   void enable(const std::string& rule_id);
-
-  const LintOptions& options() const { return options_; }
 
   /// Run the enabled pipeline over a finalized-or-not circuit. `deck`
   /// unlocks the directive rules (tran-step, temp-range, unused-model,
@@ -36,7 +34,6 @@ class Linter {
  private:
   std::size_t index_of(const std::string& rule_id) const;
   std::vector<bool> enabled_;
-  LintOptions options_;
 };
 
 /// Parse + lint outcome. Parse failures are reported as diagnostics (rule

@@ -22,6 +22,17 @@ namespace {
 
 using spice::NodeId;
 
+/// subthreshold-window: required head-room between the worst-case FeFET
+/// gate-source bias and the high-VTH (erased) state threshold [V].
+constexpr double kSubthresholdMargin = 0.1;
+/// vth-temp-drift: minimum acceptable memory window anywhere in the
+/// temperature range [V].
+constexpr double kMinMemoryWindow = 0.2;
+/// adc-range: readout full scale [V]; mirrors cim::ReadBias::v_bl.
+constexpr double kAdcFullScale = 1.2;
+/// adc-range: slack added to the full scale before flagging [V].
+constexpr double kAdcTolerance = 1e-6;
+
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -108,8 +119,7 @@ void subthreshold_window(const LintContext& ctx, LintReport& out) {
       }
     }
 
-    const double margin = ctx.options.subthreshold_margin;
-    if (vgs.hi() > worst_vth - margin) {
+    if (vgs.hi() > worst_vth - kSubthresholdMargin) {
       Diagnostic d;
       d.rule = "subthreshold-window";
       d.severity = Severity::kError;
@@ -118,7 +128,8 @@ void subthreshold_window(const LintContext& ctx, LintReport& out) {
       d.message = "FeFET '" + dev->name() + "' gate-source bias may reach " +
                   fmt(vgs.hi()) + " V while the erased (high-VTH) state "
                   "threshold drops to " + fmt(worst_vth) + " V at " +
-                  fmt(worst_temp) + " degC — less than the " + fmt(margin) +
+                  fmt(worst_temp) + " degC — less than the " +
+                  fmt(kSubthresholdMargin) +
                   " V subthreshold margin, so a stored '0' may conduct";
       d.hint =
           "lower the read/wordline bias (paper operating point: 0.35 V) or "
@@ -205,7 +216,7 @@ void vth_temp_drift(const LintContext& ctx, LintReport& out) {
       out.add(std::move(d));
       continue;
     }
-    if (min_mw < ctx.options.min_memory_window) {
+    if (min_mw < kMinMemoryWindow) {
       Diagnostic d;
       d.rule = "vth-temp-drift";
       d.severity = Severity::kWarning;
@@ -213,7 +224,7 @@ void vth_temp_drift(const LintContext& ctx, LintReport& out) {
       d.object = dev->name();
       d.message = "FeFET '" + dev->name() + "' memory window shrinks to " +
                   fmt(min_mw) + " V at " + fmt(min_mw_temp) +
-                  " degC, below the " + fmt(ctx.options.min_memory_window) +
+                  " degC, below the " + fmt(kMinMemoryWindow) +
                   " V minimum for reliable sensing";
       d.hint =
           "the paper's reference window is 1.45 V at 27 degC; check the "
@@ -337,9 +348,7 @@ void adc_range(const LintContext& ctx, LintReport& out) {
       out.add(std::move(d));
       continue;
     }
-    const double full = ctx.options.adc_full_scale;
-    const double tol = ctx.options.adc_tolerance;
-    if (v.hi() > full + tol || v.lo() < -tol) {
+    if (v.hi() > kAdcFullScale + kAdcTolerance || v.lo() < -kAdcTolerance) {
       Diagnostic d;
       d.rule = "adc-range";
       d.severity = Severity::kWarning;
@@ -347,9 +356,10 @@ void adc_range(const LintContext& ctx, LintReport& out) {
       d.object = ctx.circuit.node_name(bl);
       d.message = "readout node '" + ctx.circuit.node_name(bl) +
                   "' may swing over " + v.str() +
-                  " V, outside the ADC full scale [0, " + fmt(full) + "] V";
+                  " V, outside the ADC full scale [0, " +
+                  fmt(kAdcFullScale) + "] V";
       d.hint =
-          "rescale the bitline bias or the sense gain (CimConfig::v_bl); "
+          "rescale the bitline bias or the sense gain (ReadBias::v_bl); "
           "codes past full scale clip and corrupt the MAC result";
       out.add(std::move(d));
     }

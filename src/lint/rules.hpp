@@ -17,21 +17,6 @@
 
 namespace sfc::lint {
 
-/// Thresholds consumed by the semantic passes. Defaults mirror the
-/// paper's operating point and the CiM defaults in cim/config.hpp.
-struct LintOptions {
-  /// subthreshold-window: required head-room between the worst-case FeFET
-  /// gate-source bias and the high-VTH (erased) state threshold [V].
-  double subthreshold_margin = 0.1;
-  /// vth-temp-drift: minimum acceptable memory window anywhere in the
-  /// temperature range [V].
-  double min_memory_window = 0.2;
-  /// adc-range: readout full scale [V]; mirrors cim::CimConfig::v_bl.
-  double adc_full_scale = 1.2;
-  /// adc-range: slack added to the full scale before flagging [V].
-  double adc_tolerance = 1e-6;
-};
-
 struct LintContext {
   const spice::Circuit& circuit;
   /// Directives of the deck the circuit came from; nullptr when linting an
@@ -42,7 +27,6 @@ struct LintContext {
   /// Shared analyses (incidence, conduction graphs, operating intervals),
   /// computed lazily and cached across the pass pipeline.
   AnalysisManager& analyses;
-  LintOptions options;
 };
 
 struct Rule {

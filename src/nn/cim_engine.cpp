@@ -53,11 +53,6 @@ CimDotEngine::CimDotEngine(const sfc::cim::BehavioralArrayModel& model,
   }
 }
 
-void CimDotEngine::begin_layer(int /*layer_index*/) {
-  // Weight plane cache entries stay valid as long as the network object
-  // lives (keys are stable row pointers), so nothing to do per layer.
-}
-
 const CimDotEngine::WeightPlanes& CimDotEngine::planes_for(
     std::span<const std::int8_t> w) {
   const void* key = w.data();
@@ -168,22 +163,8 @@ std::int64_t CimDotEngine::row_result(const WeightPlanes& wp,
 std::int64_t CimDotEngine::dot(std::span<const std::uint8_t> a,
                                std::span<const std::int8_t> w) {
   assert(a.size() == w.size());
-  pack_activations(a);
-  const WeightPlanes& wp = planes_for(w);
-  assert(wp.words == (a.size() + 63) / 64);
-
-  const std::uint64_t noise_row = next_noise_row_++;
-  std::int64_t errors = 0;
-  std::int64_t result;
-  if (opts_.with_variation_noise) {
-    sfc::util::Rng rng = sfc::exec::stream_rng(opts_.noise_seed, noise_row);
-    result = row_result(wp, &rng, &errors);
-  } else {
-    result = row_result(wp, nullptr, &errors);
-  }
-  row_errors_ += errors;
-  row_ops_ += static_cast<std::int64_t>(act_bits_) * weight_mag_bits_ * 2 *
-              static_cast<std::int64_t>((a.size() + 7) / 8);
+  std::int64_t result = 0;
+  dot_batch(a, w, w.size(), 1, &result);
   return result;
 }
 

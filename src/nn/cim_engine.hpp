@@ -43,12 +43,13 @@ class CimDotEngine final : public DotEngine {
 
   CimDotEngine(const sfc::cim::BehavioralArrayModel& model, Options opts);
 
+  /// A one-row dot_batch: it takes the next noise row and counts its row
+  /// ops and decode errors like any batch row.
   std::int64_t dot(std::span<const std::uint8_t> a,
                    std::span<const std::int8_t> w) override;
   void dot_batch(std::span<const std::uint8_t> a,
                  std::span<const std::int8_t> weights, std::size_t row_stride,
                  std::size_t rows, std::int64_t* out) override;
-  void begin_layer(int layer_index) override;
 
   /// Number of 8-cell row operations issued so far (energy accounting).
   std::int64_t row_ops() const { return row_ops_; }

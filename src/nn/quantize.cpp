@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/trainer.hpp"
+
 namespace sfc::nn {
 namespace {
 
@@ -51,6 +53,46 @@ float max_abs(const Tensor& t) {
   return m;
 }
 
+/// Gathers the zero-padded input patch of conv output pixel (oy, ox), in
+/// the weight layout [in_channel][ky][kx].
+void gather_patch(const QuantOp& op, const Geometry& g,
+                  const std::vector<std::uint8_t>& act, int oy, int ox,
+                  std::vector<std::uint8_t>* patch) {
+  std::size_t pi = 0;
+  for (int ic = 0; ic < op.in_channels; ++ic) {
+    for (int ky = 0; ky < op.kernel; ++ky) {
+      const int iy = oy + ky - op.padding;
+      for (int kx = 0; kx < op.kernel; ++kx, ++pi) {
+        const int ix = ox + kx - op.padding;
+        (*patch)[pi] =
+            (iy < 0 || iy >= g.h || ix < 0 || ix >= g.w)
+                ? 0
+                : act[static_cast<std::size_t>((ic * g.h + iy) * g.w + ix)];
+      }
+    }
+  }
+}
+
+/// Requantizes one output pixel of a conv/dense op from its integer dot
+/// products: channel c is rescaled by the activation and weight scales,
+/// biased and passed through the folded ReLU, then stored as a float logit
+/// in logits[c] when `logits` is set (the network's last op), else as a
+/// uint8 code at the op's calibrated scale in codes[c * stride].
+void requantize(const QuantOp& op, const std::vector<std::int64_t>& dots,
+                float a_scale, long act_levels, float* logits,
+                std::uint8_t* codes, std::size_t stride) {
+  for (std::size_t c = 0; c < dots.size(); ++c) {
+    float y = static_cast<float>(dots[c]) * a_scale * op.w_scale + op.bias[c];
+    if (op.relu && y < 0.0f) y = 0.0f;
+    if (logits != nullptr) {
+      logits[c] = y;
+    } else {
+      codes[c * stride] = static_cast<std::uint8_t>(
+          std::clamp(std::lround(y / op.act_out_scale), 0L, act_levels));
+    }
+  }
+}
+
 std::vector<std::int8_t> quantize_weights(const Tensor& w, int magnitude_max,
                                           float* scale_out) {
   const float peak = std::max(max_abs(w), 1e-8f);
@@ -88,7 +130,7 @@ std::int64_t IdealDotEngine::dot(std::span<const std::uint8_t> a,
 }
 
 QuantizedNetwork QuantizedNetwork::from_model(
-    Sequential& model, const sfc::data::Dataset& calibration,
+    const Sequential& model, const sfc::data::Dataset& calibration,
     int max_calibration_images, QuantizeOptions options) {
   QuantizedNetwork qn;
   qn.options_ = options;
@@ -97,8 +139,8 @@ QuantizedNetwork QuantizedNetwork::from_model(
 
   // Pass 1: structural conversion.
   for (std::size_t li = 0; li < model.num_layers(); ++li) {
-    Layer& layer = model.layer(li);
-    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+    const Layer& layer = model.layer(li);
+    if (const auto* conv = dynamic_cast<const Conv2d*>(&layer)) {
       QuantOp op;
       op.kind = QuantOp::Kind::kConv;
       op.in_channels = conv->in_channels();
@@ -109,7 +151,7 @@ QuantizedNetwork QuantizedNetwork::from_model(
       op.bias.assign(conv->bias().data(),
                      conv->bias().data() + conv->bias().size());
       qn.ops_.push_back(std::move(op));
-    } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
+    } else if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
       QuantOp op;
       op.kind = QuantOp::Kind::kDense;
       op.in_features = dense->in_features();
@@ -118,21 +160,20 @@ QuantizedNetwork QuantizedNetwork::from_model(
       op.bias.assign(dense->bias().data(),
                      dense->bias().data() + dense->bias().size());
       qn.ops_.push_back(std::move(op));
-    } else if (auto* pool = dynamic_cast<MaxPool2d*>(&layer)) {
+    } else if (dynamic_cast<const MaxPool2d*>(&layer) != nullptr) {
       QuantOp op;
       op.kind = QuantOp::Kind::kPool;
-      (void)pool;
       qn.ops_.push_back(std::move(op));
-    } else if (dynamic_cast<Flatten*>(&layer) != nullptr) {
+    } else if (dynamic_cast<const Flatten*>(&layer) != nullptr) {
       QuantOp op;
       op.kind = QuantOp::Kind::kFlatten;
       qn.ops_.push_back(std::move(op));
-    } else if (dynamic_cast<Relu*>(&layer) != nullptr) {
+    } else if (dynamic_cast<const Relu*>(&layer) != nullptr) {
       if (qn.ops_.empty()) {
         throw std::runtime_error("QuantizedNetwork: leading ReLU unsupported");
       }
       qn.ops_.back().relu = true;
-    } else if (dynamic_cast<Dropout*>(&layer) != nullptr) {
+    } else if (dynamic_cast<const Dropout*>(&layer) != nullptr) {
       // Inference no-op.
     } else {
       throw std::runtime_error("QuantizedNetwork: unsupported layer " +
@@ -140,93 +181,62 @@ QuantizedNetwork QuantizedNetwork::from_model(
     }
   }
 
-  // Pass 2: activation-scale calibration on the float model. The network
-  // is executed in float with dequantized weights (matching what the
-  // integer path will compute) and the max post-ReLU output of every
-  // conv/dense op is recorded.
+  // Pass 2: activation-scale calibration. A float twin of the ops - conv
+  // and dense layers holding the dequantized weights (what the integer
+  // path will compute), a ReLU where one is folded into them - runs the
+  // calibration images through nn's own layers, and the peak output of
+  // every conv/dense op sets its uint8 scale.
+  sfc::util::Rng unused_init(0);  // the twin's weights are overwritten
+  std::vector<Sequential> twin(qn.ops_.size());
+  for (std::size_t oi = 0; oi < qn.ops_.size(); ++oi) {
+    const QuantOp& op = qn.ops_[oi];
+    Tensor* weight = nullptr;
+    Tensor* bias = nullptr;
+    switch (op.kind) {
+      case QuantOp::Kind::kConv: {
+        Conv2d& conv = twin[oi].add<Conv2d>(op.in_channels, op.out_channels,
+                                            op.kernel, op.padding > 0,
+                                            unused_init);
+        weight = &conv.weight();
+        bias = &conv.bias();
+        break;
+      }
+      case QuantOp::Kind::kDense: {
+        Dense& dense =
+            twin[oi].add<Dense>(op.in_features, op.out_features, unused_init);
+        weight = &dense.weight();
+        bias = &dense.bias();
+        break;
+      }
+      case QuantOp::Kind::kPool:
+        twin[oi].add<MaxPool2d>(op.pool_window);
+        break;
+      case QuantOp::Kind::kFlatten:
+        twin[oi].add<Flatten>();
+        break;
+    }
+    if (weight == nullptr) continue;
+    for (std::size_t i = 0; i < op.weight.size(); ++i) {
+      (*weight)[i] = static_cast<float>(op.weight[i]) * op.w_scale;
+    }
+    for (std::size_t i = 0; i < op.bias.size(); ++i) (*bias)[i] = op.bias[i];
+    if (op.relu) twin[oi].add<Relu>();
+  }
+
   std::vector<float> act_max(qn.ops_.size(), 1e-6f);
   const int num_cal = std::min<int>(
       max_calibration_images, static_cast<int>(calibration.images.size()));
+  const LayerContext inference;
   for (int ci = 0; ci < num_cal; ++ci) {
-    const auto& img = calibration.images[static_cast<std::size_t>(ci)];
-    // Float activations in CHW.
-    std::vector<float> act(img.pixels.begin(), img.pixels.end());
-    Geometry g{3, sfc::data::Image::kSize, sfc::data::Image::kSize, false};
+    Tensor x = to_tensor(calibration.images[static_cast<std::size_t>(ci)]);
     for (std::size_t oi = 0; oi < qn.ops_.size(); ++oi) {
-      const QuantOp& op = qn.ops_[oi];
-      const Geometry gout = advance(g, op);
-      std::vector<float> next;
-      if (op.kind == QuantOp::Kind::kConv) {
-        next.assign(static_cast<std::size_t>(gout.c) * gout.h * gout.w, 0.0f);
-        for (int oc = 0; oc < gout.c; ++oc) {
-          for (int oy = 0; oy < gout.h; ++oy) {
-            for (int ox = 0; ox < gout.w; ++ox) {
-              float acc = op.bias[static_cast<std::size_t>(oc)];
-              for (int ic = 0; ic < op.in_channels; ++ic) {
-                for (int ky = 0; ky < op.kernel; ++ky) {
-                  const int iy = oy + ky - op.padding;
-                  if (iy < 0 || iy >= g.h) continue;
-                  for (int kx = 0; kx < op.kernel; ++kx) {
-                    const int ix = ox + kx - op.padding;
-                    if (ix < 0 || ix >= g.w) continue;
-                    const float wq =
-                        static_cast<float>(op.weight[static_cast<std::size_t>(
-                            ((oc * op.in_channels + ic) * op.kernel + ky) *
-                                op.kernel +
-                            kx)]) *
-                        op.w_scale;
-                    acc += wq * act[static_cast<std::size_t>(
-                                   (ic * g.h + iy) * g.w + ix)];
-                  }
-                }
-              }
-              if (op.relu && acc < 0.0f) acc = 0.0f;
-              next[static_cast<std::size_t>((oc * gout.h + oy) * gout.w + ox)] =
-                  acc;
-            }
-          }
-        }
-        act_max[oi] = std::max(act_max[oi],
-                               *std::max_element(next.begin(), next.end()));
-      } else if (op.kind == QuantOp::Kind::kDense) {
-        next.assign(static_cast<std::size_t>(op.out_features), 0.0f);
-        for (int o = 0; o < op.out_features; ++o) {
-          float acc = op.bias[static_cast<std::size_t>(o)];
-          for (int i = 0; i < op.in_features; ++i) {
-            acc += static_cast<float>(
-                       op.weight[static_cast<std::size_t>(o * op.in_features +
-                                                          i)]) *
-                   op.w_scale * act[static_cast<std::size_t>(i)];
-          }
-          if (op.relu && acc < 0.0f) acc = 0.0f;
-          next[static_cast<std::size_t>(o)] = acc;
-        }
-        act_max[oi] = std::max(act_max[oi],
-                               *std::max_element(next.begin(), next.end()));
-      } else if (op.kind == QuantOp::Kind::kPool) {
-        next.assign(static_cast<std::size_t>(gout.c) * gout.h * gout.w, 0.0f);
-        for (int c = 0; c < g.c; ++c) {
-          for (int oy = 0; oy < gout.h; ++oy) {
-            for (int ox = 0; ox < gout.w; ++ox) {
-              float best = -1e30f;
-              for (int dy = 0; dy < op.pool_window; ++dy) {
-                for (int dx = 0; dx < op.pool_window; ++dx) {
-                  best = std::max(
-                      best, act[static_cast<std::size_t>(
-                                (c * g.h + oy * op.pool_window + dy) * g.w +
-                                ox * op.pool_window + dx)]);
-                }
-              }
-              next[static_cast<std::size_t>((c * gout.h + oy) * gout.w + ox)] =
-                  best;
-            }
-          }
-        }
-      } else {  // flatten
-        next = act;
+      x = twin[oi].forward(x, inference);
+      const QuantOp::Kind kind = qn.ops_[oi].kind;
+      if (kind == QuantOp::Kind::kConv || kind == QuantOp::Kind::kDense) {
+        act_max[oi] =
+            std::max(act_max[oi], *std::max_element(x.data(),
+                                                    x.data() + x.size()));
       }
-      act = std::move(next);
-      g = gout;
     }
   }
   for (std::size_t oi = 0; oi < qn.ops_.size(); ++oi) {
@@ -250,6 +260,7 @@ Tensor QuantizedNetwork::forward(const sfc::data::Image& img,
 
   std::vector<float> logits;
   std::vector<std::uint8_t> patch;
+  std::vector<std::int64_t> dots;
 
   for (std::size_t oi = 0; oi < ops_.size(); ++oi) {
     const QuantOp& op = ops_[oi];
@@ -257,68 +268,30 @@ Tensor QuantizedNetwork::forward(const sfc::data::Image& img,
     const Geometry gout = advance(g, op);
     const bool last = oi + 1 == ops_.size();
 
-    if (op.kind == QuantOp::Kind::kConv) {
-      std::vector<std::uint8_t> next(
-          static_cast<std::size_t>(gout.c) * gout.h * gout.w, 0);
-      const int patch_len = op.in_channels * op.kernel * op.kernel;
-      patch.assign(static_cast<std::size_t>(patch_len), 0);
-      std::vector<std::int64_t> dots(static_cast<std::size_t>(gout.c));
+    if (op.kind == QuantOp::Kind::kConv || op.kind == QuantOp::Kind::kDense) {
+      // A dense op is a conv with one output pixel whose patch is the whole
+      // input. Every output channel of a pixel reads the same patch, so one
+      // batched call per pixel lets engines evaluate the rows in parallel.
+      const bool conv = op.kind == QuantOp::Kind::kConv;
+      const std::size_t pixels = static_cast<std::size_t>(gout.h) * gout.w;
+      const auto channels = static_cast<std::size_t>(gout.c);
+      std::vector<std::uint8_t> next(channels * pixels, 0);
+      if (conv) {
+        patch.assign(
+            static_cast<std::size_t>(op.in_channels) * op.kernel * op.kernel,
+            0);
+      }
+      const std::vector<std::uint8_t>& in = conv ? patch : act;
+      dots.resize(channels);
+      if (last) logits.assign(channels, 0.0f);
       for (int oy = 0; oy < gout.h; ++oy) {
         for (int ox = 0; ox < gout.w; ++ox) {
-          // Gather the (zero-padded) input patch once per pixel.
-          std::size_t pi = 0;
-          for (int ic = 0; ic < op.in_channels; ++ic) {
-            for (int ky = 0; ky < op.kernel; ++ky) {
-              const int iy = oy + ky - op.padding;
-              for (int kx = 0; kx < op.kernel; ++kx, ++pi) {
-                const int ix = ox + kx - op.padding;
-                patch[pi] = (iy < 0 || iy >= g.h || ix < 0 || ix >= g.w)
-                                ? 0
-                                : act[static_cast<std::size_t>(
-                                      (ic * g.h + iy) * g.w + ix)];
-              }
-            }
-          }
-          // One batched call per pixel: every output channel reads the same
-          // patch, so engines can evaluate the rows in parallel.
-          engine.dot_batch(
-              patch,
-              std::span<const std::int8_t>(op.weight.data(), op.weight.size()),
-              static_cast<std::size_t>(patch_len),
-              static_cast<std::size_t>(gout.c), dots.data());
-          for (int oc = 0; oc < gout.c; ++oc) {
-            float y = static_cast<float>(dots[static_cast<std::size_t>(oc)]) *
-                          a_scale * op.w_scale +
-                      op.bias[static_cast<std::size_t>(oc)];
-            if (op.relu && y < 0.0f) y = 0.0f;
-            next[static_cast<std::size_t>((oc * gout.h + oy) * gout.w + ox)] =
-                static_cast<std::uint8_t>(std::clamp(
-                    std::lround(y / op.act_out_scale), 0L, act_levels));
-          }
-        }
-      }
-      act = std::move(next);
-      a_scale = op.act_out_scale;
-    } else if (op.kind == QuantOp::Kind::kDense) {
-      std::vector<std::uint8_t> next(static_cast<std::size_t>(op.out_features),
-                                     0);
-      if (last) logits.assign(static_cast<std::size_t>(op.out_features), 0.0f);
-      std::vector<std::int64_t> dots(static_cast<std::size_t>(op.out_features));
-      engine.dot_batch(
-          std::span<const std::uint8_t>(act.data(), act.size()),
-          std::span<const std::int8_t>(op.weight.data(), op.weight.size()),
-          static_cast<std::size_t>(op.in_features),
-          static_cast<std::size_t>(op.out_features), dots.data());
-      for (int o = 0; o < op.out_features; ++o) {
-        float y = static_cast<float>(dots[static_cast<std::size_t>(o)]) *
-                      a_scale * op.w_scale +
-                  op.bias[static_cast<std::size_t>(o)];
-        if (op.relu && y < 0.0f) y = 0.0f;
-        if (last) {
-          logits[static_cast<std::size_t>(o)] = y;
-        } else {
-          next[static_cast<std::size_t>(o)] = static_cast<std::uint8_t>(
-              std::clamp(std::lround(y / op.act_out_scale), 0L, act_levels));
+          if (conv) gather_patch(op, g, act, oy, ox, &patch);
+          engine.dot_batch(in, op.weight, in.size(), channels, dots.data());
+          requantize(op, dots, a_scale, act_levels,
+                     last ? logits.data() : nullptr,
+                     next.data() + static_cast<std::size_t>(oy) * gout.w + ox,
+                     pixels);
         }
       }
       act = std::move(next);

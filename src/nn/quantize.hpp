@@ -35,7 +35,8 @@ class DotEngine {
                          std::span<const std::int8_t> weights,
                          std::size_t row_stride, std::size_t rows,
                          std::int64_t* out);
-  /// Called once per layer so engines can cache weight bit-planes.
+  /// Called once per op before its dot products (a hook for wrapping
+  /// engines, e.g. per-layer timers); the default does nothing.
   virtual void begin_layer(int layer_index) { (void)layer_index; }
 };
 
@@ -74,8 +75,10 @@ struct QuantizeOptions {
 class QuantizedNetwork {
  public:
   /// Quantize a trained float model. `calibration` images determine the
-  /// activation scales (a handful suffice).
-  static QuantizedNetwork from_model(Sequential& model,
+  /// activation scales (a handful suffice): they run through a float twin
+  /// built from nn's own layers with the dequantized weights, and each
+  /// conv/dense op's peak output sets its scale.
+  static QuantizedNetwork from_model(const Sequential& model,
                                      const sfc::data::Dataset& calibration,
                                      int max_calibration_images = 32,
                                      QuantizeOptions options = {});

@@ -7,6 +7,19 @@
 #include "trace/trace.hpp"
 
 namespace sfc::spice {
+namespace {
+
+/// Per-iteration clamp on any voltage update [V] (damping for exponential
+/// devices).
+constexpr double kMaxUpdateVoltage = 0.3;
+/// Starting gmin of the DC stepping fallback [S], and its reduction factor
+/// per stepping stage.
+constexpr double kGminStart = 1e-3;
+constexpr double kGminStepFactor = 10.0;
+/// Step halvings before a transient gives up on a step.
+constexpr int kMaxStepRetries = 12;
+
+}  // namespace
 
 Engine::Engine(Circuit& circuit, double temperature_c)
     : circuit_(circuit), temperature_c_(temperature_c) {
@@ -60,9 +73,7 @@ bool Engine::apply_update(std::vector<double>& x,
   for (std::size_t i = 0; i < size; ++i) {
     double delta = x_new[i] - x[i];
     if (i < circuit_.num_nodes()) {
-      const double limit = options.max_update_voltage;
-      if (delta > limit) delta = limit;
-      if (delta < -limit) delta = -limit;
+      delta = std::clamp(delta, -kMaxUpdateVoltage, kMaxUpdateVoltage);
       max_delta_v = std::max(max_delta_v, std::fabs(delta));
       x[i] += delta;
     } else {
@@ -254,7 +265,7 @@ DcResult Engine::dc_operating_point(const NewtonOptions& options,
   if (!ok) {
     SFC_TRACE_COUNT("spice.dc.gmin_fallbacks", 1);
     x = initial_vector();
-    double gmin = options.gmin_start;
+    double gmin = kGminStart;
     ok = true;
     while (gmin >= options.gmin_final * 0.999) {
       SFC_TRACE_COUNT("spice.newton.gmin_steps", 1);
@@ -267,7 +278,7 @@ DcResult Engine::dc_operating_point(const NewtonOptions& options,
       }
       result.iterations += step_iters;
       if (gmin == options.gmin_final) break;
-      gmin = std::max(gmin / options.gmin_step_factor, options.gmin_final);
+      gmin = std::max(gmin / kGminStepFactor, options.gmin_final);
     }
   }
 
@@ -448,7 +459,7 @@ TransientResult Engine::transient(double t_stop,
     int retries = 0;
     double step = dt;
     int last_iters = 0;
-    while (retries <= options.max_step_retries) {
+    while (retries <= kMaxStepRetries) {
       ctx.time = t + step;
       ctx.dt = step;
       ctx.method = just_crossed_breakpoint ? IntegrationMethod::kBackwardEuler

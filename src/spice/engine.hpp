@@ -18,15 +18,9 @@ struct NewtonOptions {
   double vtol = 1e-9;
   /// Relative tolerance on solution components.
   double reltol = 1e-6;
-  /// Per-iteration clamp on any voltage update [V] (damping for
-  /// exponential devices).
-  double max_update_voltage = 0.3;
-  /// gmin used on every node when the plain solve succeeds.
+  /// gmin used on every node when the plain solve succeeds (the stepping
+  /// fallback starts at 1e-3 S and divides by 10 per stage down to it).
   double gmin_final = 1e-12;
-  /// Starting gmin for the stepping fallback.
-  double gmin_start = 1e-3;
-  /// gmin reduction factor per stepping stage.
-  double gmin_step_factor = 10.0;
 
   // --- solver hot path (see DESIGN.md "Solver hot path") -------------
   /// Assemble through the compiled stamp plan: linear devices + gmin are
@@ -62,8 +56,6 @@ struct TransientOptions {
   double dt = 1e-11;
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   NewtonOptions newton;
-  /// Maximum number of step halvings before giving up on a step.
-  int max_step_retries = 12;
   /// Record waveforms (disable for energy-only runs to save memory).
   bool record_waveforms = true;
 };

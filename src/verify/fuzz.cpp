@@ -432,11 +432,16 @@ struct CheckResult {
   std::uint64_t observable = 0;  ///< hash over key computed values
 };
 
+/// Max node-equation residual |A x - b| relative to the row magnitude.
+constexpr double kKclTol = 1e-8;
+/// |v_acc| deviation allowed under a (weight, input) pair permutation.
+constexpr double kPermutationTol = 1e-6;
+
 InvariantFailure fail(std::string invariant, std::string detail) {
   return InvariantFailure{std::move(invariant), std::move(detail)};
 }
 
-CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions& opt) {
+CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions&) {
   CheckResult out;
   spice::Circuit circuit;
   nl.build(circuit);
@@ -480,13 +485,13 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions& opt) {
     }
     out.observable = hash_double(out.observable, op.x[i]);
   }
-  if (worst_rel > opt.kcl_tol) {
+  if (worst_rel > kKclTol) {
     std::ostringstream d;
     d << "KCL residual " << Json::format_number(worst_rel) << " at "
       << (worst_row < num_nodes
               ? "node " + circuit.node_name(static_cast<int>(worst_row))
               : "aux row " + std::to_string(worst_row - num_nodes))
-      << " exceeds tol " << Json::format_number(opt.kcl_tol);
+      << " exceeds tol " << Json::format_number(kKclTol);
     out.failure = fail("kcl_residual", d.str());
     return out;
   }
@@ -495,24 +500,21 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions& opt) {
   // per-node bias interval that provably contains every DC operating
   // point. The converged solver solution is a witness — an escape is an
   // unsoundness bug in the abstract domain, never a tolerance issue.
-  if (opt.interval_oracle) {
-    lint::IntervalOptions iopt;
-    iopt.gmin_max = op.gmin_used;
-    const lint::OperatingIntervals iv =
-        lint::compute_operating_intervals(circuit, nullptr, iopt);
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      const double v = op.x[n];
-      const lint::Interval bound =
-          iv.dc_at(static_cast<spice::NodeId>(n));
-      if (bound.is_empty() ||
-          !bound.widened(1e-6 * (1.0 + std::fabs(v))).contains(v)) {
-        std::ostringstream d;
-        d << "solver DC value " << Json::format_number(v) << " at node "
-          << circuit.node_name(static_cast<int>(n))
-          << " escapes static interval " << bound.str();
-        out.failure = fail("interval_escape", d.str());
-        return out;
-      }
+  lint::IntervalOptions iopt;
+  iopt.gmin_max = op.gmin_used;
+  const lint::OperatingIntervals iv =
+      lint::compute_operating_intervals(circuit, nullptr, iopt);
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    const double v = op.x[n];
+    const lint::Interval bound = iv.dc_at(static_cast<spice::NodeId>(n));
+    if (bound.is_empty() ||
+        !bound.widened(1e-6 * (1.0 + std::fabs(v))).contains(v)) {
+      std::ostringstream d;
+      d << "solver DC value " << Json::format_number(v) << " at node "
+        << circuit.node_name(static_cast<int>(n))
+        << " escapes static interval " << bound.str();
+      out.failure = fail("interval_escape", d.str());
+      return out;
     }
   }
   return out;
@@ -544,9 +546,7 @@ CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
   // no .tran directive here, but a null deck means "a transient may
   // follow", which engages envelope mode).
   const lint::OperatingIntervals iv =
-      opt.interval_oracle
-          ? lint::compute_operating_intervals(circuit, nullptr, {})
-          : lint::OperatingIntervals{};
+      lint::compute_operating_intervals(circuit, nullptr, {});
   double q_end = 0.0;
   for (const FuzzDevice& d : nl.devices) {
     if (d.kind != FuzzDevice::Kind::kCapacitor) continue;
@@ -555,7 +555,7 @@ CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
     const double v = tr.final_value(node);
     q_end += d.value * v;
     out.observable = hash_double(out.observable, v);
-    if (opt.interval_oracle && d.n1 >= 0) {
+    if (d.n1 >= 0) {
       // build() numbers circuit nodes in card order, not by fuzz index.
       const lint::Interval bound = iv.envelope_at(*circuit.find_node(node));
       if (bound.is_empty() ||
@@ -615,7 +615,7 @@ CheckResult check_subthreshold(const FuzzNetlist& nl, const FuzzOptions&) {
   return out;
 }
 
-CheckResult check_cim_row(const FuzzNetlist& nl, const FuzzOptions& opt) {
+CheckResult check_cim_row(const FuzzNetlist& nl, const FuzzOptions&) {
   CheckResult out;
   if (nl.devices.empty()) return out;
   std::vector<int> stored, inputs;
@@ -654,12 +654,12 @@ CheckResult check_cim_row(const FuzzNetlist& nl, const FuzzOptions& opt) {
       out.failure = fail("cim_row_convergence", "permuted MAC failed");
       return out;
     }
-    if (std::fabs(r.v_acc - r2.v_acc) > opt.permutation_tol) {
+    if (std::fabs(r.v_acc - r2.v_acc) > kPermutationTol) {
       std::ostringstream d;
       d << "v_acc " << Json::format_number(r.v_acc)
         << " vs permuted " << Json::format_number(r2.v_acc)
         << " differ by more than "
-        << Json::format_number(opt.permutation_tol);
+        << Json::format_number(kPermutationTol);
       out.failure = fail("cim_row_permutation_invariance", d.str());
     }
   }
@@ -737,8 +737,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     // Static-analysis cross-check: every generated-valid card-based deck
     // must come out of the linter with zero diagnostics (the cim_row class
     // dumps a comment-only provenance deck, which has nothing to lint).
-    if (!r.failure && options.lint_cross_check &&
-        nl.cls != FuzzClass::kCimRow) {
+    if (!r.failure && nl.cls != FuzzClass::kCimRow) {
       const lint::LintResult linted = lint::lint_source(nl.to_cir());
       if (!linted.report.clean()) {
         r.failure = fail("lint_clean", "generated-valid deck produced " +

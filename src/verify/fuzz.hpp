@@ -19,6 +19,13 @@
 //                     supply window, and invariant under a simultaneous
 //                     permutation of (weight, input) pairs.
 //
+// Every case also cross-checks the static analyzer (src/lint): a clean
+// generated-valid card-based deck must lint with zero diagnostics, and
+// the interval operating-point analysis (lint/analysis.hpp) must contain
+// every converged DC solution and every charge-share transient's final
+// values. An escape ("interval_escape" / "envelope_escape") means the
+// abstract domain is unsound — a hard failure, never a tolerance issue.
+//
 // A failing case is shrunk by greedy delta-debugging (drop one device at a
 // time while the invariant still fails) and dumped as a .cir reproducer
 // that round-trips through spice::parse_netlist.
@@ -44,29 +51,13 @@ struct FuzzOptions {
   std::uint64_t seed = 0x5eedf0220badc0deULL;
   /// Where .cir reproducers are written ("" = current directory).
   std::string dump_dir;
-  /// Max node-equation residual |A x - b| relative to the row magnitude.
-  double kcl_tol = 1e-8;
   /// Allowed relative drift of the total capacitor charge over a
   /// transient (absorbs gmin leakage plus integrator roundoff).
   double charge_tol_rel = 1e-3;
   /// Absolute charge floor for circuits whose total charge is ~0 [C].
   double charge_tol_abs = 1e-18;
-  /// |v_acc| deviation allowed under a (weight, input) pair permutation.
-  double permutation_tol = 1e-6;
   /// Include the (slower) transient CiM-row class.
   bool include_cim_rows = true;
-  /// Lint every generated-valid card-based deck (src/lint): a clean
-  /// invariant run whose deck still draws diagnostics is a campaign
-  /// failure — the generator and the static analyzer must agree on what a
-  /// well-formed netlist is.
-  bool lint_cross_check = true;
-  /// Differential soundness oracle for the interval operating-point
-  /// analysis (lint/analysis.hpp): every converged DC solution must lie
-  /// inside the statically computed per-node bias interval, and every
-  /// charge-share transient must stay inside the envelope interval. An
-  /// escape means the abstract domain is unsound — a hard failure
-  /// ("interval_escape" / "envelope_escape").
-  bool interval_oracle = true;
 };
 
 /// One device card of a generated netlist. Node index -1 is ground,

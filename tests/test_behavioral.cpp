@@ -117,6 +117,22 @@ TEST(Behavioral, FileCacheRoundTrip) {
   const BehavioralArrayModel m2 = BehavioralArrayModel::calibrate_cached(
       ArrayConfig::proposed_2t1fefet(), kTemps, path);
   EXPECT_NEAR(m1.v_acc(8, 27.0), m2.v_acc(8, 27.0), 1e-9);
+  // A file calibrated on another temperature grid is stale: the call
+  // recalibrates on the requested grid and overwrites it.
+  const std::vector<double> room_only = {27.0};
+  const BehavioralArrayModel fresh = BehavioralArrayModel::calibrate(
+      ArrayConfig::proposed_2t1fefet(), room_only);
+  ASSERT_NE(m1.v_acc(8, 85.0), fresh.v_acc(8, 85.0));
+  const BehavioralArrayModel m3 = BehavioralArrayModel::calibrate_cached(
+      ArrayConfig::proposed_2t1fefet(), room_only, path);
+  EXPECT_EQ(m3.v_acc(8, 85.0), fresh.v_acc(8, 85.0));
+  EXPECT_NEAR(BehavioralArrayModel::load(path).v_acc(8, 85.0),
+              fresh.v_acc(8, 85.0), 1e-9);
+  // So is one calibrated for another cell count.
+  ArrayConfig four = ArrayConfig::proposed_2t1fefet();
+  four.cells_per_row = 4;
+  EXPECT_EQ(
+      BehavioralArrayModel::calibrate_cached(four, room_only, path).cells(), 4);
   std::filesystem::remove(path);
 }
 

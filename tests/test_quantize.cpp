@@ -4,6 +4,8 @@
 // and noise must corrupt it in controlled ways.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "cim/behavioral.hpp"
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
@@ -74,6 +76,41 @@ TEST(Quantize, MacCountMatchesArchitecture) {
   const std::int64_t expected =
       32LL * 32 * 6 * 3 * 9 + 16LL * 16 * 10 * 6 * 9 + 160LL * 10;
   EXPECT_EQ(f.qnet.macs_per_inference(), expected);
+}
+
+// from_model's activation scales for a small untrained network, bit for
+// bit: one conv without a folded ReLU feeds negative values to the pool,
+// a ReLU after that pool folds into nothing, and a valid-padded conv sees
+// the negatives. A drift in the float calibration moves a bit here.
+TEST(Quantize, ActivationScalesArePinned) {
+  sfc::util::Rng rng(5);
+  Sequential net;
+  net.add<Conv2d>(3, 4, 3, true, rng);
+  net.add<Relu>();
+  net.add<Dropout>(0.3);
+  net.add<Conv2d>(4, 4, 3, true, rng);
+  net.add<MaxPool2d>(2);
+  net.add<Relu>();
+  net.add<Conv2d>(4, 6, 3, false, rng);
+  net.add<Relu>();
+  net.add<MaxPool2d>(2);
+  net.add<Flatten>();
+  net.add<Dense>(6 * 7 * 7, 8, rng);
+  net.add<Relu>();
+  net.add<Dense>(8, 10, rng);
+  sfc::data::SynthCifarConfig cfg;
+  cfg.train_per_class = 1;
+  const QuantizedNetwork qn = QuantizedNetwork::from_model(
+      net, sfc::data::make_synth_cifar_train(cfg), 4);
+  // conv, conv, pool, conv, pool, flatten, dense, dense; an op without
+  // weights keeps the 1e-6 floor over 255 levels.
+  const float want[] = {0x1.5e75b2p-8f, 0x1.e5daa8p-8f,  0x1.0d7cf6p-28f,
+                        0x1.c39f7ap-8f, 0x1.0d7cf6p-28f, 0x1.0d7cf6p-28f,
+                        0x1.26a838p-9f, 0x1.b862aep-10f};
+  ASSERT_EQ(qn.ops().size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(qn.ops()[i].act_out_scale, want[i]) << "op " << i;
+  }
 }
 
 TEST(CimEngine, BitSerialEqualsIdealWithPerfectArray) {
@@ -172,6 +209,41 @@ TEST(CimEngine, NoiseDrawsAreDeterministicPerSeed) {
   std::vector<std::int8_t> w(64, 100);
   CimDotEngine e1(model, opts), e2(model, opts);
   EXPECT_EQ(e1.dot(a, w), e2.dot(a, w));
+}
+
+// dot() is a one-row dot_batch: two dot calls on one engine draw the same
+// noise rows, and count the same row ops and decode errors, as one
+// two-row batch on a fresh engine.
+TEST(CimEngine, DotIsOneRowBatch) {
+  sfc::cim::MonteCarloConfig mc;
+  mc.runs = 4;
+  mc.sigma_vt_fefet = 0.054;
+  static const sfc::cim::BehavioralArrayModel model =
+      sfc::cim::BehavioralArrayModel::calibrate(
+          sfc::cim::ArrayConfig::proposed_2t1fefet(), {27.0}, &mc);
+  CimDotEngine::Options opts;
+  opts.with_variation_noise = true;
+  opts.noise_seed = 7;
+  constexpr std::size_t kLen = 72;
+  sfc::util::Rng rng(41);
+  std::vector<std::uint8_t> a(kLen);
+  std::vector<std::int8_t> w(2 * kLen);
+  for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_index(256));
+  for (auto& v : w) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(255)) -
+                                 127);
+  }
+  CimDotEngine by_dot(model, opts), by_batch(model, opts);
+  const std::span<const std::int8_t> rows(w);
+  const std::int64_t d0 = by_dot.dot(a, rows.first(kLen));
+  const std::int64_t d1 = by_dot.dot(a, rows.subspan(kLen));
+  std::int64_t out[2] = {0, 0};
+  by_batch.dot_batch(a, w, kLen, 2, out);
+  EXPECT_EQ(d0, out[0]);
+  EXPECT_EQ(d1, out[1]);
+  EXPECT_EQ(by_dot.row_ops(), by_batch.row_ops());
+  EXPECT_EQ(by_dot.row_errors(), by_batch.row_errors());
+  EXPECT_GT(by_dot.row_errors(), 0);  // the noise moved some counts
 }
 
 }  // namespace

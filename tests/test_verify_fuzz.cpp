@@ -136,7 +136,6 @@ TEST(VerifyFuzz, EnvelopeOracleLooksUpNodesByName) {
   nl.dt = 1e-10;
   nl.devices = {cap("C1", 1, 1.0), cap("C2", 0, 0.0)};
   const FuzzOptions opt;
-  ASSERT_TRUE(opt.interval_oracle);
   const auto failure = check_invariants(nl, opt);
   EXPECT_FALSE(failure.has_value())
       << failure->invariant << ": " << failure->detail;
