@@ -18,17 +18,6 @@ namespace {
 
 const std::vector<double> kTemps = {0.0, 27.0, 85.0};
 
-double cell_drift(const ArrayConfig& cfg) {
-  const auto resp = cell_temperature_response(cfg, kTemps, 1, 1);
-  std::vector<double> t, i;
-  for (const auto& r : resp) {
-    if (!r.converged) return -1.0;
-    t.push_back(r.temperature_c);
-    i.push_back(r.i_avg);
-  }
-  return max_normalized_fluctuation(t, i, 27.0);
-}
-
 NmrSummary array_nmr(const ArrayConfig& cfg) {
   return summarize_nmr(mac_level_sweep(cfg, kTemps).levels);
 }
@@ -99,7 +88,7 @@ int main() {
   for (double wl : {0.003, 0.03, 0.3}) {
     ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
     cfg.cell2t.m2.w = wl * cfg.cell2t.m2.l;
-    const double drift = cell_drift(cfg);
+    const double drift = cell_fluctuation(cfg, kTemps).max;
     const NmrSummary nmr = array_nmr(cfg);
     fb2.add_row({util::fmt(wl, 3), util::fmt_percent(drift),
                  util::fmt(nmr.nmr_min, 3), nmr.separable ? "yes" : "NO"});
@@ -135,7 +124,7 @@ int main() {
     ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
     cfg.cell2t.c0 = c;
     const auto resp = cell_temperature_response(cfg, {27.0}, 1, 1);
-    const double drift = cell_drift(cfg);
+    const double drift = cell_fluctuation(cfg, kTemps).max;
     const NmrSummary nmr = array_nmr(cfg);
     c0.add_row({util::fmt(c * 1e15, 3), util::fmt(resp.at(0).v_out, 4),
                 util::fmt_percent(drift), util::fmt(nmr.nmr_min, 3),

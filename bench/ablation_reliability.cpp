@@ -18,7 +18,7 @@ namespace {
 
 constexpr double kYear = 3.156e7;
 
-NmrSummary nmr_after(void (*prepare)(CiMRow&), double temperature_c) {
+NmrSummary nmr_after(void (*prepare)(CiMRow&)) {
   const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
   CiMRow row(cfg);
   row.set_stored(std::vector<int>(8, 1));
@@ -31,15 +31,11 @@ NmrSummary nmr_after(void (*prepare)(CiMRow&), double temperature_c) {
     levels[static_cast<std::size_t>(k)].hi = -1e30;
   }
   for (double t : {0.0, 27.0, 85.0}) {
-    (void)temperature_c;
-    for (int k = 0; k <= 8; ++k) {
-      std::vector<int> inputs(8, 0);
-      for (int i = 0; i < k; ++i) inputs[static_cast<std::size_t>(i)] = 1;
-      const MacResult r = row.evaluate(inputs, t);
-      if (!r.converged) continue;
-      auto& level = levels[static_cast<std::size_t>(k)];
-      level.lo = std::min(level.lo, r.v_acc);
-      level.hi = std::max(level.hi, r.v_acc);
+    const std::vector<MacResult> ladder = row.evaluate_levels(t);
+    for (std::size_t k = 0; k < ladder.size(); ++k) {
+      if (!ladder[k].converged) continue;
+      levels[k].lo = std::min(levels[k].lo, ladder[k].v_acc);
+      levels[k].hi = std::max(levels[k].hi, ladder[k].v_acc);
     }
   }
   return summarize_nmr(levels);
@@ -76,13 +72,11 @@ int main() {
     static double bake_temp;
     bake_seconds = bake.seconds;
     bake_temp = bake.temp;
-    const NmrSummary nmr = nmr_after(
-        [](CiMRow& row) {
-          for (int i = 0; i < row.cells(); ++i) {
-            row.cell(i).fefet->ferroelectric().age(bake_seconds, bake_temp);
-          }
-        },
-        27.0);
+    const NmrSummary nmr = nmr_after([](CiMRow& row) {
+      for (int i = 0; i < row.cells(); ++i) {
+        row.cell(i).fefet->ferroelectric().age(bake_seconds, bake_temp);
+      }
+    });
     retention.add_row({bake.label, util::fmt(probe.polarization(), 4),
                        util::fmt((vth_aged - vth_fresh) * 1e3, 3),
                        util::fmt(nmr.nmr_min, 3),
@@ -102,14 +96,12 @@ int main() {
 
     static long disturb_cycles;
     disturb_cycles = cycles;
-    const NmrSummary nmr = nmr_after(
-        [](CiMRow& row) {
-          for (int i = 0; i < row.cells(); ++i) {
-            row.cell(i).fefet->ferroelectric().read_disturb(
-                -0.2, 5e-9, disturb_cycles, 85.0);
-          }
-        },
-        27.0);
+    const NmrSummary nmr = nmr_after([](CiMRow& row) {
+      for (int i = 0; i < row.cells(); ++i) {
+        row.cell(i).fefet->ferroelectric().read_disturb(-0.2, 5e-9,
+                                                        disturb_cycles, 85.0);
+      }
+    });
     char label[64];
     std::snprintf(label, sizeof(label), "%.0e cycles @ 85C",
                   static_cast<double>(cycles));

@@ -13,54 +13,36 @@
 using namespace sfc;
 using namespace sfc::cim;
 
-namespace {
-
-struct Series {
-  std::vector<double> temps;
-  std::vector<double> currents;
-  std::vector<double> normalized;
-  double fluct = 0.0;
-};
-
-Series measure(const ArrayConfig& cfg, const std::vector<double>& temps) {
-  Series s;
-  const auto resp = cell_current_response(cfg, temps, 1, 1);
-  for (const auto& r : resp) {
-    if (!r.converged) continue;
-    s.temps.push_back(r.temperature_c);
-    s.currents.push_back(r.i_drain);
-  }
-  s.normalized = normalize_to_reference(s.temps, s.currents, 27.0);
-  s.fluct = max_normalized_fluctuation(s.temps, s.currents, 27.0);
-  return s;
-}
-
-}  // namespace
-
 int main() {
   std::printf(
       "== Fig. 3: 1FeFET-1R cell output current vs temperature ==\n"
       "   (current-mode readout at the SL virtual ground, stored '1', "
       "input '1')\n\n");
 
+  // 0..85 degC in 5 degC steps, plus the 27 degC reference point.
   std::vector<double> temps;
-  for (double t = 0.0; t <= 85.0 + 1e-9; t += 5.0) temps.push_back(t);
+  for (double t = 0.0; t <= 85.0 + 1e-9; t += 5.0) {
+    temps.push_back(t);
+    if (t == 25.0) temps.push_back(27.0);
+  }
 
-  const Series sat = measure(ArrayConfig::baseline_1r_saturation(), temps);
-  const Series sub = measure(ArrayConfig::baseline_1r_subthreshold(), temps);
+  const CellFluctuation sat =
+      cell_fluctuation(ArrayConfig::baseline_1r_saturation(), temps);
+  const CellFluctuation sub =
+      cell_fluctuation(ArrayConfig::baseline_1r_subthreshold(), temps);
 
   util::Table table({"T [degC]", "I_sat [A]", "I_sat/I27", "I_sub [A]",
                      "I_sub/I27"});
   util::CsvWriter csv("bench_fig3_1fefet1r.csv",
                       {"temp_c", "i_saturation", "norm_saturation",
                        "i_subthreshold", "norm_subthreshold"});
-  for (std::size_t i = 0; i < sat.temps.size(); ++i) {
-    table.add_row({util::fmt(sat.temps[i], 3), util::fmt(sat.currents[i], 4),
+  for (std::size_t i = 0; i < sat.temps_c.size(); ++i) {
+    table.add_row({util::fmt(sat.temps_c[i], 3), util::fmt(sat.current[i], 4),
                    util::fmt(sat.normalized[i], 4),
-                   util::fmt(sub.currents[i], 4),
+                   util::fmt(sub.current[i], 4),
                    util::fmt(sub.normalized[i], 4)});
-    csv.row({sat.temps[i], sat.currents[i], sat.normalized[i],
-             sub.currents[i], sub.normalized[i]});
+    csv.row({sat.temps_c[i], sat.current[i], sat.normalized[i],
+             sub.current[i], sub.normalized[i]});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -69,7 +51,7 @@ int main() {
       "  (a) saturation   (1.3 V read):  measured %6.1f%%   paper 20.6%%\n"
       "  (b) subthreshold (0.35 V read): measured %6.1f%%   paper 52.1%%\n"
       "  shape check: subthreshold %s saturation (paper: yes)\n",
-      sat.fluct * 100.0, sub.fluct * 100.0,
-      sub.fluct > sat.fluct ? "worse than" : "NOT worse than");
+      sat.max * 100.0, sub.max * 100.0,
+      sub.max > sat.max ? "worse than" : "NOT worse than");
   return 0;
 }

@@ -17,51 +17,37 @@ int main() {
       "== Fig. 7: 2T-1FeFET cell normalized output current vs T ==\n"
       "   (average C0 charging current over the 5 ns cell phase)\n\n");
 
-  const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
-  std::vector<double> temps;
-  for (double t = 0.0; t <= 85.0 + 1e-9; t += 5.0) temps.push_back(t);
-
-  const auto resp = cell_temperature_response(cfg, temps, 1, 1);
-  std::vector<double> ts, is;
-  for (const auto& r : resp) {
-    if (!r.converged) continue;
-    ts.push_back(r.temperature_c);
-    is.push_back(r.i_avg);
+  // 0..85 degC in 5 degC steps, plus the 27 degC reference point.
+  std::vector<double> temps, warm;
+  for (double t = 0.0; t <= 85.0 + 1e-9; t += 5.0) {
+    temps.push_back(t);
+    if (t == 25.0) temps.push_back(27.0);
   }
-  const auto norm = normalize_to_reference(ts, is, 27.0);
+  for (double t : temps) {
+    if (t >= 20.0) warm.push_back(t);
+  }
+
+  const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
+  const CellFluctuation f = cell_fluctuation(cfg, temps);
 
   util::Table table({"T [degC]", "V_out [V]", "I_avg [A]", "I/I(27C)"});
   util::CsvWriter csv("bench_fig7_2t_cell.csv",
                       {"temp_c", "v_out", "i_avg", "normalized"});
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    table.add_row({util::fmt(ts[i], 3), util::fmt(resp[i].v_out, 4),
-                   util::fmt(is[i], 4), util::fmt(norm[i], 4)});
-    csv.row({ts[i], resp[i].v_out, is[i], norm[i]});
+  for (std::size_t i = 0; i < f.temps_c.size(); ++i) {
+    table.add_row({util::fmt(f.temps_c[i], 3), util::fmt(f.v_out[i], 4),
+                   util::fmt(f.current[i], 4), util::fmt(f.normalized[i], 4)});
+    csv.row({f.temps_c[i], f.v_out[i], f.current[i], f.normalized[i]});
   }
   std::printf("%s\n", table.render().c_str());
 
-  const double fluct_all = max_normalized_fluctuation(ts, is, 27.0);
-  std::vector<double> warm_t, warm_i;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i] >= 20.0) {
-      warm_t.push_back(ts[i]);
-      warm_i.push_back(is[i]);
-    }
-  }
-  const double fluct_warm = max_normalized_fluctuation(warm_t, warm_i, 27.0);
-
+  const double fluct_all = f.max;
+  const double fluct_warm = cell_fluctuation(cfg, warm).max;
   // Baseline references for the shape comparison.
-  auto fluct_1r = [&](const ArrayConfig& c) {
-    const auto r = cell_current_response(c, {0.0, 27.0, 85.0}, 1, 1);
-    std::vector<double> t2, i2;
-    for (const auto& x : r) {
-      t2.push_back(x.temperature_c);
-      i2.push_back(x.i_drain);
-    }
-    return max_normalized_fluctuation(t2, i2, 27.0);
-  };
-  const double f_sat = fluct_1r(ArrayConfig::baseline_1r_saturation());
-  const double f_sub = fluct_1r(ArrayConfig::baseline_1r_subthreshold());
+  const std::vector<double> anchors = {0.0, 27.0, 85.0};
+  const double f_sat =
+      cell_fluctuation(ArrayConfig::baseline_1r_saturation(), anchors).max;
+  const double f_sub =
+      cell_fluctuation(ArrayConfig::baseline_1r_subthreshold(), anchors).max;
 
   std::printf(
       "max fluctuation 0-85 degC:  measured %5.1f%%   paper 26.6%%\n"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure, build, run the full test suite,
-# the verification layer, the metrics key-set gate, the performance
-# ledger's self-test and pinned outputs, and the sanitizer passes. This is
-# the tier-1 entry point — if this script exits 0 the tree is good.
+# the verification layer, the paper benches, the metrics key-set gate, the
+# performance ledger's self-test and pinned outputs, and the sanitizer
+# passes. This is the tier-1 entry point — if this script exits 0 the tree
+# is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -67,6 +68,24 @@ step "golden / oracle / fuzz summary (verify_runner)"
   --trace "${BUILD_DIR}/trace_oracle.json" \
   --metrics "${BUILD_DIR}/metrics_oracle.json"
 "${BUILD_DIR}/tools/verify_runner" fuzz --count 200 --dump "${BUILD_DIR}"
+
+step "paper benches (every bench except the two that train a network)"
+# accuracy_vgg_cim and ablation_wordlength train a VGG and take minutes;
+# the other figure/table benches take about 20 s together. Benches write
+# CSVs to the working directory, so they run in a scratch directory under
+# the build tree; set -e fails the gate on any nonzero exit.
+BENCH_RUN_DIR="${BUILD_DIR}/bench_run"
+mkdir -p "${BENCH_RUN_DIR}"
+for src in bench/*.cpp; do
+  name="$(basename "${src}" .cpp)"
+  case "${name}" in
+    accuracy_vgg_cim|ablation_wordlength) continue ;;
+    fig9_montecarlo_variation) args=(--threads 4) ;;
+    *) args=() ;;
+  esac
+  echo "${name} ${args[*]}"
+  (cd "${BENCH_RUN_DIR}" && "../bench/${name}" "${args[@]}" >/dev/null)
+done
 
 step "metrics key-set gate (traced verify_runner oracle)"
 # The deterministic counter/histogram names the oracle run registers (both

@@ -1,5 +1,6 @@
 #include "cim/array.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -36,6 +37,13 @@ ArrayConfig ArrayConfig::baseline_1r_saturation() {
 
 std::vector<double> default_temperature_grid() {
   return {0.0, 10.0, 20.0, 27.0, 40.0, 55.0, 70.0, 85.0};
+}
+
+std::vector<int> level_inputs(int cells, int k) {
+  assert(k >= 0 && k <= cells);
+  std::vector<int> inputs(static_cast<std::size_t>(cells), 0);
+  std::fill_n(inputs.begin(), k, 1);
+  return inputs;
 }
 
 CiMRow::CiMRow(ArrayConfig cfg) : cfg_(std::move(cfg)) {
@@ -158,6 +166,16 @@ MacResult CiMRow::evaluate(const std::vector<int>& inputs,
   result.energy_joules = tr.total_source_energy();
   if (keep_waveforms) result.waveforms = std::move(tr);
   return result;
+}
+
+std::vector<MacResult> CiMRow::evaluate_levels(double temperature_c) {
+  const int n = cfg_.cells_per_row;
+  std::vector<MacResult> levels;
+  levels.reserve(static_cast<std::size_t>(n) + 1);
+  for (int k = 0; k <= n; ++k) {
+    levels.push_back(evaluate(level_inputs(n, k), temperature_c));
+  }
+  return levels;
 }
 
 }  // namespace sfc::cim

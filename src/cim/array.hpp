@@ -33,6 +33,9 @@ struct MacResult {
   }
 };
 
+/// Input bits of MAC value `k` on a `cells`-wide row: the first k high.
+std::vector<int> level_inputs(int cells, int k);
+
 class CiMRow {
  public:
   explicit CiMRow(ArrayConfig cfg);
@@ -62,6 +65,11 @@ class CiMRow {
   /// Run one MAC cycle with the given input bits at `temperature_c`.
   MacResult evaluate(const std::vector<int>& inputs, double temperature_c,
                      bool keep_waveforms = false);
+
+  /// The MAC-level ladder: evaluate(level_inputs(n, k), temperature_c) for
+  /// k = 0..n in k order, on the stored weights. With every weight stored
+  /// '1', entry k is the row output for MAC value k.
+  std::vector<MacResult> evaluate_levels(double temperature_c);
 
   /// Direct access for tests.
   const CellHandles& cell(int i) const {

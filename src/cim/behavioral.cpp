@@ -25,20 +25,16 @@ BehavioralArrayModel BehavioralArrayModel::calibrate(
   const int n = cfg.cells_per_row;
   CiMRow row(cfg);
   row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
-  m.v_.assign(temps_c.size() * static_cast<std::size_t>(n + 1), 0.0);
+  m.v_.reserve(temps_c.size() * static_cast<std::size_t>(n + 1));
 
-  for (std::size_t ti = 0; ti < temps_c.size(); ++ti) {
-    for (int k = 0; k <= n; ++k) {
-      std::vector<int> inputs(static_cast<std::size_t>(n), 1);
-      for (int i = k; i < n; ++i) inputs[static_cast<std::size_t>(i)] = 0;
-      MacResult r = row.evaluate(inputs, temps_c[ti]);
+  for (double t : temps_c) {
+    for (const MacResult& r : row.evaluate_levels(t)) {
       if (!r.converged) {
         throw std::runtime_error(
             "BehavioralArrayModel: row failed to converge during "
             "calibration");
       }
-      m.v_[ti * static_cast<std::size_t>(n + 1) + static_cast<std::size_t>(k)] =
-          r.v_acc;
+      m.v_.push_back(r.v_acc);
     }
   }
 

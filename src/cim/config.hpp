@@ -6,8 +6,9 @@
 //   row:    8 cells, each with a small capacitor C0; EN switch connects all
 //           C0 to the accumulation capacitor Cacc (Eq. 1)
 //   latency: 6.9 ns per MAC (5.0 ns cell phase + 1.9 ns charge share)
-// Device geometry values come from the calibration pass described in
-// cim/calibration.* and EXPERIMENTS.md.
+// Device geometry values were tuned against the paper's shape targets
+// (EXPERIMENTS.md, "Calibration provenance"); test_cim_cell and
+// test_cim_array assert those targets.
 #pragma once
 
 #include "devices/mosfet.hpp"
@@ -57,7 +58,7 @@ struct Cell2TConfig {
   /// M1 is a deliberately weak follower (moderate W/L) so C0 settles into
   /// the feedback-stabilized region within the 5 ns cell phase; M2 is a
   /// long-channel device whose weakness sets the bias headroom
-  /// nVT*ln(IS_fefet/IS_m2). Values from the calibration scan
+  /// nVT*ln(IS_fefet/IS_m2). Values tuned against the shape targets
   /// (EXPERIMENTS.md).
   devices::MosfetParams m1 = devices::MosfetParams::finfet14_nmos(0.05);
   devices::MosfetParams m2 = devices::MosfetParams::finfet14_nmos(0.03);

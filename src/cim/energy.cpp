@@ -28,16 +28,13 @@ EnergySummary measure_energy(const ArrayConfig& cfg, double temperature_c) {
 
   EnergySummary summary;
   summary.energy_per_op_by_mac.assign(static_cast<std::size_t>(n) + 1, 0.0);
+  const std::vector<MacResult> levels = row.evaluate_levels(temperature_c);
   double sum = 0.0;
   int count = 0;
-  for (int k = 0; k <= n; ++k) {
-    std::vector<int> inputs(static_cast<std::size_t>(n), 1);
-    for (int i = k; i < n; ++i) inputs[static_cast<std::size_t>(i)] = 0;
-    MacResult r = row.evaluate(inputs, temperature_c);
-    if (!r.converged) continue;
-    summary.energy_per_op_by_mac[static_cast<std::size_t>(k)] =
-        r.energy_per_op();
-    sum += r.energy_per_op();
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    if (!levels[k].converged) continue;
+    summary.energy_per_op_by_mac[k] = levels[k].energy_per_op();
+    sum += levels[k].energy_per_op();
     ++count;
   }
   if (count > 0) summary.mean_energy_per_op = sum / count;

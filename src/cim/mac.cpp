@@ -72,14 +72,36 @@ std::vector<CellCurrentResponse> cell_current_response(
   return responses;
 }
 
+CellFluctuation cell_fluctuation(const ArrayConfig& cfg,
+                                 const std::vector<double>& temps_c) {
+  CellFluctuation f;
+  const auto keep = [&f](const auto& r, double current) {
+    if (!r.converged) return;
+    f.temps_c.push_back(r.temperature_c);
+    f.v_out.push_back(r.v_out);
+    f.current.push_back(current);
+  };
+  if (cfg.kind == CellKind::k2T1FeFet) {
+    for (const auto& r : cell_temperature_response(cfg, temps_c)) {
+      keep(r, r.i_avg);
+    }
+  } else {
+    for (const auto& r : cell_current_response(cfg, temps_c)) {
+      keep(r, r.i_drain);
+    }
+  }
+  f.normalized = normalize_to_reference(f.temps_c, f.current, 27.0);
+  f.max = max_normalized_fluctuation(f.temps_c, f.current, 27.0);
+  return f;
+}
+
 LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
                                  const std::vector<double>& temps_c) {
   const int n = cfg.cells_per_row;
   CiMRow row(cfg);
+  const std::vector<int> all(static_cast<std::size_t>(n), 1);
 
   LevelSweepResult result;
-  result.temps_c = temps_c;
-  result.v_by_mac.assign(static_cast<std::size_t>(n) + 1, {});
   result.levels.resize(static_cast<std::size_t>(n) + 1);
   result.energy_per_op_by_mac.assign(static_cast<std::size_t>(n) + 1, 0.0);
 
@@ -95,15 +117,10 @@ LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
     // (input-driven zeros). Pattern B: all inputs high, first k weights
     // stored '1' (storage-driven zeros). Real workloads mix both, so the
     // level range must cover both.
+    const std::vector<int> first_k = level_inputs(n, k);
     for (int pattern = 0; pattern < 2; ++pattern) {
-      std::vector<int> stored(static_cast<std::size_t>(n), 1);
-      std::vector<int> inputs(static_cast<std::size_t>(n), 1);
-      if (pattern == 0) {
-        for (int i = k; i < n; ++i) inputs[static_cast<std::size_t>(i)] = 0;
-      } else {
-        for (int i = k; i < n; ++i) stored[static_cast<std::size_t>(i)] = 0;
-      }
-      row.set_stored(stored);
+      row.set_stored(pattern == 0 ? all : first_k);
+      const std::vector<int>& inputs = pattern == 0 ? first_k : all;
 
       for (double t : temps_c) {
         MacResult r = row.evaluate(inputs, t);
@@ -115,9 +132,6 @@ LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
         level.hi = std::max(level.hi, r.v_acc);
         energy_sum += r.energy_per_op();
         ++energy_count;
-        if (pattern == 0) {
-          result.v_by_mac[static_cast<std::size_t>(k)].push_back(r.v_acc);
-        }
       }
     }
     if (energy_count > 0) {

@@ -38,15 +38,26 @@ std::vector<CellCurrentResponse> cell_current_response(
     const ArrayConfig& cfg, const std::vector<double>& temps_c,
     int stored_bit = 1, int input_bit = 1);
 
+/// Figs. 3 and 7: a cell's output current over temperature, normalized to
+/// 27 degC. The 2T-1FeFET cell reports its average C0 charging current
+/// (cell_temperature_response), the 1FeFET-1R cell its current-mode drain
+/// current (cell_current_response); stored bit and input are both '1'.
+/// Only converged points are kept, so the vectors run parallel.
+struct CellFluctuation {
+  std::vector<double> temps_c;
+  std::vector<double> v_out;       ///< cell output node [V]
+  std::vector<double> current;     ///< [A]
+  std::vector<double> normalized;  ///< current / current at 27 degC
+  double max = 0.0;                ///< max |normalized - 1|
+};
+CellFluctuation cell_fluctuation(const ArrayConfig& cfg,
+                                 const std::vector<double>& temps_c);
+
 /// MAC level sweep: for every MAC value k in [0, n] and every temperature,
 /// run the full row and collect the output voltage. Two activation
 /// patterns are exercised per k (input-driven zeros and storage-driven
 /// zeros) and the level range covers both.
 struct LevelSweepResult {
-  std::vector<double> temps_c;
-  /// v_by_mac[k][t]: worst-case-representative V_acc per pattern set
-  /// (input-driven pattern), for plotting.
-  std::vector<std::vector<double>> v_by_mac;
   /// Min/max over temperatures AND patterns.
   std::vector<LevelRange> levels;
   /// Mean energy per op at each MAC value, averaged over temperatures [J].

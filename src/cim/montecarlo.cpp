@@ -66,23 +66,16 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
     for (int k = 0; k <= n; ++k) macs.push_back(k);
   }
 
-  auto pattern_for = [n](int k) {
-    std::vector<int> inputs(static_cast<std::size_t>(n), 1);
-    for (int i = k; i < n; ++i) inputs[static_cast<std::size_t>(i)] = 0;
-    return inputs;
-  };
-
   // Nominal (variation-free) levels first; they define both the reference
   // outputs and the level spacing that normalizes the error.
-  std::vector<double> nominal(static_cast<std::size_t>(n) + 1, 0.0);
+  std::vector<double> nominal;
   {
     CiMRow row(cfg);
     row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
-    for (int k = 0; k <= n; ++k) {
-      MacResult r = row.evaluate(pattern_for(k), mc.temperature_c);
+    for (const MacResult& r : row.evaluate_levels(mc.temperature_c)) {
       if (!r.converged) result.all_converged = false;
       result.total_newton_iterations += r.newton_iterations;
-      nominal[static_cast<std::size_t>(k)] = r.v_acc;
+      nominal.push_back(r.v_acc);
     }
   }
   result.nominal_levels = nominal;
@@ -117,7 +110,7 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
         outcome.samples.reserve(macs.size());
         bool converged = true;
         for (int k : macs) {
-          MacResult r = row.evaluate(pattern_for(k), mc.temperature_c);
+          MacResult r = row.evaluate(level_inputs(n, k), mc.temperature_c);
           outcome.newton_iterations += r.newton_iterations;
           if (!r.converged) {
             converged = false;

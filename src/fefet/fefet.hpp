@@ -13,8 +13,8 @@ struct FeFetParams {
   devices::MosfetParams channel;  ///< channel with vth0 = 0 (see make_*)
   PreisachParams ferroelectric;
 
-  /// Default device used across the reproduction; W/L tuned during
-  /// calibration (see cim/calibration.*).
+  /// Default device used across the reproduction; W/L tuned against the
+  /// paper's shape targets (see cim/config.hpp).
   static FeFetParams reference(double w_over_l = 40.0);
 };
 

@@ -5,6 +5,17 @@
 #include <cstdio>
 
 namespace sfc::nn {
+namespace {
+
+// Optimizer hyper-parameters shared by every run; only the learning rate
+// and its decay are per-run (TrainConfig).
+constexpr double kMomentum = 0.9;
+constexpr double kAdamBeta1 = 0.9;
+constexpr double kAdamBeta2 = 0.999;
+constexpr double kAdamEpsilon = 1e-8;
+constexpr double kWeightDecay = 1e-4;
+
+}  // namespace
 
 Tensor to_tensor(const sfc::data::Image& img) {
   Tensor t({sfc::data::Image::kChannels, sfc::data::Image::kSize,
@@ -26,8 +37,8 @@ void Trainer::adam_step(double lr) {
   const auto params = model_.parameters();
   const auto grads = model_.gradients();
   assert(params.size() == grads.size());
-  const double b1 = cfg_.adam_beta1;
-  const double b2 = cfg_.adam_beta2;
+  const double b1 = kAdamBeta1;
+  const double b2 = kAdamBeta2;
   const double correction1 = 1.0 - std::pow(b1, static_cast<double>(adam_t_));
   const double correction2 = 1.0 - std::pow(b2, static_cast<double>(adam_t_));
   for (std::size_t pi = 0; pi < params.size(); ++pi) {
@@ -36,14 +47,13 @@ void Trainer::adam_step(double lr) {
     std::vector<float>& m = velocity_[pi];
     std::vector<float>& v = second_moment_[pi];
     for (std::size_t i = 0; i < p.size(); ++i) {
-      const double grad =
-          static_cast<double>(g[i]) + cfg_.weight_decay * p[i];
+      const double grad = static_cast<double>(g[i]) + kWeightDecay * p[i];
       m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * grad);
       v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * grad * grad);
       const double m_hat = m[i] / correction1;
       const double v_hat = v[i] / correction2;
       p[i] -= static_cast<float>(lr * m_hat /
-                                 (std::sqrt(v_hat) + cfg_.adam_epsilon));
+                                 (std::sqrt(v_hat) + kAdamEpsilon));
     }
   }
 }
@@ -57,9 +67,8 @@ void Trainer::sgd_step(double lr) {
     Tensor& g = *grads[pi];
     std::vector<float>& v = velocity_[pi];
     for (std::size_t i = 0; i < p.size(); ++i) {
-      const float grad =
-          g[i] + static_cast<float>(cfg_.weight_decay) * p[i];
-      v[i] = static_cast<float>(cfg_.momentum) * v[i] -
+      const float grad = g[i] + static_cast<float>(kWeightDecay) * p[i];
+      v[i] = static_cast<float>(kMomentum) * v[i] -
              static_cast<float>(lr) * grad;
       p[i] += v[i];
     }

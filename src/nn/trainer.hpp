@@ -18,11 +18,6 @@ struct TrainConfig {
   int batch_size = 16;
   Optimizer optimizer = Optimizer::kSgdMomentum;
   double learning_rate = 0.02;  ///< use ~1e-3 with Adam
-  double momentum = 0.9;
-  double adam_beta1 = 0.9;
-  double adam_beta2 = 0.999;
-  double adam_epsilon = 1e-8;
-  double weight_decay = 1e-4;
   double lr_decay = 0.85;       ///< multiplicative per-epoch decay
   std::uint64_t seed = 1234;
   bool verbose = false;

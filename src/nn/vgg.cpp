@@ -4,7 +4,12 @@
 #include <cassert>
 #include <cstdio>
 
+#include "data/synth_cifar.hpp"
+
 namespace sfc::nn {
+
+/// FC3 scores the dataset's classes (CIFAR-10).
+constexpr int kClasses = data::Dataset::kNumClasses;
 
 VggConfig VggConfig::paper() { return VggConfig{}; }
 
@@ -59,7 +64,7 @@ Sequential build_vgg(const VggConfig& cfg) {
   net.add<Dense>(cfg.fc_hidden, cfg.fc_hidden, rng);
   net.add<Relu>();
   if (cfg.with_dropout) net.add<Dropout>(0.5);
-  net.add<Dense>(cfg.fc_hidden, cfg.num_classes, rng);
+  net.add<Dense>(cfg.fc_hidden, kClasses, rng);
   return net;
 }
 
@@ -124,8 +129,8 @@ std::vector<VggTableRow> vgg_table(const VggConfig& cfg) {
   std::snprintf(buf, sizeof(buf), "%dx%d FC2", cfg.fc_hidden, cfg.fc_hidden);
   fc_row(buf, cfg.fc_hidden, cfg.fc_hidden,
          cfg.with_dropout ? "ReLU,dropout(0.5)" : "ReLU");
-  std::snprintf(buf, sizeof(buf), "%dx%d FC3", cfg.fc_hidden, cfg.num_classes);
-  fc_row(buf, cfg.fc_hidden, cfg.num_classes, "-");
+  std::snprintf(buf, sizeof(buf), "%dx%d FC3", cfg.fc_hidden, kClasses);
+  fc_row(buf, cfg.fc_hidden, kClasses, "-");
   return rows;
 }
 

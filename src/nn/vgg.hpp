@@ -15,7 +15,6 @@ struct VggConfig {
   std::vector<int> conv_channels = {64, 64, 128, 128, 256, 256, 256};
   /// Hidden widths of FC1/FC2 (Table I: 4096, 4096).
   int fc_hidden = 4096;
-  int num_classes = 10;
   /// Dropout schedule from Table I.
   bool with_dropout = true;
   std::uint64_t init_seed = 2024;

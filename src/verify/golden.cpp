@@ -181,17 +181,11 @@ std::string mac_label(double temp_c, int mac) {
   return ss.str();
 }
 
-/// v_acc of the Fig. 8 row for every MAC value at one temperature, using
-/// the same stored/input convention as the behavioural calibration (all
-/// weights 1, first k inputs 1).
+/// v_acc of the Fig. 8 row (all weights stored '1') for every MAC value at
+/// one temperature: the same ladder as the behavioural calibration.
 std::vector<double> mac_levels_at(sfc::cim::CiMRow& row, double temp_c) {
-  const int n = row.cells();
   std::vector<double> levels;
-  levels.reserve(static_cast<std::size_t>(n) + 1);
-  for (int k = 0; k <= n; ++k) {
-    std::vector<int> inputs(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < k; ++i) inputs[static_cast<std::size_t>(i)] = 1;
-    const sfc::cim::MacResult r = row.evaluate(inputs, temp_c);
+  for (const sfc::cim::MacResult& r : row.evaluate_levels(temp_c)) {
     if (!r.converged) {
       throw std::runtime_error("golden MAC transient failed to converge");
     }

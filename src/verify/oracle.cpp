@@ -169,50 +169,35 @@ OracleReport oracle_spice_vs_behavioral() {
   const auto model = sfc::cim::BehavioralArrayModel::calibrate(cfg, grid);
 
   sfc::cim::CiMRow row(cfg);
-  const int n = row.cells();
-  row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
-  const auto eval_mac = [&](int k, double t) {
-    std::vector<int> inputs(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < k; ++i) inputs[static_cast<std::size_t>(i)] = 1;
-    return row.evaluate(inputs, t);
+  row.set_stored(std::vector<int>(static_cast<std::size_t>(row.cells()), 1));
+  // Diffs the row's MAC ladder at `t` against the lookup; false when a
+  // transient failed (recorded as a structural failure).
+  const auto diff_at = [&](double t, const std::string& label,
+                           double abs_tol) {
+    std::vector<double> spice_v, model_v;
+    int mac = 0;
+    for (const sfc::cim::MacResult& r : row.evaluate_levels(t)) {
+      if (!r.converged) {
+        rep.structural_failure("row transient failed to converge");
+        return false;
+      }
+      spice_v.push_back(r.v_acc);
+      model_v.push_back(model.v_acc(mac++, t));
+    }
+    rep.diff_series(label, spice_v, model_v, abs_tol, 0.0, [](std::size_t i) {
+      return "mac" + std::to_string(i);
+    });
+    return true;
   };
 
   // At calibration grid temperatures the lookup must reproduce the
   // simulation it was built from exactly (same code path, same circuit).
   for (double t : grid) {
-    std::vector<double> spice_v, model_v;
-    for (int k = 0; k <= n; ++k) {
-      const auto r = eval_mac(k, t);
-      if (!r.converged) {
-        rep.structural_failure("row transient failed to converge");
-        return rep;
-      }
-      spice_v.push_back(r.v_acc);
-      model_v.push_back(model.v_acc(k, t));
-    }
-    rep.diff_series(
-        "v_acc_T" + Json::format_number(t), spice_v, model_v, 0.0, 0.0,
-        [](std::size_t i) { return "mac" + std::to_string(i); });
+    if (!diff_at(t, "v_acc_T" + Json::format_number(t), 0.0)) return rep;
   }
-
   // Between grid points the model interpolates; hold it to a modelling
   // tolerance (a few mV) rather than bit-exactness.
-  {
-    const double t_mid = 55.0;
-    std::vector<double> spice_v, model_v;
-    for (int k = 0; k <= n; ++k) {
-      const auto r = eval_mac(k, t_mid);
-      if (!r.converged) {
-        rep.structural_failure("row transient failed to converge");
-        return rep;
-      }
-      spice_v.push_back(r.v_acc);
-      model_v.push_back(model.v_acc(k, t_mid));
-    }
-    rep.diff_series(
-        "v_acc_T55_interpolated", spice_v, model_v, 5e-3, 0.0,
-        [](std::size_t i) { return "mac" + std::to_string(i); });
-  }
+  diff_at(55.0, "v_acc_T55_interpolated", 5e-3);
   return rep;
 }
 

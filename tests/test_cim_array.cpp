@@ -3,15 +3,21 @@
 // pattern invariance, and write-path programming.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "cim/energy.hpp"
 #include "cim/mac.hpp"
+#include "trace/probe.hpp"
+#include "trace/trace.hpp"
 
 namespace sfc::cim {
 namespace {
 
 const std::vector<double> kTemps = {0.0, 27.0, 85.0};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(CiMRow, MacLevelsMonotoneAtRoomTemperature) {
   CiMRow row(ArrayConfig::proposed_2t1fefet());
@@ -25,6 +31,46 @@ TEST(CiMRow, MacLevelsMonotoneAtRoomTemperature) {
     EXPECT_GT(r.v_acc, prev) << "k=" << k;
     prev = r.v_acc;
   }
+}
+
+TEST(CiMRow, EvaluateLevelsMatchesHandWrittenLadder) {
+  // evaluate_levels is the ladder that calibration, Monte Carlo, energy and
+  // the goldens read: exactly the k = 0..n loop of evaluate() calls in k
+  // order, first k inputs high, with no work or instrumentation added.
+  const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
+  CiMRow hand_row(cfg);
+  CiMRow ladder_row(cfg);
+  hand_row.set_stored(std::vector<int>(8, 1));
+  ladder_row.set_stored(std::vector<int>(8, 1));
+
+#if SFC_TRACE_ENABLED
+  trace::TestProbe hand_probe;
+#endif
+  std::vector<MacResult> hand;
+  for (int k = 0; k <= 8; ++k) {
+    std::vector<int> inputs(8, 0);
+    for (int i = 0; i < k; ++i) inputs[static_cast<std::size_t>(i)] = 1;
+    hand.push_back(hand_row.evaluate(inputs, 27.0));
+  }
+#if SFC_TRACE_ENABLED
+  const verify::Json hand_metrics = hand_probe.delta_snapshot();
+  trace::TestProbe ladder_probe;
+#endif
+  const std::vector<MacResult> ladder = ladder_row.evaluate_levels(27.0);
+#if SFC_TRACE_ENABLED
+  EXPECT_EQ(ladder_probe.delta_snapshot().dump(), hand_metrics.dump());
+#endif
+
+  ASSERT_EQ(ladder.size(), hand.size());
+  for (std::size_t k = 0; k < ladder.size(); ++k) {
+    ASSERT_TRUE(ladder[k].converged) << "k=" << k;
+    EXPECT_EQ(bits(ladder[k].v_acc), bits(hand[k].v_acc)) << "k=" << k;
+    EXPECT_EQ(bits(ladder[k].energy_joules), bits(hand[k].energy_joules))
+        << "k=" << k;
+    EXPECT_EQ(ladder[k].newton_iterations, hand[k].newton_iterations)
+        << "k=" << k;
+  }
+  EXPECT_EQ(level_inputs(8, 3), (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
 }
 
 TEST(CiMRow, MacDependsOnCountNotPattern) {

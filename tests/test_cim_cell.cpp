@@ -68,6 +68,12 @@ TEST(Cell2T, TemperatureResilienceBeatsSubthresholdBaseline) {
   EXPECT_LT(fluct_2t, 0.15);
   EXPECT_GT(fluct_sub, 0.2);
   EXPECT_LT(fluct_2t, 0.6 * fluct_sub);
+  // cell_fluctuation, which the Fig. 3/7 benches print, measures the same.
+  EXPECT_EQ(cell_fluctuation(ArrayConfig::proposed_2t1fefet(), kTemps).max,
+            fluct_2t);
+  EXPECT_EQ(
+      cell_fluctuation(ArrayConfig::baseline_1r_subthreshold(), kTemps).max,
+      fluct_sub);
 }
 
 TEST(Cell1R, SubthresholdWorseThanSaturation) {
@@ -84,6 +90,8 @@ TEST(Cell1R, SubthresholdWorseThanSaturation) {
   };
   const double f_sat = fluct(ArrayConfig::baseline_1r_saturation());
   const double f_sub = fluct(ArrayConfig::baseline_1r_subthreshold());
+  EXPECT_EQ(cell_fluctuation(ArrayConfig::baseline_1r_saturation(), kTemps).max,
+            f_sat);
   EXPECT_GT(f_sub, f_sat);
   // Paper: 20.6% vs 52.1%. Our bands: sat in [5%, 45%], sub > sat.
   EXPECT_GT(f_sat, 0.05);

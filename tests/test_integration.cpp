@@ -1,10 +1,9 @@
-// Cross-module integration tests: the paper's headline claims, end to
-// end - circuit-level calibration, array separability feeding the
-// behavioural model, and CNN inference through the CiM fabric across
-// temperature.
+// Cross-module integration test: the behavioural model calibrated from the
+// circuit-level array feeds CNN inference through the CiM fabric across
+// temperature. The cell- and array-level claims it rests on (Figs. 3, 4,
+// 7 and 8) are pinned in test_cim_cell and test_cim_array.
 #include <gtest/gtest.h>
 
-#include "cim/calibration.hpp"
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
 #include "nn/vgg.hpp"
@@ -12,27 +11,6 @@
 namespace {
 
 using namespace sfc;
-
-TEST(Integration, PaperHeadlineClaimsHold) {
-  // Coarse grid keeps this test fast; the bench uses the full grid.
-  const cim::CalibrationReport rep =
-      cim::run_calibration({0.0, 27.0, 85.0});
-
-  // Sec. III-A: subthreshold operation is much more temperature-sensitive
-  // than saturation operation for the baseline cell.
-  EXPECT_TRUE(rep.subthreshold_worse_than_saturation());
-  // Sec. IV-A: the proposed cell beats the subthreshold baseline.
-  EXPECT_TRUE(rep.proposed_beats_subthreshold_baseline());
-  // Fig. 8(a) vs Fig. 4: proposed array separable, baseline overlaps.
-  EXPECT_TRUE(rep.proposed_array_separable());
-  EXPECT_TRUE(rep.baseline_array_overlaps());
-  // Fig. 8(b): ultra-low energy (single-digit fJ/op at most).
-  EXPECT_GT(rep.energy_per_op, 0.0);
-  EXPECT_LT(rep.energy_per_op, 10e-15);
-  EXPECT_GT(rep.tops_per_watt, 100.0);
-  // >= 20C the margin improves (paper: NMR 0.22 -> 2.3).
-  EXPECT_GT(rep.nmr_min_2t_above_20c, rep.nmr_min_2t);
-}
 
 TEST(Integration, CnnAccuracyStableOnProposedFabric) {
   // Train a small CNN on SynthCIFAR, quantize, then run every MAC through
@@ -104,14 +82,6 @@ TEST(Integration, CnnAccuracyStableOnProposedFabric) {
   nn::CimDotEngine proposed_engine(proposed, hot);
   qnet.evaluate(test, proposed_engine, /*max_images=*/4);
   EXPECT_EQ(proposed_engine.row_errors(), 0);
-}
-
-TEST(Integration, CalibrationReportPrints) {
-  const cim::CalibrationReport rep = cim::run_calibration({0.0, 27.0, 85.0});
-  const std::string text = rep.to_string();
-  EXPECT_NE(text.find("fluctuation"), std::string::npos);
-  EXPECT_NE(text.find("NMR"), std::string::npos);
-  EXPECT_NE(text.find("TOPS/W"), std::string::npos);
 }
 
 }  // namespace
