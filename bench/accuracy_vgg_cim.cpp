@@ -13,6 +13,7 @@
 //
 // Heavy artifacts (trained weights, array calibrations) are cached next
 // to the binary so re-runs are fast.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -113,18 +114,21 @@ int main() {
   table.add_row({"int8 digital", "-", "-",
                  util::fmt_percent(int8_acc).substr(1), "-"});
 
+  const auto error_rate = [](const nn::CimDotEngine& engine) {
+    return engine.row_ops() > 0 ? static_cast<double>(engine.row_errors()) /
+                                      static_cast<double>(engine.row_ops())
+                                : 0.0;
+  };
   double proposed_room_acc = 0.0;
+  double worst_noiseless_rate = 0.0;
   for (double t : temps) {
     nn::CimDotEngine::Options opts;
     opts.temperature_c = t;
     nn::CimDotEngine engine(proposed, opts);
     const double acc = qnet.evaluate(test, engine, eval_images);
     if (t == 27.0) proposed_room_acc = acc;
-    const double err_rate =
-        engine.row_ops() > 0
-            ? static_cast<double>(engine.row_errors()) /
-                  static_cast<double>(engine.row_ops())
-            : 0.0;
+    const double err_rate = error_rate(engine);
+    worst_noiseless_rate = std::max(worst_noiseless_rate, err_rate);
     table.add_row({"2T-1FeFET (proposed)", util::fmt(t, 3), "no",
                    util::fmt_percent(acc).substr(1),
                    util::fmt(err_rate * 100.0, 3) + "%"});
@@ -140,21 +144,17 @@ int main() {
     // pass is ~50x slower per image; a smaller split suffices.
     const double acc = qnet.evaluate(test, engine, 60);
     table.add_row({"2T-1FeFET (proposed)", "27", "sigma=54mV",
-                   util::fmt_percent(acc).substr(1), "-"});
+                   util::fmt_percent(acc).substr(1),
+                   util::fmt(error_rate(engine) * 100.0, 3) + "%"});
   }
   for (double t : {0.0, 85.0}) {
     nn::CimDotEngine::Options opts;
     opts.temperature_c = t;
     nn::CimDotEngine engine(baseline, opts);
     const double acc = qnet.evaluate(test, engine, /*max_images=*/60);
-    const double err_rate =
-        engine.row_ops() > 0
-            ? static_cast<double>(engine.row_errors()) /
-                  static_cast<double>(engine.row_ops())
-            : 0.0;
     table.add_row({"1FeFET-1R subthr. (baseline)", util::fmt(t, 3), "no",
                    util::fmt_percent(acc).substr(1),
-                   util::fmt(err_rate * 100.0, 3) + "%"});
+                   util::fmt(error_rate(engine) * 100.0, 3) + "%"});
   }
   std::printf("\n%s\n", table.render().c_str());
 
@@ -179,12 +179,9 @@ int main() {
       "CIFAR-10; different dataset, so compare the *drop* vs software)\n"
       "  accuracy drop vs int8 digital: %+.2f pts  (paper: lossless at "
       "room temperature)\n"
-      "  temperature-stable 0-85 degC: %s\n",
+      "  temperature-stable 0-85 degC: largest noiseless row error rate "
+      "%.3f%%\n",
       proposed_room_acc * 100.0, (proposed_room_acc - int8_acc) * 100.0,
-      "see table (row error rate stays 0)");
-
-  // Cache the headline numbers for table2_comparison.
-  std::ofstream summary("bench_accuracy_summary.txt");
-  summary << proposed_room_acc << ' ' << e_inference << '\n';
+      worst_noiseless_rate * 100.0);
   return 0;
 }

@@ -58,7 +58,6 @@ std::vector<std::pair<NodeId, NodeId>> conduction_edges(const Device& dev,
   const auto t = dev.terminals();
   using Pair = std::pair<NodeId, NodeId>;
   if (dynamic_cast<const spice::Resistor*>(&dev) ||
-      dynamic_cast<const spice::Inductor*>(&dev) ||
       dynamic_cast<const spice::VSource*>(&dev)) {
     return {Pair{t[0], t[1]}};
   }
@@ -67,10 +66,6 @@ std::vector<std::pair<NodeId, NodeId>> conduction_edges(const Device& dev,
     return {};
   }
   if (dynamic_cast<const spice::ISource*>(&dev)) return {};
-  if (dynamic_cast<const spice::Vccs*>(&dev)) return {};
-  if (dynamic_cast<const spice::Vcvs*>(&dev)) {
-    return {Pair{t[0], t[1]}};  // output branch is voltage-defined
-  }
   if (dynamic_cast<const spice::VSwitch*>(&dev)) {
     return {Pair{t[0], t[1]}};  // finite r_off: always a resistive path
   }
@@ -91,9 +86,7 @@ std::vector<std::pair<NodeId, NodeId>> conduction_edges(const Device& dev,
 }
 
 bool is_voltage_defined(const Device& dev) {
-  return dynamic_cast<const spice::VSource*>(&dev) != nullptr ||
-         dynamic_cast<const spice::Vcvs*>(&dev) != nullptr ||
-         dynamic_cast<const spice::Inductor*>(&dev) != nullptr;
+  return dynamic_cast<const spice::VSource*>(&dev) != nullptr;
 }
 
 std::pair<NodeId, NodeId> voltage_branch(const Device& dev) {
@@ -184,21 +177,9 @@ DcTopology DcTopology::build(const spice::Circuit& circuit,
       } else if (!(a_gnd && b_gnd)) {
         add_edge(dev.get(), t[0], t[1], Interval(), false, true);
       }
-    } else if (dynamic_cast<const spice::Inductor*>(dev.get()) != nullptr) {
-      // DC short (a pin below); in a transient its current is state and
-      // can drive nodes outside any static hull.
-      Pin pin;
-      pin.kind = Pin::Kind::kInductor;
-      pin.device = dev.get();
-      pin.a = t[0];
-      pin.b = t[1];
-      topo.pins.push_back(pin);
-      taint_tran(t[0]);
-      taint_tran(t[1]);
     } else if (const auto* v =
                    dynamic_cast<const spice::VSource*>(dev.get())) {
       Pin pin;
-      pin.kind = Pin::Kind::kVSource;
       pin.device = dev.get();
       pin.a = t[0];
       pin.b = t[1];
@@ -225,19 +206,6 @@ DcTopology DcTopology::build(const spice::Circuit& circuit,
                                           Interval(1.0) / Interval(p.r_off));
         add_edge(dev.get(), t[0], t[1], g, true, false);
       }
-    } else if (dynamic_cast<const spice::Vccs*>(dev.get()) != nullptr) {
-      taint_dc(t[0]);
-      taint_dc(t[1]);
-    } else if (const auto* e = dynamic_cast<const spice::Vcvs*>(dev.get())) {
-      Pin pin;
-      pin.kind = Pin::Kind::kVcvs;
-      pin.device = dev.get();
-      pin.a = t[0];
-      pin.b = t[1];
-      pin.ctrl_p = t[2];
-      pin.ctrl_n = t[3];
-      pin.gain = e->gain();
-      topo.pins.push_back(pin);
     } else if (dynamic_cast<const devices::Diode*>(dev.get()) != nullptr) {
       add_edge(dev.get(), t[0], t[1], Interval(), false, false);
     } else if (const auto* m =
@@ -267,10 +235,9 @@ struct EngineResult {
 };
 
 /// One fixpoint run of the abstract interpreter. `envelope` selects the
-/// transient mode: VSource pins use their whole-waveform range, inductor
-/// pins deactivate (their terminals are tainted instead), and grounded
-/// capacitors anchor their node to the initial condition (`dc_vals` when
-/// no explicit ic was given).
+/// transient mode: VSource pins use their whole-waveform range, and
+/// grounded capacitors anchor their node to the initial condition
+/// (`dc_vals` when no explicit ic was given).
 EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
                         const ConductionComponents& comps,
                         const IntervalOptions& opt, bool envelope,
@@ -312,12 +279,11 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
     if (bad_roots.count(island_root[i]) != 0) out.tainted[i] = 1;
   }
 
-  // Pinned nodes: terminals of active voltage-defined branches. They are
+  // Pinned nodes: terminals of voltage-source branches. They are
   // boundary nodes of the maximum principle — never relaxed from
   // neighbors, only narrowed by pin equations and the component hull.
   std::vector<char> pinned(n, 0);
   for (const DcTopology::Pin& pin : topo.pins) {
-    if (envelope && pin.kind == DcTopology::Pin::Kind::kInductor) continue;
     if (pin.a != spice::kGround) pinned[static_cast<std::size_t>(pin.a)] = 1;
     if (pin.b != spice::kGround) pinned[static_cast<std::size_t>(pin.b)] = 1;
   }
@@ -379,20 +345,7 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
     // (a) Pin equations v(a) - v(b) = value, narrowed both ways. These
     // are hard facts, so they apply to tainted components too.
     for (const DcTopology::Pin& pin : topo.pins) {
-      Interval value;
-      switch (pin.kind) {
-        case DcTopology::Pin::Kind::kVSource:
-          value = envelope ? pin.envelope_value : pin.dc_value;
-          break;
-        case DcTopology::Pin::Kind::kInductor:
-          if (envelope) continue;
-          value = Interval(0.0);
-          break;
-        case DcTopology::Pin::Kind::kVcvs:
-          value = Interval(pin.gain) *
-                  (val_of(pin.ctrl_p) - val_of(pin.ctrl_n));
-          break;
-      }
+      const Interval value = envelope ? pin.envelope_value : pin.dc_value;
       narrow(pin.a, val_of(pin.b) + value);
       narrow(pin.b, val_of(pin.a) - value);
     }

@@ -15,11 +15,10 @@
 // Soundness contract of OperatingIntervals (enforced empirically by the
 // "interval_escape" fuzz invariant in src/verify/fuzz.cpp): for every deck
 // the solver converges on, the DC operating point lies inside `dc`, and —
-// when the deck's caps are grounded and it has no inductors — every
-// transient node voltage lies inside `envelope`. Nodes whose voltage the
-// analysis cannot bound soundly (current-source neighborhoods, floating
-// caps, unknown device types) are tainted to the universe interval rather
-// than guessed.
+// when the deck's caps are grounded — every transient node voltage lies
+// inside `envelope`. Nodes whose voltage the analysis cannot bound soundly
+// (current-source neighborhoods, floating caps, unknown device types) are
+// tainted to the universe interval rather than guessed.
 #pragma once
 
 #include <cstddef>
@@ -66,9 +65,9 @@ std::size_t node_slot(spice::NodeId n, std::size_t num_nodes);
 std::vector<std::pair<spice::NodeId, spice::NodeId>> conduction_edges(
     const spice::Device& dev, bool caps_conduct);
 
-/// True for devices whose branch voltage is fixed independent of current:
-/// chaining them into a loop (or shorting one) makes the MNA matrix
-/// singular. Inductors count — they are DC shorts.
+/// True for devices whose branch voltage is fixed independent of current
+/// (voltage sources): chaining them into a loop (or shorting one) makes
+/// the MNA matrix singular.
 bool is_voltage_defined(const spice::Device& dev);
 
 /// The (t0, t1) branch of a voltage-defined device.
@@ -110,20 +109,14 @@ struct DcTopology {
     bool is_capacitor = false;  ///< only conducts in transient
   };
 
-  /// A voltage-defined branch v(a) - v(b) = value. VSource values depend
-  /// on the interval mode (DC start value vs whole-waveform range), Vcvs
-  /// values on the controlling nodes; both are resolved by the engine.
+  /// A voltage-source branch v(a) - v(b) = value. The value depends on
+  /// the interval mode (DC start value vs whole-waveform range).
   struct Pin {
-    enum class Kind { kVSource, kVcvs, kInductor };
-    Kind kind = Kind::kVSource;
     const spice::Device* device = nullptr;
     spice::NodeId a = spice::kGround;
     spice::NodeId b = spice::kGround;
-    Interval dc_value;        ///< kVSource: t=0 value (+ .dc sweep hull)
-    Interval envelope_value;  ///< kVSource: waveform range (+ sweep hull)
-    spice::NodeId ctrl_p = spice::kGround;  ///< kVcvs
-    spice::NodeId ctrl_n = spice::kGround;  ///< kVcvs
-    double gain = 0.0;                      ///< kVcvs
+    Interval dc_value;        ///< t=0 value (+ .dc sweep hull)
+    Interval envelope_value;  ///< waveform range (+ sweep hull)
   };
 
   /// Per non-ground node: incident passive edges (capacitor edges are
@@ -133,12 +126,12 @@ struct DcTopology {
   std::vector<Pin> pins;
 
   /// Nodes whose conduction component must be widened to the universe in
-  /// DC mode: current-source terminals, Vccs outputs, unknown device
-  /// types, non-physical element values. The maximum principle assumes
-  /// every non-pin injection is passive; these break it.
+  /// DC mode: current-source terminals, unknown device types,
+  /// non-physical element values. The maximum principle assumes every
+  /// non-pin injection is passive; these break it.
   std::vector<spice::NodeId> dc_taint_seeds;
-  /// Additional seeds for the transient envelope: inductor terminals
-  /// (their current is state) and capacitors not referenced to ground.
+  /// Additional seeds for the transient envelope: capacitors not
+  /// referenced to ground.
   std::vector<spice::NodeId> tran_taint_seeds;
 
   static DcTopology build(const spice::Circuit& circuit,

@@ -28,21 +28,13 @@ bool LintReport::has_errors() const {
 
 std::size_t LintReport::count(Severity s) const {
   return static_cast<std::size_t>(std::count_if(
-      diagnostics_.begin(), diagnostics_.end(), [s](const Diagnostic& d) {
-        return d.severity == s && !d.suppressed;
-      }));
-}
-
-std::size_t LintReport::count_suppressed() const {
-  return static_cast<std::size_t>(
-      std::count_if(diagnostics_.begin(), diagnostics_.end(),
-                    [](const Diagnostic& d) { return d.suppressed; }));
+      diagnostics_.begin(), diagnostics_.end(),
+      [s](const Diagnostic& d) { return d.severity == s; }));
 }
 
 std::optional<Severity> LintReport::max_severity() const {
   std::optional<Severity> top;
   for (const Diagnostic& d : diagnostics_) {
-    if (d.suppressed) continue;
     if (!top || static_cast<int>(d.severity) > static_cast<int>(*top)) {
       top = d.severity;
     }
@@ -67,7 +59,6 @@ std::string LintReport::to_text(const std::string& source_name) const {
   std::string out;
   const std::string prefix = source_name.empty() ? "netlist" : source_name;
   for (const Diagnostic& d : diagnostics_) {
-    if (d.suppressed) continue;
     out += prefix;
     if (d.line > 0) out += ":" + std::to_string(d.line);
     out += ": ";
@@ -79,11 +70,7 @@ std::string LintReport::to_text(const std::string& source_name) const {
   out += prefix + ": " + std::to_string(count(Severity::kError)) +
          " error(s), " + std::to_string(count(Severity::kWarning)) +
          " warning(s), " + std::to_string(count(Severity::kNote)) +
-         " note(s)";
-  if (count_suppressed() > 0) {
-    out += ", " + std::to_string(count_suppressed()) + " baselined";
-  }
-  out += "\n";
+         " note(s)\n";
   return out;
 }
 
@@ -92,7 +79,6 @@ verify::Json LintReport::to_json(const std::string& source_name) const {
   counts.set("error", static_cast<double>(count(Severity::kError)));
   counts.set("warning", static_cast<double>(count(Severity::kWarning)));
   counts.set("note", static_cast<double>(count(Severity::kNote)));
-  counts.set("suppressed", static_cast<double>(count_suppressed()));
 
   verify::JsonArray items;
   items.reserve(diagnostics_.size());
@@ -104,8 +90,6 @@ verify::Json LintReport::to_json(const std::string& source_name) const {
     item.set("object", d.object);
     item.set("message", d.message);
     item.set("hint", d.hint);
-    item.set("fingerprint", d.fingerprint);
-    item.set("suppressed", d.suppressed);
     items.push_back(std::move(item));
   }
 
@@ -130,9 +114,6 @@ LintReport LintReport::from_json(const verify::Json& json) {
     d.object = item.string_at("object");
     d.message = item.string_at("message");
     d.hint = item.string_at("hint");
-    // Pre-baseline reports (schema additions, same version) lack these.
-    if (item.has("fingerprint")) d.fingerprint = item.string_at("fingerprint");
-    if (item.has("suppressed")) d.suppressed = item.get("suppressed").as_bool();
     report.add(std::move(d));
   }
   // Cross-check the serialized counts against the decoded list so a

@@ -33,14 +33,6 @@ struct Diagnostic {
   std::string object;            ///< device or node name the finding anchors to
   std::string message;
   std::string hint;              ///< optional fix-it suggestion ("" = none)
-  /// Structural fingerprint (baseline.hpp): stable across line-number
-  /// churn, changes when the finding's anchor changes shape. Stamped by
-  /// the Linter; "" when the report was built by hand.
-  std::string fingerprint;
-  /// True when a baseline file suppressed this finding. Suppressed
-  /// findings stay in the report (and its JSON) but are excluded from
-  /// counts, max_severity and the exit code.
-  bool suppressed = false;
 };
 
 class LintReport {
@@ -48,20 +40,16 @@ class LintReport {
   void add(Diagnostic d) { diagnostics_.push_back(std::move(d)); }
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
-  /// Mutable access for fingerprint stamping / baseline suppression.
-  std::vector<Diagnostic>& mutable_diagnostics() { return diagnostics_; }
   bool clean() const { return diagnostics_.empty(); }
   bool has_errors() const;
-  /// Unsuppressed findings of the given severity.
+  /// Findings of the given severity.
   std::size_t count(Severity s) const;
-  std::size_t count_suppressed() const;
 
-  /// Highest unsuppressed severity present; nullopt for a clean (or fully
-  /// suppressed) report.
+  /// Highest severity present; nullopt for a clean report.
   std::optional<Severity> max_severity() const;
 
   /// CLI exit code: 0 clean, else the numeric value of max_severity()
-  /// (note 1, warning 2, error 3). Suppressed findings don't count.
+  /// (note 1, warning 2, error 3).
   int exit_code() const;
 
   /// Sort findings by (line, rule, object) for stable output regardless of

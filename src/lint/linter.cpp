@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "lint/baseline.hpp"
-
 namespace sfc::lint {
 
 Linter::Linter() : enabled_(builtin_rules().size(), true) {
@@ -44,9 +42,6 @@ LintReport Linter::run(const spice::Circuit& circuit,
     if (enabled_[i]) rules[i].run(ctx, report);
   }
   report.sort();
-  for (Diagnostic& d : report.mutable_diagnostics()) {
-    d.fingerprint = compute_fingerprint(d, &circuit);
-  }
   return report;
 }
 
@@ -62,7 +57,6 @@ LintResult lint_source(const std::string& text, const Linter& linter) {
     d.severity = Severity::kError;
     d.line = e.line();
     d.message = e.what();
-    d.fingerprint = compute_fingerprint(d, nullptr);
     result.report.add(std::move(d));
     return result;
   } catch (const std::exception& e) {
@@ -70,7 +64,6 @@ LintResult lint_source(const std::string& text, const Linter& linter) {
     d.rule = "parse-error";
     d.severity = Severity::kError;
     d.message = e.what();
-    d.fingerprint = compute_fingerprint(d, nullptr);
     result.report.add(std::move(d));
     return result;
   }

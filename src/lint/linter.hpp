@@ -26,8 +26,7 @@ class Linter {
   /// unlocks the directive rules (tran-step, temp-range, unused-model,
   /// dc-sweep-source), tells the reachability rule whether capacitors
   /// conduct, and scopes the interval analysis temperature range. Never
-  /// solves, never mutates the circuit. Findings come back sorted and
-  /// fingerprinted (baseline.hpp).
+  /// solves, never mutates the circuit. Findings come back sorted.
   LintReport run(const spice::Circuit& circuit,
                  const spice::NetlistDeck* deck = nullptr) const;
 

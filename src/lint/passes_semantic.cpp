@@ -101,7 +101,7 @@ void subthreshold_window(const LintContext& ctx, LintReport& out) {
                   "' gate-source bias is not statically boundable (" +
                   vgs.str() + "); the subthreshold window cannot be proved";
       d.hint =
-          "current sources, floating capacitors or inductors near the gate "
+          "current sources or floating capacitors near the gate "
           "defeat the interval analysis — bias the gate resistively from a "
           "voltage source to make the window checkable";
       out.add(std::move(d));

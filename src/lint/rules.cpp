@@ -90,9 +90,8 @@ void rule_vsource_loop(const LintContext& ctx, LintReport& out) {
                   "' between nodes '" + c.node_name(a) + "' and '" +
                   c.node_name(b) + "'";
       d.hint =
-          "voltage sources, VCVS outputs and inductors fix branch voltages; "
-          "a loop of them over-determines the system — insert a series "
-          "resistance";
+          "voltage sources fix branch voltages; a loop of them "
+          "over-determines the system — insert a series resistance";
       out.add(std::move(d));
       continue;
     }
@@ -173,8 +172,6 @@ void rule_nonpositive_value(const LintContext& ctx, LintReport& out) {
       if (r->resistance() <= 0.0) flag(*dev, "resistance", r->resistance());
     } else if (const auto* c = dynamic_cast<const spice::Capacitor*>(dev.get())) {
       if (c->capacitance() <= 0.0) flag(*dev, "capacitance", c->capacitance());
-    } else if (const auto* l = dynamic_cast<const spice::Inductor*>(dev.get())) {
-      if (l->inductance() <= 0.0) flag(*dev, "inductance", l->inductance());
     } else if (const auto* s = dynamic_cast<const spice::VSwitch*>(dev.get())) {
       if (s->params().r_on <= 0.0) flag(*dev, "on-resistance", s->params().r_on);
       if (s->params().r_off <= 0.0) {
@@ -296,7 +293,7 @@ const std::vector<Rule>& builtin_rules() {
        "FeFET programmed window has vthlow >= vthhigh",
        rule_fefet_vth_window},
       {"nonpositive-value", Severity::kError,
-       "non-positive R/C/L or MOSFET/FeFET W/L", rule_nonpositive_value},
+       "non-positive R/C or MOSFET/FeFET W/L", rule_nonpositive_value},
       {"tran-step", Severity::kError, ".tran with dt <= 0 or dt > t_stop",
        rule_tran_step},
       {"temp-range", Severity::kWarning,

@@ -18,12 +18,6 @@ double AcStamper::dc_v(NodeId n) const {
   return dc_x_[static_cast<std::size_t>(n)];
 }
 
-double AcStamper::dc_aux(int aux_index) const {
-  const std::size_t idx = num_nodes_ + static_cast<std::size_t>(aux_index);
-  assert(idx < dc_x_.size());
-  return dc_x_[idx];
-}
-
 int AcStamper::node_row(NodeId n) const { return n; }
 
 int AcStamper::aux_row(int aux_index) const {
@@ -53,14 +47,6 @@ void AcStamper::capacitance(NodeId a, NodeId b, double c) {
   add_matrix(b, b, y);
   add_matrix(a, b, -y);
   add_matrix(b, a, -y);
-}
-
-void AcStamper::vccs(NodeId out_p, NodeId out_n, NodeId ctrl_p, NodeId ctrl_n,
-                     double gm) {
-  add_matrix(out_p, ctrl_p, gm);
-  add_matrix(out_p, ctrl_n, -gm);
-  add_matrix(out_n, ctrl_p, -gm);
-  add_matrix(out_n, ctrl_n, gm);
 }
 
 }  // namespace sfc::spice

@@ -21,7 +21,7 @@ using NodeId = int;
 inline constexpr NodeId kGround = -1;
 
 enum class AnalysisMode {
-  kDcOperatingPoint,  ///< capacitors open, inductors short
+  kDcOperatingPoint,  ///< capacitors open
   kTransient,         ///< companion models active
 };
 
@@ -109,8 +109,8 @@ class Stamper {
     add_matrix(out_n, ctrl_n, gm);
   }
 
-  // Raw access for devices with auxiliary variables (voltage sources,
-  // inductors). Row/col indexing: node n -> n, aux k -> num_nodes + k.
+  // Raw access for devices with auxiliary variables (voltage sources).
+  // Row/col indexing: node n -> n, aux k -> num_nodes + k.
   int node_row(NodeId n) const {
     return n;  // ground (-1) is intentionally returned as-is; callers check
   }
@@ -151,18 +151,12 @@ class AcStamper {
             const std::vector<double>& dc_x, std::size_t num_nodes,
             double omega);
 
-  /// Angular frequency of this solve [rad/s].
-  double omega() const { return omega_; }
-
   /// DC bias voltage of a node (linearization point).
   double dc_v(NodeId n) const;
-  double dc_aux(int aux_index) const;
 
   void conductance(NodeId a, NodeId b, double g);
   /// Susceptance of a capacitor: adds j*omega*c between the nodes.
   void capacitance(NodeId a, NodeId b, double c);
-  void vccs(NodeId out_p, NodeId out_n, NodeId ctrl_p, NodeId ctrl_n,
-            double gm);
 
   int node_row(NodeId n) const;
   int aux_row(int aux_index) const;

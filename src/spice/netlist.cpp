@@ -83,7 +83,6 @@ int node_token_count(char card) {
   switch (card) {
     case 'r':
     case 'c':
-    case 'l':
     case 'v':
     case 'i':
     case 'd':
@@ -92,9 +91,6 @@ int node_token_count(char card) {
     case 'm':
     case 'z':
       return 3;
-    case 'g':
-    case 'e':
-      return 4;
     default:
       return 0;
   }
@@ -427,9 +423,6 @@ NetlistDeck parse_netlist(const std::string& text, Circuit& circuit) {
         circuit.add<Capacitor>(name, node(1), node(2), num(3), ic);
         break;
       }
-      case 'l':
-        circuit.add<Inductor>(name, node(1), node(2), num(3));
-        break;
       case 'v':
         circuit.add<VSource>(name, node(1), node(2),
                              parse_stimulus(tokens, 3, line_no));
@@ -471,14 +464,6 @@ NetlistDeck parse_netlist(const std::string& text, Circuit& circuit) {
         circuit.add<devices::Mosfet>(name, node(1), node(2), node(3), p);
         break;
       }
-      case 'g':
-        // VCCS: G<name> out+ out- ctrl+ ctrl- gm
-        circuit.add<Vccs>(name, node(1), node(2), node(3), node(4), num(5));
-        break;
-      case 'e':
-        // VCVS: E<name> out+ out- ctrl+ ctrl- gain
-        circuit.add<Vcvs>(name, node(1), node(2), node(3), node(4), num(5));
-        break;
       case 'd': {
         std::vector<std::string> positional;
         auto kv = keyvalues(tokens, 3, positional);
@@ -519,7 +504,7 @@ NetlistDeck parse_netlist(const std::string& text, Circuit& circuit) {
     } catch (const NetlistError&) {
       throw;
     } catch (const std::invalid_argument& e) {
-      // Device constructors validate their values (non-positive R/C/L...);
+      // Device constructors validate their values (non-positive R/C...);
       // re-attach the source line they cannot know about.
       fail_rule("nonpositive-value", line_no, e.what());
     } catch (const std::runtime_error& e) {

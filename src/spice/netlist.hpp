@@ -4,7 +4,6 @@
 // f p n u m k meg g):
 //   R<name> n1 n2 <ohms>
 //   C<name> n1 n2 <farads> [ic=<volts>]
-//   L<name> n1 n2 <henries>
 //   V<name> n+ n- <dc> | DC <v> | PULSE(v1 v2 td tr tf pw per) |
 //                  PWL(t1 v1 t2 v2 ...) | SIN(off amp freq [td])
 //   I<name> n+ n- ... (same stimulus grammar)

@@ -80,62 +80,6 @@ void Capacitor::accept_step(const SimContext& ctx,
   v_prev_ = v_now;
 }
 
-// ---------------------------------------------------------------- Inductor
-
-Inductor::Inductor(std::string name, NodeId a, NodeId b, double henries)
-    : Device(std::move(name)), a_(a), b_(b), henries_(henries) {
-  if (henries <= 0.0) throw std::invalid_argument("Inductor: non-positive L");
-}
-
-void Inductor::stamp(const SimContext& ctx, Stamper& s) {
-  const int k = s.aux_row(aux_base());
-  // KCL: branch current x[k] flows a -> b through the inductor.
-  s.add_matrix(s.node_row(a_), k, 1.0);
-  s.add_matrix(s.node_row(b_), k, -1.0);
-  // Branch equation.
-  s.add_matrix(k, s.node_row(a_), 1.0);
-  s.add_matrix(k, s.node_row(b_), -1.0);
-  if (ctx.mode == AnalysisMode::kDcOperatingPoint) {
-    // v = 0 (short)
-    return;
-  }
-  assert(ctx.dt > 0.0);
-  if (ctx.method == IntegrationMethod::kTrapezoidal) {
-    // v_n + v_{n-1} = (2L/dt)(i_n - i_{n-1})
-    const double zl = 2.0 * henries_ / ctx.dt;
-    s.add_matrix(k, k, -zl);
-    s.add_rhs(k, -zl * i_prev_ - v_prev_);
-  } else {
-    const double zl = henries_ / ctx.dt;
-    s.add_matrix(k, k, -zl);
-    s.add_rhs(k, -zl * i_prev_);
-  }
-}
-
-void Inductor::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
-  const int k = s.aux_row(aux_base());
-  s.add_matrix(s.node_row(a_), k, 1.0);
-  s.add_matrix(s.node_row(b_), k, -1.0);
-  s.add_matrix(k, s.node_row(a_), 1.0);
-  s.add_matrix(k, s.node_row(b_), -1.0);
-  // v = jwL * i
-  s.add_matrix(k, k, std::complex<double>{0.0, -s.omega() * henries_});
-}
-
-void Inductor::start_transient(const SimContext& ctx,
-                               const std::vector<double>& x) {
-  i_prev_ = x[ctx.num_nodes + static_cast<std::size_t>(aux_base())];
-  v_prev_ = 0.0;  // DC operating point shorts the inductor
-}
-
-void Inductor::accept_step(const SimContext& ctx,
-                           const std::vector<double>& x) {
-  i_prev_ = x[ctx.num_nodes + static_cast<std::size_t>(aux_base())];
-  const double va = a_ == kGround ? 0.0 : x[static_cast<std::size_t>(a_)];
-  const double vb = b_ == kGround ? 0.0 : x[static_cast<std::size_t>(b_)];
-  v_prev_ = va - vb;
-}
-
 // ----------------------------------------------------------------- VSource
 
 VSource::VSource(std::string name, NodeId plus, NodeId minus,
@@ -278,57 +222,6 @@ void VSwitch::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
   // Small-signal: the switch is a resistor at its DC control bias (the
   // control-path modulation is negligible for the sensing use case).
   s.conductance(a_, b_, conductance_at(s.dc_v(ctrl_)));
-}
-
-// -------------------------------------------------------------------- Vccs
-
-Vccs::Vccs(std::string name, NodeId out_p, NodeId out_n, NodeId ctrl_p,
-           NodeId ctrl_n, double gm)
-    : Device(std::move(name)),
-      out_p_(out_p),
-      out_n_(out_n),
-      ctrl_p_(ctrl_p),
-      ctrl_n_(ctrl_n),
-      gm_(gm) {}
-
-void Vccs::stamp(const SimContext& /*ctx*/, Stamper& s) {
-  s.vccs(out_p_, out_n_, ctrl_p_, ctrl_n_, gm_);
-}
-
-void Vccs::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
-  s.vccs(out_p_, out_n_, ctrl_p_, ctrl_n_, gm_);
-}
-
-// -------------------------------------------------------------------- Vcvs
-
-Vcvs::Vcvs(std::string name, NodeId out_p, NodeId out_n, NodeId ctrl_p,
-           NodeId ctrl_n, double gain)
-    : Device(std::move(name)),
-      out_p_(out_p),
-      out_n_(out_n),
-      ctrl_p_(ctrl_p),
-      ctrl_n_(ctrl_n),
-      gain_(gain) {}
-
-void Vcvs::stamp(const SimContext& /*ctx*/, Stamper& s) {
-  const int k = s.aux_row(aux_base());
-  s.add_matrix(s.node_row(out_p_), k, 1.0);
-  s.add_matrix(s.node_row(out_n_), k, -1.0);
-  // v(out_p) - v(out_n) - gain*(v(ctrl_p) - v(ctrl_n)) = 0
-  s.add_matrix(k, s.node_row(out_p_), 1.0);
-  s.add_matrix(k, s.node_row(out_n_), -1.0);
-  s.add_matrix(k, s.node_row(ctrl_p_), -gain_);
-  s.add_matrix(k, s.node_row(ctrl_n_), gain_);
-}
-
-void Vcvs::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
-  const int k = s.aux_row(aux_base());
-  s.add_matrix(s.node_row(out_p_), k, 1.0);
-  s.add_matrix(s.node_row(out_n_), k, -1.0);
-  s.add_matrix(k, s.node_row(out_p_), 1.0);
-  s.add_matrix(k, s.node_row(out_n_), -1.0);
-  s.add_matrix(k, s.node_row(ctrl_p_), -gain_);
-  s.add_matrix(k, s.node_row(ctrl_n_), gain_);
 }
 
 }  // namespace sfc::spice

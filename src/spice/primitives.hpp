@@ -1,6 +1,6 @@
-// Linear/primitive circuit elements: resistor, capacitor, inductor,
-// independent sources, and a smooth voltage-controlled switch (the EN
-// switch in the CiM sensing circuit).
+// Linear/primitive circuit elements: resistor, capacitor, independent
+// sources, and a smooth voltage-controlled switch (the EN switch in the CiM
+// sensing circuit).
 #pragma once
 
 #include "spice/device.hpp"
@@ -71,33 +71,6 @@ class Capacitor final : public Device {
   double ic_;
   double v_prev_ = 0.0;
   double i_prev_ = 0.0;
-};
-
-class Inductor final : public Device {
- public:
-  Inductor(std::string name, NodeId a, NodeId b, double henries);
-
-  int num_aux() const override { return 1; }
-  bool is_linear() const override { return true; }
-  void stamp(const SimContext& ctx, Stamper& s) override;
-  void stamp_ac(const SimContext& ctx, AcStamper& s) override;
-  void start_transient(const SimContext& ctx,
-                       const std::vector<double>& x) override;
-  void accept_step(const SimContext& ctx,
-                   const std::vector<double>& x) override;
-  std::vector<NodeId> terminals() const override { return {a_, b_}; }
-
-  double inductance() const { return henries_; }
-
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new Inductor(*this));
-  }
-
- private:
-  NodeId a_, b_;
-  double henries_;
-  double i_prev_ = 0.0;
-  double v_prev_ = 0.0;
 };
 
 /// Independent voltage source (one auxiliary branch-current variable).
@@ -198,57 +171,6 @@ class VSwitch final : public Device {
  private:
   NodeId a_, b_, ctrl_;
   Params p_;
-};
-
-/// Linear voltage-controlled current source (SPICE G element):
-/// i(out+ -> out-) = gm * (v(ctrl+) - v(ctrl-)).
-class Vccs final : public Device {
- public:
-  Vccs(std::string name, NodeId out_p, NodeId out_n, NodeId ctrl_p,
-       NodeId ctrl_n, double gm);
-
-  bool is_linear() const override { return true; }
-  void stamp(const SimContext& ctx, Stamper& s) override;
-  void stamp_ac(const SimContext& ctx, AcStamper& s) override;
-  std::vector<NodeId> terminals() const override {
-    return {out_p_, out_n_, ctrl_p_, ctrl_n_};
-  }
-
-  double transconductance() const { return gm_; }
-
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new Vccs(*this));
-  }
-
- private:
-  NodeId out_p_, out_n_, ctrl_p_, ctrl_n_;
-  double gm_;
-};
-
-/// Linear voltage-controlled voltage source (ideal amplifier building
-/// block): v(out+) - v(out-) = gain * (v(ctrl+) - v(ctrl-)).
-class Vcvs final : public Device {
- public:
-  Vcvs(std::string name, NodeId out_p, NodeId out_n, NodeId ctrl_p,
-       NodeId ctrl_n, double gain);
-
-  int num_aux() const override { return 1; }
-  bool is_linear() const override { return true; }
-  void stamp(const SimContext& ctx, Stamper& s) override;
-  void stamp_ac(const SimContext& ctx, AcStamper& s) override;
-  std::vector<NodeId> terminals() const override {
-    return {out_p_, out_n_, ctrl_p_, ctrl_n_};
-  }
-
-  double gain() const { return gain_; }
-
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new Vcvs(*this));
-  }
-
- private:
-  NodeId out_p_, out_n_, ctrl_p_, ctrl_n_;
-  double gain_;
 };
 
 }  // namespace sfc::spice

@@ -85,22 +85,6 @@ TEST(Transient, PulseEdgesAreCaptured) {
   EXPECT_NEAR(tr.at("in", 40e-9), 0.0, 1e-9);
 }
 
-TEST(Transient, RlDecayMatchesAnalytic) {
-  // Current source charges L through R: i_L settles to source current.
-  Circuit ckt;
-  const auto out = ckt.node("out");
-  ckt.add<ISource>("I1", kGround, out, 1e-3);
-  ckt.add<Resistor>("R1", out, kGround, 100.0);
-  ckt.add<Inductor>("L1", out, kGround, 1e-5);
-  Engine engine(ckt, 27.0);
-  TransientOptions opts;
-  opts.dt = 1e-8;
-  const TransientResult tr = engine.transient(1e-6, opts);
-  ASSERT_TRUE(tr.converged);
-  // tau = L/R = 100ns; after 1us the inductor shorts the node.
-  EXPECT_NEAR(tr.final_value("out"), 0.0, 5e-3);
-}
-
 TEST(Transient, SourceEnergyMatchesCapacitorEnergyPlusLoss) {
   // Charging a cap through a resistor from an ideal source: the source
   // delivers C*V^2, half stored, half dissipated.

@@ -1,40 +1,27 @@
 // sfc_lint — static netlist analyzer (ERC/lint + semantic passes) CLI.
 //
-//   sfc_lint file.cir [--json|--sarif]   lint one deck; exit code = max
-//                                        unsuppressed severity (0 clean,
-//                                        1 note, 2 warning, 3 error)
-//   sfc_lint file.cir --baseline b.json  suppress findings fingerprinted
-//                                        in the baseline file
-//   sfc_lint file.cir --write-baseline b.json
-//                                        write the baseline covering every
-//                                        current finding and exit 0
-//   sfc_lint --list-rules                print the rule table and exit 0
+//   sfc_lint file.cir [--json]   lint one deck; exit code = max severity
+//                                (0 clean, 1 note, 2 warning, 3 error)
+//   sfc_lint --list-rules        print the rule table and exit 0
 //
 // Text output is compiler-style ("file.cir:12: error: [rule] message"),
-// --json emits the canonical report schema, --sarif a SARIF 2.1.0 log
-// (both sorted keys, stable numbers).
+// --json emits the canonical report schema (sorted keys, stable numbers).
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <string>
 
-#include "lint/baseline.hpp"
 #include "lint/linter.hpp"
 #include "lint/rules.hpp"
-#include "lint/sarif.hpp"
 
 namespace {
 
-enum class Output { kText, kJson, kSarif };
-
 int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s <deck.cir> [--json|--sarif] [--baseline <file>]\n"
-      "       %s <deck.cir> --write-baseline <file>\n"
-      "       %s --list-rules\n"
-      "exit code: 0 clean, 1 note, 2 warning, 3 error, 4 usage/io\n",
-      argv0, argv0, argv0);
+  std::fprintf(stderr,
+               "usage: %s <deck.cir> [--json]\n"
+               "       %s --list-rules\n"
+               "exit code: 0 clean, 1 note, 2 warning, 3 error, 4 usage/io\n",
+               argv0, argv0);
   return 4;
 }
 
@@ -54,26 +41,13 @@ void list_rules() {
 
 int main(int argc, char** argv) {
   std::string path;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  Output output = Output::kText;
+  bool json = false;
   for (int i = 1; i < argc; ++i) {
-    const auto flag_arg = [&](const char* name, std::string& into) {
-      if (std::strcmp(argv[i], name) != 0) return false;
-      if (i + 1 >= argc) return false;  // missing operand -> usage below
-      into = argv[++i];
-      return true;
-    };
     if (std::strcmp(argv[i], "--json") == 0) {
-      output = Output::kJson;
-    } else if (std::strcmp(argv[i], "--sarif") == 0) {
-      output = Output::kSarif;
+      json = true;
     } else if (std::strcmp(argv[i], "--list-rules") == 0) {
       list_rules();
       return 0;
-    } else if (flag_arg("--baseline", baseline_path) ||
-               flag_arg("--write-baseline", write_baseline_path)) {
-      // operand consumed
     } else if (argv[i][0] == '-') {
       return usage(argv[0]);
     } else if (path.empty()) {
@@ -85,32 +59,11 @@ int main(int argc, char** argv) {
   if (path.empty()) return usage(argv[0]);
 
   try {
-    sfc::lint::LintResult result = sfc::lint::lint_file(path);
-
-    if (!write_baseline_path.empty()) {
-      const sfc::lint::Baseline baseline =
-          sfc::lint::Baseline::from_report(result.report);
-      sfc::verify::write_json_file(write_baseline_path, baseline.to_json());
-      std::fprintf(stderr, "sfc_lint: wrote baseline with %zu finding(s) to %s\n",
-                   baseline.entries().size(), write_baseline_path.c_str());
-      return 0;
-    }
-    if (!baseline_path.empty()) {
-      const sfc::lint::Baseline baseline =
-          sfc::lint::Baseline::load(baseline_path);
-      sfc::lint::apply_baseline(result.report, baseline);
-    }
-
-    switch (output) {
-      case Output::kJson:
-        std::printf("%s\n", result.report.to_json(path).dump(2).c_str());
-        break;
-      case Output::kSarif:
-        std::printf("%s\n", sfc::lint::to_sarif(result.report, path).dump(2).c_str());
-        break;
-      case Output::kText:
-        std::fputs(result.report.to_text(path).c_str(), stdout);
-        break;
+    const sfc::lint::LintResult result = sfc::lint::lint_file(path);
+    if (json) {
+      std::printf("%s\n", result.report.to_json(path).dump(2).c_str());
+    } else {
+      std::fputs(result.report.to_text(path).c_str(), stdout);
     }
     return result.report.exit_code();
   } catch (const std::exception& e) {

@@ -12,11 +12,6 @@
 //       Validate a --metrics snapshot (trace registry dump): schema, and —
 //       with --golden — that the non-timing counter/histogram key sets
 //       exactly match the golden (metric-name stability gate).
-//   verify_runner check-sarif PATH [--keys GOLDEN]
-//       Validate an sfc_lint --sarif log: SARIF 2.1.0 shape, unique rule
-//       ids, legal result levels. With --keys, the object key sets and
-//       the rule-id list must exactly match the golden (CI contract for
-//       SARIF consumers).
 //
 // Every subcommand also accepts --trace OUT.json / --metrics OUT.json (or
 // --trace=OUT.json / --metrics=OUT.json): span-trace the run itself
@@ -26,7 +21,6 @@
 // Exit status 0 = everything passed, 1 = a verification failure,
 // 2 = usage / IO error, including an observability output that could not
 // be written.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,7 +45,6 @@ int usage() {
                "       verify_runner oracle [--case NAME]\n"
                "       verify_runner fuzz [--count N] [--seed S] [--dump DIR]\n"
                "       verify_runner check-metrics PATH [--golden GOLDEN]\n"
-               "       verify_runner check-sarif PATH [--keys GOLDEN]\n"
                "(any subcommand: --trace OUT.json --metrics OUT.json)\n");
   return 2;
 }
@@ -208,154 +201,6 @@ int cmd_check_metrics(std::vector<const char*> args) {
   return 0;
 }
 
-/// Schema + key-set contract for sfc_lint --sarif logs (SARIF 2.1.0
-/// subset). Structure checks always run; --keys additionally pins the
-/// exact object key sets and the rule-id list so downstream SARIF
-/// consumers (CI upload, IDE ingestion) see a stable contract.
-int cmd_check_sarif(std::vector<const char*> args) {
-  const char* keys_flag = flag_value(args, "--keys");
-  if (args.size() != 1) return usage();
-  Json j;
-  try {
-    j = sfc::verify::read_json_file(args[0]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "check-sarif: %s\n", e.what());
-    return 2;
-  }
-  Json golden;
-  if (keys_flag) {
-    try {
-      golden = sfc::verify::read_json_file(keys_flag);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "check-sarif: %s: %s\n", keys_flag, e.what());
-      return 2;
-    }
-  }
-  std::vector<std::string> problems;
-  const auto require = [&](bool ok, const std::string& what) {
-    if (!ok) problems.push_back(what);
-    return ok;
-  };
-  // Json objects are sorted maps, so key lists compare deterministically.
-  const auto keys_of = [](const Json& o) {
-    std::vector<std::string> keys;
-    for (const auto& [key, value] : o.as_object()) keys.push_back(key);
-    return keys;
-  };
-  const auto check_keys = [&](const Json& o, const char* section) {
-    if (!keys_flag) return;
-    const auto have = keys_of(o);
-    const auto want = golden.strings_at(section);
-    if (have != want) {
-      std::string msg = std::string(section) + " drifted from golden; have:";
-      for (const auto& k : have) msg += " " + k;
-      problems.push_back(msg);
-    }
-  };
-  try {
-    if (require(j.is_object(), "root must be an object")) {
-      require(j.has("version") && j.get("version").is_string() &&
-                  j.get("version").as_string() == "2.1.0",
-              "'version' must be the string \"2.1.0\"");
-      require(j.has("$schema") && j.get("$schema").is_string(),
-              "missing string '$schema'");
-      check_keys(j, "root_keys");
-    }
-    if (require(j.is_object() && j.has("runs") && j.get("runs").is_array() &&
-                    j.get("runs").as_array().size() == 1,
-                "'runs' must be an array with exactly one run")) {
-      const Json& run = j.get("runs").as_array()[0];
-      require(run.is_object(), "run must be an object");
-      check_keys(run, "run_keys");
-      const bool has_driver = run.is_object() && run.has("tool") &&
-                              run.get("tool").is_object() &&
-                              run.get("tool").has("driver") &&
-                              run.get("tool").get("driver").is_object();
-      require(has_driver, "run must carry tool.driver");
-      std::vector<std::string> rule_ids;
-      if (has_driver) {
-        const Json& driver = run.get("tool").get("driver");
-        require(driver.has("name") && driver.get("name").is_string() &&
-                    driver.get("name").as_string() == "sfc_lint",
-                "driver name must be 'sfc_lint'");
-        require(driver.has("version") && driver.get("version").is_string(),
-                "driver missing string 'version'");
-        check_keys(driver, "driver_keys");
-        if (require(driver.has("rules") && driver.get("rules").is_array() &&
-                        !driver.get("rules").as_array().empty(),
-                    "driver must carry a non-empty 'rules' array")) {
-          for (const Json& rule : driver.get("rules").as_array()) {
-            if (!rule.is_object() || !rule.has("id") ||
-                !rule.get("id").is_string()) {
-              problems.push_back("rule entry must be an object with id");
-              continue;
-            }
-            const std::string id = rule.get("id").as_string();
-            if (std::find(rule_ids.begin(), rule_ids.end(), id) !=
-                rule_ids.end()) {
-              problems.push_back("duplicate rule id '" + id + "'");
-            }
-            rule_ids.push_back(id);
-            require(rule.has("shortDescription") &&
-                        rule.get("shortDescription").is_object() &&
-                        rule.get("shortDescription").has("text"),
-                    "rule '" + id + "' missing shortDescription.text");
-            check_keys(rule, "rule_keys");
-          }
-          if (keys_flag && rule_ids != golden.strings_at("rule_ids")) {
-            std::string msg = "rule id list drifted from golden; have:";
-            for (const auto& id : rule_ids) msg += " " + id;
-            problems.push_back(msg);
-          }
-        }
-      }
-      if (require(run.is_object() && run.has("results") &&
-                      run.get("results").is_array(),
-                  "run must carry a 'results' array")) {
-        const auto allowed =
-            keys_flag ? golden.strings_at("result_keys_allowed")
-                      : std::vector<std::string>{};
-        for (const Json& res : run.get("results").as_array()) {
-          if (!require(res.is_object(), "result must be an object")) continue;
-          require(res.has("ruleId") && res.get("ruleId").is_string() &&
-                      (rule_ids.empty() ||
-                       std::find(rule_ids.begin(), rule_ids.end(),
-                                 res.get("ruleId").as_string()) !=
-                           rule_ids.end()),
-                  "result ruleId must name a declared rule");
-          const bool level_ok =
-              res.has("level") && res.get("level").is_string() &&
-              (res.get("level").as_string() == "note" ||
-               res.get("level").as_string() == "warning" ||
-               res.get("level").as_string() == "error");
-          require(level_ok, "result level must be note|warning|error");
-          require(res.has("message") && res.get("message").is_object() &&
-                      res.get("message").has("text"),
-                  "result missing message.text");
-          if (keys_flag) {
-            for (const auto& key : keys_of(res)) {
-              require(std::find(allowed.begin(), allowed.end(), key) !=
-                          allowed.end(),
-                      "result key '" + key + "' not in golden allow-list");
-            }
-          }
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    problems.push_back(e.what());
-  }
-  if (!problems.empty()) {
-    for (const auto& p : problems) {
-      std::fprintf(stderr, "check-sarif: %s: %s\n", args[0], p.c_str());
-    }
-    return 1;
-  }
-  std::printf("check-sarif: %s: %s\n", args[0],
-              keys_flag ? "SARIF shape and key sets OK" : "SARIF shape OK");
-  return 0;
-}
-
 /// Dispatch one subcommand; returns the exit status.
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
@@ -366,7 +211,6 @@ int run(int argc, char** argv) {
     if (cmd == "oracle") return cmd_oracle(std::move(args));
     if (cmd == "fuzz") return cmd_fuzz(std::move(args));
     if (cmd == "check-metrics") return cmd_check_metrics(std::move(args));
-    if (cmd == "check-sarif") return cmd_check_sarif(std::move(args));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "verify_runner %s: %s\n", cmd.c_str(), e.what());
     return 2;
