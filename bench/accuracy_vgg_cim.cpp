@@ -139,9 +139,14 @@ int main() {
     nn::CimDotEngine::Options opts;
     opts.temperature_c = 27.0;
     opts.with_variation_noise = true;
+    // Rows fan out over the cores; the per-row noise streams keep the
+    // result bit-identical to a serial pass. The noiseless passes stay
+    // serial: a fork per dot_batch costs more than their rows.
+    opts.exec.threads = 0;
     nn::CimDotEngine engine(proposed, opts);
-    // The per-row noise draw bypasses the popcount fast path, so this
-    // pass is ~50x slower per image; a smaller split suffices.
+    // The per-row noise draw bypasses the popcount fast path, so on a
+    // 4-vCPU host this pass is still ~8x slower per image than a noiseless
+    // one (0.56 s against 0.07 s); a smaller split suffices.
     const double acc = qnet.evaluate(test, engine, 60);
     table.add_row({"2T-1FeFET (proposed)", "27", "sigma=54mV",
                    util::fmt_percent(acc).substr(1),

@@ -117,16 +117,18 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
   --metrics "${NOTRACE_DIR}/metrics_oracle.json"
 "${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_oracle.json"
 
-step "UBSan pass (ctest -L \"spice|verify|lint|trace\" under -fsanitize=undefined)"
+step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
 # _GLIBCXX_ASSERTIONS bounds-checks every std::vector / std::optional
 # access, so an out-of-range index aborts here instead of reading garbage.
+# nn covers CimDotEngine's noise-shortcut floors and dot_batch's span
+# bounds.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace" \
+ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn" \
   --output-on-failure -j "${JOBS}"
 # The interval-oracle fuzz campaign under UBSan: the outward-rounding
 # interval arithmetic and the fixpoint engine must be UB-free on 200

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <span>
-#include <cassert>
+#include <stdexcept>
 #include <vector>
 
 #include "exec/stream.hpp"
@@ -37,19 +39,49 @@ std::uint64_t weight_fingerprint(std::span<const std::int8_t> w) {
   return h;
 }
 
+/// Floor on Box-Muller's u1 above which v + (0.0 + sigma * z) decodes as v
+/// does: u1 > exp(-r^2/2) gives |z| <= sqrt(-2 ln u1) < r, and
+/// r = (1 - 1e-6) * gap / sigma keeps |sigma * z| below the distance from v
+/// to the nearest threshold. The 1e-6 margin covers the few-ulp rounding of
+/// exp, log, sqrt, cos/sin and the products. A gap whose margin cannot also
+/// cover the rounding of the final addition (epsilon * |v|), zero
+/// included, never takes the shortcut; nor does a NaN floor.
+double shortcut_u1_floor(double v, double sigma,
+                         const std::vector<double>& thresholds) {
+  if (sigma == 0.0) return 0.0;  // v + (0.0 + 0 * z) is v exactly
+  double gap = std::numeric_limits<double>::infinity();
+  for (double th : thresholds) gap = std::min(gap, std::fabs(v - th));
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  if (!(1e-6 * gap > kEps * std::fabs(v))) return 1.0;
+  const double r = (1.0 - 1e-6) * gap / sigma;
+  return std::exp(-0.5 * r * r);
+}
+
 }  // namespace
 
 CimDotEngine::CimDotEngine(const sfc::cim::BehavioralArrayModel& model,
                            Options opts)
     : model_(model), opts_(opts) {
-  assert(model_.cells() == 8 && "bit-serial mapping expects 8-cell rows");
-  assert(opts.activation_bits >= 2 && opts.activation_bits <= 8);
-  assert(opts.weight_bits >= 2 && opts.weight_bits <= 8);
+  // levels_ holds one entry per count 0..8 of an 8-cell row.
+  if (model_.cells() != 8) {
+    throw std::invalid_argument(
+        "CimDotEngine: bit-serial mapping expects 8-cell rows");
+  }
+  if (opts.activation_bits < 2 || opts.activation_bits > 8 ||
+      opts.weight_bits < 2 || opts.weight_bits > 8) {
+    throw std::invalid_argument(
+        "CimDotEngine: activation and weight bits must lie in 2..8");
+  }
   act_bits_ = opts.activation_bits;
   weight_mag_bits_ = opts.weight_bits - 1;
   for (int k = 0; k <= 8; ++k) {
-    decoded_[k] = model_.mac(k, opts_.temperature_c, nullptr);
-    if (decoded_[k] != k) any_miscount_ = true;
+    Level& level = levels_[k];
+    level.v = model_.v_acc(k, opts_.temperature_c);
+    level.sigma = model_.sigma(k);
+    level.decoded = model_.decode(level.v);
+    level.u1_floor =
+        shortcut_u1_floor(level.v, level.sigma, model_.thresholds());
+    if (level.decoded != k) any_miscount_ = true;
   }
 }
 
@@ -121,21 +153,28 @@ std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
     }
     return total;
   }
+  std::int64_t misses = 0;
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t counts = byte_popcounts(a_plane[i] & w_plane[i]);
     for (int b = 0; b < 8; ++b) {
       const int true_count = static_cast<int>(counts & 0xff);
       counts >>= 8;
-      int digital;
+      const Level& level = levels_[true_count];
+      int digital = level.decoded;
       if (rng != nullptr) {
-        digital = model_.mac(true_count, opts_.temperature_c, rng);
-      } else {
-        digital = decoded_[true_count];
+        // The draw mac() would take; its deviate can only move the decode
+        // when u1 is at or below the level's floor.
+        const sfc::util::Rng::NormalDraw draw = rng->normal_draw();
+        if (!(draw.u1 > level.u1_floor)) {
+          digital =
+              model_.decode(level.v + (0.0 + level.sigma * draw.value()));
+        }
       }
-      if (digital != true_count) ++*errors;
+      if (digital != true_count) ++misses;
       total += digital;
     }
   }
+  *errors += misses;
   return total;
 }
 
@@ -162,7 +201,9 @@ std::int64_t CimDotEngine::row_result(const WeightPlanes& wp,
 
 std::int64_t CimDotEngine::dot(std::span<const std::uint8_t> a,
                                std::span<const std::int8_t> w) {
-  assert(a.size() == w.size());
+  if (a.size() != w.size()) {
+    throw std::invalid_argument("CimDotEngine::dot: length mismatch");
+  }
   std::int64_t result = 0;
   dot_batch(a, w, w.size(), 1, &result);
   return result;
@@ -173,13 +214,17 @@ void CimDotEngine::dot_batch(std::span<const std::uint8_t> a,
                              std::size_t row_stride, std::size_t rows,
                              std::int64_t* out) {
   if (rows == 0) return;
+  if (weights.size() < a.size() ||
+      (rows > 1 && row_stride > (weights.size() - a.size()) / (rows - 1))) {
+    throw std::invalid_argument(
+        "CimDotEngine::dot_batch: weight span shorter than its rows");
+  }
   SFC_TRACE_SPAN("cim.dot_batch");
   SFC_TRACE_COUNT("cim.dot.batches", 1);
   SFC_TRACE_COUNT("cim.dot.rows", rows);
   SFC_TRACE_COUNT("cim.dot.row_ops",
                   static_cast<std::uint64_t>(act_bits_) * weight_mag_bits_ * 2 *
                       ((a.size() + 7) / 8) * rows);
-  assert(weights.size() >= (rows - 1) * row_stride + a.size());
   pack_activations(a);
 
   // The plane cache is shared mutable state, so resolve every row's planes

@@ -12,7 +12,8 @@
 //
 // The row primitive itself is the calibrated BehavioralArrayModel, so
 // temperature drift and (optional) process-variation noise corrupt the MAC
-// counts exactly as the analog array would.
+// counts exactly as the analog array would: a noisy row op returns what
+// BehavioralArrayModel::mac(count, T, &rng) returns, draw for draw.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +42,17 @@ class CimDotEngine final : public DotEngine {
     sfc::exec::ExecPolicy exec;
   };
 
+  /// Throws std::invalid_argument unless the model has 8-cell rows and
+  /// both wordlengths lie in 2..8.
   CimDotEngine(const sfc::cim::BehavioralArrayModel& model, Options opts);
 
   /// A one-row dot_batch: it takes the next noise row and counts its row
-  /// ops and decode errors like any batch row.
+  /// ops and decode errors like any batch row. Throws
+  /// std::invalid_argument when a and w differ in length.
   std::int64_t dot(std::span<const std::uint8_t> a,
                    std::span<const std::int8_t> w) override;
+  /// Throws std::invalid_argument when `weights` is shorter than
+  /// (rows - 1) * row_stride + a.size().
   void dot_batch(std::span<const std::uint8_t> a,
                  std::span<const std::int8_t> weights, std::size_t row_stride,
                  std::size_t rows, std::int64_t* out) override;
@@ -63,6 +69,17 @@ class CimDotEngine final : public DotEngine {
   double temperature_c() const { return opts_.temperature_c; }
 
  private:
+  /// What a row op of true count k reads out at the engine temperature.
+  struct Level {
+    double v = 0.0;      ///< v_acc(k, T)
+    double sigma = 0.0;  ///< the model's process-variation sigma
+    /// A noise draw whose u1 exceeds this floor keeps v + sigma * z inside
+    /// k's decode interval, so it decodes to `decoded` without evaluating
+    /// z (DESIGN.md, "RNG stream splitting").
+    double u1_floor = 0.0;
+    int decoded = 0;     ///< noiseless decode of v
+  };
+
   struct WeightPlanes {
     std::size_t length = 0;           ///< element count
     std::uint64_t fingerprint = 0;    ///< sampled content hash (staleness)
@@ -93,9 +110,7 @@ class CimDotEngine final : public DotEngine {
   std::int64_t row_ops_ = 0;
   std::int64_t row_errors_ = 0;
 
-  /// Digital MAC result per true count 0..8 at the engine temperature
-  /// (exactly the decoded LUT when noise is off).
-  int decoded_[9] = {0};
+  Level levels_[9];            ///< per true count 0..8
   bool any_miscount_ = false;  ///< fast path: all counts decode exactly
 
   int act_bits_ = 8;

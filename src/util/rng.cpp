@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -26,23 +22,6 @@ Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -60,21 +39,10 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return x % n;
 }
 
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
+double Rng::NormalDraw::value() const {
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double angle = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(angle);
-  has_cached_normal_ = true;
-  return radius * std::cos(angle);
+  return radius * (second ? std::sin(angle) : std::cos(angle));
 }
 
 double Rng::normal(double mean, double sigma) {

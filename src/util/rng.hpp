@@ -17,10 +17,23 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Uniform 64-bit integer.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -28,8 +41,33 @@ class Rng {
   /// Uniform integer in [0, n).  n must be > 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
-  /// Standard normal via Box-Muller (cached second deviate).
-  double normal();
+  /// One standard-normal draw with Box-Muller's transcendentals deferred
+  /// to value(). normal() is normal_draw().value().
+  struct NormalDraw {
+    double u1 = 1.0;      ///< in (0, 1); |value()| <= sqrt(-2 ln u1)
+    double u2 = 0.0;      ///< in [0, 1); the angle is 2 pi u2
+    bool second = false;  ///< the pair's sine deviate, else its cosine
+    double value() const;
+  };
+
+  /// Advances the stream exactly as normal() does. A pair of draws shares
+  /// one (u1, u2): u1 with zero rejected, then u2.
+  NormalDraw normal_draw() {
+    if (has_pair_) {
+      has_pair_ = false;
+      return {pair_u1_, pair_u2_, true};
+    }
+    do {
+      pair_u1_ = uniform();
+    } while (pair_u1_ <= 0.0);
+    pair_u2_ = uniform();
+    has_pair_ = true;
+    return {pair_u1_, pair_u2_, false};
+  }
+
+  /// Standard normal via Box-Muller: the cosine deviate of a fresh
+  /// (u1, u2), then the sine deviate of the same pair.
+  double normal() { return normal_draw().value(); }
 
   /// Normal with given mean / standard deviation.
   double normal(double mean, double sigma);
@@ -44,9 +82,14 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
+  bool has_pair_ = false;  ///< (pair_u1_, pair_u2_) owes its sine deviate
+  double pair_u1_ = 1.0;
+  double pair_u2_ = 0.0;
 };
 
 }  // namespace sfc::util

@@ -4,9 +4,13 @@
 // and noise must corrupt it in controlled ways.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "cim/behavioral.hpp"
+#include "exec/stream.hpp"
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
 #include "nn/vgg.hpp"
@@ -52,6 +56,109 @@ struct TrainedFixture {
 TrainedFixture& fixture() {
   static TrainedFixture f;
   return f;
+}
+
+/// The proposed row calibrated with a sigma_VT = 54 mV Monte Carlo.
+const sfc::cim::BehavioralArrayModel& noisy_model() {
+  static const sfc::cim::BehavioralArrayModel model = [] {
+    sfc::cim::MonteCarloConfig mc;
+    mc.runs = 4;
+    mc.sigma_vt_fefet = 0.054;
+    return sfc::cim::BehavioralArrayModel::calibrate(
+        sfc::cim::ArrayConfig::proposed_2t1fefet(), {27.0}, &mc);
+  }();
+  return model;
+}
+
+/// An 8-cell model at one temperature (27 degC) with the given levels and
+/// one sigma for all of them.
+sfc::cim::BehavioralArrayModel text_model(const std::vector<double>& levels,
+                                          double sigma) {
+  std::string text = "sfc-behavioral-v1\n" +
+                     std::to_string(levels.size() - 1) + " 27 1\n27\n";
+  for (double v : levels) text += std::to_string(v) + ' ';
+  text += '\n';
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    text += std::to_string(sigma) + ' ';
+  }
+  return sfc::cim::BehavioralArrayModel::from_text(text + '\n');
+}
+
+/// Evenly spaced levels: every count decodes exactly.
+const std::vector<double> kEvenLevels = {0.10, 0.15, 0.20, 0.25, 0.30,
+                                         0.35, 0.40, 0.45, 0.50};
+
+/// Activations and weights with many all-ones planes, so that 8-element
+/// groups reach every count 0..8 on both the positive and the negative
+/// weight planes; the sign changes only between groups.
+void ones_heavy_inputs(std::size_t len, std::uint64_t seed,
+                       std::vector<std::uint8_t>* a,
+                       std::vector<std::int8_t>* w) {
+  sfc::util::Rng rng(seed);
+  a->resize(len);
+  w->resize(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    (*a)[i] = rng.bernoulli(0.7)
+                  ? 255
+                  : static_cast<std::uint8_t>(rng.uniform_index(256));
+    const int mag = rng.bernoulli(0.7)
+                        ? 127
+                        : static_cast<int>(rng.uniform_index(128));
+    (*w)[i] = static_cast<std::int8_t>((i / 8) % 3 == 1 ? -mag : mag);
+  }
+}
+
+struct ReplayedRow {
+  std::int64_t result = 0;
+  std::int64_t errors = 0;
+};
+
+/// One noisy row as BehavioralArrayModel::mac computes it, in the engine's
+/// loop order: activation plane p, weight plane q, the positive then the
+/// negative magnitudes, then 64-element words and their 8-element groups.
+/// Row 0 of an engine draws from stream (noise_seed, 0).
+ReplayedRow replay_row(const sfc::cim::BehavioralArrayModel& model,
+                       const CimDotEngine::Options& opts,
+                       const std::vector<std::uint8_t>& a,
+                       const std::vector<std::int8_t>& w) {
+  sfc::util::Rng rng = sfc::exec::stream_rng(opts.noise_seed, 0);
+  ReplayedRow row;
+  const std::size_t groups = (a.size() + 63) / 64 * 8;
+  for (int p = 0; p < 8; ++p) {
+    for (int q = 0; q < 7; ++q) {
+      for (const int sign : {1, -1}) {
+        std::int64_t sum = 0;
+        for (std::size_t g = 0; g < groups; ++g) {
+          int count = 0;
+          for (std::size_t e = g * 8; e < std::min(a.size(), g * 8 + 8); ++e) {
+            const int wv = w[e];
+            count += ((a[e] >> p) & 1) && wv * sign > 0 &&
+                     (((wv * sign) >> q) & 1);
+          }
+          const int digital = model.mac(count, opts.temperature_c, &rng);
+          row.errors += digital != count;
+          sum += digital;
+        }
+        row.result += sign * (sum << (p + q));
+      }
+    }
+  }
+  return row;
+}
+
+/// dot() on a fresh noisy engine equals replay_row, result and row errors.
+ReplayedRow expect_replays_mac(const sfc::cim::BehavioralArrayModel& model,
+                               const std::vector<std::uint8_t>& a,
+                               const std::vector<std::int8_t>& w) {
+  CimDotEngine::Options opts;
+  opts.with_variation_noise = true;
+  opts.noise_seed = 11;
+  CimDotEngine engine(model, opts);
+  const std::int64_t got = engine.dot(a, w);
+  const ReplayedRow want = replay_row(model, opts, a, w);
+  EXPECT_EQ(got, want.result);
+  EXPECT_EQ(engine.row_errors(), want.errors);
+  return want;
 }
 
 TEST(IdealDotEngine, ExactIntegerDot) {
@@ -196,12 +303,7 @@ TEST(CimEngine, MiscountingArrayCorruptsDots) {
 }
 
 TEST(CimEngine, NoiseDrawsAreDeterministicPerSeed) {
-  sfc::cim::MonteCarloConfig mc;
-  mc.runs = 4;
-  mc.sigma_vt_fefet = 0.054;
-  static const sfc::cim::BehavioralArrayModel model =
-      sfc::cim::BehavioralArrayModel::calibrate(
-          sfc::cim::ArrayConfig::proposed_2t1fefet(), {27.0}, &mc);
+  const auto& model = noisy_model();
   CimDotEngine::Options opts;
   opts.with_variation_noise = true;
   opts.noise_seed = 5;
@@ -215,12 +317,7 @@ TEST(CimEngine, NoiseDrawsAreDeterministicPerSeed) {
 // noise rows, and count the same row ops and decode errors, as one
 // two-row batch on a fresh engine.
 TEST(CimEngine, DotIsOneRowBatch) {
-  sfc::cim::MonteCarloConfig mc;
-  mc.runs = 4;
-  mc.sigma_vt_fefet = 0.054;
-  static const sfc::cim::BehavioralArrayModel model =
-      sfc::cim::BehavioralArrayModel::calibrate(
-          sfc::cim::ArrayConfig::proposed_2t1fefet(), {27.0}, &mc);
+  const auto& model = noisy_model();
   CimDotEngine::Options opts;
   opts.with_variation_noise = true;
   opts.noise_seed = 7;
@@ -244,6 +341,89 @@ TEST(CimEngine, DotIsOneRowBatch) {
   EXPECT_EQ(by_dot.row_ops(), by_batch.row_ops());
   EXPECT_EQ(by_dot.row_errors(), by_batch.row_errors());
   EXPECT_GT(by_dot.row_errors(), 0);  // the noise moved some counts
+}
+
+// The noisy row op returns what BehavioralArrayModel::mac returns, draw
+// for draw, whether or not the draw can move the decode.
+TEST(CimEngine, NoisyRowReplaysModelMac) {
+  std::vector<std::uint8_t> a;
+  std::vector<std::int8_t> w;
+  ones_heavy_inputs(200, 12, &a, &w);
+  const ReplayedRow row = expect_replays_mac(noisy_model(), a, w);
+  EXPECT_GT(row.errors, 0);  // the noise moved some counts
+}
+
+// sigma = 0 (no variation calibrated): every draw keeps its level, so a
+// noisy row equals the noiseless one, and both replay mac().
+TEST(CimEngine, ZeroSigmaNoisyRowIsNoiseless) {
+  static const sfc::cim::BehavioralArrayModel model =
+      sfc::cim::BehavioralArrayModel::calibrate(
+          sfc::cim::ArrayConfig::proposed_2t1fefet(), {27.0});
+  std::vector<std::uint8_t> a;
+  std::vector<std::int8_t> w;
+  ones_heavy_inputs(200, 12, &a, &w);
+  CimDotEngine clean(model, {});
+  const ReplayedRow noisy = expect_replays_mac(model, a, w);
+  EXPECT_EQ(noisy.result, clean.dot(a, w));
+  EXPECT_EQ(noisy.errors, 0);
+}
+
+// Design levels 3 and 4 coincide, so their threshold sits on both levels
+// (a zero gap): counts 3 and 4 always evaluate the deviate, and about half
+// of their draws cross the threshold.
+TEST(CimEngine, ZeroGapLevelsReplayModelMac) {
+  const auto model = text_model(
+      {0.10, 0.15, 0.20, 0.25, 0.25, 0.35, 0.40, 0.45, 0.50}, 0.004);
+  ASSERT_EQ(model.thresholds()[3], 0.25);
+  std::vector<std::uint8_t> a;
+  std::vector<std::int8_t> w;
+  ones_heavy_inputs(200, 22, &a, &w);
+  const ReplayedRow row = expect_replays_mac(model, a, w);
+  EXPECT_GT(row.errors, 0);
+}
+
+TEST(CimEngine, RejectsRowsOtherThanEightCells) {
+  const auto four_cells = text_model({0.1, 0.2, 0.3, 0.4, 0.5}, 0.0);
+  EXPECT_THROW(CimDotEngine(four_cells, {}), std::invalid_argument);
+}
+
+TEST(CimEngine, RejectsWordlengthsOutsideTwoToEight) {
+  const auto model = text_model(kEvenLevels, 0.0);
+  for (const int bits : {1, 9}) {
+    CimDotEngine::Options opts;
+    opts.activation_bits = bits;
+    EXPECT_THROW(CimDotEngine(model, opts), std::invalid_argument) << bits;
+    opts = {};
+    opts.weight_bits = bits;
+    EXPECT_THROW(CimDotEngine(model, opts), std::invalid_argument) << bits;
+  }
+  CimDotEngine::Options opts;
+  opts.activation_bits = 2;
+  opts.weight_bits = 2;
+  EXPECT_NO_THROW(CimDotEngine(model, opts));
+}
+
+TEST(CimEngine, DotRejectsLengthMismatch) {
+  const auto model = text_model(kEvenLevels, 0.0);
+  CimDotEngine engine(model, {});
+  const std::vector<std::uint8_t> a(16, 255);
+  const std::vector<std::int8_t> w(15, 127);
+  EXPECT_THROW(engine.dot(a, w), std::invalid_argument);
+  EXPECT_EQ(engine.row_ops(), 0);
+}
+
+TEST(CimEngine, BatchRejectsShortWeightSpan) {
+  const auto model = text_model(kEvenLevels, 0.0);
+  CimDotEngine engine(model, {});
+  const std::vector<std::uint8_t> a(16, 255);
+  const std::vector<std::int8_t> w(3 * 16, 127);
+  std::int64_t out[3] = {0, 0, 0};
+  const std::span<const std::int8_t> rows(w);
+  EXPECT_THROW(engine.dot_batch(a, rows.first(w.size() - 1), 16, 3, out),
+               std::invalid_argument);
+  EXPECT_EQ(engine.row_ops(), 0);
+  engine.dot_batch(a, rows, 16, 3, out);
+  EXPECT_EQ(out[2], 16LL * 255 * 127);
 }
 
 }  // namespace
