@@ -144,9 +144,10 @@ int main() {
     // serial: a fork per dot_batch costs more than their rows.
     opts.exec.threads = 0;
     nn::CimDotEngine engine(proposed, opts);
-    // The per-row noise draw bypasses the popcount fast path, so on a
-    // 4-vCPU host this pass is still ~8x slower per image than a noiseless
-    // one (0.56 s against 0.07 s); a smaller split suffices.
+    // A noiseless row on this fabric is one integer dot, while a noisy
+    // one draws per 8-cell group, so on a 4-vCPU host this pass is ~50x
+    // slower per image than a noiseless one (0.37 s against 0.007 s); a
+    // smaller split suffices.
     const double acc = qnet.evaluate(test, engine, 60);
     table.add_row({"2T-1FeFET (proposed)", "27", "sigma=54mV",
                    util::fmt_percent(acc).substr(1),

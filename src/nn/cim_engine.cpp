@@ -1,7 +1,6 @@
 #include "nn/cim_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -14,6 +13,9 @@
 namespace sfc::nn {
 namespace {
 
+constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
+
 /// SWAR per-byte popcount: returns a word whose every byte holds the
 /// popcount (0..8) of the corresponding input byte.
 std::uint64_t byte_popcounts(std::uint64_t x) {
@@ -21,6 +23,56 @@ std::uint64_t byte_popcounts(std::uint64_t x) {
   x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
   x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
   return x;
+}
+
+/// Transposes an 8x8 bit matrix: bit p of byte j moves to bit j of byte
+/// p. With element j of a group in byte j, byte p then holds the group's
+/// bit plane p.
+std::uint64_t transpose_bits(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00aa00aa00aa00aaULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000cccc0000ccccULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000f0f0f0f0ULL;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+/// What the bit planes of an activation and a weight encode: the
+/// activation's low `a_mask` bits times the weight's sign and its
+/// magnitude's low `w_mask` bits. w = -128 at 8 bits has magnitude 128 and
+/// contributes 0, as it has no magnitude plane. Computed in 8-bit lanes:
+/// |-128| wraps to 0x80, whose low 7 bits are 0.
+std::int32_t masked_product(std::uint8_t a, std::int8_t w, std::uint8_t a_mask,
+                            std::int8_t w_mask) {
+  const auto sign = static_cast<std::int8_t>(w >> 7);  // 0 or -1
+  const auto mag =
+      static_cast<std::int8_t>(static_cast<std::int8_t>((w ^ sign) - sign) &
+                               w_mask);
+  const auto weight = static_cast<std::int8_t>((mag ^ sign) - sign);
+  return static_cast<std::int32_t>(a & a_mask) * weight;
+}
+
+/// The integer dot product of a and w under the wordlength masks, the sum
+/// of every row op's true count weighted by +-2^(p+q). Blocks of 16 keep
+/// the partial sums in 32 bits (16 * 255 * 127 fits) and give the
+/// compiler a fixed trip count to vectorize.
+std::int64_t masked_dot(std::span<const std::uint8_t> a,
+                        std::span<const std::int8_t> w, std::uint8_t a_mask,
+                        std::int8_t w_mask) {
+  constexpr std::size_t kBlock = 16;
+  const std::size_t n = a.size();
+  std::int64_t total = 0;
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::int32_t block = 0;
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      block += masked_product(a[i + j], w[i + j], a_mask, w_mask);
+    }
+    total += block;
+  }
+  for (; i < n; ++i) total += masked_product(a[i], w[i], a_mask, w_mask);
+  return total;
 }
 
 /// Cheap content fingerprint over <= 16 sampled elements; guards the
@@ -83,6 +135,17 @@ CimDotEngine::CimDotEngine(const sfc::cim::BehavioralArrayModel& model,
         shortcut_u1_floor(level.v, level.sigma, model_.thresholds());
     if (level.decoded != k) any_miscount_ = true;
   }
+  // delta(k) = decoded(k) - k changes value only at its steps.
+  zero_misdecodes_ = levels_[0].decoded != 0;
+  for (int k = 1; k <= 8; ++k) {
+    const int delta = levels_[k].decoded - k;
+    const int prev = levels_[k - 1].decoded - (k - 1);
+    if (delta == prev) continue;
+    DecodeStep& step = steps_[n_steps_++];
+    step.bias = (0x80 - static_cast<std::uint64_t>(k)) * kByteOnes;
+    step.delta = delta - prev;
+    step.errors = (delta != 0) - (prev != 0);
+  }
 }
 
 const CimDotEngine::WeightPlanes& CimDotEngine::planes_for(
@@ -121,38 +184,86 @@ const CimDotEngine::WeightPlanes& CimDotEngine::planes_for(
 
 void CimDotEngine::pack_activations(std::span<const std::uint8_t> a) {
   const std::size_t words = (a.size() + 63) / 64;
-  if (a_words_ != words) {
-    a_planes_.assign(static_cast<std::size_t>(act_bits_) * words, 0);
-    a_words_ = words;
-  } else {
-    std::fill(a_planes_.begin(), a_planes_.end(), 0);
-  }
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    const unsigned v = a[e];
-    if (v == 0) continue;
-    const std::size_t word = e >> 6;
-    const std::uint64_t bit = 1ULL << (e & 63);
-    for (int p = 0; p < act_bits_; ++p) {
-      if ((v >> p) & 1u) {
-        a_planes_[static_cast<std::size_t>(p) * words + word] |= bit;
+  a_planes_.resize(static_cast<std::size_t>(act_bits_) * words);
+  // Zero-padded to whole words, so every 8-element group is complete.
+  a_padded_.assign(words * 64, 0);
+  std::copy(a.begin(), a.end(), a_padded_.begin());
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t planes[8] = {};
+    for (std::size_t g = 0; g < 8; ++g) {
+      const std::uint8_t* group = a_padded_.data() + i * 64 + g * 8;
+      std::uint64_t bytes = 0;  // element j of the group in byte j
+      for (int j = 0; j < 8; ++j) {
+        bytes |= static_cast<std::uint64_t>(group[j]) << (8 * j);
       }
+      const std::uint64_t bits = transpose_bits(bytes);
+      for (int p = 0; p < act_bits_; ++p) {
+        planes[p] |= ((bits >> (8 * p)) & 0xff) << (8 * g);
+      }
+    }
+    for (int p = 0; p < act_bits_; ++p) {
+      a_planes_[static_cast<std::size_t>(p) * words + i] = planes[p];
     }
   }
 }
 
+std::int64_t CimDotEngine::decode_correction(const WeightPlanes& wp,
+                                             std::int64_t* errors) const {
+  const std::size_t words = wp.words;
+  std::int64_t result = 0;
+  // The 8 * words * delta(0) term of every plane pair, padding bytes
+  // included, cancels between the positive and the negative planes of the
+  // result but not in the miss count.
+  std::int64_t misses =
+      zero_misdecodes_ ? static_cast<std::int64_t>(act_bits_) *
+                             weight_mag_bits_ * 2 * 8 *
+                             static_cast<std::int64_t>(words)
+                       : 0;
+  // A group below the first step adds nothing, and its count is at most
+  // its activation byte's. Bias 0: without steps no byte reaches bit 7.
+  const std::uint64_t first_bias = n_steps_ > 0 ? steps_[0].bias : 0;
+  for (int p = 0; p < act_bits_; ++p) {
+    const std::uint64_t* ap =
+        a_planes_.data() + static_cast<std::size_t>(p) * words;
+    for (std::size_t i = 0; i < words; ++i) {
+      const std::uint64_t a = ap[i];
+      if (((byte_popcounts(a) + first_bias) & kByteHighs) == 0) continue;
+      for (int q = 0; q < weight_mag_bits_; ++q) {
+        const std::size_t at = static_cast<std::size_t>(q) * words + i;
+        // The planes are disjoint, so a byte's two counts sum to this.
+        const std::uint64_t both_counts =
+            byte_popcounts(a & (wp.pos[at] | wp.neg[at]));
+        if (((both_counts + first_bias) & kByteHighs) == 0) continue;
+        const std::uint64_t pos_counts = byte_popcounts(a & wp.pos[at]);
+        const std::uint64_t neg_counts = both_counts - pos_counts;
+        std::int64_t pair = 0;  // sum_g delta(c_g) - delta(0), pos - neg
+        for (int s = 0; s < n_steps_; ++s) {
+          const DecodeStep& step = steps_[s];
+          // Bit 0 of a byte flags a positive count >= k, bit 4 a negative
+          // one; the multiply sums the bytes into the top byte (<= 136).
+          const std::uint64_t flags =
+              (((pos_counts + step.bias) & kByteHighs) >> 7) |
+              (((neg_counts + step.bias) & kByteHighs) >> 3);
+          const auto sums =
+              static_cast<std::int64_t>((flags * kByteOnes) >> 56);
+          const std::int64_t pos_reach = sums & 15;
+          const std::int64_t neg_reach = sums >> 4;
+          pair += step.delta * (pos_reach - neg_reach);
+          misses += step.errors * (pos_reach + neg_reach);
+        }
+        result += pair * (std::int64_t{1} << (p + q));
+      }
+    }
+  }
+  *errors += misses;
+  return result;
+}
+
 std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
                                       const std::uint64_t* w_plane,
-                                      std::size_t words, sfc::util::Rng* rng,
+                                      std::size_t words, sfc::util::Rng& rng,
                                       std::int64_t* errors) const {
   std::int64_t total = 0;
-  if (!any_miscount_ && rng == nullptr) {
-    // Fast path: every MAC count decodes exactly, so the row result equals
-    // the true popcount.
-    for (std::size_t i = 0; i < words; ++i) {
-      total += std::popcount(a_plane[i] & w_plane[i]);
-    }
-    return total;
-  }
   std::int64_t misses = 0;
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t counts = byte_popcounts(a_plane[i] & w_plane[i]);
@@ -161,14 +272,11 @@ std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
       counts >>= 8;
       const Level& level = levels_[true_count];
       int digital = level.decoded;
-      if (rng != nullptr) {
-        // The draw mac() would take; its deviate can only move the decode
-        // when u1 is at or below the level's floor.
-        const sfc::util::Rng::NormalDraw draw = rng->normal_draw();
-        if (!(draw.u1 > level.u1_floor)) {
-          digital =
-              model_.decode(level.v + (0.0 + level.sigma * draw.value()));
-        }
+      // The draw mac() would take; its deviate can only move the decode
+      // when u1 is at or below the level's floor.
+      const sfc::util::Rng::NormalDraw draw = rng.normal_draw();
+      if (!(draw.u1 > level.u1_floor)) {
+        digital = model_.decode(level.v + (0.0 + level.sigma * draw.value()));
       }
       if (digital != true_count) ++misses;
       total += digital;
@@ -178,9 +286,9 @@ std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
   return total;
 }
 
-std::int64_t CimDotEngine::row_result(const WeightPlanes& wp,
-                                      sfc::util::Rng* rng,
-                                      std::int64_t* errors) const {
+std::int64_t CimDotEngine::noisy_row(const WeightPlanes& wp,
+                                     sfc::util::Rng& rng,
+                                     std::int64_t* errors) const {
   const std::size_t words = wp.words;
   std::int64_t result = 0;
   for (int p = 0; p < act_bits_; ++p) {
@@ -201,9 +309,7 @@ std::int64_t CimDotEngine::row_result(const WeightPlanes& wp,
 
 std::int64_t CimDotEngine::dot(std::span<const std::uint8_t> a,
                                std::span<const std::int8_t> w) {
-  if (a.size() != w.size()) {
-    throw std::invalid_argument("CimDotEngine::dot: length mismatch");
-  }
+  require_equal_lengths(a.size(), w.size(), "CimDotEngine::dot");
   std::int64_t result = 0;
   dot_batch(a, w, w.size(), 1, &result);
   return result;
@@ -213,48 +319,55 @@ void CimDotEngine::dot_batch(std::span<const std::uint8_t> a,
                              std::span<const std::int8_t> weights,
                              std::size_t row_stride, std::size_t rows,
                              std::int64_t* out) {
+  require_rows(a.size(), weights.size(), row_stride, rows,
+               "CimDotEngine::dot_batch");
   if (rows == 0) return;
-  if (weights.size() < a.size() ||
-      (rows > 1 && row_stride > (weights.size() - a.size()) / (rows - 1))) {
-    throw std::invalid_argument(
-        "CimDotEngine::dot_batch: weight span shorter than its rows");
-  }
   SFC_TRACE_SPAN("cim.dot_batch");
   SFC_TRACE_COUNT("cim.dot.batches", 1);
   SFC_TRACE_COUNT("cim.dot.rows", rows);
   SFC_TRACE_COUNT("cim.dot.row_ops",
                   static_cast<std::uint64_t>(act_bits_) * weight_mag_bits_ * 2 *
                       ((a.size() + 7) / 8) * rows);
-  pack_activations(a);
-
-  // The plane cache is shared mutable state, so resolve every row's planes
-  // serially up front; references into the unordered_map stay valid while
-  // the parallel tasks only read them.
-  std::vector<const WeightPlanes*> row_planes(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    row_planes[r] = &planes_for(weights.subspan(r * row_stride, a.size()));
-  }
-
   // Noise streams are named by a monotonic row counter, never by thread:
   // batch row r draws from stream (noise_seed, base + r), so serial and
   // parallel evaluation produce bit-identical results.
   const std::uint64_t noise_base = next_noise_row_;
   next_noise_row_ += rows;
 
-  std::vector<std::int64_t> errors(rows, 0);
-  sfc::exec::parallel_for(opts_.exec, rows, [&](std::size_t r) {
-    std::int64_t err = 0;
-    if (opts_.with_variation_noise) {
-      sfc::util::Rng rng =
-          sfc::exec::stream_rng(opts_.noise_seed, noise_base + r);
-      out[r] = row_result(*row_planes[r], &rng, &err);
-    } else {
-      out[r] = row_result(*row_planes[r], nullptr, &err);
+  const auto a_mask = static_cast<std::uint8_t>((1u << act_bits_) - 1);
+  const auto w_mask = static_cast<std::int8_t>((1 << weight_mag_bits_) - 1);
+  const auto row_weights = [&](std::size_t r) {
+    return weights.subspan(r * row_stride, a.size());
+  };
+  if (!opts_.with_variation_noise && !any_miscount_) {
+    // Every count decodes exactly: the row is its integer dot.
+    sfc::exec::parallel_for(opts_.exec, rows, [&](std::size_t r) {
+      out[r] = masked_dot(a, row_weights(r), a_mask, w_mask);
+    });
+  } else {
+    pack_activations(a);
+    // The plane cache is shared mutable state, so resolve every row's
+    // planes serially up front; references into the unordered_map stay
+    // valid while the parallel tasks only read them.
+    row_planes_.resize(rows);
+    batch_errors_.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      row_planes_[r] = &planes_for(row_weights(r));
     }
-    errors[r] = err;
-  });
-
-  for (std::size_t r = 0; r < rows; ++r) row_errors_ += errors[r];
+    sfc::exec::parallel_for(opts_.exec, rows, [&](std::size_t r) {
+      std::int64_t err = 0;
+      if (opts_.with_variation_noise) {
+        sfc::util::Rng rng =
+            sfc::exec::stream_rng(opts_.noise_seed, noise_base + r);
+        out[r] = noisy_row(*row_planes_[r], rng, &err);
+      } else {
+        out[r] = masked_dot(a, row_weights(r), a_mask, w_mask) +
+                 decode_correction(*row_planes_[r], &err);
+      }
+      batch_errors_[r] = err;
+    });
+    for (std::size_t r = 0; r < rows; ++r) row_errors_ += batch_errors_[r];
+  }
   row_ops_ += static_cast<std::int64_t>(rows) * act_bits_ * weight_mag_bits_ *
               2 * static_cast<std::int64_t>((a.size() + 7) / 8);
 }

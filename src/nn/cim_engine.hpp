@@ -14,6 +14,14 @@
 // temperature drift and (optional) process-variation noise corrupt the MAC
 // counts exactly as the analog array would: a noisy row op returns what
 // BehavioralArrayModel::mac(count, T, &rng) returns, draw for draw.
+//
+// A noiseless row op of true count k reads out decode(k) = k + delta(k),
+// fixed by the engine temperature, so a noiseless row is its integer dot
+// a.w (activations masked to activation_bits, weight magnitudes to
+// weight_bits - 1) plus sum over plane pairs of +-2^(p+q) sum_g delta(c_g).
+// On a fabric where every count decodes exactly (delta = 0) that is a.w
+// alone, with nothing packed. Otherwise the correction sums, per step of
+// delta, the groups whose count reaches the step (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -80,6 +88,16 @@ class CimDotEngine final : public DotEngine {
     int decoded = 0;     ///< noiseless decode of v
   };
 
+  /// A count k at which delta(k) = decoded(k) - k differs from
+  /// delta(k - 1).
+  struct DecodeStep {
+    /// 0x80 - k in every byte: a byte count c sets bit 7 of c + bias
+    /// exactly when c >= k.
+    std::uint64_t bias = 0;
+    std::int64_t delta = 0;   ///< delta(k) - delta(k - 1)
+    std::int64_t errors = 0;  ///< [delta(k) != 0] - [delta(k - 1) != 0]
+  };
+
   struct WeightPlanes {
     std::size_t length = 0;           ///< element count
     std::uint64_t fingerprint = 0;    ///< sampled content hash (staleness)
@@ -90,16 +108,21 @@ class CimDotEngine final : public DotEngine {
 
   const WeightPlanes& planes_for(std::span<const std::int8_t> w);
   void pack_activations(std::span<const std::uint8_t> a);
-  /// One binary dot product; `rng` non-null draws per-group noise, and
-  /// decode misses are tallied into *errors. Const + reentrant so batched
-  /// rows can run concurrently.
+  /// Sum over a noiseless row's plane pairs of +-2^(p+q) sum_g delta(c_g)
+  /// against the currently packed activations; misdecoded groups are
+  /// tallied into *errors. Const + reentrant so batched rows can run
+  /// concurrently.
+  std::int64_t decode_correction(const WeightPlanes& wp,
+                                 std::int64_t* errors) const;
+  /// One noisy binary dot product, drawing per-group noise from `rng`;
+  /// decode misses are tallied into *errors.
   std::int64_t binary_dot(const std::uint64_t* a_plane,
                           const std::uint64_t* w_plane, std::size_t words,
-                          sfc::util::Rng* rng, std::int64_t* errors) const;
-  /// Full shift-add over all (activation, weight) plane pairs of one row
-  /// against the currently packed activations.
-  std::int64_t row_result(const WeightPlanes& wp, sfc::util::Rng* rng,
-                          std::int64_t* errors) const;
+                          sfc::util::Rng& rng, std::int64_t* errors) const;
+  /// Full shift-add over all (activation, weight) plane pairs of one noisy
+  /// row against the currently packed activations.
+  std::int64_t noisy_row(const WeightPlanes& wp, sfc::util::Rng& rng,
+                         std::int64_t* errors) const;
 
   const sfc::cim::BehavioralArrayModel& model_;
   Options opts_;
@@ -111,7 +134,11 @@ class CimDotEngine final : public DotEngine {
   std::int64_t row_errors_ = 0;
 
   Level levels_[9];            ///< per true count 0..8
-  bool any_miscount_ = false;  ///< fast path: all counts decode exactly
+  bool any_miscount_ = false;  ///< some count decodes to another
+  /// The steps of delta(k) = decoded(k) - k over k = 1..8, in order.
+  DecodeStep steps_[8];
+  int n_steps_ = 0;
+  bool zero_misdecodes_ = false;  ///< delta(0) != 0
 
   int act_bits_ = 8;
   int weight_mag_bits_ = 7;
@@ -120,9 +147,12 @@ class CimDotEngine final : public DotEngine {
   /// storage is stable for the engine's lifetime (true for
   /// QuantizedNetwork, whose rows live in the QuantOp vectors).
   std::unordered_map<const void*, WeightPlanes> plane_cache_;
-  /// Scratch activation planes.
+  /// Scratch activation planes, and the activations padded to whole words.
   std::vector<std::uint64_t> a_planes_;
-  std::size_t a_words_ = 0;
+  std::vector<std::uint8_t> a_padded_;
+  /// Per-row scratch of packed batches, resized per call.
+  std::vector<const WeightPlanes*> row_planes_;
+  std::vector<std::int64_t> batch_errors_;
 };
 
 }  // namespace sfc::nn

@@ -109,11 +109,31 @@ std::vector<std::int8_t> quantize_weights(const Tensor& w, int magnitude_max,
 
 }  // namespace
 
+void DotEngine::require_equal_lengths(std::size_t a, std::size_t w,
+                                      const char* who) {
+  if (a != w) {
+    throw std::invalid_argument(std::string(who) + ": length mismatch");
+  }
+}
+
+void DotEngine::require_rows(std::size_t length, std::size_t weights,
+                             std::size_t row_stride, std::size_t rows,
+                             const char* who) {
+  // (rows - 1) * row_stride + length <= weights, without overflow.
+  if (rows > 0 &&
+      (weights < length ||
+       (rows > 1 && row_stride > (weights - length) / (rows - 1)))) {
+    throw std::invalid_argument(std::string(who) +
+                                ": weight span shorter than its rows");
+  }
+}
+
 void DotEngine::dot_batch(std::span<const std::uint8_t> a,
                           std::span<const std::int8_t> weights,
                           std::size_t row_stride, std::size_t rows,
                           std::int64_t* out) {
-  assert(rows == 0 || weights.size() >= (rows - 1) * row_stride + a.size());
+  require_rows(a.size(), weights.size(), row_stride, rows,
+               "DotEngine::dot_batch");
   for (std::size_t r = 0; r < rows; ++r) {
     out[r] = dot(a, weights.subspan(r * row_stride, a.size()));
   }
@@ -121,7 +141,7 @@ void DotEngine::dot_batch(std::span<const std::uint8_t> a,
 
 std::int64_t IdealDotEngine::dot(std::span<const std::uint8_t> a,
                                  std::span<const std::int8_t> w) {
-  assert(a.size() == w.size());
+  require_equal_lengths(a.size(), w.size(), "IdealDotEngine::dot");
   std::int64_t acc = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     acc += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(w[i]);

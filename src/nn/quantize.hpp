@@ -31,6 +31,8 @@ class DotEngine {
   /// result per row into `out`. This is the layer-level hot loop (all
   /// output channels of a conv pixel / all neurons of a dense layer), so
   /// engines may parallelize it; the default is a serial dot() loop.
+  /// Throws std::invalid_argument when `weights` is shorter than
+  /// (rows - 1) * row_stride + a.size().
   virtual void dot_batch(std::span<const std::uint8_t> a,
                          std::span<const std::int8_t> weights,
                          std::size_t row_stride, std::size_t rows,
@@ -38,11 +40,22 @@ class DotEngine {
   /// Called once per op before its dot products (a hook for wrapping
   /// engines, e.g. per-layer timers); the default does nothing.
   virtual void begin_layer(int layer_index) { (void)layer_index; }
+
+ protected:
+  /// The argument checks of dot and dot_batch: throw
+  /// std::invalid_argument, naming `who`, when a and w differ in length or
+  /// the weight span is shorter than its rows.
+  static void require_equal_lengths(std::size_t a, std::size_t w,
+                                    const char* who);
+  static void require_rows(std::size_t length, std::size_t weights,
+                           std::size_t row_stride, std::size_t rows,
+                           const char* who);
 };
 
 /// Exact integer reference (the "digital 8-bit" baseline).
 class IdealDotEngine final : public DotEngine {
  public:
+  /// Throws std::invalid_argument when a and w differ in length.
   std::int64_t dot(std::span<const std::uint8_t> a,
                    std::span<const std::int8_t> w) override;
 };

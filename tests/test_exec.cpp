@@ -199,13 +199,19 @@ TEST(Determinism, MonteCarloBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Each row kind fans out over the batch rows: the proposed fabric's
+// noiseless rows (integer dots), the baseline's at 85 degC (integer dot
+// plus decode correction) and noisy rows (per-row noise streams).
 TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
   cim::MonteCarloConfig mc;
   mc.runs = 4;
   mc.sigma_vt_fefet = 0.054;
-  static const cim::BehavioralArrayModel model =
+  static const cim::BehavioralArrayModel proposed =
       cim::BehavioralArrayModel::calibrate(
           cim::ArrayConfig::proposed_2t1fefet(), {27.0}, &mc);
+  static const cim::BehavioralArrayModel baseline =
+      cim::BehavioralArrayModel::calibrate(
+          cim::ArrayConfig::baseline_1r_subthreshold(), {27.0, 85.0});
 
   constexpr std::size_t len = 96;
   constexpr std::size_t rows = 13;
@@ -218,32 +224,49 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
                                  127);
   }
 
-  auto run = [&](int threads) {
-#if SFC_TRACE_ENABLED
-    sfc::trace::TestProbe probe;
-#endif
-    nn::CimDotEngine::Options opts;
-    opts.with_variation_noise = true;  // exercises the per-row noise streams
-    opts.noise_seed = 11;
-    opts.exec.threads = threads;
-    nn::CimDotEngine engine(model, opts);
-    std::vector<std::int64_t> out(rows);
-    engine.dot_batch(a, w, len, rows, out.data());
-    engine.dot_batch(a, w, len, rows, out.data());  // second batch, new rows
-#if SFC_TRACE_ENABLED
-    // Throughput counters are a pure function of the workload shape, so
-    // they too must be thread-count invariant.
-    EXPECT_EQ(probe.counter_delta("cim.dot.batches"), 2u)
-        << threads << " threads";
-    EXPECT_EQ(probe.counter_delta("cim.dot.rows"), 2u * rows)
-        << threads << " threads";
-#endif
-    return out;
+  struct RowKind {
+    const char* name;
+    const cim::BehavioralArrayModel* model;
+    double temperature_c;
+    bool noisy;
   };
+  for (const RowKind& kind : {RowKind{"noiseless", &proposed, 27.0, false},
+                              RowKind{"baseline", &baseline, 85.0, false},
+                              RowKind{"noisy", &proposed, 27.0, true}}) {
+    auto run = [&](int threads) {
+#if SFC_TRACE_ENABLED
+      sfc::trace::TestProbe probe;
+#endif
+      nn::CimDotEngine::Options opts;
+      opts.temperature_c = kind.temperature_c;
+      opts.with_variation_noise = kind.noisy;
+      opts.noise_seed = 11;
+      opts.exec.threads = threads;
+      nn::CimDotEngine engine(*kind.model, opts);
+      std::vector<std::int64_t> out(2 * rows);
+      engine.dot_batch(a, w, len, rows, out.data());
+      // A second batch: new noise rows, reused scratch.
+      engine.dot_batch(a, w, len, rows, out.data() + rows);
+#if SFC_TRACE_ENABLED
+      // Throughput counters are a pure function of the workload shape, so
+      // they too must be thread-count invariant.
+      EXPECT_EQ(probe.counter_delta("cim.dot.batches"), 2u)
+          << kind.name << ", " << threads << " threads";
+      EXPECT_EQ(probe.counter_delta("cim.dot.rows"), 2u * rows)
+          << kind.name << ", " << threads << " threads";
+#endif
+      out.push_back(engine.row_errors());
+      return out;
+    };
 
-  const auto serial = run(1);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(run(threads), serial) << threads << " threads";
+    const auto serial = run(1);
+    if (kind.model == &baseline || kind.noisy) {
+      EXPECT_GT(serial.back(), 0) << kind.name;  // some groups misdecoded
+    }
+    for (int threads : {2, 8}) {
+      EXPECT_EQ(run(threads), serial) << kind.name << ", " << threads
+                                      << " threads";
+    }
   }
 }
 

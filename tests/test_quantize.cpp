@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cim/behavioral.hpp"
 #include "exec/stream.hpp"
@@ -70,13 +73,25 @@ const sfc::cim::BehavioralArrayModel& noisy_model() {
   return model;
 }
 
-/// An 8-cell model at one temperature (27 degC) with the given levels and
-/// one sigma for all of them.
+/// The 1FeFET-1R baseline row calibrated over perfbench's temperatures.
+const sfc::cim::BehavioralArrayModel& baseline_model() {
+  static const sfc::cim::BehavioralArrayModel model =
+      sfc::cim::BehavioralArrayModel::calibrate(
+          sfc::cim::ArrayConfig::baseline_1r_subthreshold(),
+          {0.0, 27.0, 55.0, 85.0});
+  return model;
+}
+
+/// An 8-cell model designed at 27 degC with the given levels and one sigma
+/// for all of them; `hot` levels, if given, are its levels at 85 degC.
 sfc::cim::BehavioralArrayModel text_model(const std::vector<double>& levels,
-                                          double sigma) {
+                                          double sigma,
+                                          const std::vector<double>& hot = {}) {
   std::string text = "sfc-behavioral-v1\n" +
-                     std::to_string(levels.size() - 1) + " 27 1\n27\n";
+                     std::to_string(levels.size() - 1) + " 27 " +
+                     (hot.empty() ? "1\n27\n" : "2\n27 85\n");
   for (double v : levels) text += std::to_string(v) + ' ';
+  for (double v : hot) text += std::to_string(v) + ' ';
   text += '\n';
   for (std::size_t k = 0; k < levels.size(); ++k) {
     text += std::to_string(sigma) + ' ';
@@ -87,6 +102,21 @@ sfc::cim::BehavioralArrayModel text_model(const std::vector<double>& levels,
 /// Evenly spaced levels: every count decodes exactly.
 const std::vector<double> kEvenLevels = {0.10, 0.15, 0.20, 0.25, 0.30,
                                          0.35, 0.40, 0.45, 0.50};
+
+/// Even levels at 27 degC whose 85 degC levels read count 0 as 1 and
+/// count 7 as 6: delta = +1, 0 x 6, -1, 0 over counts 0..8.
+sfc::cim::BehavioralArrayModel drifted_model() {
+  return text_model(kEvenLevels, 0.0,
+                    {0.16, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.42, 0.50});
+}
+
+/// decode(k) - k over counts 0..8 at temperature t.
+std::vector<int> decode_errors(const sfc::cim::BehavioralArrayModel& model,
+                               double t) {
+  std::vector<int> delta;
+  for (int k = 0; k <= 8; ++k) delta.push_back(model.mac(k, t) - k);
+  return delta;
+}
 
 /// Activations and weights with many all-ones planes, so that 8-element
 /// groups reach every count 0..8 on both the positive and the negative
@@ -113,19 +143,23 @@ struct ReplayedRow {
   std::int64_t errors = 0;
 };
 
-/// One noisy row as BehavioralArrayModel::mac computes it, in the engine's
-/// loop order: activation plane p, weight plane q, the positive then the
+/// One row as BehavioralArrayModel::mac computes it, in the engine's loop
+/// order: activation plane p, weight plane q, the positive then the
 /// negative magnitudes, then 64-element words and their 8-element groups.
-/// Row 0 of an engine draws from stream (noise_seed, 0).
+/// The planes hold the low opts.activation_bits bits of each activation and
+/// the low opts.weight_bits - 1 bits of each weight magnitude. With noise,
+/// row 0 of an engine draws from stream (noise_seed, 0); without, each
+/// group reads mac(count, T).
 ReplayedRow replay_row(const sfc::cim::BehavioralArrayModel& model,
                        const CimDotEngine::Options& opts,
                        const std::vector<std::uint8_t>& a,
                        const std::vector<std::int8_t>& w) {
   sfc::util::Rng rng = sfc::exec::stream_rng(opts.noise_seed, 0);
+  sfc::util::Rng* noise = opts.with_variation_noise ? &rng : nullptr;
   ReplayedRow row;
   const std::size_t groups = (a.size() + 63) / 64 * 8;
-  for (int p = 0; p < 8; ++p) {
-    for (int q = 0; q < 7; ++q) {
+  for (int p = 0; p < opts.activation_bits; ++p) {
+    for (int q = 0; q < opts.weight_bits - 1; ++q) {
       for (const int sign : {1, -1}) {
         std::int64_t sum = 0;
         for (std::size_t g = 0; g < groups; ++g) {
@@ -135,7 +169,7 @@ ReplayedRow replay_row(const sfc::cim::BehavioralArrayModel& model,
             count += ((a[e] >> p) & 1) && wv * sign > 0 &&
                      (((wv * sign) >> q) & 1);
           }
-          const int digital = model.mac(count, opts.temperature_c, &rng);
+          const int digital = model.mac(count, opts.temperature_c, noise);
           row.errors += digital != count;
           sum += digital;
         }
@@ -146,19 +180,24 @@ ReplayedRow replay_row(const sfc::cim::BehavioralArrayModel& model,
   return row;
 }
 
-/// dot() on a fresh noisy engine equals replay_row, result and row errors.
-ReplayedRow expect_replays_mac(const sfc::cim::BehavioralArrayModel& model,
-                               const std::vector<std::uint8_t>& a,
-                               const std::vector<std::int8_t>& w) {
-  CimDotEngine::Options opts;
-  opts.with_variation_noise = true;
-  opts.noise_seed = 11;
+/// dot() on a fresh engine equals replay_row, result and row errors.
+ReplayedRow expect_replays(const sfc::cim::BehavioralArrayModel& model,
+                           const CimDotEngine::Options& opts,
+                           const std::vector<std::uint8_t>& a,
+                           const std::vector<std::int8_t>& w) {
   CimDotEngine engine(model, opts);
   const std::int64_t got = engine.dot(a, w);
   const ReplayedRow want = replay_row(model, opts, a, w);
-  EXPECT_EQ(got, want.result);
-  EXPECT_EQ(engine.row_errors(), want.errors);
+  EXPECT_EQ(got, want.result) << "len=" << a.size();
+  EXPECT_EQ(engine.row_errors(), want.errors) << "len=" << a.size();
   return want;
+}
+
+CimDotEngine::Options noisy_options() {
+  CimDotEngine::Options opts;
+  opts.with_variation_noise = true;
+  opts.noise_seed = 11;
+  return opts;
 }
 
 TEST(IdealDotEngine, ExactIntegerDot) {
@@ -166,6 +205,28 @@ TEST(IdealDotEngine, ExactIntegerDot) {
   const std::vector<std::uint8_t> a = {1, 2, 3, 255};
   const std::vector<std::int8_t> w = {1, -1, 2, -127};
   EXPECT_EQ(engine.dot(a, w), 1 - 2 + 6 - 255LL * 127);
+}
+
+TEST(IdealDotEngine, RejectsLengthMismatch) {
+  IdealDotEngine engine;
+  const std::vector<std::uint8_t> a(16, 255);
+  const std::vector<std::int8_t> w(15, 127);
+  EXPECT_THROW(engine.dot(a, w), std::invalid_argument);
+}
+
+// IdealDotEngine keeps DotEngine's serial dot_batch.
+TEST(DotEngine, DefaultBatchRejectsShortWeightSpan) {
+  IdealDotEngine engine;
+  const std::vector<std::uint8_t> a(16, 255);
+  const std::vector<std::int8_t> w(3 * 16, 127);
+  std::int64_t out[3] = {0, 0, 0};
+  const std::span<const std::int8_t> rows(w);
+  EXPECT_THROW(engine.dot_batch(a, rows.first(w.size() - 1), 16, 3, out),
+               std::invalid_argument);
+  EXPECT_THROW(engine.dot_batch(a, rows.first(15), 0, 1, out),
+               std::invalid_argument);
+  engine.dot_batch(a, rows, 16, 3, out);
+  EXPECT_EQ(out[2], 16LL * 255 * 127);
 }
 
 TEST(Quantize, Int8TracksFloatAccuracy) {
@@ -349,7 +410,7 @@ TEST(CimEngine, NoisyRowReplaysModelMac) {
   std::vector<std::uint8_t> a;
   std::vector<std::int8_t> w;
   ones_heavy_inputs(200, 12, &a, &w);
-  const ReplayedRow row = expect_replays_mac(noisy_model(), a, w);
+  const ReplayedRow row = expect_replays(noisy_model(), noisy_options(), a, w);
   EXPECT_GT(row.errors, 0);  // the noise moved some counts
 }
 
@@ -363,7 +424,7 @@ TEST(CimEngine, ZeroSigmaNoisyRowIsNoiseless) {
   std::vector<std::int8_t> w;
   ones_heavy_inputs(200, 12, &a, &w);
   CimDotEngine clean(model, {});
-  const ReplayedRow noisy = expect_replays_mac(model, a, w);
+  const ReplayedRow noisy = expect_replays(model, noisy_options(), a, w);
   EXPECT_EQ(noisy.result, clean.dot(a, w));
   EXPECT_EQ(noisy.errors, 0);
 }
@@ -378,8 +439,81 @@ TEST(CimEngine, ZeroGapLevelsReplayModelMac) {
   std::vector<std::uint8_t> a;
   std::vector<std::int8_t> w;
   ones_heavy_inputs(200, 22, &a, &w);
-  const ReplayedRow row = expect_replays_mac(model, a, w);
+  const ReplayedRow row = expect_replays(model, noisy_options(), a, w);
   EXPECT_GT(row.errors, 0);
+}
+
+// A noiseless group reads mac(count, T) = count + delta(count). The row's
+// integer dot plus its correction, summed over the steps of delta, must
+// equal that group by group, and so must the row errors. The baseline
+// gives three step patterns; the drifted model misdecodes count 0, so the
+// zero-count groups that pad a row's last 64-bit word count as errors.
+TEST(CimEngine, NoiselessRowReplaysModelDecode) {
+  const auto& baseline = baseline_model();
+  const std::vector<int> cold = decode_errors(baseline, 0.0);
+  const std::vector<int> warm = decode_errors(baseline, 55.0);
+  const std::vector<int> hot = decode_errors(baseline, 85.0);
+  EXPECT_NE(cold, warm);
+  EXPECT_NE(cold, hot);
+  EXPECT_NE(warm, hot);
+  EXPECT_EQ(decode_errors(baseline, 27.0), std::vector<int>(9, 0));
+  const auto drifted = drifted_model();
+  ASSERT_EQ(decode_errors(drifted, 85.0),
+            (std::vector<int>{1, 0, 0, 0, 0, 0, 0, -1, 0}));
+
+  struct Fabric {
+    const sfc::cim::BehavioralArrayModel* model;
+    double temperature_c;
+  };
+  for (const Fabric& fabric : {Fabric{&baseline, 0.0}, Fabric{&baseline, 55.0},
+                               Fabric{&baseline, 85.0},
+                               Fabric{&drifted, 85.0}}) {
+    SCOPED_TRACE(fabric.temperature_c);
+    CimDotEngine::Options opts;
+    opts.temperature_c = fabric.temperature_c;
+    std::int64_t errors = 0;
+    for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u, 512u}) {
+      std::vector<std::uint8_t> a;
+      std::vector<std::int8_t> w;
+      ones_heavy_inputs(len, 40 + len, &a, &w);
+      errors += expect_replays(*fabric.model, opts, a, w).errors;
+    }
+    EXPECT_GT(errors, 0);  // the fabric misdecoded some groups
+  }
+}
+
+// The planes hold only the wordlength's bits: a weight of -128 has no
+// magnitude bit below 2^7, and a 4-bit engine sees the low 4 bits of an
+// activation and the low 3 of a weight magnitude. The exact fabric's row
+// is the masked integer dot; a miscounting fabric's row replays mac().
+TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
+  std::vector<std::uint8_t> a;
+  std::vector<std::int8_t> w;
+  ones_heavy_inputs(200, 52, &a, &w);
+  for (std::size_t i = 0; i < w.size(); i += 3) w[i] = -128;
+  ASSERT_GT(std::count(a.begin(), a.end(), 255), 0);
+
+  const auto exact = text_model(kEvenLevels, 0.0);
+  for (const int bits : {8, 4}) {
+    SCOPED_TRACE(bits);
+    CimDotEngine::Options opts;
+    opts.activation_bits = bits;
+    opts.weight_bits = bits;
+    const int a_mask = (1 << bits) - 1;
+    const int w_mask = (1 << (bits - 1)) - 1;
+    std::int64_t masked = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const int mag = std::abs(static_cast<int>(w[i])) & w_mask;
+      masked += static_cast<std::int64_t>(a[i] & a_mask) *
+                (w[i] < 0 ? -mag : mag);
+    }
+    CimDotEngine engine(exact, opts);
+    EXPECT_EQ(engine.dot(a, w), masked);
+    EXPECT_EQ(expect_replays(exact, opts, a, w).result, masked);
+
+    opts.temperature_c = 85.0;
+    EXPECT_GT(expect_replays(baseline_model(), opts, a, w).errors, 0);
+  }
 }
 
 TEST(CimEngine, RejectsRowsOtherThanEightCells) {
