@@ -84,10 +84,10 @@ for src in bench/*.cpp; do
 done
 
 step "metrics key-set gate (traced verify_runner oracle)"
-# The deterministic counter/histogram names the oracle run registers (both
-# Newton paths, transients, Monte Carlo fan-out) must match the reviewed
-# golden — silent instrumentation drift in the solver hot path fails the
-# tree.
+# The deterministic counter/histogram names the oracle run registers (the
+# stamp-plan Newton path, transients, Monte Carlo fan-out) must match the
+# reviewed golden — silent instrumentation drift in the solver hot path
+# fails the tree.
 "${BUILD_DIR}/tools/verify_runner" check-metrics "${BUILD_DIR}/metrics_oracle.json" \
   --golden tests/goldens/metrics_keys.json
 
@@ -117,18 +117,19 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
   --metrics "${NOTRACE_DIR}/metrics_oracle.json"
 "${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_oracle.json"
 
-step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn\" under -fsanitize=undefined)"
+step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
 # _GLIBCXX_ASSERTIONS bounds-checks every std::vector / std::optional
 # access, so an out-of-range index aborts here instead of reading garbage.
 # nn covers CimDotEngine's noise-shortcut floors and dot_batch's span
-# bounds.
+# bounds; cim covers the row, tile and behavioural-model code and their
+# per-cell length checks.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn" \
+ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim" \
   --output-on-failure -j "${JOBS}"
 # The interval-oracle fuzz campaign under UBSan: the outward-rounding
 # interval arithmetic and the fixpoint engine must be UB-free on 200

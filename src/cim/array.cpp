@@ -1,8 +1,8 @@
 #include "cim/array.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace sfc::cim {
 
@@ -39,8 +39,26 @@ std::vector<double> default_temperature_grid() {
   return {0.0, 10.0, 20.0, 27.0, 40.0, 55.0, 70.0, 85.0};
 }
 
+namespace {
+
+/// A row's per-cell arguments hold one value per cell. This is a check on
+/// the caller, so it throws in every build instead of asserting.
+void require_cells(std::size_t got, int cells, const char* who) {
+  if (got != static_cast<std::size_t>(cells)) {
+    throw std::invalid_argument(std::string(who) + ": expected " +
+                                std::to_string(cells) + " values, got " +
+                                std::to_string(got));
+  }
+}
+
+}  // namespace
+
 std::vector<int> level_inputs(int cells, int k) {
-  assert(k >= 0 && k <= cells);
+  if (k < 0 || k > cells) {
+    throw std::invalid_argument("level_inputs: MAC value " +
+                                std::to_string(k) + " outside 0.." +
+                                std::to_string(cells));
+  }
   std::vector<int> inputs(static_cast<std::size_t>(cells), 0);
   std::fill_n(inputs.begin(), k, 1);
   return inputs;
@@ -88,14 +106,14 @@ CiMRow::CiMRow(ArrayConfig cfg) : cfg_(std::move(cfg)) {
 
 void CiMRow::program(const std::vector<int>& weights,
                      double write_temperature_c) {
-  assert(static_cast<int>(weights.size()) == cfg_.cells_per_row);
+  require_cells(weights.size(), cfg_.cells_per_row, "CiMRow::program");
   for (std::size_t i = 0; i < weights.size(); ++i) {
     cells_[i].fefet->write_bit(weights[i] != 0, write_temperature_c);
   }
 }
 
 void CiMRow::set_stored(const std::vector<int>& weights) {
-  assert(static_cast<int>(weights.size()) == cfg_.cells_per_row);
+  require_cells(weights.size(), cfg_.cells_per_row, "CiMRow::set_stored");
   for (std::size_t i = 0; i < weights.size(); ++i) {
     cells_[i].fefet->ferroelectric().set_polarization(weights[i] != 0 ? 1.0
                                                                       : -1.0);
@@ -110,7 +128,8 @@ std::vector<int> CiMRow::stored() const {
 }
 
 void CiMRow::set_fefet_vth_shifts(const std::vector<double>& shifts) {
-  assert(static_cast<int>(shifts.size()) == cfg_.cells_per_row);
+  require_cells(shifts.size(), cfg_.cells_per_row,
+                "CiMRow::set_fefet_vth_shifts");
   for (std::size_t i = 0; i < shifts.size(); ++i) {
     cells_[i].fefet->set_vth_shift(shifts[i]);
   }
@@ -118,7 +137,7 @@ void CiMRow::set_fefet_vth_shifts(const std::vector<double>& shifts) {
 
 MacResult CiMRow::evaluate(const std::vector<int>& inputs,
                            double temperature_c, bool keep_waveforms) {
-  assert(static_cast<int>(inputs.size()) == cfg_.cells_per_row);
+  require_cells(inputs.size(), cfg_.cells_per_row, "CiMRow::evaluate");
   const ReadTiming& t = cfg_.timing;
   const double wl_level = cfg_.wl_read_level();
 

@@ -11,6 +11,19 @@
 #include "util/stats.hpp"
 
 namespace sfc::cim {
+namespace {
+
+/// MAC values index the calibrated levels 0..cells. This is a check on the
+/// caller, so it throws in every build instead of asserting.
+void require_mac(int mac, int cells, const char* who) {
+  if (mac < 0 || mac > cells) {
+    throw std::invalid_argument(std::string(who) + ": MAC value " +
+                                std::to_string(mac) + " outside 0.." +
+                                std::to_string(cells));
+  }
+}
+
+}  // namespace
 
 BehavioralArrayModel BehavioralArrayModel::calibrate(
     const ArrayConfig& cfg, const std::vector<double>& temps_c,
@@ -73,8 +86,10 @@ void BehavioralArrayModel::build_thresholds() {
 }
 
 double BehavioralArrayModel::v_acc(int mac, double temperature_c) const {
-  assert(mac >= 0 && mac <= cells_);
-  assert(!temps_c_.empty());
+  require_mac(mac, cells_, "BehavioralArrayModel::v_acc");
+  if (temps_c_.empty()) {
+    throw std::logic_error("BehavioralArrayModel::v_acc: model not calibrated");
+  }
   const auto stride = static_cast<std::size_t>(cells_ + 1);
   auto at = [&](std::size_t ti) {
     return v_[ti * stride + static_cast<std::size_t>(mac)];
@@ -91,8 +106,8 @@ double BehavioralArrayModel::v_acc(int mac, double temperature_c) const {
 }
 
 double BehavioralArrayModel::sigma(int mac) const {
+  require_mac(mac, cells_, "BehavioralArrayModel::sigma");
   if (sigma_.empty()) return 0.0;
-  assert(mac >= 0 && mac <= cells_);
   return sigma_[static_cast<std::size_t>(mac)];
 }
 

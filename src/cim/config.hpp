@@ -119,8 +119,8 @@ struct ArrayConfig {
   Cell1RConfig cell1r;
   SenseConfig sense;
   /// Newton solver knobs for every MAC-cycle transient; defaults enable
-  /// the stamp-plan hot path. Tests and oracles flip
-  /// newton.use_stamp_plan to compare against the legacy assembler.
+  /// the stamp-plan hot path. Tests flip newton.use_stamp_plan to compare
+  /// against the reference assembly.
   sfc::spice::NewtonOptions newton;
 
   /// WL level used for input '1' under this configuration.

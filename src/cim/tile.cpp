@@ -1,6 +1,5 @@
 #include "cim/tile.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace sfc::cim {
@@ -23,7 +22,10 @@ CiMTile::CiMTile(ArrayConfig cfg, std::vector<std::vector<int>> weights)
 CiMTile::Result CiMTile::multiply(const std::vector<int>& input,
                                   double temperature_c,
                                   const BehavioralArrayModel& adc) {
-  assert(static_cast<int>(input.size()) == columns_);
+  if (input.size() != static_cast<std::size_t>(columns_)) {
+    throw std::invalid_argument(
+        "CiMTile::multiply: input length differs from the column count");
+  }
   const int n = cfg_.cells_per_row;
 
   Result result;

@@ -91,9 +91,6 @@ class Stamper {
     add_matrix(b, a, -g);
   }
 
-  /// Conductance g from node a to ground.
-  void conductance_to_ground(NodeId a, double g) { add_matrix(a, a, g); }
-
   /// Independent current i flowing from node `from` into node `to`.
   void current(NodeId from, NodeId to, double i) {
     add_rhs(from, -i);

@@ -30,8 +30,6 @@ void Engine::set_node_guess(const std::string& node, double volts) {
   node_guesses_.emplace_back(node, volts);
 }
 
-void Engine::clear_node_guesses() { node_guesses_.clear(); }
-
 std::vector<double> Engine::initial_vector() const {
   std::vector<double> x(circuit_.system_size(), 0.0);
   for (const auto& [name, volts] : node_guesses_) {
@@ -44,22 +42,25 @@ std::vector<double> Engine::initial_vector() const {
   return x;
 }
 
+void Engine::stamp_linear(const SimContext& ctx, Stamper& s) const {
+  for (Device* dev : circuit_.linear_devices()) dev->stamp(ctx, s);
+  // gmin from every node to ground keeps the matrix nonsingular when
+  // subthreshold devices are effectively off.
+  const int num_nodes = static_cast<int>(circuit_.num_nodes());
+  for (int n = 0; n < num_nodes; ++n) s.add_matrix(n, n, ctx.gmin);
+}
+
+void Engine::stamp_nonlinear(const SimContext& ctx, Stamper& s) const {
+  for (Device* dev : circuit_.nonlinear_devices()) dev->stamp(ctx, s);
+}
+
 void Engine::assemble(const SimContext& ctx, const std::vector<double>& x,
                       DenseMatrix& a, std::vector<double>& b) const {
   a.set_zero();
   std::fill(b.begin(), b.end(), 0.0);
   Stamper stamper(a, b, x, circuit_.num_nodes());
-  for (Device* dev : circuit_.linear_devices()) {
-    dev->stamp(ctx, stamper);
-  }
-  // gmin from every node to ground keeps the matrix nonsingular when
-  // subthreshold devices are effectively off.
-  for (std::size_t n = 0; n < circuit_.num_nodes(); ++n) {
-    a.at(n, n) += ctx.gmin;
-  }
-  for (Device* dev : circuit_.nonlinear_devices()) {
-    dev->stamp(ctx, stamper);
-  }
+  stamp_linear(ctx, stamper);
+  stamp_nonlinear(ctx, stamper);
 }
 
 bool Engine::apply_update(std::vector<double>& x,
@@ -87,142 +88,111 @@ bool Engine::apply_update(std::vector<double>& x,
   return max_delta_v < options.vtol && aux_converged;
 }
 
-bool Engine::newton_solve_legacy(const SimContext& ctx, std::vector<double>& x,
-                                 const NewtonOptions& options,
-                                 int* iterations_out) {
-  const std::size_t size = circuit_.system_size();
-  DenseMatrix a(size, size);
-  std::vector<double> b(size, 0.0);
-  std::vector<double> x_new(size, 0.0);
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    assemble(ctx, x, a, b);
-    x_new = b;
-    SFC_TRACE_COUNT("spice.lu.dense_solves", 1);
-    if (!lu_solve(a, x_new)) {
-      if (iterations_out) *iterations_out = iter + 1;
-      return false;
-    }
-    const bool converged = apply_update(x, x_new, options);
-    if (iterations_out) *iterations_out = iter + 1;
-    if (converged && iter > 0) return true;
-  }
-  return false;
-}
-
-void Engine::prepare_workspace(const SimContext& ctx) {
+SolverWorkspace& Engine::stamp_baseline(const SimContext& ctx,
+                                        const std::vector<double>& x) {
   SolverWorkspace& ws = workspaces_[static_cast<int>(ctx.mode)];
   const std::size_t size = circuit_.system_size();
   if (ws.size == size && ws.mode == ctx.mode &&
       ws.plan_version == circuit_.plan_version()) {
     SFC_TRACE_COUNT("spice.stampplan.cache_hits", 1);
-    return;
+  } else {
+    SFC_TRACE_COUNT("spice.stampplan.compiles", 1);
+    ws.a = DenseMatrix(size, size);
+    ws.a_base = DenseMatrix(size, size);
+    ws.b.assign(size, 0.0);
+    ws.b_base.assign(size, 0.0);
+    ws.pattern.assign(size * size, 0);
+    ws.pattern_valid = false;
+    ws.plan.reset();
+    ws.size = size;
+    ws.mode = ctx.mode;
+    ws.plan_version = circuit_.plan_version();
   }
-  SFC_TRACE_COUNT("spice.stampplan.compiles", 1);
-  ws.a = DenseMatrix(size, size);
-  ws.a_base = DenseMatrix(size, size);
-  ws.b.assign(size, 0.0);
-  ws.b_base.assign(size, 0.0);
-  ws.pattern.assign(size * size, 0);
-  ws.pattern_valid = false;
-  ws.plan.reset();
-  ws.size = size;
-  ws.mode = ctx.mode;
-  ws.plan_version = circuit_.plan_version();
+
+  // Linear devices may not read the Newton iterate (Device::is_linear
+  // contract), so it is legal to build the baseline before x has
+  // converged.
+  ws.a_base.set_zero();
+  std::fill(ws.b_base.begin(), ws.b_base.end(), 0.0);
+  Stamper stamper(ws.a_base, ws.b_base, x, circuit_.num_nodes());
+  if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, size);
+#ifndef NDEBUG
+  stamper.forbid_iterate_reads(true);
+#endif
+  stamp_linear(ctx, stamper);
+  return ws;
+}
+
+bool Engine::plan_assemble_and_solve(const SimContext& ctx,
+                                     const std::vector<double>& x,
+                                     SolverWorkspace& ws) {
+  if (ws.plan.valid() && !ws.plan.last_factor_full()) {
+    // The previous solve only wrote inside the compiled schedule, and
+    // linear stamps never land outside it, so restoring the touched
+    // entries leaves A bitwise equal to a full copy.
+    const double* src = ws.a_base.data();
+    double* dst = ws.a.data();
+    for (const int idx : ws.plan.touched_indices()) dst[idx] = src[idx];
+  } else {
+    ws.a.copy_from(ws.a_base);
+  }
+  std::copy(ws.b_base.begin(), ws.b_base.end(), ws.b.begin());
+  Stamper stamper(ws.a, ws.b, x, circuit_.num_nodes());
+  if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, ws.size);
+  stamp_nonlinear(ctx, stamper);
+  ws.pattern_valid = true;
+
+  // solve_frozen's schedule is pivot-robust (drift just re-records the
+  // order), so a false return means a genuinely singular system —
+  // exactly when factor_and_compile/lu_solve would fail too. Both solve
+  // in ws.b, which the next iteration restores from b_base.
+  if (!ws.plan.valid()) {
+    SFC_TRACE_COUNT("spice.lu.factorizations", 1);
+    return ws.plan.factor_and_compile(ws.a, ws.b, ws.pattern);
+  }
+  [[maybe_unused]] const std::size_t refreezes_before =
+      ws.plan.refreeze_count();
+  const bool factored = ws.plan.solve_frozen(ws.a, ws.b);
+  SFC_TRACE_COUNT("spice.lu.frozen_solves", 1);
+  SFC_TRACE_COUNT("spice.lu.refreezes",
+                  ws.plan.refreeze_count() - refreezes_before);
+  return factored;
 }
 
 bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
                           const NewtonOptions& options, int* iterations_out) {
   SFC_TRACE_SPAN("spice.newton_solve");
   circuit_.finalize();
+  const bool plan = options.use_stamp_plan;
+  SolverWorkspace* ws = plan ? &stamp_baseline(ctx, x) : nullptr;
+  // The reference assembles and solves in buffers of its own (empty on the
+  // plan path): the plan's sparse restore relies on ws.a holding the
+  // baseline outside its schedule.
+  const std::size_t ref_size = plan ? 0 : circuit_.system_size();
+  DenseMatrix ref_a(ref_size, ref_size);
+  std::vector<double> ref_b(ref_size);
+  const std::vector<double>& x_new = plan ? ws->b : ref_b;
+
   int iters = 0;
-  const bool ok = options.use_stamp_plan
-                      ? newton_solve_plan(ctx, x, options, &iters)
-                      : newton_solve_legacy(ctx, x, options, &iters);
+  bool ok = false;
+  while (!ok && iters < options.max_iterations) {
+    ++iters;
+    bool factored;
+    if (plan) {
+      factored = plan_assemble_and_solve(ctx, x, *ws);
+    } else {
+      assemble(ctx, x, ref_a, ref_b);
+      SFC_TRACE_COUNT("spice.lu.dense_solves", 1);
+      factored = lu_solve(ref_a, ref_b);
+    }
+    if (!factored) break;
+    ok = apply_update(x, x_new, options) && iters > 1;
+  }
   if (iterations_out) *iterations_out = iters;
   SFC_TRACE_COUNT("spice.newton.solves", 1);
   SFC_TRACE_COUNT("spice.newton.iterations", iters);
   if (!ok) SFC_TRACE_COUNT("spice.newton.failures", 1);
   return ok;
-}
-
-bool Engine::newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
-                               const NewtonOptions& options,
-                               int* iterations_out) {
-  SolverWorkspace& ws = workspaces_[static_cast<int>(ctx.mode)];
-  prepare_workspace(ctx);
-  const std::size_t size = ws.size;
-  const std::size_t num_nodes = circuit_.num_nodes();
-
-  // Baseline: linear stamps + gmin, valid for the whole solve. Linear
-  // devices may not read the Newton iterate (Device::is_linear contract),
-  // so it is legal to build this before x has converged.
-  ws.a_base.set_zero();
-  std::fill(ws.b_base.begin(), ws.b_base.end(), 0.0);
-  {
-    Stamper stamper(ws.a_base, ws.b_base, x, num_nodes);
-    if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, size);
-#ifndef NDEBUG
-    stamper.forbid_iterate_reads(true);
-#endif
-    for (Device* dev : circuit_.linear_devices()) {
-      dev->stamp(ctx, stamper);
-    }
-  }
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    ws.a_base.at(n, n) += ctx.gmin;
-    if (!ws.pattern_valid) ws.pattern[n * size + n] = 1;
-  }
-
-  // Restore the baseline and restamp only the nonlinear devices; the
-  // resulting (A, b) is bit-identical to assemble() because the stamp
-  // order (linear, gmin, nonlinear) is the same.
-  const auto restamp = [&]() {
-    if (ws.plan.valid() && !ws.plan.last_factor_full()) {
-      // The previous solve only wrote inside the compiled schedule, and
-      // linear stamps never land outside it, so restoring the touched
-      // entries leaves A bitwise equal to a full copy.
-      const double* src = ws.a_base.data();
-      double* dst = ws.a.data();
-      for (const int idx : ws.plan.touched_indices()) dst[idx] = src[idx];
-    } else {
-      ws.a.copy_from(ws.a_base);
-    }
-    std::copy(ws.b_base.begin(), ws.b_base.end(), ws.b.begin());
-    Stamper stamper(ws.a, ws.b, x, num_nodes);
-    if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, size);
-    for (Device* dev : circuit_.nonlinear_devices()) {
-      dev->stamp(ctx, stamper);
-    }
-    ws.pattern_valid = true;
-  };
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    restamp();
-    // solve_frozen's schedule is pivot-robust (drift just re-records the
-    // order), so a false return means a genuinely singular system —
-    // exactly when factor_and_compile/lu_solve would fail too. Both solve
-    // in ws.b, which the next restamp restores from b_base.
-    bool factored;
-    if (ws.plan.valid()) {
-      const std::size_t refreezes_before = ws.plan.refreeze_count();
-      factored = ws.plan.solve_frozen(ws.a, ws.b);
-      SFC_TRACE_COUNT("spice.lu.frozen_solves", 1);
-      SFC_TRACE_COUNT("spice.lu.refreezes",
-                      ws.plan.refreeze_count() - refreezes_before);
-    } else {
-      factored = ws.plan.factor_and_compile(ws.a, ws.b, ws.pattern);
-      SFC_TRACE_COUNT("spice.lu.factorizations", 1);
-    }
-    if (!factored) {
-      if (iterations_out) *iterations_out = iter + 1;
-      return false;
-    }
-    const bool converged = apply_update(x, ws.b, options);
-    if (iterations_out) *iterations_out = iter + 1;
-    if (converged && iter > 0) return true;
-  }
-  return false;
 }
 
 void Engine::set_preflight(PreflightCheck check) {

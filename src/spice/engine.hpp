@@ -27,9 +27,9 @@ struct NewtonOptions {
   /// stamped once per solve into a cached baseline, each Newton iteration
   /// restores the baseline with a memcpy and restamps only the nonlinear
   /// devices, and the system is solved through the workspace's compiled
-  /// LuPlan (no per-iteration heap allocation). Off = the legacy
-  /// full-restamp, dense-LU path: the reference that tests and oracles
-  /// compare against. Both paths are bit-identical.
+  /// LuPlan (no per-iteration heap allocation). Off = each iteration runs
+  /// the reference instead, a full assemble() plus dense lu_solve(): the
+  /// reference that tests compare against. Both paths are bit-identical.
   bool use_stamp_plan = true;
 };
 
@@ -72,7 +72,6 @@ class Engine {
   /// Initial guess for a node used by the next DC solve (helps Newton on
   /// high-gain feedback circuits).
   void set_node_guess(const std::string& node, double volts);
-  void clear_node_guesses();
 
   /// Opt-in pre-flight gate: `check` runs once against the finalized
   /// circuit before the next analysis (DC / transient / AC) and may throw
@@ -107,6 +106,14 @@ class Engine {
   bool newton_solve(const SimContext& ctx, std::vector<double>& x,
                     const NewtonOptions& options, int* iterations_out);
 
+  /// Reference assembly: the system A x = b that a Newton iteration at
+  /// iterate `x` solves, stamped from zero. `a` and `b` must be sized
+  /// system_size(). Newton with use_stamp_plan off solves it directly;
+  /// tests and the fuzzer re-assemble it at a solution to measure the KCL
+  /// residual.
+  void assemble(const SimContext& ctx, const std::vector<double>& x,
+                DenseMatrix& a, std::vector<double>& b) const;
+
   /// Hot-path workspace for the given analysis mode (diagnostics:
   /// compiled-plan inspection in tests). One workspace per mode so the
   /// DC phase of every transient doesn't wipe the transient plan.
@@ -116,26 +123,30 @@ class Engine {
   }
 
  private:
-  /// Assemble A, b at iterate x (legacy full-restamp path). Stamp order —
-  /// linear devices, gmin, nonlinear devices — matches the stamp-plan
-  /// path exactly so both produce bit-identical matrices.
-  void assemble(const SimContext& ctx, const std::vector<double>& x,
-                DenseMatrix& a, std::vector<double>& b) const;
+  /// The stamp order, written once: stamp_linear (linear devices, then
+  /// gmin on every node diagonal) before stamp_nonlinear. assemble() runs
+  /// both; the stamp plan caches stamp_linear as its per-solve baseline
+  /// and reruns stamp_nonlinear each iteration. Floating-point addition is
+  /// not associative, so the shared order is what keeps both paths
+  /// bit-identical.
+  void stamp_linear(const SimContext& ctx, Stamper& s) const;
+  void stamp_nonlinear(const SimContext& ctx, Stamper& s) const;
 
   /// Damped Newton update x += clamp(x_new - x); returns true when the
-  /// step is within tolerances (shared by both assembly paths).
+  /// step is within tolerances.
   bool apply_update(std::vector<double>& x, const std::vector<double>& x_new,
                     const NewtonOptions& options) const;
 
-  bool newton_solve_legacy(const SimContext& ctx, std::vector<double>& x,
-                           const NewtonOptions& options, int* iterations_out);
+  /// (Re)size the mode's workspace, dropping stale pattern/plan state,
+  /// and stamp its per-solve baseline (see NewtonOptions::use_stamp_plan).
+  SolverWorkspace& stamp_baseline(const SimContext& ctx,
+                                  const std::vector<double>& x);
 
-  /// Stamp-plan assembly path (see NewtonOptions::use_stamp_plan).
-  bool newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
-                         const NewtonOptions& options, int* iterations_out);
-
-  /// (Re)size workspace buffers and drop stale pattern/plan state.
-  void prepare_workspace(const SimContext& ctx);
+  /// One stamp-plan iteration: restore the baseline, restamp the
+  /// nonlinear devices and solve in ws.b through the compiled LuPlan.
+  bool plan_assemble_and_solve(const SimContext& ctx,
+                               const std::vector<double>& x,
+                               SolverWorkspace& ws);
 
   std::vector<double> initial_vector() const;
   std::vector<std::string> signal_names() const;

@@ -75,6 +75,24 @@ bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b) {
   return lu_core(a, b, nullptr, nullptr);
 }
 
+RowResidual worst_relative_residual(const DenseMatrix& a,
+                                    const std::vector<double>& x,
+                                    const std::vector<double>& b) {
+  RowResidual worst;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double r = -b[i];
+    double scale = std::fabs(b[i]);
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      const double term = a.at(i, j) * x[j];
+      r += term;
+      scale += std::fabs(term);
+    }
+    const double rel = std::fabs(r) / std::max(scale, 1e-12);
+    if (rel > worst.relative) worst = {rel, i};
+  }
+  return worst;
+}
+
 bool LuPlan::factor_and_compile(DenseMatrix& a, std::vector<double>& b,
                                 const std::vector<char>& pattern) {
   const std::size_t n = a.rows();

@@ -62,6 +62,17 @@ bool lu_solve(DenseMatrix& a, std::vector<double>& b);
 /// Complex LU with partial pivoting; A and b are overwritten.
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b);
 
+/// The worst row of the residual A x - b, relative to that row's magnitude
+/// |b_i| + sum_j |a_ij x_j| (floored at 1e-12): the KCL residual of a
+/// solution re-assembled at itself.
+struct RowResidual {
+  double relative = 0.0;
+  std::size_t row = 0;
+};
+RowResidual worst_relative_residual(const DenseMatrix& a,
+                                    const std::vector<double>& x,
+                                    const std::vector<double>& b);
+
 /// Compiled frozen-pivot LU. One full partial-pivot factorization records
 /// the pivot order and, combined with the structural nonzero pattern of
 /// the unfactored matrix, compiles a sparse elimination schedule with

@@ -13,11 +13,6 @@ Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
   if (ohms <= 0.0) throw std::invalid_argument("Resistor: non-positive R");
 }
 
-void Resistor::set_resistance(double ohms) {
-  if (ohms <= 0.0) throw std::invalid_argument("Resistor: non-positive R");
-  ohms_ = ohms;
-}
-
 void Resistor::stamp(const SimContext& /*ctx*/, Stamper& s) {
   s.conductance(a_, b_, 1.0 / ohms_);
 }
@@ -112,11 +107,6 @@ void VSource::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
   s.add_matrix(k, s.node_row(minus_), -1.0);
   // Quiet sources are AC shorts; an excited source injects its magnitude.
   s.add_rhs(k, ac_magnitude_);
-}
-
-double VSource::branch_current(std::size_t num_nodes,
-                               const std::vector<double>& x) const {
-  return x[num_nodes + static_cast<std::size_t>(aux_base())];
 }
 
 double VSource::delivered_power(const SimContext& ctx,

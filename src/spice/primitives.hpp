@@ -18,7 +18,6 @@ class Resistor final : public Device {
   std::vector<NodeId> terminals() const override { return {a_, b_}; }
 
   double resistance() const { return ohms_; }
-  void set_resistance(double ohms);
 
   std::unique_ptr<Device> clone() const override {
     return std::unique_ptr<Device>(new Resistor(*this));
@@ -56,8 +55,6 @@ class Capacitor final : public Device {
   double initial_condition() const { return ic_; }
   /// Voltage across the capacitor at the last accepted step.
   double voltage() const { return v_prev_; }
-  /// Stored energy 0.5*C*V^2 at the last accepted step [J].
-  double stored_energy() const { return 0.5 * farads_ * v_prev_ * v_prev_; }
 
   std::unique_ptr<Device> clone() const override {
     return std::unique_ptr<Device>(new Capacitor(*this));
@@ -97,11 +94,6 @@ class VSource final : public Device {
   /// AC analysis stimulus magnitude [V] (0 = quiet source). The phase is
   /// zero; use one excited source per transfer-function measurement.
   void set_ac_magnitude(double volts) { ac_magnitude_ = volts; }
-  double ac_magnitude() const { return ac_magnitude_; }
-
-  /// Branch current (from + through the source to -) given a solution.
-  double branch_current(std::size_t num_nodes,
-                        const std::vector<double>& x) const;
 
   std::unique_ptr<Device> clone() const override {
     return std::unique_ptr<Device>(new VSource(*this));

@@ -453,8 +453,8 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions&) {
     out.failure = fail("dc_convergence", "Newton failed to converge");
     return out;
   }
-  // Re-assemble the system at the converged solution exactly as the engine
-  // does (device stamps + gmin) and measure the KCL/branch residual.
+  // Re-assemble the system at the converged solution through the engine's
+  // reference assembly and measure the KCL/branch residual.
   const std::size_t size = circuit.system_size();
   const std::size_t num_nodes = circuit.num_nodes();
   spice::DenseMatrix a(size, size);
@@ -464,33 +464,16 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions&) {
   ctx.temperature_c = nl.temperature_c;
   ctx.gmin = op.gmin_used;
   ctx.num_nodes = num_nodes;
-  spice::Stamper stamper(a, b, op.x, num_nodes);
-  for (const auto& dev : circuit.devices()) dev->stamp(ctx, stamper);
-  for (std::size_t n = 0; n < num_nodes; ++n) a.at(n, n) += ctx.gmin;
-
-  double worst_rel = 0.0;
-  std::size_t worst_row = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    double r = -b[i];
-    double scale = std::fabs(b[i]);
-    for (std::size_t j = 0; j < size; ++j) {
-      const double term = a.at(i, j) * op.x[j];
-      r += term;
-      scale += std::fabs(term);
-    }
-    const double rel = std::fabs(r) / std::max(scale, 1e-12);
-    if (rel > worst_rel) {
-      worst_rel = rel;
-      worst_row = i;
-    }
-    out.observable = hash_double(out.observable, op.x[i]);
-  }
-  if (worst_rel > kKclTol) {
+  engine.assemble(ctx, op.x, a, b);
+  const spice::RowResidual residual =
+      spice::worst_relative_residual(a, op.x, b);
+  for (const double v : op.x) out.observable = hash_double(out.observable, v);
+  if (residual.relative > kKclTol) {
     std::ostringstream d;
-    d << "KCL residual " << Json::format_number(worst_rel) << " at "
-      << (worst_row < num_nodes
-              ? "node " + circuit.node_name(static_cast<int>(worst_row))
-              : "aux row " + std::to_string(worst_row - num_nodes))
+    d << "KCL residual " << Json::format_number(residual.relative) << " at "
+      << (residual.row < num_nodes
+              ? "node " + circuit.node_name(static_cast<int>(residual.row))
+              : "aux row " + std::to_string(residual.row - num_nodes))
       << " exceeds tol " << Json::format_number(kKclTol);
     out.failure = fail("kcl_residual", d.str());
     return out;

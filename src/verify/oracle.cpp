@@ -7,7 +7,6 @@
 #include "cim/array.hpp"
 #include "cim/behavioral.hpp"
 #include "cim/montecarlo.hpp"
-#include "spice/engine.hpp"
 #include "verify/json.hpp"
 
 namespace sfc::verify {
@@ -65,95 +64,6 @@ void OracleReport::diff_value(const std::string& quantity, double a, double b,
 void OracleReport::structural_failure(std::string note) {
   match = false;
   notes.push_back(std::move(note));
-}
-
-// ---------------------------------------------------------------------------
-// Stamp plan vs legacy assembler
-// ---------------------------------------------------------------------------
-namespace {
-
-/// Two independent rows of the same config differing only in the Newton
-/// assembly path. Separate CiMRow instances (not a shared circuit) so each
-/// arm owns its device state and engine workspace.
-struct EnginePair {
-  sfc::cim::ArrayConfig hot_cfg;
-  sfc::cim::ArrayConfig leg_cfg;
-
-  explicit EnginePair(int cells) {
-    hot_cfg = sfc::cim::ArrayConfig::proposed_2t1fefet();
-    hot_cfg.cells_per_row = cells;
-    hot_cfg.newton.use_stamp_plan = true;
-    leg_cfg = hot_cfg;
-    leg_cfg.newton.use_stamp_plan = false;
-  }
-};
-
-std::string time_label(const std::vector<double>& t, std::size_t i) {
-  if (i >= t.size()) return "";
-  return "t=" + Json::format_number(t[i]);
-}
-
-}  // namespace
-
-OracleReport oracle_stampplan_vs_legacy_dc() {
-  OracleReport rep;
-  rep.name = "stampplan_vs_legacy_dc";
-  rep.arm_a = "compiled stamp-plan Newton assembly (use_stamp_plan=true)";
-  rep.arm_b = "legacy full-restamp Newton assembly (use_stamp_plan=false)";
-  const EnginePair pair(4);
-  sfc::cim::CiMRow hot_row(pair.hot_cfg), leg_row(pair.leg_cfg);
-  const std::vector<int> stored = {1, 0, 1, 1};
-  hot_row.set_stored(stored);
-  leg_row.set_stored(stored);
-  sfc::spice::Engine hot(hot_row.circuit(), 27.0);
-  sfc::spice::Engine leg(leg_row.circuit(), 27.0);
-  for (double t : {0.0, 27.0, 85.0}) {
-    hot.set_temperature_c(t);
-    leg.set_temperature_c(t);
-    const auto a = hot.dc_operating_point(pair.hot_cfg.newton);
-    const auto b = leg.dc_operating_point(pair.leg_cfg.newton);
-    if (!a.converged || !b.converged) {
-      rep.structural_failure("DC solve failed to converge at T=" +
-                             Json::format_number(t));
-      continue;
-    }
-    rep.diff_series("x_T" + Json::format_number(t), a.x, b.x);
-  }
-  return rep;
-}
-
-OracleReport oracle_stampplan_vs_legacy_transient() {
-  OracleReport rep;
-  rep.name = "stampplan_vs_legacy_transient";
-  rep.arm_a = "compiled stamp-plan engine, Fig. 8 MAC transient";
-  rep.arm_b = "legacy full-restamp engine, Fig. 8 MAC transient";
-  const EnginePair pair(8);
-  sfc::cim::CiMRow hot_row(pair.hot_cfg), leg_row(pair.leg_cfg);
-  const std::vector<int> stored = {1, 0, 1, 1, 0, 1, 0, 1};
-  const std::vector<int> inputs = {1, 1, 0, 1, 0, 1, 1, 0};
-  hot_row.set_stored(stored);
-  leg_row.set_stored(stored);
-  const auto a = hot_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
-  const auto b = leg_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
-  if (!a.converged || !b.converged) {
-    rep.structural_failure("MAC transient failed to converge");
-    return rep;
-  }
-  const auto& ta = a.waveforms.time();
-  rep.diff_series("time", ta, b.waveforms.time());
-  // Bit-exact contract: every recorded signal at every time step.
-  for (const auto& sig : a.waveforms.signal_names()) {
-    if (!b.waveforms.has_signal(sig)) {
-      rep.structural_failure("signal '" + sig + "' missing from legacy arm");
-      continue;
-    }
-    rep.diff_series(sig, a.waveforms.waveform(sig), b.waveforms.waveform(sig),
-                    0.0, 0.0,
-                    [&ta](std::size_t i) { return time_label(ta, i); });
-  }
-  rep.diff_value("energy_joules", a.energy_joules, b.energy_joules);
-  rep.diff_value("v_acc", a.v_acc, b.v_acc);
-  return rep;
 }
 
 // ---------------------------------------------------------------------------
@@ -248,9 +158,6 @@ OracleReport oracle_serial_vs_parallel_montecarlo(int threads) {
 
 const std::vector<OracleCase>& oracle_cases() {
   static const std::vector<OracleCase> cases = {
-      {"stampplan_vs_legacy_dc", [] { return oracle_stampplan_vs_legacy_dc(); }},
-      {"stampplan_vs_legacy_transient",
-       [] { return oracle_stampplan_vs_legacy_transient(); }},
       {"spice_vs_behavioral", [] { return oracle_spice_vs_behavioral(); }},
       {"serial_vs_parallel_montecarlo",
        [] { return oracle_serial_vs_parallel_montecarlo(); }},

@@ -3,8 +3,6 @@
 // the first diverging signal/time-step.
 //
 // Built-in oracle pairs (see oracle_cases()):
-//   * stampplan_vs_legacy_dc / _transient — the compiled stamp-plan Newton
-//     path against the legacy full-restamp assembler (bit-exact contract);
 //   * spice_vs_behavioral — the SPICE-level CiM row against the calibrated
 //     cim/behavioral lookup model (exact at calibration grid temperatures,
 //     bounded interpolation error in between);
@@ -65,8 +63,6 @@ struct OracleCase {
 const std::vector<OracleCase>& oracle_cases();
 
 // Individual oracles (also reachable through the registry).
-OracleReport oracle_stampplan_vs_legacy_dc();
-OracleReport oracle_stampplan_vs_legacy_transient();
 OracleReport oracle_spice_vs_behavioral();
 OracleReport oracle_serial_vs_parallel_montecarlo(int threads = 4);
 

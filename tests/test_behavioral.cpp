@@ -106,6 +106,44 @@ TEST(Behavioral, RejectsCorruptText) {
                std::runtime_error);
 }
 
+// A 2-cell model at one temperature, read from text so that no row is
+// simulated. MAC values outside 0..2 throw in every build.
+BehavioralArrayModel two_cell_model() {
+  return BehavioralArrayModel::from_text(
+      "sfc-behavioral-v1\n2 27 1\n27\n0.1 0.2 0.3\n0 0.01 0.01\n");
+}
+
+TEST(Behavioral, VaccRejectsMacOutsideRow) {
+  const BehavioralArrayModel m = two_cell_model();
+  EXPECT_THROW(m.v_acc(5, 27.0), std::invalid_argument);
+  EXPECT_THROW(m.v_acc(-1, 27.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(m.v_acc(2, 27.0), 0.3);
+  EXPECT_THROW(BehavioralArrayModel().v_acc(0, 27.0), std::logic_error);
+}
+
+TEST(Behavioral, SigmaRejectsMacOutsideRow) {
+  const BehavioralArrayModel m = two_cell_model();
+  EXPECT_THROW(m.sigma(3), std::invalid_argument);
+  EXPECT_THROW(m.sigma(-1), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(m.sigma(2), 0.01);
+}
+
+TEST(Behavioral, MacRejectsCountOutsideRow) {
+  const BehavioralArrayModel m = two_cell_model();
+  util::Rng rng(3);
+  EXPECT_THROW(m.mac(3, 27.0), std::invalid_argument);
+  EXPECT_THROW(m.mac(-1, 27.0, &rng), std::invalid_argument);
+  EXPECT_EQ(m.mac(2, 27.0), 2);
+}
+
+TEST(Behavioral, MacTrackingRejectsCountOutsideRow) {
+  const BehavioralArrayModel m = two_cell_model();
+  util::Rng rng(3);
+  EXPECT_THROW(m.mac_tracking(3, 27.0), std::invalid_argument);
+  EXPECT_THROW(m.mac_tracking(-1, 27.0, &rng), std::invalid_argument);
+  EXPECT_EQ(m.mac_tracking(1, 27.0), 1);
+}
+
 TEST(Behavioral, FileCacheRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "sfc_beh_cache.txt").string();

@@ -211,6 +211,45 @@ TEST(CiMRow, FourCellRowAlsoSeparable) {
   EXPECT_TRUE(summarize_nmr(sweep.levels).separable);
 }
 
+// Per-cell arguments of the wrong length throw in every build, before
+// anything indexes past the row's cells.
+ArrayConfig two_cells() {
+  ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
+  cfg.cells_per_row = 2;
+  return cfg;
+}
+
+TEST(CiMRow, EvaluateRejectsWrongInputCount) {
+  CiMRow row(two_cells());
+  EXPECT_THROW(row.evaluate({1, 1, 1}, 27.0), std::invalid_argument);
+  EXPECT_THROW(row.evaluate({1}, 27.0), std::invalid_argument);
+}
+
+TEST(CiMRow, SetStoredRejectsWrongWeightCount) {
+  CiMRow row(two_cells());
+  EXPECT_THROW(row.set_stored({1, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(row.set_stored({}), std::invalid_argument);
+}
+
+TEST(CiMRow, ProgramRejectsWrongWeightCount) {
+  CiMRow row(two_cells());
+  EXPECT_THROW(row.program({1, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(row.program({1}), std::invalid_argument);
+}
+
+TEST(CiMRow, SetFefetVthShiftsRejectsWrongCount) {
+  CiMRow row(two_cells());
+  EXPECT_THROW(row.set_fefet_vth_shifts({0.01, 0.02, 0.03}),
+               std::invalid_argument);
+  EXPECT_THROW(row.set_fefet_vth_shifts({0.01}), std::invalid_argument);
+}
+
+TEST(CiMRow, LevelInputsRejectsMacOutsideRow) {
+  EXPECT_THROW(level_inputs(2, 5), std::invalid_argument);
+  EXPECT_THROW(level_inputs(2, -1), std::invalid_argument);
+  EXPECT_EQ(level_inputs(2, 2), (std::vector<int>{1, 1}));
+}
+
 TEST(CiMRow, LatencyMatchesPaper) {
   const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
   EXPECT_NEAR(cfg.timing.t_total(), 6.9e-9, 1e-12);

@@ -1,7 +1,9 @@
 // Solver hot-path validation: the compiled stamp-plan assembly and the
-// frozen-pivot LU must be *bit-identical* to the legacy full-restamp /
-// full-pivot path — not tolerance-close — on the paper's circuits, and
-// the steady-state Newton loop must not touch the heap. Trace-counter
+// frozen-pivot LU must be *bit-identical* to the reference Newton step
+// (use_stamp_plan = false: full assemble + dense partial-pivot LU) — not
+// tolerance-close — on the paper's circuits, the paper's rows must satisfy
+// KCL at their DC points, and the steady-state Newton loop must not touch
+// the heap. Trace-counter
 // (TestProbe) assertions cross-check the engine's self-reported iteration
 // totals against the instrumentation; they compile out with SFC_TRACE=OFF.
 #include <gtest/gtest.h>
@@ -327,6 +329,53 @@ TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
           "sweep point " + std::to_string(i) + " (hot=" +
               std::to_string(c.hot) + ", threads=" +
               std::to_string(c.threads) + ")");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Residual contract: the DC operating point of a paper row, re-assembled
+// at itself through the reference assembly, satisfies KCL to the
+// fuzzer's tolerance on both paths. Unlike the bitwise comparisons above,
+// this holds for any LU that solves the system accurately.
+// ---------------------------------------------------------------------
+
+TEST(SolverHotPath, PaperRowsDcResidualWithinKclTolerance) {
+  constexpr double kKclTol = 1e-8;  // the fuzzer's dc_kcl bound
+  for (const cim::ArrayConfig& preset :
+       {cim::ArrayConfig::proposed_2t1fefet(),
+        cim::ArrayConfig::baseline_1r_subthreshold()}) {
+    for (const int cells : {1, 8}) {
+      cim::ArrayConfig cfg = preset;
+      cfg.cells_per_row = cells;
+      cim::CiMRow row(cfg);
+      row.set_stored(std::vector<int>(static_cast<std::size_t>(cells), 1));
+      // Every input high: the cell-phase operating point, FeFETs reading.
+      for (int i = 0; i < cells; ++i) {
+        row.cell(i).wl->set_dc(cfg.wl_read_level());
+      }
+      const std::size_t size = row.circuit().system_size();
+      for (const NewtonOptions& options : {legacy_options(), hot_options()}) {
+        Engine engine(row.circuit(), 27.0);
+        for (const double temp : {0.0, 27.0, 85.0}) {
+          SCOPED_TRACE(std::to_string(cells) + " cells, " +
+                       (cfg.kind == cim::CellKind::k2T1FeFet ? "2T" : "1R") +
+                       ", stamp plan " +
+                       std::to_string(options.use_stamp_plan) + ", T = " +
+                       std::to_string(temp));
+          engine.set_temperature_c(temp);
+          const DcResult op = engine.dc_operating_point(options);
+          ASSERT_TRUE(op.converged);
+          SimContext ctx;
+          ctx.temperature_c = temp;
+          ctx.gmin = op.gmin_used;
+          ctx.num_nodes = row.circuit().num_nodes();
+          DenseMatrix a(size, size);
+          std::vector<double> b(size);
+          engine.assemble(ctx, op.x, a, b);
+          EXPECT_LE(worst_relative_residual(a, op.x, b).relative, kKclTol);
+        }
+      }
     }
   }
 }

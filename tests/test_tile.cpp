@@ -71,6 +71,17 @@ TEST(CiMTile, RejectsBadMatrices) {
                std::invalid_argument);
 }
 
+TEST(CiMTile, MultiplyRejectsWrongInputLength) {
+  CiMTile tile(ArrayConfig::proposed_2t1fefet(), {{1, 0, 1}});
+  // The length check runs before any row is simulated or decoded, so an
+  // uncalibrated ADC model is enough.
+  const BehavioralArrayModel uncalibrated;
+  EXPECT_THROW(tile.multiply({1, 1}, 27.0, uncalibrated),
+               std::invalid_argument);
+  EXPECT_THROW(tile.multiply({1, 1, 1, 1}, 27.0, uncalibrated),
+               std::invalid_argument);
+}
+
 TEST(AsciiPlot, RendersSeriesAndLegend) {
   util::AsciiPlot plot(32, 8);
   const std::vector<double> x = {0, 1, 2, 3, 4};

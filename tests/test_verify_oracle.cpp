@@ -10,7 +10,7 @@ namespace {
 
 TEST(VerifyOracle, AllBuiltInOraclePairsMatch) {
   const auto& cases = oracle_cases();
-  ASSERT_EQ(cases.size(), 4u);
+  ASSERT_EQ(cases.size(), 2u);
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     const OracleReport rep = c.run();
@@ -19,14 +19,6 @@ TEST(VerifyOracle, AllBuiltInOraclePairsMatch) {
     EXPECT_EQ(rep.divergences, 0u);
     EXPECT_FALSE(rep.first.has_value());
   }
-}
-
-TEST(VerifyOracle, StampPlanTransientComparesEveryTimeStep) {
-  const OracleReport rep = oracle_stampplan_vs_legacy_transient();
-  EXPECT_TRUE(rep.match) << rep.summary();
-  // time vector + all recorded signals + energy + v_acc: thousands of
-  // points, so a single-step divergence anywhere in the waveform is seen.
-  EXPECT_GT(rep.points_compared, 1000u);
 }
 
 TEST(VerifyOracle, InjectedDivergenceReportsFirstPoint) {
