@@ -141,7 +141,8 @@ int main() {
     opts.with_variation_noise = true;
     // Rows fan out over the cores; the per-row noise streams keep the
     // result bit-identical to a serial pass. The noiseless passes stay
-    // serial: a fork per dot_batch costs more than their rows.
+    // serial: handing each dot_batch to the workers costs more than their
+    // rows.
     opts.exec.threads = 0;
     nn::CimDotEngine engine(proposed, opts);
     // A noiseless row on this fabric is one integer dot, while a noisy

@@ -14,8 +14,8 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 step() { printf '\n== %s ==\n' "$*"; }
 
-step "configure (${BUILD_DIR})"
-cmake -B "${BUILD_DIR}" -S . >/dev/null
+step "configure (${BUILD_DIR}, warnings as errors)"
+cmake -B "${BUILD_DIR}" -S . -DSFC_WARNINGS_AS_ERRORS=ON >/dev/null
 
 step "build (-j${JOBS})"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
@@ -106,7 +106,7 @@ done
 
 step "SFC_TRACE=OFF build (zero-instrumentation flavour stays green)"
 NOTRACE_DIR="${BUILD_DIR}-notrace"
-cmake -B "${NOTRACE_DIR}" -S . -DSFC_TRACE=OFF \
+cmake -B "${NOTRACE_DIR}" -S . -DSFC_TRACE=OFF -DSFC_WARNINGS_AS_ERRORS=ON \
   -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${NOTRACE_DIR}" -j "${JOBS}" \
   --target verify_runner test_trace test_exec
@@ -137,9 +137,10 @@ ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim" \
 "${UBSAN_DIR}/tools/verify_runner" fuzz --count 200 --dump "${UBSAN_DIR}"
 
 step "ThreadSanitizer pass (ctest -L \"exec|trace\" under -fsanitize=thread)"
-# parallel_for's forked workers, the Monte Carlo / sweep / dot-batch
-# fan-outs and the relaxed-atomic metrics registry they record into must
-# be free of data races at 1 to 8 threads.
+# parallel_for's persistent workers (nested, concurrent and back-to-back
+# jobs), the Monte Carlo / sweep / dot-batch fan-outs and the
+# relaxed-atomic metrics registry they record into must be free of data
+# races at 1 to 8 threads.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . -DSFC_SANITIZE=thread \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null

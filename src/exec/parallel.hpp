@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -63,20 +62,31 @@ inline double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// Runs body(ctx) on the caller and on up to `helpers` of the process's
+/// persistent workers, and returns once the caller's call and every
+/// helper's call have returned. body must not throw, and must return only
+/// when it has nothing left to hand out, because a worker whose call
+/// returns closes the job to further helpers.
+void run_with_helpers(int helpers, void (*body)(void*) noexcept, void* ctx);
+
 }  // namespace detail
 
 /// Run fn(i) for every i in [0, n) under `policy` and report timings.
 ///
-/// The caller drains indices from a shared atomic counter alongside
-/// threads_used - 1 forked std::jthreads, which join before parallel_for
-/// returns; tasks never learn which thread runs them. A one-thread job
-/// therefore runs inline on the caller, in index order fn(0), fn(1), ...,
-/// fn(n-1) — callers may rely on that order (continuation sweeps do).
+/// The caller drains indices from a shared atomic counter alongside up to
+/// threads_used - 1 persistent workers (a process-wide set that grows to
+/// the largest job and parks when idle); tasks never learn which thread
+/// runs them. Workers busy elsewhere (a nested or concurrent job) just do
+/// not join, and the caller finishes the job alone. A one-thread job runs
+/// inline on the caller, in index order fn(0), fn(1), ..., fn(n-1) —
+/// callers may rely on that order (continuation sweeps do). A task may
+/// call parallel_for itself; static destructors must not, because the
+/// workers are stopped by one.
 ///
 /// `fn` may return void (completion counts as converged) or bool (true is
 /// tallied as converged, false as failed — e.g. a Newton solve outcome).
 /// The first exception thrown by any task stops the dispensing and is
-/// rethrown on the caller once every thread has joined.
+/// rethrown on the caller once every helper has left the job.
 template <typename Fn>
 JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   SFC_TRACE_SPAN("exec.parallel_for");
@@ -129,12 +139,14 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   };
 
   const auto job_t0 = detail::Clock::now();
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(static_cast<std::size_t>(report.threads_used - 1));
-    for (int w = 1; w < report.threads_used; ++w) workers.emplace_back(drain);
+  if (report.threads_used == 1) {
     drain();
-  }  // the forked workers join here
+  } else {
+    detail::run_with_helpers(
+        report.threads_used - 1,
+        [](void* d) noexcept { (*static_cast<decltype(drain)*>(d))(); },
+        &drain);
+  }
   report.wall_ms = detail::ms_since(job_t0);
   report.converged = converged.load();
   report.failed = failed.load();

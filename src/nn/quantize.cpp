@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nn/trainer.hpp"
 
@@ -267,6 +268,16 @@ QuantizedNetwork QuantizedNetwork::from_model(
 
 Tensor QuantizedNetwork::forward(const sfc::data::Image& img,
                                  DotEngine& engine) const {
+  // The ops read the activations by the network's geometry, not the
+  // image's size.
+  const std::size_t expected = static_cast<std::size_t>(input_channels_) *
+                               input_size_ * input_size_;
+  if (img.pixels.size() != expected) {
+    throw std::invalid_argument(
+        "QuantizedNetwork::forward: image has " +
+        std::to_string(img.pixels.size()) + " pixels, expected " +
+        std::to_string(expected));
+  }
   // uint8 activations with a single scale.
   const long act_levels = options_.activation_levels();
   std::vector<std::uint8_t> act(img.pixels.size());

@@ -98,7 +98,8 @@ class QuantizedNetwork {
 
   const QuantizeOptions& options() const { return options_; }
 
-  /// Forward one image; returns float logits.
+  /// Forward one image; returns float logits. Throws
+  /// std::invalid_argument unless the image has 3 x 32 x 32 pixels.
   Tensor forward(const sfc::data::Image& img, DotEngine& engine) const;
 
   /// Predicted class.

@@ -428,7 +428,6 @@ TransientResult Engine::transient(double t_stop,
     std::vector<double> x_try;
     int retries = 0;
     double step = dt;
-    int last_iters = 0;
     while (retries <= kMaxStepRetries) {
       ctx.time = t + step;
       ctx.dt = step;
@@ -438,7 +437,7 @@ TransientResult Engine::transient(double t_stop,
       int iters = 0;
       if (newton_solve(ctx, x_try, options.newton, &iters)) {
         result.total_newton_iterations += iters;
-        last_iters = iters;
+        SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", iters);
         solved = true;
         break;
       }
@@ -453,7 +452,6 @@ TransientResult Engine::transient(double t_stop,
     }
 
     SFC_TRACE_COUNT("spice.tran.steps_accepted", 1);
-    SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", last_iters);
 
     x = x_try;
     for (const auto& dev : circuit_.devices()) {

@@ -147,6 +147,82 @@ TEST(ParallelFor, PreservesIndexOrder) {
   }
 }
 
+// The workers persist across jobs, so these run the pool's hand-offs:
+// jobs posted from inside a task, from two threads at once, and many
+// tiny jobs back to back (check.sh runs them under TSan too).
+TEST(ParallelFor, NestedJobsVisitEveryIndexOnce) {
+  constexpr std::size_t outer = 12;
+  constexpr std::size_t inner = 20;
+  std::vector<std::atomic<int>> visits(outer * inner);
+  std::vector<std::atomic<int>> outer_visits(outer);
+  parallel_for(ExecPolicy{4}, outer, [&](std::size_t i) {
+    outer_visits[i].fetch_add(1);
+    const JobReport report = parallel_for(
+        ExecPolicy{4}, inner,
+        [&](std::size_t j) { visits[i * inner + j].fetch_add(1); });
+    EXPECT_EQ(report.converged, inner);
+  });
+  for (std::size_t i = 0; i < outer; ++i) {
+    EXPECT_EQ(outer_visits[i].load(), 1) << "outer " << i;
+    for (std::size_t j = 0; j < inner; ++j) {
+      EXPECT_EQ(visits[i * inner + j].load(), 1)
+          << "outer " << i << ", inner " << j;
+    }
+  }
+}
+
+TEST(ParallelFor, ConcurrentCallersEachGetTheirOwnJob) {
+  constexpr int jobs = 200;
+  constexpr std::size_t n = 33;
+  auto caller = [&](std::size_t salt, int* wrong) {
+    for (int job = 0; job < jobs; ++job) {
+      std::vector<std::size_t> out(n, 0);
+      const JobReport report = parallel_for(
+          ExecPolicy{4}, n, [&](std::size_t i) { out[i] = i * salt; });
+      for (std::size_t i = 0; i < n; ++i) *wrong += out[i] != i * salt;
+      *wrong += report.converged != n;
+    }
+  };
+  int wrong_a = 0, wrong_b = 0;
+  {
+    std::thread a(caller, 3, &wrong_a);
+    std::thread b(caller, 7, &wrong_b);
+    a.join();
+    b.join();
+  }
+  EXPECT_EQ(wrong_a, 0);
+  EXPECT_EQ(wrong_b, 0);
+}
+
+TEST(ParallelFor, NestedExceptionReachesOuterCaller) {
+  std::atomic<int> inner_started{0};
+  EXPECT_THROW(
+      parallel_for(ExecPolicy{4}, 8,
+                   [&](std::size_t i) {
+                     parallel_for(ExecPolicy{4}, 16, [&](std::size_t j) {
+                       inner_started.fetch_add(1);
+                       if (i == 5 && j == 9) throw std::runtime_error("inner");
+                     });
+                   }),
+      std::runtime_error);
+  EXPECT_GT(inner_started.load(), 0);
+  // The pool is still usable after a failed nested job.
+  std::atomic<int> count{0};
+  parallel_for(ExecPolicy{4}, 64, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ParallelFor, BackToBackTinyJobsFinish) {
+  constexpr int jobs = 10000;
+  std::size_t total = 0;
+  for (int job = 0; job < jobs; ++job) {
+    std::size_t out[4] = {};
+    parallel_for(ExecPolicy{4}, 4, [&](std::size_t i) { out[i] = i + 1; });
+    total += out[0] + out[1] + out[2] + out[3];
+  }
+  EXPECT_EQ(total, static_cast<std::size_t>(jobs) * 10);
+}
+
 TEST(ExecPolicy, ResolvesThreads) {
   EXPECT_EQ(ExecPolicy::serial().resolved_threads(100), 1);
   EXPECT_EQ((ExecPolicy{4}).resolved_threads(2), 2);  // never > n

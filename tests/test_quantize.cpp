@@ -281,6 +281,28 @@ TEST(Quantize, ActivationScalesArePinned) {
   }
 }
 
+// forward reads the image by the network's geometry, so an image of
+// another size is refused instead of read past its end.
+TEST(Quantize, ForwardRejectsImagesOfAnotherSize) {
+  sfc::util::Rng rng(5);
+  Sequential net;
+  net.add<Conv2d>(3, 4, 3, true, rng);
+  net.add<Relu>();
+  net.add<MaxPool2d>(2);
+  net.add<Flatten>();
+  net.add<Dense>(4 * 16 * 16, 10, rng);
+  sfc::data::SynthCifarConfig cfg;
+  cfg.train_per_class = 1;
+  const sfc::data::Dataset data = sfc::data::make_synth_cifar_train(cfg);
+  const QuantizedNetwork qn = QuantizedNetwork::from_model(net, data, 2);
+  IdealDotEngine ideal;
+  EXPECT_EQ(qn.forward(data.images[0], ideal).size(), 10u);
+  EXPECT_THROW(qn.forward(sfc::data::Image{}, ideal), std::invalid_argument);
+  sfc::data::Image gray;  // one channel, 32 x 32
+  gray.pixels.assign(32 * 32, 0.5f);
+  EXPECT_THROW(qn.forward(gray, ideal), std::invalid_argument);
+}
+
 TEST(CimEngine, BitSerialEqualsIdealWithPerfectArray) {
   // With the proposed array at its design temperature every 8-cell count
   // decodes exactly, so the bit-serial path must match the integer dot

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -187,6 +188,31 @@ TEST(TraceSpan, ParallelSpansLandOnPerThreadTracksSorted) {
     last_ts = e.number_at("ts");
   }
   EXPECT_EQ(tasks, 16u);
+}
+
+// parallel_for reuses its workers, so repeated jobs record onto the same
+// few per-thread tracks instead of registering a new buffer per job.
+TEST(TraceSpan, RepeatedJobsReuseThreadTracks) {
+  Tracer& tracer = Tracer::global();
+  tracer.start();
+  exec::ExecPolicy policy;
+  policy.threads = 4;
+  for (int job = 0; job < 50; ++job) {
+    exec::parallel_for(policy, 16, [](std::size_t) {
+      trace::SpanScope s("test.span.pooled");
+    });
+  }
+  tracer.stop();
+
+  const Json chrome = tracer.chrome_json();
+  std::set<double> tids;
+  std::size_t spans = 0;
+  for (const Json& e : chrome.get("traceEvents").as_array()) {
+    tids.insert(e.number_at("tid"));
+    if (e.string_at("name") == std::string("test.span.pooled")) ++spans;
+  }
+  EXPECT_EQ(spans, 50u * 16u);
+  EXPECT_LE(tids.size(), 4u);
 }
 
 TEST(TraceSpan, WriteChromeProducesParseableFile) {
