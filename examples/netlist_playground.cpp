@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "spice/engine.hpp"
 #include "spice/netlist.hpp"
@@ -77,7 +78,12 @@ int main(int argc, char** argv) {
     std::printf("\n.dc %s %.3g -> %.3g step %.3g:\n", dc.source.c_str(),
                 dc.start, dc.stop, dc.step);
     SweepSpec spec;
-    spec.values = linspace_step(dc.start, dc.stop, dc.step);
+    try {
+      spec.values = linspace_step(dc.start, dc.stop, dc.step);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, ".dc %s: %s\n", dc.source.c_str(), e.what());
+      continue;
+    }
     spec.apply = [name = dc.source](Circuit& c, double v) {
       static_cast<VSource*>(c.find(name))->set_dc(v);
     };

@@ -117,19 +117,21 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
   --metrics "${NOTRACE_DIR}/metrics_oracle.json"
 "${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_oracle.json"
 
-step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim\" under -fsanitize=undefined)"
+step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
 # _GLIBCXX_ASSERTIONS bounds-checks every std::vector / std::optional
 # access, so an out-of-range index aborts here instead of reading garbage.
 # nn covers CimDotEngine's noise-shortcut floors and dot_batch's span
 # bounds; cim covers the row, tile and behavioural-model code and their
-# per-cell length checks.
+# per-cell length checks; exec covers parallel_for's task timing and
+# drain tallies; fefet the Preisach polarization cache; util the RNG and
+# its argument checks.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim" \
+ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim|exec|fefet|util" \
   --output-on-failure -j "${JOBS}"
 # The interval-oracle fuzz campaign under UBSan: the outward-rounding
 # interval arithmetic and the fixpoint engine must be UB-free on 200

@@ -44,7 +44,10 @@ struct JobReport {
   int threads_used = 1;
   std::size_t tasks = 0;
   double wall_ms = 0.0;          ///< whole-job wall-clock time
-  std::vector<double> task_ms;   ///< per-task wall time, indexed by task
+  /// Per-task wall time, indexed by task: from the thread's previous task
+  /// boundary (its previous task's end, or its drain's start) to the
+  /// task's end, so it includes fetching the task's chunk.
+  std::vector<double> task_ms;
   std::size_t converged = 0;     ///< tasks that completed / returned true
   std::size_t failed = 0;        ///< tasks that returned false
 
@@ -58,8 +61,8 @@ namespace detail {
 
 using Clock = std::chrono::steady_clock;
 
-inline double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+inline double to_ms(Clock::duration d) {
+  return std::chrono::duration<double, std::milli>(d).count();
 }
 
 /// Runs body(ctx) on the caller and on up to `helpers` of the process's
@@ -107,35 +110,43 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   std::mutex error_mutex;
   std::exception_ptr error;
 
+  // One clock read per task boundary; the tallies stay local to the drain
+  // and reach the shared counts once, when it ends.
   auto drain = [&]() {
+    std::size_t ok = 0;
+    std::size_t bad = 0;
+    auto boundary = detail::Clock::now();
     while (!aborted.load(std::memory_order_relaxed)) {
       const std::size_t base =
           next.fetch_add(chunk, std::memory_order_relaxed);
-      if (base >= n) return;
+      if (base >= n) break;
       const std::size_t end = base + chunk < n ? base + chunk : n;
       for (std::size_t i = base; i < end; ++i) {
-        const auto t0 = detail::Clock::now();
         try {
           if constexpr (std::is_convertible_v<
                             std::invoke_result_t<Fn&, std::size_t>, bool>) {
             if (fn(i)) {
-              converged.fetch_add(1, std::memory_order_relaxed);
+              ++ok;
             } else {
-              failed.fetch_add(1, std::memory_order_relaxed);
+              ++bad;
             }
           } else {
             fn(i);
-            converged.fetch_add(1, std::memory_order_relaxed);
+            ++ok;
           }
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!error) error = std::current_exception();
           aborted.store(true, std::memory_order_relaxed);
-          return;
+          break;
         }
-        report.task_ms[i] = detail::ms_since(t0);
+        const auto now = detail::Clock::now();
+        report.task_ms[i] = detail::to_ms(now - boundary);
+        boundary = now;
       }
     }
+    converged.fetch_add(ok, std::memory_order_relaxed);
+    failed.fetch_add(bad, std::memory_order_relaxed);
   };
 
   const auto job_t0 = detail::Clock::now();
@@ -147,7 +158,7 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
         [](void* d) noexcept { (*static_cast<decltype(drain)*>(d))(); },
         &drain);
   }
-  report.wall_ms = detail::ms_since(job_t0);
+  report.wall_ms = detail::to_ms(detail::Clock::now() - job_t0);
   report.converged = converged.load();
   report.failed = failed.load();
   SFC_TRACE_COUNT("exec.jobs", 1);

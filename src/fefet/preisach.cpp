@@ -28,6 +28,7 @@ PreisachModel::PreisachModel(PreisachParams params) : p_(params) {
     vc_[i] = p_.vc_mean + p_.vc_sigma * util::probit(q);
     vc_[i] = std::max(vc_[i], 0.05);  // physical floor
   }
+  update_polarization();
 }
 
 double PreisachModel::domain_vc(int i, double temperature_c) const {
@@ -49,6 +50,7 @@ void PreisachModel::apply_pulse(double volts, double seconds,
     // Move the dipole toward the target by the switching fraction.
     state_[i] += (direction - state_[i]) * progress;
   }
+  update_polarization();
 }
 
 void PreisachModel::apply_quasistatic(double volts, double temperature_c) {
@@ -60,12 +62,13 @@ void PreisachModel::apply_quasistatic(double volts, double temperature_c) {
       state_[i] = direction;
     }
   }
+  update_polarization();
 }
 
-double PreisachModel::polarization() const {
+void PreisachModel::update_polarization() {
   double sum = 0.0;
   for (double s : state_) sum += s;
-  return sum / static_cast<double>(state_.size());
+  polarization_ = sum / static_cast<double>(state_.size());
 }
 
 double PreisachModel::memory_window(double temperature_c) const {
@@ -82,6 +85,7 @@ double PreisachModel::vth(double temperature_c) const {
 void PreisachModel::set_polarization(double p) {
   p = std::clamp(p, -1.0, 1.0);
   for (double& s : state_) s = p;
+  update_polarization();
 }
 
 void PreisachModel::write_bit(bool one, double temperature_c) {
@@ -103,6 +107,7 @@ void PreisachModel::age(double seconds, double temperature_c) {
   if (seconds <= 0.0) return;
   const double decay = std::exp(-seconds / retention_tau(temperature_c));
   for (double& s : state_) s *= decay;
+  update_polarization();
 }
 
 void PreisachModel::read_disturb(double volts, double seconds, long cycles,
@@ -128,6 +133,7 @@ void PreisachModel::read_disturb(double volts, double seconds, long cycles,
     const double progress = 1.0 - std::exp(-total_time * rate);
     state_[i] += (direction - state_[i]) * progress;
   }
+  update_polarization();
 }
 
 }  // namespace sfc::fefet

@@ -70,8 +70,9 @@ class PreisachModel {
   /// (the limit of a very long pulse). Used for hysteresis-loop tracing.
   void apply_quasistatic(double volts, double temperature_c);
 
-  /// Mean normalized polarization in [-1, +1].
-  double polarization() const;
+  /// Mean normalized polarization in [-1, +1]. Cached: every mutator
+  /// recomputes it, summing the domains in index order.
+  double polarization() const { return polarization_; }
 
   /// Effective threshold voltage contributed by the ferroelectric at the
   /// given temperature [V].
@@ -111,9 +112,13 @@ class PreisachModel {
   double domain_state(int i) const { return state_[static_cast<std::size_t>(i)]; }
 
  private:
+  /// Recomputes polarization_ from state_; every mutator ends with it.
+  void update_polarization();
+
   PreisachParams p_;
   std::vector<double> vc_;     ///< per-domain coercive voltage at t_nominal
   std::vector<double> state_;  ///< per-domain dipole in [-1, +1]
+  double polarization_ = 0.0;  ///< mean of state_
 };
 
 }  // namespace sfc::fefet

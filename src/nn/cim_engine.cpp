@@ -230,13 +230,11 @@ std::int64_t CimDotEngine::decode_correction(const WeightPlanes& wp,
       if (((byte_popcounts(a) + first_bias) & kByteHighs) == 0) continue;
       for (int q = 0; q < weight_mag_bits_; ++q) {
         const std::size_t at = static_cast<std::size_t>(q) * words + i;
-        // The planes are disjoint, so a byte's two counts sum to this.
-        const std::uint64_t both_counts =
-            byte_popcounts(a & (wp.pos[at] | wp.neg[at]));
-        if (((both_counts + first_bias) & kByteHighs) == 0) continue;
         const std::uint64_t pos_counts = byte_popcounts(a & wp.pos[at]);
-        const std::uint64_t neg_counts = both_counts - pos_counts;
+        const std::uint64_t neg_counts = byte_popcounts(a & wp.neg[at]);
         std::int64_t pair = 0;  // sum_g delta(c_g) - delta(0), pos - neg
+        // The steps rise in k, so once no byte reaches one, none reaches
+        // a later one: a pair below the first step costs one test.
         for (int s = 0; s < n_steps_; ++s) {
           const DecodeStep& step = steps_[s];
           // Bit 0 of a byte flags a positive count >= k, bit 4 a negative
@@ -244,6 +242,7 @@ std::int64_t CimDotEngine::decode_correction(const WeightPlanes& wp,
           const std::uint64_t flags =
               (((pos_counts + step.bias) & kByteHighs) >> 7) |
               (((neg_counts + step.bias) & kByteHighs) >> 3);
+          if (flags == 0) break;
           const auto sums =
               static_cast<std::int64_t>((flags * kByteOnes) >> 56);
           const std::int64_t pos_reach = sums & 15;

@@ -1,28 +1,38 @@
 #include "spice/sweep.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "trace/trace.hpp"
 
 namespace sfc::spice {
 
 std::vector<double> linspace_step(double lo, double hi, double step) {
-  assert(step > 0.0);
+  // NaN, infinite or negative: a zero or non-finite step, a non-finite
+  // bound, or a step that walks away from hi. Below 2^64 the count casts.
+  const double intervals = (hi - lo) / step;
+  if (step == 0.0 || !std::isfinite(step) ||
+      !(intervals >= 0.0 && intervals < 0x1p64)) {
+    throw std::invalid_argument(
+        "linspace_step: need a finite non-zero step toward hi and finite "
+        "bounds");
+  }
   std::vector<double> values;
-  const auto count = static_cast<std::size_t>(std::floor((hi - lo) / step + 1e-9)) + 1;
+  const auto count = static_cast<std::size_t>(std::floor(intervals + 1e-9)) + 1;
   values.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     values.push_back(lo + static_cast<double>(i) * step);
   }
-  if (!values.empty() && std::fabs(values.back() - hi) > step * 1e-6) {
+  if (std::fabs(values.back() - hi) > std::fabs(step) * 1e-6) {
     values.push_back(hi);
   }
   return values;
 }
 
 std::vector<double> linspace_count(double lo, double hi, std::size_t n) {
-  assert(n >= 2);
+  if (n < 2) {
+    throw std::invalid_argument("linspace_count: need at least 2 points");
+  }
   std::vector<double> values(n);
   for (std::size_t i = 0; i < n; ++i) {
     values[i] = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n - 1);

@@ -57,9 +57,12 @@ std::vector<SweepPoint> run_sweep(Circuit& circuit, const SweepSpec& spec,
                                   const sfc::exec::ExecPolicy& exec = {},
                                   sfc::exec::JobReport* report = nullptr);
 
-/// Inclusive linear grid helper: lo, lo+step, ..., hi.
+/// Inclusive linear grid helper: lo, lo+step, ..., hi. A negative step
+/// sweeps down from lo to hi. Throws std::invalid_argument for a zero or
+/// non-finite step, non-finite bounds, or a step whose sign disagrees
+/// with hi - lo.
 std::vector<double> linspace_step(double lo, double hi, double step);
-/// Inclusive n-point grid.
+/// Inclusive n-point grid. Throws std::invalid_argument when n < 2.
 std::vector<double> linspace_count(double lo, double hi, std::size_t n);
 
 }  // namespace sfc::spice

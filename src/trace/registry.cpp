@@ -3,6 +3,111 @@
 #include <algorithm>
 
 namespace sfc::trace {
+namespace {
+
+/// Every live thread's shard, and the totals of the threads that exited.
+/// Never destroyed: worker threads fold their shards in as they exit, and
+/// the exec pool joins its workers in a static destructor that may run
+/// after this object's would have.
+class Shards {
+ public:
+  static Shards& instance() {
+    static Shards* const shards = new Shards;
+    return *shards;
+  }
+
+  Shards(const Shards&) = delete;
+  Shards& operator=(const Shards&) = delete;
+
+  std::size_t new_id() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    exited_.push_back(0);
+    return exited_.size() - 1;
+  }
+
+  void enroll(detail::Shard* shard) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    live_.push_back(shard);
+  }
+
+  /// Grows the calling thread's shard to every registered counter, then
+  /// adds n to counter `id`. A retiring thread's events go straight to the
+  /// exited total. A shard never outgrows exited_.
+  void add(detail::Shard& shard, std::size_t id, std::uint64_t n) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (shard.retired) {
+      exited_[id] += n;
+      return;
+    }
+    const std::size_t size = exited_.size();
+    auto* slots = new std::atomic<std::uint64_t>[size];
+    for (std::size_t i = 0; i < size; ++i) {
+      slots[i].store(
+          i < shard.size ? shard.slots[i].load(std::memory_order_relaxed) : 0,
+          std::memory_order_relaxed);
+    }
+    delete[] shard.slots;
+    shard.slots = slots;
+    shard.size = size;
+    slots[id].store(slots[id].load(std::memory_order_relaxed) + n,
+                    std::memory_order_relaxed);
+  }
+
+  /// Folds an exiting thread's shard into the exited totals.
+  void retire(detail::Shard* shard) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < shard->size; ++i) {
+      exited_[i] += shard->slots[i].load(std::memory_order_relaxed);
+    }
+    live_.erase(std::find(live_.begin(), live_.end(), shard));
+    delete[] shard->slots;
+    *shard = detail::Shard{nullptr, 0, true};
+  }
+
+  /// Every counter's live slots plus its exited total, indexed by id.
+  std::vector<std::uint64_t> totals() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::uint64_t> sums = exited_;
+    for (const detail::Shard* shard : live_) {
+      for (std::size_t i = 0; i < shard->size; ++i) {
+        sums[i] += shard->slots[i].load(std::memory_order_relaxed);
+      }
+    }
+    return sums;
+  }
+
+ private:
+  Shards() = default;
+
+  std::mutex mutex_;
+  std::vector<detail::Shard*> live_;
+  std::vector<std::uint64_t> exited_;  ///< exited threads, per counter id
+};
+
+/// Enrolls the thread's shard on its first counter event and retires it
+/// when the thread exits.
+struct ShardOwner {
+  ShardOwner() { Shards::instance().enroll(&detail::t_shard); }
+  ~ShardOwner() { Shards::instance().retire(&detail::t_shard); }
+  ShardOwner(const ShardOwner&) = delete;
+  ShardOwner& operator=(const ShardOwner&) = delete;
+};
+
+}  // namespace
+
+Counter::Counter() : id_(Shards::instance().new_id()) {}
+
+void Counter::add_slow(std::uint64_t n) {
+  detail::Shard& shard = detail::t_shard;
+  if (!shard.retired) {
+    thread_local ShardOwner owner;
+  }
+  Shards::instance().add(shard, id_, n);
+}
+
+std::uint64_t Counter::value() const {
+  return Shards::instance().totals()[id_];
+}
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
@@ -92,9 +197,10 @@ verify::Json Registry::snapshot(bool include_timing) const {
   root.set("schema_version", Json(1.0));
 
   Json counters = Json::object();
+  const std::vector<std::uint64_t> totals = Shards::instance().totals();
   for (const auto& [name, c] : counters_) {
     if (!include_timing && is_timing_metric(name)) continue;
-    counters.set(name, Json(static_cast<double>(c->value())));
+    counters.set(name, Json(static_cast<double>(totals[c->id_])));
   }
   root.set("counters", std::move(counters));
 
@@ -131,7 +237,8 @@ std::vector<std::string> Registry::counter_names() const {
 std::map<std::string, std::uint64_t> Registry::counter_values() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, c] : counters_) out[name] = c->value();
+  const std::vector<std::uint64_t> totals = Shards::instance().totals();
+  for (const auto& [name, c] : counters_) out[name] = totals[c->id_];
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Metrics registry: named counters and histograms behind atomic hot
+// Metrics registry: named counters and histograms behind lock-free hot
 // paths. The registry answers "what did the engine do" (Newton
 // iterations, LU factorizations, step rejections, fan-out jobs) as a
 // canonical verify::Json snapshot whose deterministic subset is
@@ -7,9 +7,13 @@
 // Contract
 // --------
 //   * Instrument sites hold a `Counter&` (stable address for the process
-//     lifetime) and touch one relaxed atomic per event — never the
-//     registry mutex, which is only taken on first registration and on
-//     snapshot.
+//     lifetime). A counter event is a relaxed load and store on the
+//     calling thread's own shard slot: no lock prefix, and no cache line
+//     that another thread writes. An event whose counter the shard does
+//     not cover yet grows the shard under a mutex; reading a counter
+//     takes that mutex and sums the live shards plus what exited threads
+//     folded in. The registry mutex is only taken on first registration
+//     and on snapshot.
 //   * Metric names are dot-separated paths ("spice.newton.iterations");
 //     names ending in "_us" / "_ms" are *timing* metrics, excluded from
 //     the deterministic snapshot because wall time is scheduling-
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,14 +34,48 @@
 
 namespace sfc::trace {
 
-/// Monotonic event count. add() is a single relaxed fetch_add.
+namespace detail {
+
+/// The calling thread's counter slots, indexed by counter id. Only the
+/// owning thread writes `slots` and `size`, and only under the shard
+/// mutex, so readers on other threads see them consistently under it.
+struct Shard {
+  std::atomic<std::uint64_t>* slots = nullptr;
+  std::size_t size = 0;
+  bool retired = false;  ///< the thread is exiting; events go to the total
+};
+
+inline thread_local constinit Shard t_shard{};
+
+}  // namespace detail
+
+/// Monotonic event count, sharded per thread. add() touches only the
+/// calling thread's slot; value() sums every thread's share.
 class Counter {
  public:
-  void add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  Counter();
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
+  void add(std::uint64_t n) {
+    detail::Shard& shard = detail::t_shard;
+    if (id_ < shard.size) [[likely]] {
+      std::atomic<std::uint64_t>& slot = shard.slots[id_];
+      slot.store(slot.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+    } else {
+      add_slow(n);
+    }
+  }
+  /// The live threads' slots plus the totals of threads that exited.
+  std::uint64_t value() const;
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  friend class Registry;
+  /// An event the calling thread's shard does not cover: grows it.
+  void add_slow(std::uint64_t n);
+
+  std::size_t id_;
 };
 
 /// Fixed-bound histogram: bucket k counts samples with

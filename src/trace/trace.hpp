@@ -13,8 +13,10 @@
 //
 // Runtime gates
 // -------------
-// Counters and histograms are always live when compiled in: one
-// relaxed atomic per event, cheap enough for every Newton iteration.
+// Counters and histograms are always live when compiled in. A counter
+// event is a relaxed load and store on the calling thread's own shard
+// slot, and a histogram record a few relaxed atomics on shared buckets:
+// cheap enough for every Newton iteration.
 // Spans additionally check Tracer::global().enabled() and record nothing
 // until Tracer::start() — so `--trace` runs pay for buffering, ordinary
 // runs pay one predictable branch.
@@ -38,7 +40,8 @@
   ::sfc::trace::SpanScope SFC_TRACE_CONCAT(sfc_trace_span_, __LINE__) { name }
 
 /// counter[name] += n. The registry lookup runs once per call site
-/// (function-local static), the increment is one relaxed fetch_add.
+/// (function-local static); the increment is a load and a store on the
+/// calling thread's shard slot.
 #define SFC_TRACE_COUNT(name, n)                                      \
   do {                                                                \
     static ::sfc::trace::Counter& sfc_trace_counter_ =                \

@@ -1,7 +1,7 @@
 #include "util/rng.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace sfc::util {
 namespace {
@@ -29,7 +29,7 @@ double Rng::uniform(double lo, double hi) {
 }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  assert(n > 0);
+  if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be > 0");
   // Rejection sampling to avoid modulo bias.
   const std::uint64_t limit = n * (UINT64_MAX / n);
   std::uint64_t x;

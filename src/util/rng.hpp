@@ -38,7 +38,7 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n).  n must be > 0.
+  /// Uniform integer in [0, n). Throws std::invalid_argument when n = 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
   /// One standard-normal draw with Box-Muller's transcendentals deferred

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -107,6 +108,68 @@ TEST(ParallelFor, TaskCountersAreThreadCountInvariant) {
   GTEST_SKIP() << "built with SFC_TRACE=OFF; counters compile to no-ops";
 }
 #endif
+
+// A task's time runs from its thread's previous task boundary to its own
+// end, so a sleeping task's time covers its sleep, and the times of a
+// thread's tasks never overlap.
+TEST(ParallelFor, TaskTimesCoverTheirTasksAndFitTheWall) {
+  constexpr std::size_t n = 40;
+  const auto sleeps = [](std::size_t i) { return i % 7 == 3; };
+  for (int threads : {1, 4}) {
+    const JobReport report =
+        parallel_for(ExecPolicy{threads}, n, [&](std::size_t i) {
+          if (sleeps(i)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        });
+    ASSERT_EQ(report.task_ms.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (sleeps(i)) {
+        EXPECT_GE(report.task_ms[i], 1.0)
+            << "task " << i << ", " << threads << " threads";
+      }
+    }
+    EXPECT_LE(report.task_ms_total(), report.threads_used * report.wall_ms)
+        << threads << " threads";
+  }
+}
+
+// Every drain tallies locally and flushes when it ends, also when a task
+// throws in the middle of its chunk.
+TEST(ParallelFor, TalliesStayExactWhenATaskThrowsMidChunk) {
+  constexpr std::size_t n = 64;  // chunks of 16 at 1 thread, 4 at 4
+  constexpr std::size_t thrower = 13;
+  for (int threads : {1, 4}) {
+    std::atomic<std::size_t> returned_true{0};
+    std::atomic<std::size_t> returned_false{0};
+#if SFC_TRACE_ENABLED
+    sfc::trace::TestProbe probe;
+#endif
+    EXPECT_THROW(parallel_for(ExecPolicy{threads}, n,
+                              [&](std::size_t i) {
+                                if (i == thrower) {
+                                  throw std::runtime_error("mid-chunk");
+                                }
+                                const bool ok = i % 3 != 0;
+                                (ok ? returned_true : returned_false)
+                                    .fetch_add(1);
+                                return ok;
+                              }),
+                 std::runtime_error);
+    if (threads == 1) {
+      // Inline in index order: tasks 0..12 ran, and nothing after the throw.
+      EXPECT_EQ(returned_true.load(), 8u);
+      EXPECT_EQ(returned_false.load(), 5u);
+    }
+#if SFC_TRACE_ENABLED
+    EXPECT_EQ(probe.counter_delta("exec.jobs"), 1u) << threads << " threads";
+    EXPECT_EQ(probe.counter_delta("exec.tasks.converged"), returned_true.load())
+        << threads << " threads";
+    EXPECT_EQ(probe.counter_delta("exec.tasks.failed"), returned_false.load())
+        << threads << " threads";
+#endif
+  }
+}
 
 TEST(ParallelFor, PropagatesExceptions) {
   for (int threads : {1, 3}) {

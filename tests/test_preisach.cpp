@@ -3,7 +3,9 @@
 // temperature dependencies that drive the paper's Fig. 1 asymmetry.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "fefet/preisach.hpp"
 
@@ -142,6 +144,40 @@ TEST(Preisach, DomainQuantilesAreDeterministicAndSorted) {
     EXPECT_DOUBLE_EQ(a.domain_vc(i, 27.0), b.domain_vc(i, 27.0));
     if (i > 0) EXPECT_GE(a.domain_vc(i, 27.0), a.domain_vc(i - 1, 27.0));
   }
+}
+
+/// What polarization() must equal bit for bit: the domains summed in
+/// index order, over their count.
+double fresh_mean(const PreisachModel& fe) {
+  double sum = 0.0;
+  for (int i = 0; i < fe.num_domains(); ++i) sum += fe.domain_state(i);
+  return sum / static_cast<double>(fe.num_domains());
+}
+
+TEST(Preisach, CachedPolarizationIsTheFreshMeanAfterEveryMutator) {
+  PreisachModel fe;
+  const auto expect_fresh = [&fe](const char* after) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fe.polarization()),
+              std::bit_cast<std::uint64_t>(fresh_mean(fe)))
+        << "after " << after;
+  };
+  expect_fresh("the constructor");
+  // Partial switching leaves domains between -1 and +1, so the mean
+  // rounds like an arbitrary sum.
+  fe.apply_pulse(3.0, 20e-9, 27.0);
+  expect_fresh("apply_pulse");
+  fe.apply_quasistatic(-2.5, 27.0);
+  expect_fresh("apply_quasistatic");
+  fe.set_polarization(0.3);
+  expect_fresh("set_polarization");
+  fe.write_bit(true, 85.0);
+  expect_fresh("write_bit");
+  fe.age(3.0e8, 85.0);
+  expect_fresh("age");
+  fe.read_disturb(-1.5, 10e-9, 1000000, 27.0);
+  expect_fresh("read_disturb");
+  EXPECT_GT(fe.polarization(), -1.0);
+  EXPECT_LT(fe.polarization(), 1.0);
 }
 
 TEST(Preisach, InvalidParamsRejected) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "devices/diode.hpp"
 #include "spice/engine.hpp"
@@ -181,6 +184,37 @@ TEST(Sweep, LinspaceHelpers) {
   const auto grid2 = linspace_count(-1.0, 1.0, 5);
   ASSERT_EQ(grid2.size(), 5u);
   EXPECT_DOUBLE_EQ(grid2[2], 0.0);
+}
+
+TEST(Sweep, LinspaceStepSweepsDownWithANegativeStep) {
+  // The endpoint is not repeated.
+  EXPECT_EQ(linspace_step(1.0, 0.0, -0.25),
+            (std::vector<double>{1.0, 0.75, 0.5, 0.25, 0.0}));
+  EXPECT_EQ(linspace_step(0.5, 0.5, -0.1), (std::vector<double>{0.5}));
+}
+
+TEST(Sweep, LinspaceStepRejectsAZeroStep) {
+  EXPECT_THROW(linspace_step(0.0, 1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(linspace_step(1.0, 1.0, -0.0), std::invalid_argument);
+}
+
+TEST(Sweep, LinspaceStepRejectsNonFiniteArguments) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(linspace_step(0.0, 1.0, inf), std::invalid_argument);
+  EXPECT_THROW(linspace_step(0.0, 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(linspace_step(-inf, 1.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(linspace_step(0.0, nan, 0.1), std::invalid_argument);
+}
+
+TEST(Sweep, LinspaceStepRejectsAStepAwayFromTheEnd) {
+  EXPECT_THROW(linspace_step(0.0, 1.0, -0.25), std::invalid_argument);
+  EXPECT_THROW(linspace_step(1.0, 0.0, 0.25), std::invalid_argument);
+}
+
+TEST(Sweep, LinspaceCountRejectsFewerThanTwoPoints) {
+  EXPECT_THROW(linspace_count(0.0, 1.0, 1), std::invalid_argument);
+  EXPECT_THROW(linspace_count(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Circuit, DuplicateDeviceNameRejected) {

@@ -5,10 +5,15 @@
 // trace_off_tu.cpp, compiled with the gate forced off).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cim/array.hpp"
@@ -50,6 +55,100 @@ TEST(TraceRegistry, CounterFindOrCreateIsStableAndAccumulates) {
   EXPECT_EQ(c.value(), before + 7);
   // Same name resolves to the same counter object.
   EXPECT_EQ(&Registry::global().counter("test.registry.counter"), &c);
+}
+
+// Counter events land on per-thread shards; a read sums the live shards
+// plus what exited threads folded in.
+TEST(TraceShards, CounterBumpedOnlyOnAJoinedThreadReadsItsTotal) {
+  trace::Counter& c = Registry::global().counter("test.shard.joined");
+  const std::uint64_t before = c.value();
+  std::thread t([&c] {
+    c.add(5);
+    c.add(7);
+  });
+  t.join();
+  EXPECT_EQ(c.value(), before + 12);
+  trace::TestProbe probe;
+  std::thread([&c] { c.add(3); }).join();
+  EXPECT_EQ(probe.counter_delta("test.shard.joined"), 3u);
+}
+
+TEST(TraceShards, FourThreadsOfAddsSumExactlyLiveAndAfterExit) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 100000;
+  trace::Counter& c = Registry::global().counter("test.shard.four_threads");
+  const std::uint64_t before = c.value();
+  std::latch added(kThreads);
+  std::latch release(1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) c.add(1);
+      added.count_down();
+      release.wait();
+    });
+  }
+  added.wait();
+  // Every thread is alive: the total comes from the live shards.
+  EXPECT_EQ(c.value(), before + kThreads * kAdds);
+  release.count_down();
+  for (std::thread& t : threads) t.join();
+  // Every thread has exited: the total comes from the folded shards.
+  EXPECT_EQ(c.value(), before + kThreads * kAdds);
+}
+
+// A shard covers the counters registered when it last grew; a counter
+// registered later grows it again, and reads stay within every shard.
+TEST(TraceShards, CounterRegisteredAfterTheShardGrewReadsExactly) {
+  std::thread([] {
+    trace::Counter& early = Registry::global().counter("test.shard.early");
+    const std::uint64_t early0 = early.value();
+    early.add(2);
+    for (int k = 0; k < 3; ++k) {
+      trace::Counter& late = Registry::global().counter(
+          "test.shard.late." + std::to_string(k));
+      const std::uint64_t late0 = late.value();
+      late.add(5);
+      EXPECT_EQ(late.value(), late0 + 5);
+      EXPECT_EQ(Registry::global().counter_values().at(
+                    "test.shard.late." + std::to_string(k)),
+                late0 + 5);
+    }
+    EXPECT_EQ(early.value(), early0 + 2);
+  }).join();
+}
+
+// The exec pool joins its workers in a static destructor, and each worker
+// folds its shard in as it exits, so the shard registry must outlive the
+// pool. The child process constructs a checker before the pool, so the
+// checker's destructor runs after the pool's join and reads the counter
+// that only workers bumped.
+TEST(TraceShardsDeathTest, CounterFirstBumpedOnAWorkerSurvivesProcessExit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        struct CheckAtExit {
+          CheckAtExit() { Registry::global(); }  // outlives the checker
+          ~CheckAtExit() {
+            const std::uint64_t total =
+                Registry::global().counter("test.shard.worker_only").value();
+            std::_Exit(worker_adds > 0 && total == worker_adds.load() ? 0 : 1);
+          }
+          std::atomic<std::uint64_t> worker_adds{0};
+        };
+        static CheckAtExit check;
+        const std::thread::id caller = std::this_thread::get_id();
+        exec::parallel_for(exec::ExecPolicy{4}, 64, [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (std::this_thread::get_id() == caller) return;
+          static trace::Counter& c =
+              Registry::global().counter("test.shard.worker_only");
+          c.add(1);
+          check.worker_adds.fetch_add(1);
+        });
+        std::exit(2);  // the checker decides the status
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(TraceRegistry, HistogramBucketingAndCountAbove) {

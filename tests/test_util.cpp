@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
@@ -94,6 +95,12 @@ TEST(Rng, UniformIndexCoversRangeWithoutBias) {
     EXPECT_GT(c, 800);
     EXPECT_LT(c, 1200);
   }
+}
+
+TEST(Rng, UniformIndexRejectsAnEmptyRange) {
+  Rng rng(3);
+  EXPECT_THROW(rng.uniform_index(0), std::invalid_argument);
+  EXPECT_EQ(rng.uniform_index(1), 0u);
 }
 
 TEST(Rng, SplitStreamsAreIndependent) {
