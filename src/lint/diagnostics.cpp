@@ -1,7 +1,6 @@
 #include "lint/diagnostics.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <tuple>
 
 namespace sfc::lint {
@@ -13,13 +12,6 @@ const char* severity_name(Severity s) {
     case Severity::kError: return "error";
   }
   return "unknown";
-}
-
-Severity severity_from_name(const std::string& name) {
-  if (name == "note") return Severity::kNote;
-  if (name == "warning") return Severity::kWarning;
-  if (name == "error") return Severity::kError;
-  throw std::runtime_error("lint: unknown severity '" + name + "'");
 }
 
 bool LintReport::has_errors() const {
@@ -99,35 +91,6 @@ verify::Json LintReport::to_json(const std::string& source_name) const {
   out.set("counts", std::move(counts));
   out.set("diagnostics", verify::Json(std::move(items)));
   return out;
-}
-
-LintReport LintReport::from_json(const verify::Json& json) {
-  if (json.number_at("schema_version") != 1.0) {
-    throw std::runtime_error("lint: unsupported report schema_version");
-  }
-  LintReport report;
-  for (const verify::Json& item : json.get("diagnostics").as_array()) {
-    Diagnostic d;
-    d.rule = item.string_at("rule");
-    d.severity = severity_from_name(item.string_at("severity"));
-    d.line = static_cast<std::size_t>(item.number_at("line"));
-    d.object = item.string_at("object");
-    d.message = item.string_at("message");
-    d.hint = item.string_at("hint");
-    report.add(std::move(d));
-  }
-  // Cross-check the serialized counts against the decoded list so a
-  // hand-edited report cannot silently disagree with itself.
-  const verify::Json& counts = json.get("counts");
-  if (counts.number_at("error") !=
-          static_cast<double>(report.count(Severity::kError)) ||
-      counts.number_at("warning") !=
-          static_cast<double>(report.count(Severity::kWarning)) ||
-      counts.number_at("note") !=
-          static_cast<double>(report.count(Severity::kNote))) {
-    throw std::runtime_error("lint: report counts disagree with diagnostics");
-  }
-  return report;
 }
 
 }  // namespace sfc::lint

@@ -23,8 +23,6 @@ namespace sfc::lint {
 enum class Severity { kNote = 1, kWarning = 2, kError = 3 };
 
 const char* severity_name(Severity s);
-/// Inverse of severity_name; throws std::runtime_error on unknown names.
-Severity severity_from_name(const std::string& name);
 
 struct Diagnostic {
   std::string rule;              ///< stable rule id, e.g. "floating-node"
@@ -62,9 +60,6 @@ class LintReport {
 
   /// Canonical JSON: {schema_version, source, counts{...}, diagnostics[]}.
   verify::Json to_json(const std::string& source_name = "") const;
-
-  /// Inverse of to_json; throws std::runtime_error on schema mismatch.
-  static LintReport from_json(const verify::Json& json);
 
  private:
   std::vector<Diagnostic> diagnostics_;

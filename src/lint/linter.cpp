@@ -6,46 +6,19 @@
 
 namespace sfc::lint {
 
-Linter::Linter() : enabled_(builtin_rules().size(), true) {
-  validate_rule_table(builtin_rules());
-}
-
-std::size_t Linter::index_of(const std::string& rule_id) const {
-  const auto& rules = builtin_rules();
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    if (rule_id == rules[i].id) return i;
-  }
-  std::string valid;
-  for (const Rule& r : rules) {
-    if (!valid.empty()) valid += ", ";
-    valid += r.id;
-  }
-  throw std::runtime_error("lint: unknown rule '" + rule_id +
-                           "' (valid rules: " + valid + ")");
-}
-
-void Linter::disable(const std::string& rule_id) {
-  enabled_[index_of(rule_id)] = false;
-}
-
-void Linter::enable(const std::string& rule_id) {
-  enabled_[index_of(rule_id)] = true;
-}
+Linter::Linter() { validate_rule_table(builtin_rules()); }
 
 LintReport Linter::run(const spice::Circuit& circuit,
                        const spice::NetlistDeck* deck) const {
   AnalysisManager analyses(circuit, deck);
   LintContext ctx{circuit, deck, analyses};
   LintReport report;
-  const auto& rules = builtin_rules();
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    if (enabled_[i]) rules[i].run(ctx, report);
-  }
+  for (const Rule& rule : builtin_rules()) rule.run(ctx, report);
   report.sort();
   return report;
 }
 
-LintResult lint_source(const std::string& text, const Linter& linter) {
+LintResult lint_source(const std::string& text) {
   LintResult result;
   spice::Circuit circuit;
   try {
@@ -67,16 +40,16 @@ LintResult lint_source(const std::string& text, const Linter& linter) {
     result.report.add(std::move(d));
     return result;
   }
-  result.report = linter.run(circuit, &result.deck);
+  result.report = Linter{}.run(circuit, &result.deck);
   return result;
 }
 
-LintResult lint_file(const std::string& path, const Linter& linter) {
+LintResult lint_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("lint: cannot open '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return lint_source(buffer.str(), linter);
+  return lint_source(buffer.str());
 }
 
 }  // namespace sfc::lint

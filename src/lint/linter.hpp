@@ -13,26 +13,17 @@ namespace sfc::lint {
 
 class Linter {
  public:
-  /// All builtin rules enabled. Validates the rule table (throws
+  /// Runs every builtin rule. Validates the rule table (throws
   /// std::invalid_argument on duplicate ids).
   Linter();
 
-  /// Toggle a circuit rule by id; unknown ids throw std::runtime_error
-  /// naming the valid rule set.
-  void disable(const std::string& rule_id);
-  void enable(const std::string& rule_id);
-
-  /// Run the enabled pipeline over a finalized-or-not circuit. `deck`
+  /// Run the pipeline over a finalized-or-not circuit. `deck`
   /// unlocks the directive rules (tran-step, temp-range, unused-model,
   /// dc-sweep-source), tells the reachability rule whether capacitors
   /// conduct, and scopes the interval analysis temperature range. Never
   /// solves, never mutates the circuit. Findings come back sorted.
   LintReport run(const spice::Circuit& circuit,
                  const spice::NetlistDeck* deck = nullptr) const;
-
- private:
-  std::size_t index_of(const std::string& rule_id) const;
-  std::vector<bool> enabled_;
 };
 
 /// Parse + lint outcome. Parse failures are reported as diagnostics (rule
@@ -45,9 +36,9 @@ struct LintResult {
   bool parsed = false;  ///< false when parsing aborted (deck is partial)
 };
 
-LintResult lint_source(const std::string& text, const Linter& linter = Linter{});
+LintResult lint_source(const std::string& text);
 
 /// Read `path` and lint it. Throws std::runtime_error on I/O failure only.
-LintResult lint_file(const std::string& path, const Linter& linter = Linter{});
+LintResult lint_file(const std::string& path);
 
 }  // namespace sfc::lint

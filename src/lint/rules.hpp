@@ -3,8 +3,7 @@
 // function: it inspects the circuit topology / device parameters / deck
 // directives — or the shared analyses cached by the AnalysisManager
 // (analysis.hpp) — and appends Diagnostic records. No solve is ever
-// attempted. The Linter (linter.hpp) owns the pipeline order and the
-// enable/disable set.
+// attempted. The Linter (linter.hpp) runs every rule in table order.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +39,8 @@ struct Rule {
 const std::vector<Rule>& builtin_rules();
 
 /// Throws std::invalid_argument when two rules share an id. Run by the
-/// Linter constructor over the table it was built with, so a bad custom
-/// or edited rule set fails loudly instead of silently shadowing in
-/// index_of.
+/// Linter constructor, so an edited rule table with a duplicate id fails
+/// loudly instead of reporting two rules under one id.
 void validate_rule_table(const std::vector<Rule>& rules);
 
 /// Rules enforced during parse_netlist itself (surfaced by lint_source as

@@ -67,25 +67,25 @@ bool Engine::apply_update(std::vector<double>& x,
                           const std::vector<double>& x_new,
                           const NewtonOptions& options) const {
   // Damped update: clamp each voltage component's change. Aux variables
-  // (branch currents) are left unclamped, as their scale is unknown.
+  // (branch currents) are left unclamped, as their scale is unknown. Both
+  // tests are written so that a NaN change never counts as small.
   const std::size_t size = x.size();
-  double max_delta_v = 0.0;
-  bool aux_converged = true;
+  bool converged = true;
   for (std::size_t i = 0; i < size; ++i) {
     double delta = x_new[i] - x[i];
     if (i < circuit_.num_nodes()) {
       delta = std::clamp(delta, -kMaxUpdateVoltage, kMaxUpdateVoltage);
-      max_delta_v = std::max(max_delta_v, std::fabs(delta));
+      if (!(std::fabs(delta) < options.vtol)) converged = false;
       x[i] += delta;
     } else {
       const double tol =
           options.reltol * std::max(std::fabs(x[i]), std::fabs(x_new[i])) +
           1e-15;
-      if (std::fabs(delta) > tol) aux_converged = false;
+      if (!(std::fabs(delta) <= tol)) converged = false;
       x[i] = x_new[i];
     }
   }
-  return max_delta_v < options.vtol && aux_converged;
+  return converged;
 }
 
 SolverWorkspace& Engine::stamp_baseline(const SimContext& ctx,
@@ -195,24 +195,11 @@ bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
   return ok;
 }
 
-void Engine::set_preflight(PreflightCheck check) {
-  preflight_ = std::move(check);
-  preflight_done_ = false;
-}
-
-void Engine::run_preflight() {
-  if (preflight_done_ || !preflight_) return;
-  preflight_(circuit_);
-  // Only a passing screen is cached; a rejecting check keeps rejecting.
-  preflight_done_ = true;
-}
-
 DcResult Engine::dc_operating_point(const NewtonOptions& options,
                                     const std::vector<double>* warm_start) {
   SFC_TRACE_SPAN("spice.dc_operating_point");
   SFC_TRACE_COUNT("spice.dc.solves", 1);
   circuit_.finalize();
-  run_preflight();
   DcResult result;
   SimContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;

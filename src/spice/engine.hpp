@@ -4,7 +4,6 @@
 // used (Cadence Spectre); see DESIGN.md for the substitution rationale.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "spice/circuit.hpp"
@@ -72,16 +71,6 @@ class Engine {
   /// Initial guess for a node used by the next DC solve (helps Newton on
   /// high-gain feedback circuits).
   void set_node_guess(const std::string& node, double volts);
-
-  /// Opt-in pre-flight gate: `check` runs once against the finalized
-  /// circuit before the next analysis (DC / transient / AC) and may throw
-  /// to reject it. lint::install_preflight wires the static ERC rules in
-  /// here so library users get the same screening as the sfc_lint CLI —
-  /// a malformed circuit fails with structured diagnostics instead of a
-  /// cryptic singular-matrix error deep inside Newton. Passing nullptr
-  /// removes the gate; installing a check (re)arms it.
-  using PreflightCheck = std::function<void(const Circuit&)>;
-  void set_preflight(PreflightCheck check);
 
   /// DC operating point at the engine temperature. Sources are evaluated
   /// at t = 0. `warm_start` (optional) seeds Newton with a previous
@@ -152,13 +141,8 @@ class Engine {
   std::vector<std::string> signal_names() const;
   std::vector<double> breakpoints(double t_stop) const;
 
-  /// Run the armed preflight check (if any) exactly once.
-  void run_preflight();
-
   Circuit& circuit_;
   double temperature_c_;
-  PreflightCheck preflight_;
-  bool preflight_done_ = false;
   std::vector<std::pair<std::string, double>> node_guesses_;
   /// Indexed by AnalysisMode (DC and transient stamp patterns differ).
   SolverWorkspace workspaces_[2];

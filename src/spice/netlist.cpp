@@ -118,21 +118,28 @@ double parse_spice_number(const std::string& token) {
     throw std::runtime_error("not a number: '" + token + "'");
   }
   const std::string suffix = t.substr(pos);
-  if (suffix.empty()) return value;
-  if (suffix.rfind("meg", 0) == 0) return value * 1e6;
-  switch (suffix[0]) {
-    case 'a': return value * 1e-18;
-    case 'f': return value * 1e-15;
-    case 'p': return value * 1e-12;
-    case 'n': return value * 1e-9;
-    case 'u': return value * 1e-6;
-    case 'm': return value * 1e-3;
-    case 'k': return value * 1e3;
-    case 'g': return value * 1e9;
-    case 't': return value * 1e12;
-    default:
-      throw std::runtime_error("unknown suffix on '" + token + "'");
+  if (suffix.rfind("meg", 0) == 0) {
+    value *= 1e6;
+  } else if (!suffix.empty()) {
+    switch (suffix[0]) {
+      case 'a': value *= 1e-18; break;
+      case 'f': value *= 1e-15; break;
+      case 'p': value *= 1e-12; break;
+      case 'n': value *= 1e-9; break;
+      case 'u': value *= 1e-6; break;
+      case 'm': value *= 1e-3; break;
+      case 'k': value *= 1e3; break;
+      case 'g': value *= 1e9; break;
+      case 't': value *= 1e12; break;
+      default:
+        throw std::runtime_error("unknown suffix on '" + token + "'");
+    }
   }
+  // stod reads "nan" and "inf", and a suffix can overflow a finite value.
+  if (!std::isfinite(value)) {
+    throw std::runtime_error("not a finite number: '" + token + "'");
+  }
+  return value;
 }
 
 namespace {
@@ -211,13 +218,16 @@ NetlistDeck parse_netlist(const std::string& text, Circuit& circuit) {
       if (i >= tokens.size()) fail(line_no, "missing node");
       return circuit.node(tokens[i]);
     };
-    auto num = [&](std::size_t i) {
-      if (i >= tokens.size()) fail(line_no, "missing value");
+    auto num_token = [&](const std::string& token) {
       try {
-        return parse_spice_number(tokens[i]);
+        return parse_spice_number(token);
       } catch (const std::exception& e) {
         fail(line_no, e.what());
       }
+    };
+    auto num = [&](std::size_t i) {
+      if (i >= tokens.size()) fail(line_no, "missing value");
+      return num_token(tokens[i]);
     };
 
     if (head[0] == '.') {
@@ -304,7 +314,7 @@ NetlistDeck parse_netlist(const std::string& text, Circuit& circuit) {
         std::vector<std::string> positional;
         auto kv = keyvalues(tokens, 3, positional);
         for (const auto& [key, value] : kv) {
-          const double v = parse_spice_number(value);
+          const double v = num_token(value);
           if (key == "vth0") p.vth0 = v;
           else if (key == "n") p.n_factor = v;
           else if (key == "mu0") p.mu0 = v;

@@ -102,7 +102,7 @@ struct NetlistDeck {
 NetlistDeck parse_netlist(const std::string& text, Circuit& circuit);
 
 /// Parse a SPICE number with magnitude suffix ("4.7k", "5f", "10meg").
-/// Throws std::runtime_error if the token is not a number.
+/// Throws std::runtime_error if the token is not a finite number.
 double parse_spice_number(const std::string& token);
 
 }  // namespace sfc::spice

@@ -1,17 +1,18 @@
 #include "verify/fuzz.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "cim/array.hpp"
+#include "devices/mosfet.hpp"
 #include "exec/stream.hpp"
-#include "fefet/fefet.hpp"
 #include "lint/analysis.hpp"
 #include "lint/linter.hpp"
 #include "spice/engine.hpp"
+#include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
 #include "verify/json.hpp"
 
@@ -28,14 +29,6 @@ const char* fuzz_class_name(FuzzClass c) {
 }
 
 namespace {
-
-std::string node_name(int k) {
-  return k < 0 ? std::string("0") : "n" + std::to_string(k);
-}
-
-spice::NodeId node_id(spice::Circuit& circuit, int k) {
-  return k < 0 ? spice::kGround : circuit.node(node_name(k));
-}
 
 /// Newton options used for every fuzz solve: tighter than the defaults so
 /// the KCL residual check measures solver quality, not loose tolerances.
@@ -60,25 +53,72 @@ std::uint64_t hash_double(std::uint64_t h, double v) {
 }
 
 // ---------------------------------------------------------------------------
-// Generators
+// Generators: each writes its case as cards. No expression takes two draws:
+// C++ leaves the order of an expression's operands unspecified, and the
+// draw order fixes the campaign.
 // ---------------------------------------------------------------------------
+
+/// Card text of a number that parses back to the same double.
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+/// Card text of generated node k.
+std::string node(std::size_t k) { return "n" + std::to_string(k); }
+
+/// The R, C and V card shape: "<name> <a> <b> <value>".
+std::string two_terminal(const std::string& name, const std::string& a,
+                         const std::string& b, double value) {
+  return name + " " + a + " " + b + " " + num(value);
+}
+
+/// A MOSFET entry: its own .model line, then the instance card on
+/// `terminals` ("<drain> <gate> <source>").
+std::string mosfet_card(const std::string& name, const std::string& terminals,
+                        const devices::MosfetParams& p) {
+  const std::string model = "mod_" + name;
+  return ".model " + model + " nmos vth0=" + num(p.vth0) +
+         " n=" + num(p.n_factor) + " mu0=" + num(p.mu0) +
+         " cox=" + num(p.cox) + " lambda=" + num(p.lambda) +
+         " tcvth=" + num(p.tc_vth) + " muexp=" + num(p.mu_exponent) +
+         " tnom=" + num(p.t_nominal_c) + "\n" + name + " " + terminals +
+         " " + model + " w=" + num(p.w) + " l=" + num(p.l);
+}
 
 double log_uniform(util::Rng& rng, double lo, double hi) {
   return lo * std::pow(hi / lo, rng.uniform());
 }
 
+/// A random 14 nm NMOS channel: W/L, then vth0, then the slope factor.
+devices::MosfetParams random_channel(util::Rng& rng) {
+  devices::MosfetParams p =
+      devices::MosfetParams::finfet14_nmos(rng.uniform(0.5, 8.0));
+  p.vth0 = rng.uniform(0.25, 0.45);
+  p.n_factor = rng.uniform(1.1, 1.6);
+  return p;
+}
+
 FuzzNetlist generate_dc_kcl(util::Rng& rng, FuzzNetlist base) {
   base.cls = FuzzClass::kDcKcl;
   const int n = 2 + static_cast<int>(rng.uniform_index(5));  // 2..6 nodes
-  int next_node = n;  // extra internal nodes for diode series chains
+  std::size_t next_node = static_cast<std::size_t>(n);  // diode chain nodes
   base.temperature_c = rng.uniform(0.0, 85.0);
   int serial = 0;
   const auto next_name = [&serial](const char* prefix) {
     return std::string(prefix) + std::to_string(++serial);
   };
   const auto any_node = [&](bool allow_ground) {
-    if (allow_ground && rng.bernoulli(0.25)) return -1;
-    return static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(n)));
+    if (allow_ground && rng.bernoulli(0.25)) return std::string("0");
+    return node(rng.uniform_index(static_cast<std::uint64_t>(n)));
+  };
+  const auto three_terminals = [&] {
+    const std::string drain = any_node(false);
+    const std::string gate = any_node(true);
+    const std::string source =
+        rng.bernoulli(0.7) ? std::string("0") : any_node(true);
+    return drain + " " + gate + " " + source;
   };
 
   // DC sources on distinct nodes (two ideal sources on one node would make
@@ -86,13 +126,9 @@ FuzzNetlist generate_dc_kcl(util::Rng& rng, FuzzNetlist base) {
   const auto source_nodes = rng.permutation(static_cast<std::size_t>(n));
   const int num_sources = 1 + static_cast<int>(rng.uniform_index(2));
   for (int s = 0; s < num_sources; ++s) {
-    FuzzDevice d;
-    d.kind = FuzzDevice::Kind::kVSource;
-    d.name = next_name("V");
-    d.n1 = static_cast<int>(source_nodes[static_cast<std::size_t>(s)]);
-    d.n2 = -1;
-    d.value = rng.uniform(0.0, 1.2);
-    base.devices.push_back(d);
+    base.cards.push_back(two_terminal(
+        next_name("V"), node(source_nodes[static_cast<std::size_t>(s)]), "0",
+        rng.uniform(0.0, 1.2)));
   }
 
   // A resistor ring over a random node order guarantees every node has a
@@ -100,101 +136,70 @@ FuzzNetlist generate_dc_kcl(util::Rng& rng, FuzzNetlist base) {
   // the lint cross-check runs these decks through the static analyzer,
   // which (rightly) rejects floating islands and dangling terminals.
   const auto ring = rng.permutation(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    FuzzDevice d;
-    d.kind = FuzzDevice::Kind::kResistor;
-    d.name = next_name("R");
-    d.n1 = static_cast<int>(ring[static_cast<std::size_t>(k)]);
-    d.n2 = static_cast<int>(ring[static_cast<std::size_t>((k + 1) % n)]);
-    d.value = log_uniform(rng, 1e2, 1e7);
-    base.devices.push_back(d);
+  for (std::size_t k = 0; k < ring.size(); ++k) {
+    base.cards.push_back(two_terminal(next_name("R"), node(ring[k]),
+                                      node(ring[(k + 1) % ring.size()]),
+                                      log_uniform(rng, 1e2, 1e7)));
   }
   const int num_extra = static_cast<int>(rng.uniform_index(4));
   for (int r = 0; r < num_extra; ++r) {
-    FuzzDevice d;
-    d.kind = FuzzDevice::Kind::kResistor;
-    d.name = next_name("R");
-    d.n1 = any_node(false);
+    const std::string a = any_node(false);
+    std::string b;
     do {
-      d.n2 = any_node(true);
-    } while (d.n2 == d.n1);
-    d.value = log_uniform(rng, 1e2, 1e7);
-    base.devices.push_back(d);
+      b = any_node(true);
+    } while (b == a);
+    base.cards.push_back(
+        two_terminal(next_name("R"), a, b, log_uniform(rng, 1e2, 1e7)));
   }
 
   // Diodes always get a dedicated series resistor (an ideal source across
   // a bare junction is a pathological operating point, not a solver test).
   const int num_diodes = static_cast<int>(rng.uniform_index(3));
   for (int k = 0; k < num_diodes; ++k) {
-    const int mid = next_node++;
-    FuzzDevice rs;
-    rs.kind = FuzzDevice::Kind::kResistor;
-    rs.name = next_name("R");
-    rs.n1 = any_node(false);
-    rs.n2 = mid;
-    rs.value = log_uniform(rng, 1e3, 1e6);
-    base.devices.push_back(rs);
-    FuzzDevice d;
-    d.kind = FuzzDevice::Kind::kDiode;
-    d.name = next_name("D");
-    d.dio.i_sat = log_uniform(rng, 1e-16, 1e-12);
-    d.dio.emission = rng.uniform(1.0, 2.0);
-    const bool forward = rng.bernoulli(0.5);
-    d.n1 = forward ? mid : -1;
-    d.n2 = forward ? -1 : mid;
-    base.devices.push_back(d);
+    const std::string mid = node(next_node++);
+    const std::string from = any_node(false);
+    base.cards.push_back(
+        two_terminal(next_name("R"), from, mid, log_uniform(rng, 1e3, 1e6)));
+    const double i_sat = log_uniform(rng, 1e-16, 1e-12);
+    const double emission = rng.uniform(1.0, 2.0);
+    const std::string junction =
+        rng.bernoulli(0.5) ? mid + " 0" : "0 " + mid;  // forward or reverse
+    base.cards.push_back(next_name("D") + " " + junction + " is=" +
+                         num(i_sat) + " n=" + num(emission));
   }
 
   const int num_mosfets = static_cast<int>(rng.uniform_index(3));
   for (int k = 0; k < num_mosfets; ++k) {
-    FuzzDevice d;
-    d.kind = FuzzDevice::Kind::kMosfet;
-    d.name = next_name("M");
-    d.n1 = any_node(false);            // drain
-    d.n2 = any_node(true);             // gate
-    d.n3 = rng.bernoulli(0.7) ? -1 : any_node(true);  // source
-    d.mos = devices::MosfetParams::finfet14_nmos(
-        rng.uniform(0.5, 8.0));
-    d.mos.vth0 = rng.uniform(0.25, 0.45);
-    d.mos.n_factor = rng.uniform(1.1, 1.6);
-    base.devices.push_back(d);
+    const std::string name = next_name("M");
+    const std::string terminals = three_terminals();
+    const devices::MosfetParams channel = random_channel(rng);
+    base.cards.push_back(mosfet_card(name, terminals, channel));
   }
 
   if (rng.bernoulli(0.4)) {
-    FuzzDevice d;
-    d.kind = FuzzDevice::Kind::kFeFet;
-    d.name = next_name("Z");
-    d.n1 = any_node(false);
-    d.n2 = any_node(true);
-    d.n3 = rng.bernoulli(0.7) ? -1 : any_node(true);
-    d.fefet_state = rng.bernoulli(0.5) ? 1 : 0;
-    base.devices.push_back(d);
+    const std::string name = next_name("Z");
+    const std::string terminals = three_terminals();
+    base.cards.push_back(name + " " + terminals +
+                         (rng.bernoulli(0.5) ? " state=1" : " state=0"));
   }
-
-  base.num_nodes = next_node;
   return base;
 }
 
 FuzzNetlist generate_charge_share(util::Rng& rng, FuzzNetlist base) {
   base.cls = FuzzClass::kChargeShare;
   const int n = 2 + static_cast<int>(rng.uniform_index(4));  // 2..5 nodes
-  base.num_nodes = n;
   base.temperature_c = rng.uniform(0.0, 85.0);
   base.t_stop = 20e-9;
   base.dt = 1e-10;
   int serial = 0;
 
   for (int k = 0; k < n; ++k) {
-    FuzzDevice c;
-    c.kind = FuzzDevice::Kind::kCapacitor;
-    c.name = "C";
-    c.name += std::to_string(++serial);
-    c.n1 = k;
-    c.n2 = -1;
-    c.value = rng.uniform(1e-15, 10e-15);
-    c.ic = rng.uniform(0.0, 1.2);
-    c.has_ic = true;
-    base.devices.push_back(c);
+    const double farads = rng.uniform(1e-15, 10e-15);
+    const double ic = rng.uniform(0.0, 1.2);
+    base.cards.push_back(two_terminal("C" + std::to_string(++serial),
+                                      node(static_cast<std::size_t>(k)), "0",
+                                      farads) +
+                         " ic=" + num(ic));
   }
 
   // A connecting chain over a random node order guarantees charge actually
@@ -203,84 +208,45 @@ FuzzNetlist generate_charge_share(util::Rng& rng, FuzzNetlist base) {
   const auto order = rng.permutation(static_cast<std::size_t>(n));
   const int extra = static_cast<int>(rng.uniform_index(3));
   for (int k = 0; k + 1 < n + extra; ++k) {
-    FuzzDevice r;
-    r.kind = FuzzDevice::Kind::kResistor;
-    r.name = "R";
-    r.name += std::to_string(++serial);
+    std::size_t a = 0, b = 0;
     if (k + 1 < n) {
-      r.n1 = static_cast<int>(order[static_cast<std::size_t>(k)]);
-      r.n2 = static_cast<int>(order[static_cast<std::size_t>(k) + 1]);
+      a = order[static_cast<std::size_t>(k)];
+      b = order[static_cast<std::size_t>(k) + 1];
     } else {
-      r.n1 = static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(n)));
+      a = rng.uniform_index(static_cast<std::uint64_t>(n));
       do {
-        r.n2 =
-            static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(n)));
-      } while (r.n2 == r.n1);
+        b = rng.uniform_index(static_cast<std::uint64_t>(n));
+      } while (b == a);
     }
-    r.value = log_uniform(rng, 1e3, 1e6);
-    base.devices.push_back(r);
+    base.cards.push_back(two_terminal("R" + std::to_string(++serial), node(a),
+                                      node(b), log_uniform(rng, 1e3, 1e6)));
   }
   return base;
 }
 
 FuzzNetlist generate_subthreshold(util::Rng& rng, FuzzNetlist base) {
   base.cls = FuzzClass::kSubthresholdTemp;
-  base.num_nodes = 2;  // n0 = gate, n1 = drain
   base.temperature_c = 27.0;
-
-  FuzzDevice m;
-  m.kind = FuzzDevice::Kind::kMosfet;
-  m.name = "M1";
-  m.n1 = 1;
-  m.n2 = 0;
-  m.n3 = -1;
-  m.mos = devices::MosfetParams::finfet14_nmos(rng.uniform(0.5, 8.0));
-  m.mos.vth0 = rng.uniform(0.25, 0.45);
-  m.mos.n_factor = rng.uniform(1.1, 1.6);
-  if (rng.bernoulli(0.3)) {
-    // FeFET-like: the ferroelectric contributes an extra threshold shift
-    // on top of a zero-vth0 channel (exactly how fefet::FeFet stamps).
-    const double shift = m.mos.vth0;
-    m.mos.vth0 = 0.0;
-    m.fefet_state = 1;
-    m.ic = shift;  // reuse: extra threshold shift for the invariant check
-    m.has_ic = true;
-  }
-  base.devices.push_back(m);
-
-  FuzzDevice vg;
-  vg.kind = FuzzDevice::Kind::kVSource;
-  vg.name = "VG";
-  vg.n1 = 0;
-  vg.n2 = -1;
-  const double vth_total = (m.has_ic ? m.ic : m.mos.vth0);
-  vg.value = vth_total - rng.uniform(0.08, 0.25);  // firmly subthreshold
-  base.devices.push_back(vg);
-
-  FuzzDevice vd;
-  vd.kind = FuzzDevice::Kind::kVSource;
-  vd.name = "VD";
-  vd.n1 = 1;
-  vd.n2 = -1;
-  vd.value = rng.uniform(0.6, 1.2);
-  base.devices.push_back(vd);
+  const devices::MosfetParams channel = random_channel(rng);
+  // Draw of a retired variant that was this same channel; kept for the hash.
+  (void)rng.bernoulli(0.3);
+  base.cards.push_back(mosfet_card("M1", "n1 n0 0", channel));
+  // The gate sits firmly below threshold.
+  const double v_gate = channel.vth0 - rng.uniform(0.08, 0.25);
+  base.cards.push_back(two_terminal("VG", "n0", "0", v_gate));
+  base.cards.push_back(two_terminal("VD", "n1", "0", rng.uniform(0.6, 1.2)));
   return base;
 }
 
 FuzzNetlist generate_cim_row(util::Rng& rng, FuzzNetlist base) {
   base.cls = FuzzClass::kCimRow;
   const int cells = 2 + static_cast<int>(rng.uniform_index(2));  // 2..3
-  base.num_nodes = cells;  // reused as the cell count
   base.temperature_c = rng.uniform(0.0, 85.0);
   for (int k = 0; k < cells; ++k) {
-    FuzzDevice d;  // pseudo-device: per-cell (weight, input) pair
-    d.kind = FuzzDevice::Kind::kFeFet;
-    d.name = "CELL" + std::to_string(k);
-    d.n1 = k;
-    d.fefet_state = rng.bernoulli(0.5) ? 1 : 0;  // stored weight
-    d.ic = rng.bernoulli(0.5) ? 1.0 : 0.0;       // input bit
-    d.has_ic = true;
-    base.devices.push_back(d);
+    const std::string weight = rng.bernoulli(0.5) ? "1" : "0";
+    const std::string input = rng.bernoulli(0.5) ? "1" : "0";
+    base.cards.push_back("CELL" + std::to_string(k) + " weight=" + weight +
+                         " input=" + input);
   }
   return base;
 }
@@ -293,9 +259,7 @@ FuzzNetlist generate_netlist(const FuzzOptions& options, int index) {
   base.seed = exec::stream_seed(options.seed, static_cast<std::uint64_t>(index));
   util::Rng rng = exec::stream_rng(options.seed,
                                    static_cast<std::uint64_t>(index));
-  if (options.include_cim_rows && index % 25 == 13) {
-    return generate_cim_row(rng, std::move(base));
-  }
+  if (index % 25 == 13) return generate_cim_row(rng, std::move(base));
   switch (index % 3) {
     case 0: return generate_dc_kcl(rng, std::move(base));
     case 1: return generate_charge_share(rng, std::move(base));
@@ -303,119 +267,20 @@ FuzzNetlist generate_netlist(const FuzzOptions& options, int index) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Instantiation and .cir export
-// ---------------------------------------------------------------------------
-
-void FuzzNetlist::build(spice::Circuit& circuit) const {
-  for (const FuzzDevice& d : devices) {
-    switch (d.kind) {
-      case FuzzDevice::Kind::kResistor:
-        circuit.add<spice::Resistor>(d.name, node_id(circuit, d.n1),
-                                     node_id(circuit, d.n2), d.value);
-        break;
-      case FuzzDevice::Kind::kCapacitor:
-        circuit.add<spice::Capacitor>(
-            d.name, node_id(circuit, d.n1), node_id(circuit, d.n2), d.value,
-            d.has_ic ? d.ic : spice::Capacitor::kNoIc);
-        break;
-      case FuzzDevice::Kind::kVSource:
-        circuit.add<spice::VSource>(d.name, node_id(circuit, d.n1),
-                                    node_id(circuit, d.n2), d.value);
-        break;
-      case FuzzDevice::Kind::kISource:
-        circuit.add<spice::ISource>(d.name, node_id(circuit, d.n1),
-                                    node_id(circuit, d.n2), d.value);
-        break;
-      case FuzzDevice::Kind::kDiode:
-        circuit.add<devices::Diode>(d.name, node_id(circuit, d.n1),
-                                    node_id(circuit, d.n2), d.dio);
-        break;
-      case FuzzDevice::Kind::kMosfet:
-        circuit.add<devices::Mosfet>(d.name, node_id(circuit, d.n1),
-                                     node_id(circuit, d.n2),
-                                     node_id(circuit, d.n3), d.mos);
-        break;
-      case FuzzDevice::Kind::kFeFet: {
-        auto& z = circuit.add<fefet::FeFet>(d.name, node_id(circuit, d.n1),
-                                            node_id(circuit, d.n2),
-                                            node_id(circuit, d.n3));
-        z.ferroelectric().set_polarization(d.fefet_state ? 1.0 : -1.0);
-        break;
-      }
-    }
-  }
-}
-
 std::string FuzzNetlist::to_cir(const std::string& failure_note) const {
   std::ostringstream ss;
-  char buf[64];
-  const auto num = [&buf](double v) -> const char* {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-  };
   ss << "* fuzz reproducer: class=" << fuzz_class_name(cls)
      << " index=" << index << " seed=0x" << std::hex << seed << std::dec
      << "\n";
   if (!failure_note.empty()) ss << "* invariant violated: " << failure_note << "\n";
   if (cls == FuzzClass::kCimRow) {
     ss << "* paper-shaped CiM row (built by cim::CiMRow, not from cards):\n"
-       << "*   cells=" << num_nodes << " T=" << num(temperature_c) << "\n";
-    for (const FuzzDevice& d : devices) {
-      ss << "*   " << d.name << " weight=" << d.fefet_state
-         << " input=" << (d.ic > 0.5 ? 1 : 0) << "\n";
-    }
+       << "*   cells=" << cards.size() << " T=" << num(temperature_c) << "\n";
+    for (const std::string& cell : cards) ss << "*   " << cell << "\n";
     ss << ".end\n";
     return ss.str();
   }
-  for (const FuzzDevice& d : devices) {
-    switch (d.kind) {
-      case FuzzDevice::Kind::kResistor:
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " " << num(d.value) << "\n";
-        break;
-      case FuzzDevice::Kind::kCapacitor:
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " " << num(d.value);
-        if (d.has_ic) ss << " ic=" << num(d.ic);
-        ss << "\n";
-        break;
-      case FuzzDevice::Kind::kVSource:
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " " << num(d.value) << "\n";
-        break;
-      case FuzzDevice::Kind::kISource:
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " " << num(d.value) << "\n";
-        break;
-      case FuzzDevice::Kind::kDiode:
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " is=" << num(d.dio.i_sat) << " n=" << num(d.dio.emission)
-           << "\n";
-        break;
-      case FuzzDevice::Kind::kMosfet: {
-        const std::string model = "mod_" + d.name;
-        // For the FeFET-like subthreshold variant the extra threshold
-        // shift is folded into vth0 (bit-equivalent for a fixed state).
-        const double vth0 = d.has_ic ? d.ic : d.mos.vth0;
-        // .model must precede the instance card for the parser.
-        ss << ".model " << model << " nmos vth0=" << num(vth0);
-        ss << " n=" << num(d.mos.n_factor) << " mu0=" << num(d.mos.mu0)
-           << " cox=" << num(d.mos.cox) << " lambda=" << num(d.mos.lambda)
-           << " tcvth=" << num(d.mos.tc_vth)
-           << " muexp=" << num(d.mos.mu_exponent)
-           << " tnom=" << num(d.mos.t_nominal_c) << "\n";
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " " << node_name(d.n3) << " " << model << " w=" << num(d.mos.w)
-           << " l=" << num(d.mos.l) << "\n";
-        break;
-      }
-      case FuzzDevice::Kind::kFeFet:
-        ss << d.name << " " << node_name(d.n1) << " " << node_name(d.n2)
-           << " " << node_name(d.n3) << " state=" << d.fefet_state << "\n";
-        break;
-    }
-  }
+  for (const std::string& card : cards) ss << card << "\n";
   ss << ".temp " << num(temperature_c) << "\n";
   if (t_stop > 0.0) ss << ".tran " << num(dt) << " " << num(t_stop) << "\n";
   ss << ".end\n";
@@ -444,7 +309,7 @@ InvariantFailure fail(std::string invariant, std::string detail) {
 CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions&) {
   CheckResult out;
   spice::Circuit circuit;
-  nl.build(circuit);
+  spice::parse_netlist(nl.to_cir(), circuit);
   if (circuit.devices().empty()) return out;  // vacuous after shrinking
   spice::Engine engine(circuit, nl.temperature_c);
   const spice::NewtonOptions newton = fuzz_newton();
@@ -506,13 +371,17 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions&) {
 CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
   CheckResult out;
   spice::Circuit circuit;
-  nl.build(circuit);
+  spice::parse_netlist(nl.to_cir(), circuit);
+  std::vector<const spice::Capacitor*> caps;
   double q_start = 0.0, c_total = 0.0, q_scale = 0.0;
-  for (const FuzzDevice& d : nl.devices) {
-    if (d.kind != FuzzDevice::Kind::kCapacitor) continue;
-    q_start += d.value * (d.has_ic ? d.ic : 0.0);
-    q_scale += d.value * std::fabs(d.has_ic ? d.ic : 0.0);
-    c_total += d.value;
+  for (const auto& device : circuit.devices()) {
+    const auto* c = dynamic_cast<const spice::Capacitor*>(device.get());
+    if (c == nullptr) continue;
+    const double ic = c->has_initial_condition() ? c->initial_condition() : 0.0;
+    q_start += c->capacitance() * ic;
+    q_scale += c->capacitance() * std::fabs(ic);
+    c_total += c->capacitance();
+    caps.push_back(c);
   }
   if (c_total == 0.0) return out;  // vacuous after shrinking
   spice::Engine engine(circuit, nl.temperature_c);
@@ -531,25 +400,22 @@ CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
   const lint::OperatingIntervals iv =
       lint::compute_operating_intervals(circuit, nullptr, {});
   double q_end = 0.0;
-  for (const FuzzDevice& d : nl.devices) {
-    if (d.kind != FuzzDevice::Kind::kCapacitor) continue;
-    const std::string node = node_name(d.n1);
-    if (!tr.has_signal(node)) continue;
-    const double v = tr.final_value(node);
-    q_end += d.value * v;
+  for (const spice::Capacitor* c : caps) {
+    const spice::NodeId node = c->terminals().front();
+    if (node == spice::kGround) continue;
+    const std::string& name = circuit.node_name(node);
+    const double v = tr.final_value(name);
+    q_end += c->capacitance() * v;
     out.observable = hash_double(out.observable, v);
-    if (d.n1 >= 0) {
-      // build() numbers circuit nodes in card order, not by fuzz index.
-      const lint::Interval bound = iv.envelope_at(*circuit.find_node(node));
-      if (bound.is_empty() ||
-          !bound.widened(1e-6 * (1.0 + std::fabs(v))).contains(v)) {
-        std::ostringstream msg;
-        msg << "transient final value " << Json::format_number(v)
-            << " at node " << node << " escapes static envelope "
-            << bound.str();
-        out.failure = fail("envelope_escape", msg.str());
-        return out;
-      }
+    const lint::Interval bound = iv.envelope_at(node);
+    if (bound.is_empty() ||
+        !bound.widened(1e-6 * (1.0 + std::fabs(v))).contains(v)) {
+      std::ostringstream msg;
+      msg << "transient final value " << Json::format_number(v)
+          << " at node " << name << " escapes static envelope "
+          << bound.str();
+      out.failure = fail("envelope_escape", msg.str());
+      return out;
     }
   }
   const double allowed = opt.charge_tol_abs + opt.charge_tol_rel * q_scale;
@@ -566,19 +432,18 @@ CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
 
 CheckResult check_subthreshold(const FuzzNetlist& nl, const FuzzOptions&) {
   CheckResult out;
-  const FuzzDevice* mosfet = nullptr;
-  const FuzzDevice *vg = nullptr, *vd = nullptr;
-  for (const FuzzDevice& d : nl.devices) {
-    if (d.kind == FuzzDevice::Kind::kMosfet) mosfet = &d;
-    if (d.kind == FuzzDevice::Kind::kVSource && d.name == "VG") vg = &d;
-    if (d.kind == FuzzDevice::Kind::kVSource && d.name == "VD") vd = &d;
-  }
+  spice::Circuit circuit;
+  spice::parse_netlist(nl.to_cir(), circuit);
+  const auto* mosfet = dynamic_cast<const devices::Mosfet*>(circuit.find("M1"));
+  const auto* vg = dynamic_cast<const spice::VSource*>(circuit.find("VG"));
+  const auto* vd = dynamic_cast<const spice::VSource*>(circuit.find("VD"));
   if (!mosfet || !vg || !vd) return out;  // vacuous after shrinking
-  const double vth_extra = mosfet->has_ic ? mosfet->ic : 0.0;
+  const double v_gate = vg->waveform().initial();
+  const double v_drain = vd->waveform().initial();
   double prev = -1.0;
   for (double t = 0.0; t <= 85.0 + 1e-9; t += 5.0) {
-    const devices::MosfetEval e = devices::evaluate_mosfet(
-        mosfet->mos, vg->value, vd->value, 0.0, t, vth_extra);
+    const devices::MosfetEval e =
+        devices::evaluate_mosfet(mosfet->params(), v_gate, v_drain, 0.0, t);
     out.observable = hash_double(out.observable, e.id);
     if (e.id <= 0.0) {
       out.failure = fail("subthreshold_current_positive",
@@ -600,11 +465,16 @@ CheckResult check_subthreshold(const FuzzNetlist& nl, const FuzzOptions&) {
 
 CheckResult check_cim_row(const FuzzNetlist& nl, const FuzzOptions&) {
   CheckResult out;
-  if (nl.devices.empty()) return out;
+  if (nl.cards.empty()) return out;
   std::vector<int> stored, inputs;
-  for (const FuzzDevice& d : nl.devices) {
-    stored.push_back(d.fefet_state);
-    inputs.push_back(d.ic > 0.5 ? 1 : 0);
+  for (const std::string& cell : nl.cards) {
+    int weight = 0, input = 0;
+    if (std::sscanf(cell.c_str(), "%*s weight=%d input=%d", &weight,
+                    &input) != 2) {
+      throw std::invalid_argument("fuzz: malformed CiM cell '" + cell + "'");
+    }
+    stored.push_back(weight);
+    inputs.push_back(input);
   }
   cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
   cfg.cells_per_row = static_cast<int>(stored.size());
@@ -672,12 +542,12 @@ FuzzNetlist shrink_netlist(const FuzzNetlist& failing,
   if (!original) return failing;
   FuzzNetlist current = failing;
   bool progress = true;
-  while (progress && current.devices.size() > 1) {
+  while (progress && current.cards.size() > 1) {
     progress = false;
-    for (std::size_t i = 0; i < current.devices.size(); ++i) {
+    for (std::size_t i = 0; i < current.cards.size(); ++i) {
       FuzzNetlist candidate = current;
-      candidate.devices.erase(candidate.devices.begin() +
-                              static_cast<std::ptrdiff_t>(i));
+      candidate.cards.erase(candidate.cards.begin() +
+                            static_cast<std::ptrdiff_t>(i));
       const auto f = check_invariants(candidate, options);
       if (f && f->invariant == original->invariant) {
         current = std::move(candidate);
@@ -700,8 +570,8 @@ std::string FuzzReport::summary() const {
   for (const auto& f : failures) {
     ss << "\n  case " << f.index << " [" << fuzz_class_name(f.cls) << "] "
        << f.invariant << ": " << f.detail << "\n    shrunk "
-       << f.devices_before_shrink << " -> " << f.devices_after_shrink
-       << " devices";
+       << f.cards_before_shrink << " -> " << f.cards_after_shrink
+       << " cards";
     if (!f.reproducer_path.empty()) ss << ", reproducer: " << f.reproducer_path;
   }
   return ss.str();
@@ -738,9 +608,9 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     f.cls = nl.cls;
     f.invariant = r.failure->invariant;
     f.detail = r.failure->detail;
-    f.devices_before_shrink = static_cast<int>(nl.devices.size());
+    f.cards_before_shrink = static_cast<int>(nl.cards.size());
     f.minimized = shrink_netlist(nl, options);
-    f.devices_after_shrink = static_cast<int>(f.minimized.devices.size());
+    f.cards_after_shrink = static_cast<int>(f.minimized.cards.size());
     // The linter must take any shrunk reproducer — however degenerate —
     // without throwing anything but diagnostics.
     try {

@@ -1,8 +1,8 @@
 // Property-based netlist fuzzer.
 //
 // Each case index i deterministically derives its private RNG from the
-// counter-based stream exec::stream_seed(seed, i), generates a random
-// netlist of one of four classes, instantiates it, and checks the solver
+// counter-based stream exec::stream_seed(seed, i), writes a random SPICE
+// deck of one of four classes, parses it, and checks the solver
 // invariants of that class:
 //   * dc_kcl        — random R / diode / MOSFET / FeFET network with DC
 //                     sources: Newton converges and the KCL residual
@@ -11,13 +11,18 @@
 //                     resistors, no sources: total charge Σ C·V is
 //                     conserved across the transient (the physics behind
 //                     the row's charge-share phase, Eq. 1);
-//   * subthreshold_temp — random subthreshold bias on a random MOSFET/
-//                     FeFET channel: drain current grows monotonically in
-//                     T over 0..85 degC (the paper's Fig. 1 premise);
+//   * subthreshold_temp — random subthreshold bias on a random MOSFET
+//                     channel: drain current grows monotonically in T
+//                     over 0..85 degC (the paper's Fig. 1 premise);
 //   * cim_row       — a paper-shaped small CiM row with random weights,
 //                     inputs and temperature: converges, output within the
 //                     supply window, and invariant under a simultaneous
 //                     permutation of (weight, input) pairs.
+//
+// A case is its SPICE deck: the generator writes cards, and every check
+// builds its circuit from FuzzNetlist::to_cir() through
+// spice::parse_netlist, so the text that is simulated is the text that is
+// linted and the text a failure dumps.
 //
 // Every case also cross-checks the static analyzer (src/lint): a clean
 // generated-valid card-based deck must lint with zero diagnostics, and
@@ -26,19 +31,14 @@
 // values. An escape ("interval_escape" / "envelope_escape") means the
 // abstract domain is unsound — a hard failure, never a tolerance issue.
 //
-// A failing case is shrunk by greedy delta-debugging (drop one device at a
-// time while the invariant still fails) and dumped as a .cir reproducer
-// that round-trips through spice::parse_netlist.
+// A failing case is shrunk by greedy delta-debugging (drop one card at a
+// time while the invariant still fails) and dumped as its .cir deck.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "devices/diode.hpp"
-#include "devices/mosfet.hpp"
-#include "spice/circuit.hpp"
 
 namespace sfc::verify {
 
@@ -56,50 +56,24 @@ struct FuzzOptions {
   double charge_tol_rel = 1e-3;
   /// Absolute charge floor for circuits whose total charge is ~0 [C].
   double charge_tol_abs = 1e-18;
-  /// Include the (slower) transient CiM-row class.
-  bool include_cim_rows = true;
 };
 
-/// One device card of a generated netlist. Node index -1 is ground,
-/// k >= 0 is node "n<k>".
-struct FuzzDevice {
-  enum class Kind {
-    kResistor,
-    kCapacitor,
-    kVSource,
-    kISource,
-    kDiode,
-    kMosfet,
-    kFeFet
-  };
-  Kind kind = Kind::kResistor;
-  std::string name;
-  int n1 = -1, n2 = -1, n3 = -1;  ///< terminal node indices
-  double value = 0.0;             ///< R / C / V / I main value
-  double ic = 0.0;                ///< capacitor initial condition [V]
-  bool has_ic = false;
-  int fefet_state = 1;            ///< stored bit for FeFET cards
-  devices::MosfetParams mos;      ///< kMosfet parameters
-  devices::DiodeParams dio;       ///< kDiode parameters
-};
-
-/// A generated netlist: the device list plus the directives needed to
-/// re-run its invariant.
+/// A generated case: its cards plus the directives needed to re-run its
+/// invariant.
 struct FuzzNetlist {
   FuzzClass cls = FuzzClass::kDcKcl;
   int index = 0;            ///< case index within the fuzz run
   std::uint64_t seed = 0;   ///< stream seed the case was generated from
-  int num_nodes = 0;
   double temperature_c = 27.0;
   double t_stop = 0.0;      ///< transient length (charge_share) [s]
   double dt = 0.0;
-  std::vector<FuzzDevice> devices;
+  /// One entry per element, in generation order: a device card (a
+  /// MOSFET's entry starts with its .model line), or for cim_row a
+  /// "CELL<k> weight=<w> input=<i>" cell that the deck prints as a comment.
+  std::vector<std::string> cards;
 
-  /// Instantiate into a circuit (node k -> "n<k>").
-  void build(spice::Circuit& circuit) const;
-
-  /// SPICE deck (cards + .tran/.temp directives + provenance comments)
-  /// parseable by spice::parse_netlist.
+  /// The case's SPICE deck: provenance comments, the cards and the
+  /// .temp/.tran directives, parseable by spice::parse_netlist.
   std::string to_cir(const std::string& failure_note = "") const;
 };
 
@@ -108,8 +82,8 @@ struct FuzzFailure {
   FuzzClass cls = FuzzClass::kDcKcl;
   std::string invariant;       ///< which property broke
   std::string detail;          ///< measured vs allowed
-  int devices_before_shrink = 0;
-  int devices_after_shrink = 0;
+  int cards_before_shrink = 0;
+  int cards_after_shrink = 0;
   std::string reproducer_path; ///< minimized .cir artifact ("" if dump failed)
   FuzzNetlist minimized;
 };
@@ -141,8 +115,8 @@ struct InvariantFailure {
 std::optional<InvariantFailure> check_invariants(const FuzzNetlist& netlist,
                                                  const FuzzOptions& options);
 
-/// Greedy delta-debug: repeatedly drop single devices while the invariant
-/// keeps failing. Returns the minimized netlist (== input when no device
+/// Greedy delta-debug: repeatedly drop single cards while the invariant
+/// keeps failing. Returns the minimized netlist (== input when no card
 /// can be removed).
 FuzzNetlist shrink_netlist(const FuzzNetlist& failing,
                            const FuzzOptions& options);

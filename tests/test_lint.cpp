@@ -1,8 +1,8 @@
 // Tests for the netlist static analyzer (src/lint): one positive and one
-// negative case per rule, the JSON report schema round-trip, the Engine
-// pre-flight gate, the paper's CiM rows linted at their read bias, a sweep
-// asserting every deck in examples/ lints clean, and the fuzz cross-check
-// (200 generated-valid decks draw zero diagnostics).
+// negative case per rule, the JSON report schema, the paper's CiM rows
+// linted at their read bias, a sweep asserting every deck in examples/
+// lints clean, and the fuzz cross-check (200 generated-valid decks draw
+// zero diagnostics).
 #include <algorithm>
 #include <filesystem>
 #include <optional>
@@ -16,9 +16,7 @@
 #include "lint/analysis.hpp"
 #include "lint/interval.hpp"
 #include "lint/linter.hpp"
-#include "lint/preflight.hpp"
 #include "lint/rules.hpp"
-#include "spice/engine.hpp"
 #include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
 #include "verify/fuzz.hpp"
@@ -321,21 +319,6 @@ TEST(LintPipeline, RuleTableHasAtLeastTenUniqueIds) {
   EXPECT_GE(parse_ids.size(), 5u);
 }
 
-TEST(LintPipeline, EnableDisableByRuleId) {
-  const std::string deck =
-      "V1 a 0 1.0\nR1 a 0 10k\nI1 0 x 1u\nC1 x 0 1p\n.end\n";
-  lint::Linter linter;
-  linter.disable("floating-node");
-  EXPECT_FALSE(
-      find_rule(lint::lint_source(deck, linter).report, "floating-node")
-          .has_value());
-  linter.enable("floating-node");
-  EXPECT_TRUE(
-      find_rule(lint::lint_source(deck, linter).report, "floating-node")
-          .has_value());
-  EXPECT_THROW(linter.disable("not-a-rule"), std::runtime_error);
-}
-
 TEST(LintPipeline, ReportIsSortedByLine) {
   const std::string deck =
       "I1 0 x 1u\n"
@@ -363,51 +346,27 @@ TEST(LintJson, ReportRoundTripsThroughCanonicalJson) {
   const sfc::verify::Json j = report.to_json("deck.cir");
   EXPECT_EQ(j.number_at("schema_version"), 1.0);
   EXPECT_EQ(j.string_at("source"), "deck.cir");
-  // dump -> parse -> from_json -> to_json is byte-identical.
+  // The canonical text is a fixed point of parse -> dump, and its counts
+  // and diagnostics carry the report's findings in order.
   const sfc::verify::Json reparsed = sfc::verify::Json::parse(j.dump());
-  const lint::LintReport back = lint::LintReport::from_json(reparsed);
-  EXPECT_EQ(back.to_json("deck.cir").dump(), j.dump());
-  EXPECT_EQ(back.diagnostics().size(), report.diagnostics().size());
-  EXPECT_EQ(back.count(lint::Severity::kError),
-            report.count(lint::Severity::kError));
-}
-
-TEST(LintJson, SeverityNamesRoundTrip) {
+  EXPECT_EQ(reparsed.dump(), j.dump());
+  const sfc::verify::Json& counts = reparsed.get("counts");
   for (const auto s : {lint::Severity::kNote, lint::Severity::kWarning,
                        lint::Severity::kError}) {
-    EXPECT_EQ(lint::severity_from_name(lint::severity_name(s)), s);
+    EXPECT_EQ(counts.number_at(lint::severity_name(s)),
+              static_cast<double>(report.count(s)));
   }
-  EXPECT_THROW(lint::severity_from_name("fatal"), std::runtime_error);
-}
-
-// ------------------------------------------------------------- preflight
-
-TEST(LintPreflight, EngineRejectsFloatingDeckBeforeSolving) {
-  const std::string deck =
-      "V1 a 0 1.0\nR1 a 0 10k\nI1 0 x 1u\nC1 x 0 1p\n.end\n";
-  spice::Circuit circuit;
-  const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
-  spice::Engine engine(circuit, parsed.temperature_c);
-  lint::install_preflight(engine, &parsed);
-  try {
-    engine.dc_operating_point();
-    FAIL() << "pre-flight gate should have fired";
-  } catch (const lint::PreflightError& e) {
-    EXPECT_TRUE(e.report().has_errors());
-    EXPECT_NE(std::string(e.what()).find("floating-node"), std::string::npos);
+  const auto& items = reparsed.get("diagnostics").as_array();
+  ASSERT_EQ(items.size(), report.diagnostics().size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const lint::Diagnostic& d = report.diagnostics()[i];
+    EXPECT_EQ(items[i].string_at("rule"), d.rule);
+    EXPECT_EQ(items[i].string_at("severity"), lint::severity_name(d.severity));
+    EXPECT_EQ(items[i].number_at("line"), static_cast<double>(d.line));
+    EXPECT_EQ(items[i].string_at("object"), d.object);
+    EXPECT_EQ(items[i].string_at("message"), d.message);
+    EXPECT_EQ(items[i].string_at("hint"), d.hint);
   }
-  // The gate keeps rejecting on retry (a failing screen is not cached).
-  EXPECT_THROW(engine.dc_operating_point(), lint::PreflightError);
-}
-
-TEST(LintPreflight, CleanDeckSolvesNormally) {
-  const std::string deck = "V1 a 0 1.0\nR1 a b 47k\nR2 b 0 33k\n.end\n";
-  spice::Circuit circuit;
-  const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
-  spice::Engine engine(circuit, parsed.temperature_c);
-  lint::install_preflight(engine, &parsed);
-  const spice::DcResult op = engine.dc_operating_point();
-  EXPECT_NEAR(op.voltage("b"), 1.0 * 33.0 / 80.0, 1e-6);
 }
 
 // ------------------------------------------------- semantic passes
@@ -598,20 +557,6 @@ TEST(LintAnalysis, ManagerCachesSharedAnalyses) {
 }
 
 // -------------------------------------------------- rule-table guards
-
-TEST(LintPipeline, UnknownRuleErrorNamesTheValidSet) {
-  lint::Linter linter;
-  try {
-    linter.disable("not-a-rule");
-    FAIL() << "unknown rule id must throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("not-a-rule"), std::string::npos);
-    EXPECT_NE(msg.find("valid rules"), std::string::npos);
-    EXPECT_NE(msg.find("floating-node"), std::string::npos);
-    EXPECT_NE(msg.find("subthreshold-window"), std::string::npos);
-  }
-}
 
 TEST(LintPipeline, ValidateRuleTableRejectsDuplicateIds) {
   EXPECT_NO_THROW(lint::validate_rule_table(lint::builtin_rules()));

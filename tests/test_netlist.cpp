@@ -27,6 +27,11 @@ TEST(SpiceNumber, SuffixesParse) {
 TEST(SpiceNumber, RejectsGarbage) {
   EXPECT_THROW(parse_spice_number("abc"), std::runtime_error);
   EXPECT_THROW(parse_spice_number("1.2x"), std::runtime_error);
+  // Not finite: stod reads nan and inf, and a suffix can overflow.
+  for (const char* token : {"nan", "NaN", "inf", "-Infinity", "1e308k",
+                            "1e303meg", "1e400"}) {
+    EXPECT_THROW(parse_spice_number(token), std::runtime_error) << token;
+  }
 }
 
 TEST(Netlist, VoltageDividerDeck) {
@@ -162,6 +167,20 @@ TEST(Netlist, ErrorsCarryLineNumbers) {
       EXPECT_EQ(e.line(), 2u) << card;
       EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
           << card;
+    }
+  }
+}
+
+TEST(Netlist, NonFiniteValuesFailAtTheirLine) {
+  for (const std::string card :
+       {"R1 a b nan", "V1 a 0 1e308k", "C1 b 0 1p ic=nan",
+        ".model m nmos vth0=nan", ".temp nan", ".model m nmos vth0=abc"}) {
+    Circuit ckt;
+    try {
+      parse_netlist("R0 a 0 1k\n" + card + "\n", ckt);
+      FAIL() << "expected parse error for '" << card << "'";
+    } catch (const NetlistError& e) {
+      EXPECT_EQ(e.line(), 2u) << card << ": " << e.what();
     }
   }
 }

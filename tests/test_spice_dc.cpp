@@ -153,6 +153,35 @@ TEST(DcOp, NodeGuessAccepted) {
   EXPECT_NEAR(op.voltage("out"), 1.0, 1e-6);
 }
 
+// A NaN source value makes the iterate NaN. Newton must not read a NaN
+// update as a small one and report convergence on it.
+TEST(DcOp, NanValueDoesNotConverge) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  const auto b = ckt.node("b");
+  ckt.add<VSource>("V1", a, kGround, nan);
+  ckt.add<Resistor>("R1", a, b, 1e3);
+  ckt.add<Capacitor>("C1", b, kGround, 1e-12);
+  Engine engine(ckt, 27.0);
+  EXPECT_FALSE(engine.dc_operating_point().converged);
+  TransientOptions topt;
+  topt.dt = 1e-10;
+  EXPECT_FALSE(engine.transient(1e-9, topt).converged);
+
+  // A source that turns NaN after t = 0: the DC point converges, and the
+  // first transient step must not.
+  Circuit late;
+  const auto c = late.node("c");
+  const auto d = late.node("d");
+  late.add<VSource>("V1", c, kGround, Waveform::pwl({{0.0, 0.0}, {1e-9, nan}}));
+  late.add<Resistor>("R1", c, d, 1e3);
+  late.add<Capacitor>("C1", d, kGround, 1e-12);
+  Engine late_engine(late, 27.0);
+  ASSERT_TRUE(late_engine.dc_operating_point().converged);
+  EXPECT_FALSE(late_engine.transient(2e-9, topt).converged);
+}
+
 TEST(DcSweep, LinearResistorSweepIsLinear) {
   Circuit ckt;
   const auto in = ckt.node("in");

@@ -1,8 +1,10 @@
 // Property-based netlist fuzzer: the 200-case campaign passes
-// deterministically, generated decks round-trip through the SPICE parser,
-// and a forced invariant failure yields a minimized .cir reproducer.
+// deterministically, generated decks round-trip through the SPICE parser
+// and are pinned byte for byte, and a forced invariant failure yields a
+// minimized .cir reproducer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -57,7 +59,7 @@ TEST(VerifyFuzz, GeneratedDecksRoundTripThroughParser) {
     spice::NetlistDeck directives;
     ASSERT_NO_THROW(directives = spice::parse_netlist(deck, circuit)) << deck;
     if (nl.cls == FuzzClass::kCimRow) continue;  // comment-only deck
-    EXPECT_EQ(circuit.devices().size(), nl.devices.size()) << deck;
+    EXPECT_EQ(circuit.devices().size(), nl.cards.size()) << deck;
     EXPECT_TRUE(directives.has_temperature);
     EXPECT_NEAR(directives.temperature_c, nl.temperature_c, 1e-9);
     if (nl.t_stop > 0.0) {
@@ -67,6 +69,17 @@ TEST(VerifyFuzz, GeneratedDecksRoundTripThroughParser) {
     parsed_devices += static_cast<int>(circuit.devices().size());
   }
   EXPECT_GT(parsed_devices, 100);
+
+  // FNV-1a-64 over the first 200 default decks, in order: a changed draw
+  // or card format fails here, not only in the campaign hash.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 200; ++i) {
+    for (const unsigned char c : generate_netlist(opt, i).to_cir()) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0x6147a1d8473d4c19ULL);
 }
 
 TEST(VerifyFuzz, ForcedFailureProducesMinimizedReproducer) {
@@ -84,21 +97,21 @@ TEST(VerifyFuzz, ForcedFailureProducesMinimizedReproducer) {
   const FuzzFailure& f = rep.failures.front();
   EXPECT_EQ(f.invariant, "charge_conservation");
   EXPECT_FALSE(f.detail.empty());
-  EXPECT_LE(f.devices_after_shrink, f.devices_before_shrink);
-  EXPECT_GT(f.devices_after_shrink, 0);
+  EXPECT_LE(f.cards_after_shrink, f.cards_before_shrink);
+  EXPECT_GT(f.cards_after_shrink, 0);
 
   // The minimized netlist still violates the same invariant...
   const auto still_failing = check_invariants(f.minimized, opt);
   ASSERT_TRUE(still_failing.has_value());
   EXPECT_EQ(still_failing->invariant, f.invariant);
-  // ...and no single further device removal keeps it failing (1-minimal).
-  for (std::size_t i = 0; i < f.minimized.devices.size(); ++i) {
+  // ...and no single further card removal keeps it failing (1-minimal).
+  for (std::size_t i = 0; i < f.minimized.cards.size(); ++i) {
     FuzzNetlist smaller = f.minimized;
-    smaller.devices.erase(smaller.devices.begin() +
-                          static_cast<std::ptrdiff_t>(i));
+    smaller.cards.erase(smaller.cards.begin() +
+                        static_cast<std::ptrdiff_t>(i));
     const auto g = check_invariants(smaller, opt);
     EXPECT_FALSE(g && g->invariant == f.invariant)
-        << "device " << i << " was removable";
+        << "card " << i << " was removable";
   }
 
   // The dumped artifact exists, carries provenance, and parses.
@@ -112,29 +125,18 @@ TEST(VerifyFuzz, ForcedFailureProducesMinimizedReproducer) {
   EXPECT_NE(deck.find("seed=0x"), std::string::npos);
   spice::Circuit circuit;
   ASSERT_NO_THROW(spice::parse_netlist(deck, circuit)) << deck;
-  EXPECT_EQ(circuit.devices().size(), f.minimized.devices.size());
+  EXPECT_EQ(circuit.devices().size(), f.minimized.cards.size());
 }
 
-// build() numbers circuit nodes in card order, not by fuzz index: with C1
-// on n1 listed first, "n1" is circuit node 0. The envelope oracle must
-// check each capacitor against its own node's envelope.
+// The parser numbers circuit nodes in the order the cards first name them:
+// with C1 on n1 listed first, "n1" is circuit node 0. The envelope oracle
+// must check each capacitor against its own node's envelope.
 TEST(VerifyFuzz, EnvelopeOracleLooksUpNodesByName) {
-  auto cap = [](const char* name, int node, double ic) {
-    FuzzDevice c;
-    c.kind = FuzzDevice::Kind::kCapacitor;
-    c.name = name;
-    c.n1 = node;
-    c.value = 5e-15;
-    c.ic = ic;
-    c.has_ic = true;
-    return c;
-  };
   FuzzNetlist nl;
   nl.cls = FuzzClass::kChargeShare;
-  nl.num_nodes = 2;
   nl.t_stop = 20e-9;
   nl.dt = 1e-10;
-  nl.devices = {cap("C1", 1, 1.0), cap("C2", 0, 0.0)};
+  nl.cards = {"C1 n1 0 5e-15 ic=1", "C2 n0 0 5e-15 ic=0"};
   const FuzzOptions opt;
   const auto failure = check_invariants(nl, opt);
   EXPECT_FALSE(failure.has_value())
@@ -182,7 +184,7 @@ TEST(VerifyFuzz, ShrinkerIsIdentityOnPassingNetlist) {
   const FuzzNetlist nl = generate_netlist(opt, 0);
   ASSERT_FALSE(check_invariants(nl, opt).has_value());
   const FuzzNetlist same = shrink_netlist(nl, opt);
-  EXPECT_EQ(same.devices.size(), nl.devices.size());
+  EXPECT_EQ(same.cards, nl.cards);
 }
 
 TEST(VerifyFuzz, ClassMixMatchesSchedule) {
@@ -194,9 +196,6 @@ TEST(VerifyFuzz, ClassMixMatchesSchedule) {
   EXPECT_EQ(generate_netlist(opt, 0).cls, FuzzClass::kDcKcl);
   EXPECT_EQ(generate_netlist(opt, 1).cls, FuzzClass::kChargeShare);
   EXPECT_EQ(generate_netlist(opt, 2).cls, FuzzClass::kSubthresholdTemp);
-  FuzzOptions no_cim = opt;
-  no_cim.include_cim_rows = false;
-  EXPECT_NE(generate_netlist(no_cim, 13).cls, FuzzClass::kCimRow);
 }
 
 }  // namespace
