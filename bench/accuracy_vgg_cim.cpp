@@ -11,25 +11,52 @@
 //   4. compare against the digital int8 reference and the subthreshold
 //      1FeFET-1R baseline fabric.
 //
-// Heavy artifacts (trained weights, array calibrations) are cached next
-// to the binary so re-runs are fast.
+// The trained weights are cached in the working directory, in a file
+// named after the settings that produced them, so re-runs skip training.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "cim/energy.hpp"
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
 #include "nn/vgg.hpp"
+#include "util/hash.hpp"
 #include "util/table.hpp"
 
 using namespace sfc;
 
 namespace {
 
-constexpr const char* kWeightsPath = "bench_vgg_weights.bin";
-constexpr const char* kProposedCal = "bench_cal_proposed.txt";
-constexpr const char* kBaselineCal = "bench_cal_baseline.txt";
+/// bench_vgg_weights_<16 hex>.bin, the hex being the FNV-1a-64 of every
+/// field that shapes training (all of VggConfig, TrainConfig except
+/// `verbose`, and SynthCifarConfig), so changing any of them retrains
+/// instead of loading stale weights.
+std::string weights_path(const nn::VggConfig& v, const nn::TrainConfig& t,
+                         const data::SynthCifarConfig& d) {
+  std::string key = "vgg conv_channels";
+  for (int c : v.conv_channels) key += " " + std::to_string(c);
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      " fc_hidden %d with_dropout %d init_seed %llu\n"
+      "train epochs %d batch_size %d optimizer %d learning_rate %.17g "
+      "lr_decay %.17g seed %llu\n"
+      "synth_cifar train_per_class %d test_per_class %d seed %llu "
+      "noise_sigma %.17g color_jitter %.17g\n",
+      v.fc_hidden, v.with_dropout ? 1 : 0,
+      static_cast<unsigned long long>(v.init_seed), t.epochs, t.batch_size,
+      static_cast<int>(t.optimizer), t.learning_rate, t.lr_decay,
+      static_cast<unsigned long long>(t.seed), d.train_per_class,
+      d.test_per_class, static_cast<unsigned long long>(d.seed),
+      d.noise_sigma, d.color_jitter);
+  key += buf;
+  std::snprintf(buf, sizeof(buf), "bench_vgg_weights_%016llx.bin",
+                static_cast<unsigned long long>(
+                    util::fnv1a(util::kFnv1aOffset, key.data(), key.size())));
+  return buf;
+}
 
 data::SynthCifarConfig dataset_config() {
   data::SynthCifarConfig cfg;
@@ -57,32 +84,34 @@ int main() {
   // starves training (see EXPERIMENTS.md).
   nn::VggConfig vcfg = nn::VggConfig::reduced(0.125);
   vcfg.with_dropout = false;
+  nn::TrainConfig tcfg;
+  tcfg.epochs = 8;
+  tcfg.batch_size = 16;
+  tcfg.optimizer = nn::Optimizer::kAdam;
+  tcfg.learning_rate = 1e-3;
+  tcfg.lr_decay = 0.9;
+  tcfg.verbose = true;
+  const std::string weights = weights_path(vcfg, tcfg, dcfg);
   nn::Sequential net = nn::build_vgg(vcfg);
   bool loaded = false;
   {
-    std::ifstream probe(kWeightsPath);
+    std::ifstream probe(weights);
     if (probe) {
       try {
-        net.load_weights(kWeightsPath);
+        net.load_weights(weights);
         loaded = true;
-        std::printf("loaded cached weights from %s\n", kWeightsPath);
+        std::printf("loaded cached weights from %s\n", weights.c_str());
       } catch (const std::exception&) {
         loaded = false;
       }
     }
   }
   if (!loaded) {
-    std::printf("training VGG(1/8 width) with Adam for 8 epochs...\n");
-    nn::TrainConfig tcfg;
-    tcfg.epochs = 8;
-    tcfg.batch_size = 16;
-    tcfg.optimizer = nn::Optimizer::kAdam;
-    tcfg.learning_rate = 1e-3;
-    tcfg.lr_decay = 0.9;
-    tcfg.verbose = true;
+    std::printf("training VGG(1/8 width) with Adam for %d epochs...\n",
+                tcfg.epochs);
     nn::Trainer trainer(net, tcfg);
     trainer.fit(train);
-    net.save_weights(kWeightsPath);
+    net.save_weights(weights);
   }
   const double float_acc = nn::Trainer::evaluate(net, test);
 
@@ -98,13 +127,13 @@ int main() {
   cim::MonteCarloConfig variation;
   variation.runs = 40;
   variation.sigma_vt_fefet = 0.054;
+  variation.exec.threads = 0;  // bit-identical at any thread count
   const cim::BehavioralArrayModel proposed =
-      cim::BehavioralArrayModel::calibrate_cached(
-          cim::ArrayConfig::proposed_2t1fefet(), temps, kProposedCal,
-          &variation);
+      cim::BehavioralArrayModel::calibrate(
+          cim::ArrayConfig::proposed_2t1fefet(), temps, &variation);
   const cim::BehavioralArrayModel baseline =
-      cim::BehavioralArrayModel::calibrate_cached(
-          cim::ArrayConfig::baseline_1r_subthreshold(), temps, kBaselineCal);
+      cim::BehavioralArrayModel::calibrate(
+          cim::ArrayConfig::baseline_1r_subthreshold(), temps);
 
   // --- 4. evaluate across temperature -------------------------------------
   util::Table table({"fabric", "T [degC]", "noise", "accuracy",

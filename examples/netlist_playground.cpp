@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
     spec.apply = [name = dc.source](Circuit& c, double v) {
       static_cast<VSource*>(c.find(name))->set_dc(v);
     };
-    spec.continuation = true;  // warm-start along the source value
     spec.temperature_c = temp;
     const auto points = run_sweep(circuit, spec);
     std::printf("  %-10s", dc.source.c_str());

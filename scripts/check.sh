@@ -119,7 +119,7 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
   --metrics "${NOTRACE_DIR}/metrics_oracle.json"
 "${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_oracle.json"
 
-step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util\" under -fsanitize=undefined)"
+step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util|devices|data\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
 # _GLIBCXX_ASSERTIONS bounds-checks every std::vector / std::optional
 # access, so an out-of-range index aborts here instead of reading garbage.
@@ -127,13 +127,14 @@ step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util\" un
 # bounds; cim covers the row, tile and behavioural-model code and their
 # per-cell length checks; exec covers parallel_for's task timing and
 # drain tallies; fefet the Preisach polarization cache; util the RNG and
-# its argument checks.
+# its argument checks; devices the MOSFET/diode models and their
+# temperature caches; data the SynthCIFAR generator.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim|exec|fefet|util" \
+ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim|exec|fefet|util|devices|data" \
   --output-on-failure -j "${JOBS}"
 # The interval-oracle fuzz campaign under UBSan: the outward-rounding
 # interval arithmetic and the fixpoint engine must be UB-free on 200
@@ -142,7 +143,7 @@ ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|cim|exec|fefet|ut
 
 step "ThreadSanitizer pass (ctest -L \"exec|trace\" under -fsanitize=thread)"
 # parallel_for's persistent workers (nested, concurrent and back-to-back
-# jobs), the Monte Carlo / sweep / dot-batch fan-outs and the
+# jobs), the Monte Carlo and dot-batch fan-outs and the
 # relaxed-atomic metrics registry they record into must be free of data
 # races at 1 to 8 threads.
 TSAN_DIR="${BUILD_DIR}-tsan"

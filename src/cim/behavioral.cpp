@@ -1,9 +1,6 @@
 #include "cim/behavioral.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -183,52 +180,6 @@ BehavioralArrayModel BehavioralArrayModel::from_text(const std::string& text) {
   for (auto& s : m.sigma_) in >> s;
   if (!in) throw std::runtime_error("BehavioralArrayModel: truncated data");
   m.build_thresholds();
-  return m;
-}
-
-void BehavioralArrayModel::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << to_text();
-}
-
-BehavioralArrayModel BehavioralArrayModel::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return from_text(buf.str());
-}
-
-BehavioralArrayModel BehavioralArrayModel::calibrate_cached(
-    const ArrayConfig& cfg, const std::vector<double>& temps_c,
-    const std::string& cache_path, const MonteCarloConfig* variation) {
-  {
-    std::ifstream probe(cache_path);
-    if (probe) {
-      try {
-        BehavioralArrayModel cached = load(cache_path);
-        // The file stores temperatures at 12 significant digits.
-        const auto same_temp = [](double a, double b) {
-          return std::fabs(a - b) <= 1e-9 * std::max(1.0, std::fabs(b));
-        };
-        if (cached.cells_ == cfg.cells_per_row &&
-            std::equal(cached.temps_c_.begin(), cached.temps_c_.end(),
-                       temps_c.begin(), temps_c.end(), same_temp)) {
-          return cached;
-        }
-        // Calibrated for another row or grid: recalibrate and overwrite.
-      } catch (const std::exception&) {
-        // fall through to recalibration on a corrupt cache
-      }
-    }
-  }
-  BehavioralArrayModel m = calibrate(cfg, temps_c, variation);
-  try {
-    m.save(cache_path);
-  } catch (const std::exception&) {
-    // Caching is best effort; calibration result is still valid.
-  }
   return m;
 }
 

@@ -62,21 +62,9 @@ class BehavioralArrayModel {
   /// Decision thresholds (midpoints of design-temperature levels).
   const std::vector<double>& thresholds() const { return thresholds_; }
 
-  /// Serialization so benches can cache the (expensive) calibration.
+  /// Text serialization (levels at 12 significant digits).
   std::string to_text() const;
   static BehavioralArrayModel from_text(const std::string& text);
-  void save(const std::string& path) const;
-  static BehavioralArrayModel load(const std::string& path);
-
-  /// Calibrate, or load from `cache_path` when it holds a model of the same
-  /// cell count and temperature grid; otherwise calibrate and save the
-  /// result there, overwriting any stale model.
-  static BehavioralArrayModel calibrate_cached(
-      const ArrayConfig& cfg, const std::vector<double>& temps_c,
-      const std::string& cache_path, const MonteCarloConfig* variation =
-                                         nullptr);
-
-  double design_temperature_c() const { return design_temp_c_; }
 
  private:
   void build_thresholds();

@@ -32,10 +32,6 @@ class Diode : public sfc::spice::Device {
     return {anode_, cathode_};
   }
 
-  std::unique_ptr<sfc::spice::Device> clone() const override {
-    return std::unique_ptr<sfc::spice::Device>(new Diode(*this));
-  }
-
   /// I(V) evaluation for tests.
   double current(double v_anode_cathode, double temperature_c) const;
 
@@ -43,8 +39,8 @@ class Diode : public sfc::spice::Device {
   sfc::spice::NodeId anode_, cathode_;
   DiodeParams p_;
   /// Memoized Is(T)/N*VT(T) — the pow/exp temperature law is loop-
-  /// invariant across Newton iterations (workers stamp cloned circuits,
-  /// so the mutable cache is race-free).
+  /// invariant across Newton iterations. The mutable cache is race-free
+  /// because a circuit is solved by one thread at a time.
   mutable double cache_temp_c_ = -1e300;
   mutable double cache_vt_ = 0.0;
   mutable double cache_isat_ = 0.0;

@@ -94,10 +94,6 @@ class Mosfet : public sfc::spice::Device {
     return {drain_, gate_, source_};
   }
 
-  std::unique_ptr<sfc::spice::Device> clone() const override {
-    return std::unique_ptr<sfc::spice::Device>(new Mosfet(*this));
-  }
-
   const MosfetParams& params() const { return params_; }
   /// Mutable parameter access invalidates the cached temperature terms;
   /// don't hold the reference across stamping.
@@ -123,9 +119,9 @@ class Mosfet : public sfc::spice::Device {
   }
 
  private:
-  /// Memoized mosfet_temp_terms(params_, temperature_c). Safe for
-  /// parallel sweeps because workers solve cloned circuits, never a
-  /// shared device instance.
+  /// Memoized mosfet_temp_terms(params_, temperature_c). Race-free
+  /// because a circuit is solved by one thread at a time (parallel Monte
+  /// Carlo runs each build their own row).
   const MosfetTempTerms& temp_terms(double temperature_c) const {
     if (temperature_c != terms_temp_c_) {
       terms_ = mosfet_temp_terms(params_, temperature_c);

@@ -8,7 +8,7 @@
 // exec::stream_seed(seed, index), all outputs written to the task's own
 // slot), a job is bit-identical at any thread count — threads only decide
 // wall-clock time, never results. Every sfc user of this API (Monte
-// Carlo, sweeps, batched NN rows) is structured that way.
+// Carlo runs, batched NN rows) is structured that way.
 #pragma once
 
 #include <algorithm>
@@ -81,9 +81,8 @@ void run_with_helpers(int helpers, void (*body)(void*) noexcept, void* ctx);
 /// the largest job and parks when idle); tasks never learn which thread
 /// runs them. Workers busy elsewhere (a nested or concurrent job) just do
 /// not join, and the caller finishes the job alone. A one-thread job runs
-/// inline on the caller, in index order fn(0), fn(1), ..., fn(n-1) —
-/// callers may rely on that order (continuation sweeps do). A task may
-/// call parallel_for itself; static destructors must not, because the
+/// inline on the caller, in index order fn(0), fn(1), ..., fn(n-1). A task
+/// may call parallel_for itself; static destructors must not, because the
 /// workers are stopped by one.
 ///
 /// `fn` may return void (completion counts as converged) or bool (true is

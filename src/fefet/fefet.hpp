@@ -23,10 +23,6 @@ class FeFet final : public devices::Mosfet {
   FeFet(std::string name, sfc::spice::NodeId drain, sfc::spice::NodeId gate,
         sfc::spice::NodeId source, FeFetParams params = FeFetParams::reference());
 
-  std::unique_ptr<sfc::spice::Device> clone() const override {
-    return std::unique_ptr<sfc::spice::Device>(new FeFet(*this));
-  }
-
   PreisachModel& ferroelectric() { return fe_; }
   const PreisachModel& ferroelectric() const { return fe_; }
 

@@ -14,10 +14,6 @@ const char* severity_name(Severity s) {
   return "unknown";
 }
 
-bool LintReport::has_errors() const {
-  return count(Severity::kError) > 0;
-}
-
 std::size_t LintReport::count(Severity s) const {
   return static_cast<std::size_t>(std::count_if(
       diagnostics_.begin(), diagnostics_.end(),

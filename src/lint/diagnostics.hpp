@@ -39,7 +39,6 @@ class LintReport {
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
   bool clean() const { return diagnostics_.empty(); }
-  bool has_errors() const;
   /// Findings of the given severity.
   std::size_t count(Severity s) const;
 

@@ -56,22 +56,6 @@ const Device* Circuit::find(const std::string& name) const {
   return it == device_index_.end() ? nullptr : it->second;
 }
 
-Circuit Circuit::clone() const {
-  Circuit copy;
-  copy.node_names_ = node_names_;
-  copy.node_index_ = node_index_;
-  copy.devices_.reserve(devices_.size());
-  for (const auto& dev : devices_) {
-    auto dup = dev->clone();
-    copy.device_index_.emplace(dup->name(), dup.get());
-    copy.devices_.push_back(std::move(dup));
-  }
-  // The partition lists must point at the clone's devices, so rebuild
-  // rather than copying finalize() output.
-  if (finalized_) copy.finalize();
-  return copy;
-}
-
 void Circuit::finalize() {
   if (finalized_) return;
   num_aux_ = 0;

@@ -68,12 +68,6 @@ class Circuit {
   /// engine workspaces detect that cached stamp plans are stale.
   std::uint64_t plan_version() const { return plan_version_; }
 
-  /// Deep copy: same node registry, every device cloned with its full
-  /// runtime state. Solves mutate device state (capacitor history,
-  /// transient bookkeeping), so parallel sweeps give each worker its own
-  /// clone instead of sharing this circuit.
-  Circuit clone() const;
-
   /// Assign auxiliary-variable slots. Called automatically by the engine;
   /// idempotent. New devices may be added afterwards (re-finalizes).
   void finalize();

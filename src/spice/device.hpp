@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cassert>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -174,14 +173,10 @@ class Device {
   explicit Device(std::string name) : name_(std::move(name)) {}
   virtual ~Device() = default;
 
+  Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
   const std::string& name() const { return name_; }
-
-  /// Deep copy including all runtime state (capacitor history,
-  /// polarization, threshold shifts). Circuit::clone() uses this so
-  /// parallel sweeps can solve independent replicas of one circuit.
-  virtual std::unique_ptr<Device> clone() const = 0;
 
   /// Number of auxiliary (branch-current) variables this device needs.
   virtual int num_aux() const { return 0; }
@@ -255,10 +250,6 @@ class Device {
   std::size_t source_line() const { return source_line_; }
 
  protected:
-  /// Copying is reserved for subclass clone() implementations; keeping it
-  /// protected prevents accidental slicing through the base class.
-  Device(const Device&) = default;
-
   /// Helper for subclasses: voltage difference v(a) - v(b).
   static double vdiff(const Stamper& s, NodeId a, NodeId b) {
     return s.v(a) - s.v(b);

@@ -156,19 +156,26 @@ Waveform parse_stimulus(const std::vector<std::string>& tokens, std::size_t i,
     return parse_spice_number(tokens[k]);
   };
   if (kind == "dc") return Waveform::dc(num(i + 1));
-  if (kind == "pulse") {
-    if (i + 7 >= tokens.size()) fail(line_no, "PULSE needs 7 parameters");
-    return Waveform::pulse(num(i + 1), num(i + 2), num(i + 3), num(i + 4),
-                           num(i + 5), num(i + 6), num(i + 7));
-  }
-  if (kind == "pwl") {
-    std::vector<std::pair<double, double>> pts;
-    for (std::size_t k = i + 1; k < tokens.size(); k += 2) {
-      if (k + 1 >= tokens.size()) fail(line_no, "PWL needs time/value pairs");
-      pts.emplace_back(num(k), num(k + 1));
+  // An impossible PULSE or PWL is a malformed card, not a bad device
+  // value, so its invalid_argument is reported here as a parse error.
+  try {
+    if (kind == "pulse") {
+      if (i + 7 >= tokens.size()) fail(line_no, "PULSE needs 7 parameters");
+      return Waveform::pulse(num(i + 1), num(i + 2), num(i + 3), num(i + 4),
+                             num(i + 5), num(i + 6), num(i + 7));
     }
-    if (pts.empty()) fail(line_no, "PWL needs at least one point");
-    return Waveform::pwl(std::move(pts));
+    if (kind == "pwl") {
+      std::vector<std::pair<double, double>> pts;
+      for (std::size_t k = i + 1; k < tokens.size(); k += 2) {
+        if (k + 1 >= tokens.size()) {
+          fail(line_no, "PWL needs time/value pairs");
+        }
+        pts.emplace_back(num(k), num(k + 1));
+      }
+      return Waveform::pwl(std::move(pts));
+    }
+  } catch (const std::invalid_argument& e) {
+    fail(line_no, e.what());
   }
   if (kind == "sin") {
     if (i + 3 >= tokens.size()) fail(line_no, "SIN needs >= 3 parameters");

@@ -19,10 +19,6 @@ class Resistor final : public Device {
 
   double resistance() const { return ohms_; }
 
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new Resistor(*this));
-  }
-
  private:
   NodeId a_, b_;
   double ohms_;
@@ -55,10 +51,6 @@ class Capacitor final : public Device {
   double initial_condition() const { return ic_; }
   /// Voltage across the capacitor at the last accepted step.
   double voltage() const { return v_prev_; }
-
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new Capacitor(*this));
-  }
 
  private:
   double vdiff_x(const std::vector<double>& x) const;
@@ -95,10 +87,6 @@ class VSource final : public Device {
   /// zero; use one excited source per transfer-function measurement.
   void set_ac_magnitude(double volts) { ac_magnitude_ = volts; }
 
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new VSource(*this));
-  }
-
  private:
   NodeId plus_, minus_;
   Waveform waveform_;
@@ -121,10 +109,6 @@ class ISource final : public Device {
   std::vector<NodeId> terminals() const override { return {from_, to_}; }
 
   void set_dc(double amps) { waveform_ = Waveform::dc(amps); }
-
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new ISource(*this));
-  }
 
  private:
   NodeId from_, to_;
@@ -155,10 +139,6 @@ class VSwitch final : public Device {
   double conductance_at(double v_ctrl) const;
 
   const Params& params() const { return p_; }
-
-  std::unique_ptr<Device> clone() const override {
-    return std::unique_ptr<Device>(new VSwitch(*this));
-  }
 
  private:
   NodeId a_, b_, ctrl_;

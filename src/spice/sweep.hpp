@@ -1,25 +1,15 @@
-// Unified DC sweep API.
+// DC sweep with Newton continuation.
 //
-// One entry point — run_sweep(Circuit&, SweepSpec, ExecPolicy) — covers
-// the three historical sweep flavours:
-//   * source sweeps with Newton continuation (each point warm-starts from
-//     the previous solution; inherently serial),
-//   * generic parameter sweeps (apply() mutates the circuit per point),
-//   * temperature sweeps (no apply(): the swept value IS the solve
-//     temperature; points are independent and parallelize).
-//
-// Independent (continuation == false) sweeps always solve a fresh
-// Circuit::clone() per point — also at threads == 1 — so the result is a
-// pure function of (circuit, spec) and bit-identical at any thread count.
-// See DESIGN.md ("Concurrency model & API migration") for how the removed
-// dc_sweep_vsource / dc_sweep / temperature_sweep signatures map onto
-// SweepSpec.
+// run_sweep(Circuit&, SweepSpec) sets each swept value on the circuit
+// through SweepSpec::apply and solves the DC operating point, in order:
+// each Newton solve warm-starts from the previous converged point (the
+// classic I-V continuation trick), so a sweep is a serial recurrence on
+// the caller's circuit.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "exec/parallel.hpp"
 #include "spice/engine.hpp"
 #include "spice/primitives.hpp"
 
@@ -32,37 +22,26 @@ struct SweepPoint {
 
 /// Declarative description of a DC sweep.
 struct SweepSpec {
-  /// Swept parameter values, one solve per entry.
+  /// Swept parameter values, one solve per entry, in this order.
   std::vector<double> values;
-  /// Mutates the circuit before a point's solve. In continuation mode it
-  /// receives the original circuit; otherwise each point's private clone
-  /// (look devices up by name, e.g. circuit.find("V1")). When absent, the
-  /// swept value is interpreted as the solve temperature [degC].
+  /// Sets a point's value on the circuit before its solve (look devices
+  /// up by name, e.g. circuit.find("V1")). Required.
   std::function<void(Circuit&, double)> apply;
-  /// Warm-start each Newton solve from the previous point's solution (the
-  /// classic I-V continuation trick). Points become order-dependent, so
-  /// the sweep runs serially on the original circuit regardless of the
-  /// ExecPolicy.
-  bool continuation = false;
-  /// Solve temperature [degC]; ignored when `apply` is absent (the swept
-  /// value takes its place).
+  /// Solve temperature [degC].
   double temperature_c = 27.0;
   NewtonOptions options;
 };
 
 /// Run the sweep. Points that fail to converge are still returned with
-/// op.converged == false. `report` (optional) receives per-point wall
-/// times and convergence counts.
-std::vector<SweepPoint> run_sweep(Circuit& circuit, const SweepSpec& spec,
-                                  const sfc::exec::ExecPolicy& exec = {},
-                                  sfc::exec::JobReport* report = nullptr);
+/// op.converged == false; the next point warm-starts from the last one
+/// that converged. Throws std::invalid_argument when `spec.apply` is
+/// empty.
+std::vector<SweepPoint> run_sweep(Circuit& circuit, const SweepSpec& spec);
 
 /// Inclusive linear grid helper: lo, lo+step, ..., hi. A negative step
 /// sweeps down from lo to hi. Throws std::invalid_argument for a zero or
 /// non-finite step, non-finite bounds, or a step whose sign disagrees
 /// with hi - lo.
 std::vector<double> linspace_step(double lo, double hi, double step);
-/// Inclusive n-point grid. Throws std::invalid_argument when n < 2.
-std::vector<double> linspace_count(double lo, double hi, std::size_t n);
 
 }  // namespace sfc::spice

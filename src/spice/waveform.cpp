@@ -1,7 +1,7 @@
 #include "spice/waveform.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace sfc::spice {
 
@@ -15,8 +15,14 @@ Waveform Waveform::dc(double level) {
 Waveform Waveform::pulse(double v1, double v2, double delay, double rise,
                          double fall, double width, double period,
                          int cycles) {
-  assert(rise >= 0.0 && fall >= 0.0 && width >= 0.0);
-  assert(period <= 0.0 || period >= rise + fall + width);
+  // Negated so a NaN parameter fails too.
+  if (!(rise >= 0.0 && fall >= 0.0 && width >= 0.0)) {
+    throw std::invalid_argument("PULSE: rise, fall and width must be >= 0");
+  }
+  if (!(period <= 0.0 || period >= rise + width + fall)) {
+    throw std::invalid_argument(
+        "PULSE: period shorter than rise + width + fall");
+  }
   Waveform w;
   w.kind_ = Kind::kPulse;
   w.v1_ = v1;

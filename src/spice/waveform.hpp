@@ -15,12 +15,16 @@ class Waveform {
   static Waveform dc(double level);
 
   /// SPICE PULSE(v1 v2 delay rise fall width period). `cycles` < 0 means
-  /// repeat forever; 0 or more limits the number of pulses.
+  /// repeat forever; 0 or more limits the number of pulses. A period <= 0
+  /// never repeats. Throws std::invalid_argument for a negative rise, fall
+  /// or width, or for 0 < period < rise + width + fall.
   static Waveform pulse(double v1, double v2, double delay, double rise,
                         double fall, double width, double period,
                         int cycles = -1);
 
   /// Piecewise-linear (time, value) points; constant before/after.
+  /// Throws std::invalid_argument unless there is at least one point and
+  /// the times strictly increase.
   static Waveform pwl(std::vector<std::pair<double, double>> points);
 
   /// offset + amplitude * sin(2*pi*freq*(t-delay)), 0 before delay.

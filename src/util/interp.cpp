@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace sfc::util {
 
@@ -13,14 +14,16 @@ double lerp(double x, double x0, double y0, double x1, double y1) {
 
 PiecewiseLinear::PiecewiseLinear(std::vector<std::pair<double, double>> points)
     : points_(std::move(points)) {
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    assert(points_[i - 1].first < points_[i].first);
+  // operator() binary-searches x, so unsorted points would read garbage.
+  bool valid = !points_.empty();
+  for (std::size_t i = 1; valid && i < points_.size(); ++i) {
+    valid = points_[i - 1].first < points_[i].first;
   }
-}
-
-void PiecewiseLinear::add_point(double x, double y) {
-  assert(points_.empty() || points_.back().first < x);
-  points_.emplace_back(x, y);
+  if (!valid) {
+    throw std::invalid_argument(
+        "piecewise-linear: need at least one point, with strictly "
+        "increasing x");
+  }
 }
 
 double PiecewiseLinear::operator()(double x) const {
@@ -34,30 +37,6 @@ double PiecewiseLinear::operator()(double x) const {
   const auto& hi = *it;
   const auto& lo = *(it - 1);
   return lerp(x, lo.first, lo.second, hi.first, hi.second);
-}
-
-double PiecewiseLinear::min_x() const {
-  assert(!points_.empty());
-  return points_.front().first;
-}
-
-double PiecewiseLinear::max_x() const {
-  assert(!points_.empty());
-  return points_.back().first;
-}
-
-double PiecewiseLinear::inverse(double y) const {
-  assert(!points_.empty());
-  if (y <= points_.front().second) return points_.front().first;
-  if (y >= points_.back().second) return points_.back().first;
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    assert(points_[i].second >= points_[i - 1].second && "inverse() needs nondecreasing y");
-    if (y <= points_[i].second) {
-      return lerp(y, points_[i - 1].second, points_[i - 1].first,
-                  points_[i].second, points_[i].first);
-    }
-  }
-  return points_.back().first;
 }
 
 }  // namespace sfc::util

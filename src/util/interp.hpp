@@ -14,21 +14,14 @@ class PiecewiseLinear {
  public:
   PiecewiseLinear() = default;
 
-  /// Points must be strictly increasing in x (asserted).
+  /// Throws std::invalid_argument unless there is at least one point and
+  /// x strictly increases.
   explicit PiecewiseLinear(std::vector<std::pair<double, double>> points);
-
-  void add_point(double x, double y);
 
   double operator()(double x) const;
 
   bool empty() const { return points_.empty(); }
   std::size_t size() const { return points_.size(); }
-  double min_x() const;
-  double max_x() const;
-
-  /// Inverse lookup on a monotonically increasing function: find x such
-  /// that f(x) = y (clamped to the domain). Asserts monotonicity in debug.
-  double inverse(double y) const;
 
  private:
   std::vector<std::pair<double, double>> points_;

@@ -30,8 +30,6 @@ Summary summarize(std::span<const double> values) {
 
 double mean(std::span<const double> values) { return summarize(values).mean; }
 double stddev(std::span<const double> values) { return summarize(values).stddev; }
-double min_value(std::span<const double> values) { return summarize(values).min; }
-double max_value(std::span<const double> values) { return summarize(values).max; }
 
 double percentile(std::span<const double> values, double q) {
   if (values.empty()) return 0.0;
@@ -44,30 +42,6 @@ double percentile(std::span<const double> values, double q) {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= sorted.size()) return sorted.back();
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
-double correlation(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  if (x.size() < 2) return 0.0;
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-double rms(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  double sq = 0.0;
-  for (double v : values) sq += v * v;
-  return std::sqrt(sq / static_cast<double>(values.size()));
 }
 
 double probit(double p) {
@@ -99,23 +73,6 @@ double probit(double p) {
   const double r = q * q;
   return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
          (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-}
-
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  LinearFit fit;
-  if (x.size() < 2) return fit;
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-  }
-  if (sxx == 0.0) return fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  return fit;
 }
 
 }  // namespace sfc::util

@@ -25,25 +25,10 @@ Summary summarize(std::span<const double> values);
 
 double mean(std::span<const double> values);
 double stddev(std::span<const double> values);
-double min_value(std::span<const double> values);
-double max_value(std::span<const double> values);
 
 /// Percentile via linear interpolation between order statistics.
 /// `q` in [0, 100]. Input need not be sorted.
 double percentile(std::span<const double> values, double q);
-
-/// Pearson correlation coefficient of two equally sized samples.
-double correlation(std::span<const double> x, std::span<const double> y);
-
-/// Root-mean-square of a sample.
-double rms(std::span<const double> values);
-
-/// Linear regression y = a + b*x; returns {a, b}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
 
 /// Inverse standard-normal CDF (Acklam's rational approximation,
 /// |error| < 1.15e-9). Used to place deterministic Gaussian quantiles,

@@ -1,7 +1,7 @@
-// Physical constants and unit helpers used across the device and circuit
-// models. Everything internal is SI (volts, amperes, seconds, farads,
-// kelvin); these helpers exist so that code reads in the units the paper
-// uses (nanoseconds, femtojoules, millivolts, degrees Celsius).
+// Physical constants and temperature helpers used across the device and
+// circuit models. Everything internal is SI (volts, amperes, seconds,
+// farads, kelvin); temperatures are given in degrees Celsius, as in the
+// paper, and converted here.
 #pragma once
 
 namespace sfc::util {
@@ -23,44 +23,5 @@ constexpr double thermal_voltage(double kelvin) {
 constexpr double celsius_to_kelvin(double celsius) {
   return celsius + kZeroCelsiusInKelvin;
 }
-
-constexpr double kelvin_to_celsius(double kelvin) {
-  return kelvin - kZeroCelsiusInKelvin;
-}
-
-// Scaling helpers: value-in-unit -> SI.
-constexpr double from_milli(double v) { return v * 1e-3; }
-constexpr double from_micro(double v) { return v * 1e-6; }
-constexpr double from_nano(double v) { return v * 1e-9; }
-constexpr double from_pico(double v) { return v * 1e-12; }
-constexpr double from_femto(double v) { return v * 1e-15; }
-constexpr double from_atto(double v) { return v * 1e-18; }
-
-// SI -> value-in-unit (for reporting).
-constexpr double to_milli(double v) { return v * 1e3; }
-constexpr double to_micro(double v) { return v * 1e6; }
-constexpr double to_nano(double v) { return v * 1e9; }
-constexpr double to_pico(double v) { return v * 1e12; }
-constexpr double to_femto(double v) { return v * 1e15; }
-
-namespace literals {
-// User-defined literals so circuit setup code reads like a datasheet:
-//   auto c = 5.0_fF;  auto t = 200.0_ns;  auto v = 350.0_mV;
-constexpr double operator""_mV(long double v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator""_V(long double v) { return static_cast<double>(v); }
-constexpr double operator""_uA(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_nA(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_pA(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_ns(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_us(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_ps(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_fF(long double v) { return static_cast<double>(v) * 1e-15; }
-constexpr double operator""_pF(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_fJ(long double v) { return static_cast<double>(v) * 1e-15; }
-constexpr double operator""_kOhm(long double v) { return static_cast<double>(v) * 1e3; }
-constexpr double operator""_MOhm(long double v) { return static_cast<double>(v) * 1e6; }
-constexpr double operator""_nm(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_um(long double v) { return static_cast<double>(v) * 1e-6; }
-}  // namespace literals
 
 }  // namespace sfc::util

@@ -14,6 +14,7 @@
 #include "spice/engine.hpp"
 #include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
+#include "util/hash.hpp"
 #include "verify/json.hpp"
 
 namespace sfc::verify {
@@ -39,17 +40,8 @@ spice::NewtonOptions fuzz_newton() {
   return o;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t hash_double(std::uint64_t h, double v) {
-  return fnv1a(h, &v, sizeof(v));
+  return util::fnv1a(h, &v, sizeof(v));
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +264,15 @@ std::string FuzzNetlist::to_cir(const std::string& failure_note) const {
   ss << "* fuzz reproducer: class=" << fuzz_class_name(cls)
      << " index=" << index << " seed=0x" << std::hex << seed << std::dec
      << "\n";
-  if (!failure_note.empty()) ss << "* invariant violated: " << failure_note << "\n";
+  if (!failure_note.empty()) {
+    // A note can span lines (a lint_clean note carries the whole lint
+    // report); each becomes a comment so the reproducer still parses.
+    std::istringstream note(failure_note);
+    std::string line;
+    std::getline(note, line);
+    ss << "* invariant violated: " << line << "\n";
+    while (std::getline(note, line)) ss << "* " << line << "\n";
+  }
   if (cls == FuzzClass::kCimRow) {
     ss << "* paper-shaped CiM row (built by cim::CiMRow, not from cards):\n"
        << "*   cells=" << cards.size() << " T=" << num(temperature_c) << "\n";
@@ -579,7 +579,7 @@ std::string FuzzReport::summary() const {
 
 FuzzReport run_fuzz(const FuzzOptions& options) {
   FuzzReport report;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnv1aOffset;
   for (int i = 0; i < options.count; ++i) {
     const FuzzNetlist nl = generate_netlist(options, i);
     ++report.per_class[static_cast<int>(nl.cls)];

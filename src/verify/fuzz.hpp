@@ -72,8 +72,9 @@ struct FuzzNetlist {
   /// "CELL<k> weight=<w> input=<i>" cell that the deck prints as a comment.
   std::vector<std::string> cards;
 
-  /// The case's SPICE deck: provenance comments, the cards and the
-  /// .temp/.tran directives, parseable by spice::parse_netlist.
+  /// The case's SPICE deck: provenance comments (every line of
+  /// `failure_note` among them), the cards and the .temp/.tran
+  /// directives, parseable by spice::parse_netlist.
   std::string to_cir(const std::string& failure_note = "") const;
 };
 

@@ -3,9 +3,6 @@
 // and text serialization round-trips.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "cim/behavioral.hpp"
 
 namespace sfc::cim {
@@ -142,36 +139,6 @@ TEST(Behavioral, MacTrackingRejectsCountOutsideRow) {
   EXPECT_THROW(m.mac_tracking(3, 27.0), std::invalid_argument);
   EXPECT_THROW(m.mac_tracking(-1, 27.0, &rng), std::invalid_argument);
   EXPECT_EQ(m.mac_tracking(1, 27.0), 1);
-}
-
-TEST(Behavioral, FileCacheRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sfc_beh_cache.txt").string();
-  std::filesystem::remove(path);
-  const BehavioralArrayModel m1 = BehavioralArrayModel::calibrate_cached(
-      ArrayConfig::proposed_2t1fefet(), kTemps, path);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  // Second call must load (fast path) and agree.
-  const BehavioralArrayModel m2 = BehavioralArrayModel::calibrate_cached(
-      ArrayConfig::proposed_2t1fefet(), kTemps, path);
-  EXPECT_NEAR(m1.v_acc(8, 27.0), m2.v_acc(8, 27.0), 1e-9);
-  // A file calibrated on another temperature grid is stale: the call
-  // recalibrates on the requested grid and overwrites it.
-  const std::vector<double> room_only = {27.0};
-  const BehavioralArrayModel fresh = BehavioralArrayModel::calibrate(
-      ArrayConfig::proposed_2t1fefet(), room_only);
-  ASSERT_NE(m1.v_acc(8, 85.0), fresh.v_acc(8, 85.0));
-  const BehavioralArrayModel m3 = BehavioralArrayModel::calibrate_cached(
-      ArrayConfig::proposed_2t1fefet(), room_only, path);
-  EXPECT_EQ(m3.v_acc(8, 85.0), fresh.v_acc(8, 85.0));
-  EXPECT_NEAR(BehavioralArrayModel::load(path).v_acc(8, 85.0),
-              fresh.v_acc(8, 85.0), 1e-9);
-  // So is one calibrated for another cell count.
-  ArrayConfig four = ArrayConfig::proposed_2t1fefet();
-  four.cells_per_row = 4;
-  EXPECT_EQ(
-      BehavioralArrayModel::calibrate_cached(four, room_only, path).cells(), 4);
-  std::filesystem::remove(path);
 }
 
 TEST(Behavioral, CalibrationWithVariationPopulatesSigma) {

@@ -1,6 +1,6 @@
 // sfc::exec subsystem: parallel_for semantics, counter-based RNG streams,
-// failure tallies of the sweep fan-outs, and the end-to-end determinism
-// contract (serial vs parallel Monte Carlo and sweeps bit-identical).
+// and the end-to-end determinism contract (serial vs parallel Monte Carlo
+// and dot batches bit-identical).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +15,6 @@
 #include "exec/parallel.hpp"
 #include "exec/stream.hpp"
 #include "nn/cim_engine.hpp"
-#include "spice/primitives.hpp"
-#include "spice/sweep.hpp"
 #include "trace/trace.hpp"
 
 namespace sfc::exec {
@@ -406,86 +404,6 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(run(threads), serial) << kind.name << ", " << threads
                                       << " threads";
     }
-  }
-}
-
-TEST(Determinism, SweepBitIdenticalAcrossThreadCounts) {
-  spice::Circuit ckt;
-  const auto in = ckt.node("in");
-  const auto out = ckt.node("out");
-  ckt.add<spice::VSource>("V1", in, spice::kGround, 0.0);
-  ckt.add<spice::Resistor>("R1", in, out, 1e3);
-  ckt.add<spice::Resistor>("R2", out, spice::kGround, 1e3);
-
-  spice::SweepSpec spec;
-  spec.values = spice::linspace_count(0.0, 1.2, 13);
-  spec.apply = [](spice::Circuit& c, double v) {
-    static_cast<spice::VSource*>(c.find("V1"))->set_dc(v);
-  };
-
-#if SFC_TRACE_ENABLED
-  sfc::trace::TestProbe serial_probe;
-#endif
-  const auto serial = spice::run_sweep(ckt, spec, ExecPolicy::serial());
-  ASSERT_EQ(serial.size(), spec.values.size());
-#if SFC_TRACE_ENABLED
-  const std::uint64_t serial_iters =
-      serial_probe.counter_delta("spice.newton.iterations");
-  EXPECT_EQ(serial_probe.counter_delta("spice.sweep.points"), 13u);
-  EXPECT_GT(serial_iters, 0u);
-#endif
-
-  for (int threads : {2, 8}) {
-#if SFC_TRACE_ENABLED
-    sfc::trace::TestProbe probe;
-#endif
-    JobReport report;
-    const auto parallel =
-        spice::run_sweep(ckt, spec, ExecPolicy{threads}, &report);
-#if SFC_TRACE_ENABLED
-    EXPECT_EQ(probe.counter_delta("spice.newton.iterations"), serial_iters)
-        << threads << " threads";
-    EXPECT_EQ(probe.counter_delta("spice.sweep.points"), 13u);
-#endif
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].value, serial[i].value);
-      EXPECT_TRUE(parallel[i].op.converged);
-      EXPECT_EQ(parallel[i].op.voltage("out"), serial[i].op.voltage("out"))
-          << "point " << i << ", " << threads << " threads";
-    }
-    EXPECT_EQ(report.tasks, spec.values.size());
-  }
-}
-
-TEST(JobReport, SweepCountsFailedPoints) {
-  // One Newton iteration can never confirm convergence, so every point of
-  // either sweep arm fails; the report and the registry must say so.
-  spice::Circuit ckt;
-  const auto in = ckt.node("in");
-  ckt.add<spice::VSource>("V1", in, spice::kGround, 1.0);
-  ckt.add<spice::Resistor>("R1", in, spice::kGround, 1e3);
-
-  spice::SweepSpec spec;
-  spec.values = {0.0, 27.0, 85.0};  // temperature sweep: no apply()
-  spec.options.max_iterations = 1;
-  for (const bool continuation : {false, true}) {
-    spec.continuation = continuation;
-#if SFC_TRACE_ENABLED
-    sfc::trace::TestProbe probe;
-#endif
-    JobReport report;
-    const auto points = spice::run_sweep(ckt, spec, ExecPolicy{2}, &report);
-    ASSERT_EQ(points.size(), 3u);
-    for (const auto& p : points) EXPECT_FALSE(p.op.converged);
-    EXPECT_EQ(report.failed, 3u) << "continuation " << continuation;
-    EXPECT_EQ(report.converged, 0u) << "continuation " << continuation;
-#if SFC_TRACE_ENABLED
-    EXPECT_EQ(probe.counter_delta("exec.tasks.failed"), 3u)
-        << "continuation " << continuation;
-    EXPECT_EQ(probe.counter_delta("exec.tasks.converged"), 0u)
-        << "continuation " << continuation;
-#endif
   }
 }
 

@@ -307,6 +307,19 @@ TEST(LintParseRules, UnknownCardAndDirective) {
                   .has_value());
 }
 
+TEST(LintParseRules, UnsortedPwlTimesAreAnError) {
+  // A transient would read this source through a binary search over
+  // unsorted points, so the deck must not lint clean.
+  const lint::LintResult result =
+      lint::lint_source("R1 a 0 1k\nV1 a 0 PWL(1e-9 0 0 1)\n.end\n");
+  EXPECT_FALSE(result.parsed);
+  const auto d = find_rule(result.report, "parse-error");
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->line, 2u);
+  EXPECT_EQ(d->severity, lint::Severity::kError);
+  EXPECT_EQ(result.report.exit_code(), 3);
+}
+
 // ------------------------------------------------------------ pipeline
 
 TEST(LintPipeline, RuleTableHasAtLeastTenUniqueIds) {

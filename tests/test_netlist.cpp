@@ -185,6 +185,23 @@ TEST(Netlist, NonFiniteValuesFailAtTheirLine) {
   }
 }
 
+TEST(Netlist, ImpossibleStimuliFailAtTheirLine) {
+  // Unsorted PWL times; a negative PULSE width; a PULSE period shorter
+  // than rise + width + fall.
+  for (const std::string card :
+       {"V1 a 0 PWL(1e-9 0 0 1)", "V1 a 0 PULSE(0 1 0 1n 1n -2n 10n)",
+        "V1 a 0 PULSE(0 1 0 1n 1n 5n 2n)"}) {
+    Circuit ckt;
+    try {
+      parse_netlist("R1 a 0 1k\n" + card + "\n", ckt);
+      FAIL() << "expected parse error for '" << card << "'";
+    } catch (const NetlistError& e) {
+      EXPECT_EQ(e.rule(), "parse-error") << card << ": " << e.what();
+      EXPECT_EQ(e.line(), 2u) << card << ": " << e.what();
+    }
+  }
+}
+
 TEST(Netlist, UnknownModelRejected) {
   Circuit ckt;
   EXPECT_THROW(parse_netlist("M1 d g 0 nosuchmodel\n", ckt),

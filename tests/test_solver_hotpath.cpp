@@ -21,7 +21,6 @@
 #include "spice/matrix.hpp"
 #include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
-#include "spice/sweep.hpp"
 #include "trace/trace.hpp"
 
 // ---------------------------------------------------------------------
@@ -270,66 +269,40 @@ D1 mid 0 is=1e-15
 }
 
 // ---------------------------------------------------------------------
-// Thread-count independence: a temperature sweep must be bit-identical
-// across assembly paths AND across ExecPolicy thread counts.
+// Temperature ladder: one row, a fresh Engine per temperature across the
+// paper's range; the stamp plan must match the reference step bitwise.
 // ---------------------------------------------------------------------
 
-TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
+TEST(SolverHotPath, TemperatureLadderBitIdenticalToReference) {
   cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
   cfg.cells_per_row = 2;
   cim::CiMRow row(cfg);
   row.set_stored({1, 1});
 
-  SweepSpec spec;
-  spec.values = linspace_count(-25.0, 100.0, 6);  // temperature sweep
-
-  auto run = [&](bool use_stamp_plan, int threads) {
-    spec.options = use_stamp_plan ? hot_options() : legacy_options();
-    sfc::exec::ExecPolicy exec;
-    exec.threads = threads;
-    return run_sweep(row.circuit(), spec, exec);
+  struct Solve {
+    DcResult op;
+    std::uint64_t newton_iterations = 0;  // traced, all gmin steps
   };
-
+  for (const double temp : {-25.0, 0.0, 25.0, 50.0, 75.0, 100.0}) {
+    auto solve = [&](const NewtonOptions& options) {
 #if SFC_TRACE_ENABLED
-  sfc::trace::TestProbe ref_probe;
+      sfc::trace::TestProbe probe;
 #endif
-  const auto ref = run(false, 1);
-  ASSERT_EQ(ref.size(), spec.values.size());
-  for (const auto& p : ref) ASSERT_TRUE(p.op.converged);
+      Engine engine(row.circuit(), temp);
+      Solve s{engine.dc_operating_point(options)};
 #if SFC_TRACE_ENABLED
-  const std::uint64_t ref_iterations =
-      ref_probe.counter_delta("spice.newton.iterations");
-  EXPECT_EQ(ref_probe.counter_delta("spice.sweep.points"),
-            spec.values.size());
-  EXPECT_EQ(ref_probe.counter_delta("exec.jobs"), 1u);
-  EXPECT_EQ(ref_probe.counter_delta("exec.tasks.converged"),
-            spec.values.size());
+      s.newton_iterations = probe.counter_delta("spice.newton.iterations");
 #endif
-
-  struct Case {
-    bool hot;
-    int threads;
-  };
-  for (const Case c : {Case{false, 8}, Case{true, 1}, Case{true, 8}}) {
-#if SFC_TRACE_ENABLED
-    sfc::trace::TestProbe case_probe;
-#endif
-    const auto pts = run(c.hot, c.threads);
-    ASSERT_EQ(pts.size(), ref.size());
-#if SFC_TRACE_ENABLED
-    // Bit-identical solves imply identical iteration counts — for both
-    // assembly paths and regardless of the thread count.
-    EXPECT_EQ(case_probe.counter_delta("spice.newton.iterations"),
-              ref_iterations)
-        << "hot=" << c.hot << " threads=" << c.threads;
-#endif
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      expect_vectors_bitwise_equal(
-          pts[i].op.x, ref[i].op.x,
-          "sweep point " + std::to_string(i) + " (hot=" +
-              std::to_string(c.hot) + ", threads=" +
-              std::to_string(c.threads) + ")");
-    }
+      return s;
+    };
+    const std::string where = "T = " + std::to_string(temp) + " degC";
+    const Solve ref = solve(legacy_options());
+    ASSERT_TRUE(ref.op.converged) << where;
+    const Solve hot = solve(hot_options());
+    ASSERT_TRUE(hot.op.converged) << where;
+    EXPECT_EQ(hot.op.iterations, ref.op.iterations) << where;
+    EXPECT_EQ(hot.newton_iterations, ref.newton_iterations) << where;
+    expect_vectors_bitwise_equal(hot.op.x, ref.op.x, where);
   }
 }
 

@@ -171,88 +171,5 @@ TEST_P(LinearProperties, AcAtNearZeroFrequencyMatchesDc) {
 INSTANTIATE_TEST_SUITE_P(RandomNetworks, LinearProperties,
                          ::testing::Range(1, 13));
 
-// ---------------------------------------------------------------------------
-// Circuit::clone() deep-copy independence under mutation
-// ---------------------------------------------------------------------------
-
-template <typename T>
-T* find_device(Circuit& circuit, const std::string& name) {
-  for (const auto& dev : circuit.devices()) {
-    if (dev->name() == name) return dynamic_cast<T*>(dev.get());
-  }
-  return nullptr;
-}
-
-TEST(CircuitClone, MutatingOriginalDoesNotAffectClone) {
-  Circuit original;
-  const auto in = original.node("in");
-  const auto out = original.node("out");
-  auto& src = original.add<VSource>("V1", in, kGround, 1.0);
-  original.add<Resistor>("R1", in, out, 1e3);
-  original.add<Resistor>("R2", out, kGround, 1e3);
-
-  Circuit copy = original.clone();
-  src.set_dc(2.0);  // mutate AFTER cloning
-
-  Engine orig_engine(original, 27.0);
-  Engine copy_engine(copy, 27.0);
-  const DcResult a = orig_engine.dc_operating_point();
-  const DcResult b = copy_engine.dc_operating_point();
-  ASSERT_TRUE(a.converged && b.converged);
-  // (1e-9 slack: the gmin floor leaks ~0.5 nV at this impedance level.)
-  EXPECT_NEAR(a.voltage("out"), 1.0, 1e-8);  // sees the new 2 V source
-  EXPECT_NEAR(b.voltage("out"), 0.5, 1e-8);  // clone still holds 1 V
-}
-
-TEST(CircuitClone, MutatingCloneDoesNotAffectOriginal) {
-  Circuit original;
-  const auto in = original.node("in");
-  const auto out = original.node("out");
-  original.add<VSource>("V1", in, kGround, 1.0);
-  original.add<Resistor>("R1", in, out, 2e3);
-  original.add<Resistor>("R2", out, kGround, 2e3);
-
-  Circuit copy = original.clone();
-  auto* copy_src = find_device<VSource>(copy, "V1");
-  ASSERT_NE(copy_src, nullptr);
-  copy_src->set_dc(4.0);
-
-  Engine orig_engine(original, 27.0);
-  const DcResult a = orig_engine.dc_operating_point();
-  ASSERT_TRUE(a.converged);
-  EXPECT_NEAR(a.voltage("out"), 0.5, 1e-8);
-}
-
-TEST(CircuitClone, GrowingOriginalLeavesCloneSized) {
-  Circuit original;
-  const auto n1 = original.node("n1");
-  original.add<VSource>("V1", n1, kGround, 1.0);
-  original.add<Resistor>("R1", n1, kGround, 1e3);
-
-  Circuit copy = original.clone();
-  const std::size_t devices_at_clone = copy.devices().size();
-  original.add<Resistor>("R2", original.node("n2"), kGround, 1e3);
-  original.add<Capacitor>("C1", original.node("n2"), kGround, 1e-12);
-
-  EXPECT_EQ(copy.devices().size(), devices_at_clone);
-  EXPECT_EQ(copy.devices().size(), 2u);
-  EXPECT_EQ(original.devices().size(), 4u);
-  EXPECT_LT(copy.num_nodes(), original.num_nodes());
-}
-
-TEST(CircuitClone, ClonePreservesSolutionBitExactly) {
-  util::Rng rng(2024);
-  RandomNetwork net(rng);
-  net.circuit.add<VSource>("VS", net.nodes[1], kGround, 1.2);
-
-  Circuit copy = net.circuit.clone();
-  Engine a(net.circuit, 27.0), b(copy, 27.0);
-  const DcResult ra = a.dc_operating_point();
-  const DcResult rb = b.dc_operating_point();
-  ASSERT_TRUE(ra.converged && rb.converged);
-  ASSERT_EQ(ra.x.size(), rb.x.size());
-  EXPECT_EQ(ra.x, rb.x) << "clone must solve bit-identically";
-}
-
 }  // namespace
 }  // namespace sfc::spice

@@ -26,16 +26,7 @@ TEST(Units, ThermalVoltageAtRoomTemperature) {
 }
 
 TEST(Units, CelsiusKelvinRoundTrip) {
-  EXPECT_DOUBLE_EQ(kelvin_to_celsius(celsius_to_kelvin(85.0)), 85.0);
   EXPECT_DOUBLE_EQ(celsius_to_kelvin(0.0), 273.15);
-}
-
-TEST(Units, Literals) {
-  using namespace literals;
-  EXPECT_DOUBLE_EQ(350.0_mV, 0.35);
-  EXPECT_DOUBLE_EQ(5.0_fF, 5e-15);
-  EXPECT_DOUBLE_EQ(200.0_ns, 2e-7);
-  EXPECT_DOUBLE_EQ(10.0_MOhm, 1e7);
 }
 
 TEST(Rng, DeterministicForSameSeed) {
@@ -150,26 +141,6 @@ TEST(Stats, Percentiles) {
   EXPECT_NEAR(percentile(v, 95), 95.0, 1e-9);
 }
 
-TEST(Stats, CorrelationSigns) {
-  const std::vector<double> x = {0, 1, 2, 3, 4};
-  const std::vector<double> y_pos = {1, 3, 5, 7, 9};
-  std::vector<double> y_neg = y_pos;
-  std::reverse(y_neg.begin(), y_neg.end());
-  EXPECT_NEAR(correlation(x, y_pos), 1.0, 1e-12);
-  EXPECT_NEAR(correlation(x, y_neg), -1.0, 1e-12);
-}
-
-TEST(Stats, LinearFitRecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 - 0.25 * i);
-  }
-  const LinearFit fit = linear_fit(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-12);
-  EXPECT_NEAR(fit.slope, -0.25, 1e-12);
-}
-
 TEST(Stats, ProbitMatchesKnownQuantiles) {
   EXPECT_NEAR(probit(0.5), 0.0, 1e-9);
   EXPECT_NEAR(probit(0.975), 1.959964, 1e-5);
@@ -208,14 +179,6 @@ TEST(Interp, PiecewiseLinearInterpolatesAndClamps) {
   EXPECT_DOUBLE_EQ(f(0.5), 5.0);    // interpolate
   EXPECT_DOUBLE_EQ(f(2.0), 10.0);   // flat segment
   EXPECT_DOUBLE_EQ(f(9.0), 10.0);   // clamp right
-}
-
-TEST(Interp, InverseOfMonotoneFunction) {
-  PiecewiseLinear f({{0.0, 1.0}, {2.0, 3.0}, {4.0, 7.0}});
-  EXPECT_DOUBLE_EQ(f.inverse(2.0), 1.0);
-  EXPECT_DOUBLE_EQ(f.inverse(5.0), 3.0);
-  EXPECT_DOUBLE_EQ(f.inverse(0.0), 0.0);   // clamp
-  EXPECT_DOUBLE_EQ(f.inverse(99.0), 4.0);  // clamp
 }
 
 TEST(Table, RendersAlignedColumns) {
@@ -270,7 +233,6 @@ TEST(Stats, EmptyInputYieldsZeroedResults) {
   EXPECT_DOUBLE_EQ(s.stddev, 0.0);
   EXPECT_DOUBLE_EQ(s.range(), 0.0);
   EXPECT_DOUBLE_EQ(percentile(none, 50.0), 0.0);
-  EXPECT_DOUBLE_EQ(rms(none), 0.0);
 }
 
 TEST(Stats, SingleElementSample) {
@@ -285,15 +247,12 @@ TEST(Stats, SingleElementSample) {
   EXPECT_DOUBLE_EQ(percentile(one, 0.0), 3.25);
   EXPECT_DOUBLE_EQ(percentile(one, 50.0), 3.25);
   EXPECT_DOUBLE_EQ(percentile(one, 100.0), 3.25);
-  // Correlation is undefined below two points; the contract is 0.
-  EXPECT_DOUBLE_EQ(correlation(one, one), 0.0);
 }
 
 TEST(Stats, NanPropagatesThroughMoments) {
   const std::vector<double> v = {1.0, std::nan(""), 3.0};
   EXPECT_TRUE(std::isnan(mean(v)));
   EXPECT_TRUE(std::isnan(stddev(v)));
-  EXPECT_TRUE(std::isnan(rms(v)));
   EXPECT_TRUE(std::isnan(summarize(v).mean));
 }
 
@@ -315,8 +274,6 @@ TEST(Interp, SinglePointPiecewiseLinearIsConstant) {
   EXPECT_DOUBLE_EQ(f(-100.0), 42.0);
   EXPECT_DOUBLE_EQ(f(1.0), 42.0);
   EXPECT_DOUBLE_EQ(f(100.0), 42.0);
-  EXPECT_DOUBLE_EQ(f.min_x(), 1.0);
-  EXPECT_DOUBLE_EQ(f.max_x(), 1.0);
 }
 
 TEST(Interp, NanXPropagatesThroughLerp) {

@@ -82,6 +82,21 @@ TEST(VerifyFuzz, GeneratedDecksRoundTripThroughParser) {
   EXPECT_EQ(h, 0x6147a1d8473d4c19ULL);
 }
 
+TEST(VerifyFuzz, MultiLineFailureNoteKeepsTheReproducerParseable) {
+  // A lint_clean note carries the whole lint report, one finding a line.
+  const FuzzNetlist nl = generate_netlist({}, 0);
+  const std::string deck =
+      nl.to_cir("lint_clean: generated-valid deck produced 1 diagnostic(s):\n"
+                "netlist:3: warning: [x] y");
+  spice::Circuit circuit;
+  ASSERT_NO_THROW(spice::parse_netlist(deck, circuit)) << deck;
+  if (nl.cls != FuzzClass::kCimRow) {
+    EXPECT_EQ(circuit.devices().size(), nl.cards.size()) << deck;
+  }
+  EXPECT_NE(deck.find("\n* netlist:3: warning: [x] y\n"), std::string::npos)
+      << deck;
+}
+
 TEST(VerifyFuzz, ForcedFailureProducesMinimizedReproducer) {
   FuzzOptions opt;
   opt.count = 30;

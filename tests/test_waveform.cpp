@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "spice/waveform.hpp"
 
@@ -87,6 +88,30 @@ TEST(Waveform, InitialValueForDcOp) {
   EXPECT_DOUBLE_EQ(
       Waveform::pulse(0.2, 1.0, 5e-9, 1e-9, 1e-9, 2e-9, 0.0, 1).initial(),
       0.2);
+}
+
+TEST(Waveform, PwlRejectsNoPointsAndUnsortedTimes) {
+  EXPECT_THROW(Waveform::pwl({}), std::invalid_argument);
+  EXPECT_THROW(Waveform::pwl({{1e-9, 0.0}, {0.0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(Waveform::pwl({{0.0, 0.0}, {0.0, 1.0}}), std::invalid_argument);
+  EXPECT_NO_THROW(Waveform::pwl({{0.0, 0.0}}));
+}
+
+TEST(Waveform, PulseRejectsImpossibleTiming) {
+  // Negative rise, fall or width.
+  EXPECT_THROW(Waveform::pulse(0, 1, 0, -1e-9, 1e-9, 2e-9, 10e-9),
+               std::invalid_argument);
+  EXPECT_THROW(Waveform::pulse(0, 1, 0, 1e-9, -1e-9, 2e-9, 10e-9),
+               std::invalid_argument);
+  EXPECT_THROW(Waveform::pulse(0, 1, 0, 1e-9, 1e-9, -2e-9, 10e-9),
+               std::invalid_argument);
+  // A period shorter than one pulse (rise + width + fall = 7 ns).
+  EXPECT_THROW(Waveform::pulse(0, 1, 0, 1e-9, 1e-9, 5e-9, 2e-9),
+               std::invalid_argument);
+  // An exact fit, and a period <= 0 (one pulse), are valid.
+  EXPECT_NO_THROW(Waveform::pulse(0, 1, 0, 1e-9, 1e-9, 5e-9, 7e-9));
+  EXPECT_NO_THROW(Waveform::pulse(0, 1, 0, 1e-9, 1e-9, 5e-9, 0.0));
+  EXPECT_NO_THROW(Waveform::pulse(0, 1, 0, 1e-9, 1e-9, 5e-9, -1.0));
 }
 
 }  // namespace
