@@ -5,14 +5,16 @@
 // --threads N fans the independent runs out over N worker threads
 // (N = 0 uses all hardware threads); the samples are bit-identical to a
 // serial run for any N.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "cim/montecarlo.hpp"
 #include "trace/cli.hpp"
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 using namespace sfc;
@@ -25,17 +27,20 @@ int main(int argc, char** argv) {
   mc.sigma_vt_fefet = 0.054;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::optional<std::uint64_t> threads;
     if (arg == "--threads" && i + 1 < argc) {
-      mc.exec.threads = std::atoi(argv[++i]);
+      threads = util::parse_unsigned(argv[++i], 10, INT_MAX);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      mc.exec.threads = std::atoi(arg.c_str() + 10);
-    } else {
+      threads = util::parse_unsigned(argv[i] + 10, 10, INT_MAX);
+    }
+    if (!threads) {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--trace OUT.json] "
                    "[--metrics OUT.json]\n",
                    argv[0]);
       return 1;
     }
+    mc.exec.threads = static_cast<int>(*threads);
   }
 
   std::printf(

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure, build, run the full test suite,
-# the verification layer, the paper benches, the metrics key-set gate, the
-# performance ledger's self-test and pinned outputs, and the sanitizer
-# passes. This is the tier-1 entry point — if this script exits 0 the tree
-# is good.
+# the verification layer, the paper benches, Fig. 9's CSV at 1 vs 4
+# threads, the metrics key-set gate, the performance ledger's self-test
+# and pinned outputs, and the sanitizer passes. This is the tier-1 entry
+# point — if this script exits 0 the tree is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -85,6 +85,16 @@ for src in bench/*.cpp; do
   (cd "${BENCH_RUN_DIR}" && "../bench/${name}" "${args[@]}" >/dev/null)
 done
 
+step "Fig. 9 determinism (serial CSV byte-identical to the 4-thread one)"
+# The Monte Carlo samples are a pure function of the run index, so a
+# serial run in a second directory must write the same CSV byte for byte.
+SERIAL_RUN_DIR="${BUILD_DIR}/bench_run_serial"
+mkdir -p "${SERIAL_RUN_DIR}"
+(cd "${SERIAL_RUN_DIR}" &&
+  ../bench/fig9_montecarlo_variation --threads 1 >/dev/null)
+cmp "${BENCH_RUN_DIR}/bench_fig9_mc.csv" "${SERIAL_RUN_DIR}/bench_fig9_mc.csv"
+echo "bench_fig9_mc.csv is identical at 1 and 4 threads"
+
 step "metrics key-set gate (traced verify_runner oracle)"
 # The deterministic counter/histogram names the oracle run registers (the
 # stamp-plan Newton path, transients, Monte Carlo fan-out) must match the
@@ -125,10 +135,11 @@ step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util|devi
 # access, so an out-of-range index aborts here instead of reading garbage.
 # nn covers CimDotEngine's noise-shortcut floors and dot_batch's span
 # bounds; cim covers the row, tile and behavioural-model code and their
-# per-cell length checks; exec covers parallel_for's task timing and
-# drain tallies; fefet the Preisach polarization cache; util the RNG and
-# its argument checks; devices the MOSFET/diode models and their
-# temperature caches; data the SynthCIFAR generator.
+# per-cell length checks; exec covers parallel_for's chunking and drain
+# tallies and the Monte Carlo run times; fefet the Preisach polarization
+# cache; util the RNG, its argument checks and the strict CLI number
+# parser; devices the MOSFET/diode models and their temperature caches;
+# data the SynthCIFAR generator.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \

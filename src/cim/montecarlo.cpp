@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 
 #include "exec/stream.hpp"
@@ -50,6 +51,7 @@ namespace {
 struct RunOutcome {
   std::vector<MonteCarloSample> samples;
   long newton_iterations = 0;
+  double wall_ms = 0.0;
 };
 
 }  // namespace
@@ -93,11 +95,13 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
   // (mc.seed, k) and simulates its own row replica, making each run a
   // pure function of its index — the determinism contract of the header.
   // Each run writes its own outcome slot and reports whether every MAC
-  // cycle converged, so the job tallies failed runs.
+  // cycle converged, so the job tallies failed runs. A run takes tens of
+  // ms, so it times itself: two clock reads are noise at that size.
   std::vector<RunOutcome> outcomes(
       static_cast<std::size_t>(std::max(0, mc.runs)));
   result.job = sfc::exec::parallel_for(
       mc.exec, outcomes.size(), [&](std::size_t run_index) {
+        const auto t0 = std::chrono::steady_clock::now();
         util::Rng rng = sfc::exec::stream_rng(mc.seed, run_index);
         std::vector<double> fe_shifts(static_cast<std::size_t>(n));
         for (auto& s : fe_shifts) s = rng.normal(0.0, mc.sigma_vt_fefet);
@@ -126,12 +130,17 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
           s.error_levels = deviation / result.level_spacing;
           outcome.samples.push_back(s);
         }
+        outcome.wall_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
         return converged;
       });
 
   // Merge in run order; aggregate statistics stay order-independent.
   if (result.job.failed > 0) result.all_converged = false;
+  result.job.task_ms.reserve(outcomes.size());
   for (const auto& outcome : outcomes) {
+    result.job.task_ms.push_back(outcome.wall_ms);
     result.total_newton_iterations += outcome.newton_iterations;
     for (const auto& s : outcome.samples) {
       result.max_error_percent =

@@ -74,8 +74,9 @@ struct MonteCarloResult {
   /// Newton iterations summed over every simulated MAC cycle (nominal
   /// levels + all runs) — the solver benchmark's work metric.
   long total_newton_iterations = 0;
-  /// Wall time and per-run timings of the Monte Carlo fan-out; job.failed
-  /// counts the runs in which some MAC cycle did not converge.
+  /// The Monte Carlo fan-out: its wall time, each run's own wall time in
+  /// job.task_ms (indexed by run, measured inside the run), and in
+  /// job.failed the runs in which some MAC cycle did not converge.
   sfc::exec::JobReport job;
 
   std::vector<double> errors() const;

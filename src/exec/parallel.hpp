@@ -1,5 +1,5 @@
 // Fan-out API: ExecPolicy (how many threads), parallel_for over an index
-// range, and JobReport (per-task wall time + convergence counts).
+// range, and JobReport (job wall time + convergence counts).
 //
 // Determinism contract
 // --------------------
@@ -38,22 +38,23 @@ struct ExecPolicy {
   int resolved_threads(std::size_t n) const;
 };
 
-/// What a fan-out did: wall time of the whole job, wall time of every
-/// task, and how many tasks reported success ("converged") vs failure.
+/// What a fan-out did: wall time of the whole job and how many tasks
+/// reported success ("converged") vs failure.
 struct JobReport {
   int threads_used = 1;
   std::size_t tasks = 0;
   double wall_ms = 0.0;          ///< whole-job wall-clock time
-  /// Per-task wall time, indexed by task: from the thread's previous task
-  /// boundary (its previous task's end, or its drain's start) to the
-  /// task's end, so it includes fetching the task's chunk.
+  /// Per-task wall time, indexed by task. parallel_for leaves it empty, as
+  /// it reads the clock only when the job starts and ends; a caller that
+  /// times its own tasks fills it (run_montecarlo times each run).
   std::vector<double> task_ms;
   std::size_t converged = 0;     ///< tasks that completed / returned true
   std::size_t failed = 0;        ///< tasks that returned false
 
   /// Sum of per-task times — the serial-equivalent work.
   double task_ms_total() const;
-  /// task_ms_total / wall_ms: effective parallelism actually achieved.
+  /// task_ms_total / wall_ms: effective parallelism actually achieved
+  /// (0 while task_ms is empty).
   double speedup() const;
 };
 
@@ -80,8 +81,9 @@ void run_with_helpers(int helpers, void (*body)(void*) noexcept, void* ctx);
 /// threads_used - 1 persistent workers (a process-wide set that grows to
 /// the largest job and parks when idle); tasks never learn which thread
 /// runs them. Workers busy elsewhere (a nested or concurrent job) just do
-/// not join, and the caller finishes the job alone. A one-thread job runs
-/// inline on the caller, in index order fn(0), fn(1), ..., fn(n-1). A task
+/// not join, and the caller finishes the job alone. A one-thread job is
+/// one chunk, run inline on the caller in index order fn(0), fn(1), ...,
+/// fn(n-1). The clock is read only when the job starts and ends. A task
 /// may call parallel_for itself; static destructors must not, because the
 /// workers are stopped by one.
 ///
@@ -96,12 +98,14 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   report.tasks = n;
   report.threads_used = policy.resolved_threads(n);
   if (n == 0) return report;
-  report.task_ms.assign(n, 0.0);
 
-  // About four chunks per thread amortize the atomic fetch without
-  // starving the tail.
-  const std::size_t chunk = std::max<std::size_t>(
-      1, n / (static_cast<std::size_t>(report.threads_used) * 4));
+  // One thread takes the whole range; otherwise about four chunks per
+  // thread amortize the atomic fetch without starving the tail.
+  const std::size_t chunk =
+      report.threads_used == 1
+          ? n
+          : std::max<std::size_t>(
+                1, n / (static_cast<std::size_t>(report.threads_used) * 4));
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> converged{0};
   std::atomic<std::size_t> failed{0};
@@ -109,12 +113,11 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
   std::mutex error_mutex;
   std::exception_ptr error;
 
-  // One clock read per task boundary; the tallies stay local to the drain
-  // and reach the shared counts once, when it ends.
+  // The tallies stay local to the drain and reach the shared counts once,
+  // when it ends.
   auto drain = [&]() {
     std::size_t ok = 0;
     std::size_t bad = 0;
-    auto boundary = detail::Clock::now();
     while (!aborted.load(std::memory_order_relaxed)) {
       const std::size_t base =
           next.fetch_add(chunk, std::memory_order_relaxed);
@@ -139,9 +142,6 @@ JobReport parallel_for(const ExecPolicy& policy, std::size_t n, Fn&& fn) {
           aborted.store(true, std::memory_order_relaxed);
           break;
         }
-        const auto now = detail::Clock::now();
-        report.task_ms[i] = detail::to_ms(now - boundary);
-        boundary = now;
       }
     }
     converged.fetch_add(ok, std::memory_order_relaxed);

@@ -41,7 +41,6 @@ Waveform Waveform::pulse(double v1, double v2, double delay, double rise,
 Waveform Waveform::pwl(std::vector<std::pair<double, double>> points) {
   Waveform w;
   w.kind_ = Kind::kPwl;
-  for (const auto& p : points) w.pwl_times_.push_back(p.first);
   w.pwl_ = util::PiecewiseLinear(std::move(points));
   return w;
 }
@@ -103,16 +102,14 @@ std::pair<double, double> Waveform::range() const {
       return {lo, hi};
     }
     case Kind::kPwl: {
-      if (pwl_times_.empty()) return {at(0.0), at(0.0)};
-      // Piecewise-linear with constant extrapolation: every extremum sits
-      // on a breakpoint (t < 0 segments are clamped into the t=0 value,
-      // which evaluating at the breakpoint times still covers).
+      // Linear between breakpoints and constant outside them, so over
+      // t >= 0 every extremum is at t = 0 or at a breakpoint (one before
+      // t = 0 can only widen the bound).
       double lo = at(0.0);
       double hi = lo;
-      for (double t : pwl_times_) {
-        const double v = pwl_(t);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
+      for (const auto& point : pwl_.points()) {
+        lo = std::min(lo, point.second);
+        hi = std::max(hi, point.second);
       }
       return {lo, hi};
     }
@@ -129,7 +126,8 @@ void Waveform::collect_breakpoints(double t_stop,
     case Kind::kSine:
       return;
     case Kind::kPwl:
-      for (double t : pwl_times_) {
+      for (const auto& point : pwl_.points()) {
+        const double t = point.first;
         if (t > 0.0 && t < t_stop) out.push_back(t);
       }
       return;

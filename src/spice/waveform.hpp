@@ -62,7 +62,6 @@ class Waveform {
   int cycles_ = -1;
 
   util::PiecewiseLinear pwl_;
-  std::vector<double> pwl_times_;
 };
 
 }  // namespace sfc::spice

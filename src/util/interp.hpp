@@ -1,8 +1,9 @@
-// Piecewise-linear function, used by the waveform sources (PWL stimulus)
-// and by the calibrated behavioural array model (voltage level tables).
+// Piecewise-linear function, used by the waveform sources' PWL stimulus,
+// and the scalar lerp behind it, which the behavioural array model also
+// uses between calibrated temperatures and transient results between
+// time points.
 #pragma once
 
-#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -20,8 +21,10 @@ class PiecewiseLinear {
 
   double operator()(double x) const;
 
-  bool empty() const { return points_.empty(); }
-  std::size_t size() const { return points_.size(); }
+  /// The breakpoints, x strictly increasing.
+  const std::vector<std::pair<double, double>>& points() const {
+    return points_;
+  }
 
  private:
   std::vector<std::pair<double, double>> points_;

@@ -1,12 +1,13 @@
 // sfc::exec subsystem: parallel_for semantics, counter-based RNG streams,
-// and the end-to-end determinism contract (serial vs parallel Monte Carlo
-// and dot batches bit-identical).
+// the end-to-end determinism contract (serial vs parallel Monte Carlo and
+// dot batches bit-identical), Monte Carlo run times and dot_batch's exec
+// counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -66,7 +67,8 @@ TEST(ParallelFor, OddSizeVisitsEachIndexExactlyOnce) {
                                      << " threads";
     }
     EXPECT_EQ(report.tasks, n);
-    EXPECT_EQ(report.task_ms.size(), n);
+    // The job reads the clock only at its start and end.
+    EXPECT_TRUE(report.task_ms.empty());
   }
 }
 
@@ -107,27 +109,23 @@ TEST(ParallelFor, TaskCountersAreThreadCountInvariant) {
 }
 #endif
 
-// A task's time runs from its thread's previous task boundary to its own
-// end, so a sleeping task's time covers its sleep, and the times of a
-// thread's tasks never overlap.
-TEST(ParallelFor, TaskTimesCoverTheirTasksAndFitTheWall) {
-  constexpr std::size_t n = 40;
-  const auto sleeps = [](std::size_t i) { return i % 7 == 3; };
+// run_montecarlo times each run inside its task. The runs of one thread
+// never overlap and all lie inside the job, so their times sum to at most
+// threads_used x wall.
+TEST(JobReport, MonteCarloRunTimesFitTheWall) {
+  cim::MonteCarloConfig mc;
+  mc.runs = 5;
+  mc.mac_values = {0, 8};
   for (int threads : {1, 4}) {
-    const JobReport report =
-        parallel_for(ExecPolicy{threads}, n, [&](std::size_t i) {
-          if (sleeps(i)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-        });
-    ASSERT_EQ(report.task_ms.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sleeps(i)) {
-        EXPECT_GE(report.task_ms[i], 1.0)
-            << "task " << i << ", " << threads << " threads";
-      }
+    mc.exec.threads = threads;
+    const cim::MonteCarloResult r =
+        cim::run_montecarlo(cim::ArrayConfig::proposed_2t1fefet(), mc);
+    ASSERT_EQ(r.job.task_ms.size(), static_cast<std::size_t>(mc.runs));
+    for (std::size_t k = 0; k < r.job.task_ms.size(); ++k) {
+      EXPECT_GT(r.job.task_ms[k], 0.0)
+          << "run " << k << ", " << threads << " threads";
     }
-    EXPECT_LE(report.task_ms_total(), report.threads_used * report.wall_ms)
+    EXPECT_LE(r.job.task_ms_total(), r.job.threads_used * r.job.wall_ms)
         << threads << " threads";
   }
 }
@@ -135,7 +133,7 @@ TEST(ParallelFor, TaskTimesCoverTheirTasksAndFitTheWall) {
 // Every drain tallies locally and flushes when it ends, also when a task
 // throws in the middle of its chunk.
 TEST(ParallelFor, TalliesStayExactWhenATaskThrowsMidChunk) {
-  constexpr std::size_t n = 64;  // chunks of 16 at 1 thread, 4 at 4
+  constexpr std::size_t n = 64;  // one chunk of 64 at 1 thread, 4 at 4
   constexpr std::size_t thrower = 13;
   for (int threads : {1, 4}) {
     std::atomic<std::size_t> returned_true{0};
@@ -336,10 +334,26 @@ TEST(Determinism, MonteCarloBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Each row kind fans out over the batch rows: the proposed fabric's
-// noiseless rows (integer dots), the baseline's at 85 degC (integer dot
-// plus decode correction) and noisy rows (per-row noise streams).
-TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
+// The kinds of dot_batch row: the proposed fabric's noiseless rows
+// (integer dots), the baseline's at 85 degC (integer dot plus decode
+// correction) and noisy rows (per-row noise streams).
+struct RowKind {
+  const char* name;
+  const cim::BehavioralArrayModel* model;
+  double temperature_c;
+  bool noisy;
+
+  nn::CimDotEngine::Options options(int threads) const {
+    nn::CimDotEngine::Options opts;
+    opts.temperature_c = temperature_c;
+    opts.with_variation_noise = noisy;
+    opts.noise_seed = 11;
+    opts.exec.threads = threads;
+    return opts;
+  }
+};
+
+std::vector<RowKind> row_kinds() {
   cim::MonteCarloConfig mc;
   mc.runs = 4;
   mc.sigma_vt_fefet = 0.054;
@@ -349,41 +363,43 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
   static const cim::BehavioralArrayModel baseline =
       cim::BehavioralArrayModel::calibrate(
           cim::ArrayConfig::baseline_1r_subthreshold(), {27.0, 85.0});
+  return {RowKind{"noiseless", &proposed, 27.0, false},
+          RowKind{"baseline", &baseline, 85.0, false},
+          RowKind{"noisy", &proposed, 27.0, true}};
+}
 
-  constexpr std::size_t len = 96;
-  constexpr std::size_t rows = 13;
-  util::Rng rng(7);
-  std::vector<std::uint8_t> a(len);
-  std::vector<std::int8_t> w(rows * len);
-  for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_index(256));
-  for (auto& v : w) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(255)) -
-                                 127);
+/// A batch of `rows` random int8 rows of length `len` and their uint8
+/// activations.
+struct BatchInputs {
+  static constexpr std::size_t len = 96;
+  static constexpr std::size_t rows = 13;
+  std::vector<std::uint8_t> a;
+  std::vector<std::int8_t> w;
+
+  BatchInputs() : a(len), w(rows * len) {
+    util::Rng rng(7);
+    for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_index(256));
+    for (auto& v : w) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(255)) -
+                                   127);
+    }
   }
+};
 
-  struct RowKind {
-    const char* name;
-    const cim::BehavioralArrayModel* model;
-    double temperature_c;
-    bool noisy;
-  };
-  for (const RowKind& kind : {RowKind{"noiseless", &proposed, 27.0, false},
-                              RowKind{"baseline", &baseline, 85.0, false},
-                              RowKind{"noisy", &proposed, 27.0, true}}) {
+TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
+  const BatchInputs batch;
+  constexpr std::size_t len = BatchInputs::len;
+  constexpr std::size_t rows = BatchInputs::rows;
+  for (const RowKind& kind : row_kinds()) {
     auto run = [&](int threads) {
 #if SFC_TRACE_ENABLED
       sfc::trace::TestProbe probe;
 #endif
-      nn::CimDotEngine::Options opts;
-      opts.temperature_c = kind.temperature_c;
-      opts.with_variation_noise = kind.noisy;
-      opts.noise_seed = 11;
-      opts.exec.threads = threads;
-      nn::CimDotEngine engine(*kind.model, opts);
+      nn::CimDotEngine engine(*kind.model, kind.options(threads));
       std::vector<std::int64_t> out(2 * rows);
-      engine.dot_batch(a, w, len, rows, out.data());
+      engine.dot_batch(batch.a, batch.w, len, rows, out.data());
       // A second batch: new noise rows, reused scratch.
-      engine.dot_batch(a, w, len, rows, out.data() + rows);
+      engine.dot_batch(batch.a, batch.w, len, rows, out.data() + rows);
 #if SFC_TRACE_ENABLED
       // Throughput counters are a pure function of the workload shape, so
       // they too must be thread-count invariant.
@@ -397,7 +413,7 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
     };
 
     const auto serial = run(1);
-    if (kind.model == &baseline || kind.noisy) {
+    if (std::string_view(kind.name) != "noiseless") {
       EXPECT_GT(serial.back(), 0) << kind.name;  // some groups misdecoded
     }
     for (int threads : {2, 8}) {
@@ -406,6 +422,37 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
     }
   }
 }
+
+#if SFC_TRACE_ENABLED
+// One dot_batch is one exec job with one task per row, for every row kind
+// and thread count; perfbench pins these counters.
+TEST(DotBatch, OneExecJobAndOneTaskPerRow) {
+  const BatchInputs batch;
+  constexpr std::size_t rows = BatchInputs::rows;
+  for (const RowKind& kind : row_kinds()) {
+    for (int threads : {1, 4}) {
+      nn::CimDotEngine engine(*kind.model, kind.options(threads));
+      std::vector<std::int64_t> out(rows);
+      sfc::trace::TestProbe probe;
+      engine.dot_batch(batch.a, batch.w, BatchInputs::len, rows, out.data());
+      EXPECT_EQ(probe.counter_delta("exec.jobs"), 1u)
+          << kind.name << ", " << threads << " threads";
+      EXPECT_EQ(probe.counter_delta("exec.tasks.converged"), rows)
+          << kind.name << ", " << threads << " threads";
+      EXPECT_EQ(probe.counter_delta("exec.tasks.failed"), 0u)
+          << kind.name << ", " << threads << " threads";
+      EXPECT_EQ(probe.counter_delta("cim.dot.batches"), 1u)
+          << kind.name << ", " << threads << " threads";
+      EXPECT_EQ(probe.counter_delta("cim.dot.rows"), rows)
+          << kind.name << ", " << threads << " threads";
+    }
+  }
+}
+#else
+TEST(DotBatch, OneExecJobAndOneTaskPerRow) {
+  GTEST_SKIP() << "built with SFC_TRACE=OFF; counters compile to no-ops";
+}
+#endif
 
 }  // namespace
 }  // namespace sfc::exec

@@ -1,8 +1,11 @@
 // Unit tests for the utility layer: RNG determinism and distributions,
-// statistics, histogram binning, interpolation, table/CSV formatting.
+// statistics, histogram binning, interpolation, table/CSV formatting,
+// strict number parsing.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +15,7 @@
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
 #include "util/interp.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -307,6 +311,30 @@ TEST(Csv, HeaderOnlyFileIsValid) {
   EXPECT_EQ(header, "a,b");
   EXPECT_FALSE(static_cast<bool>(std::getline(in, extra)));
   std::filesystem::remove(path);
+}
+
+TEST(ParseUnsigned, AcceptsWholeNumbersInRange) {
+  EXPECT_EQ(parse_unsigned("0", 10, 5), 0u);
+  EXPECT_EQ(parse_unsigned("17", 10, INT_MAX), 17u);
+  EXPECT_EQ(parse_unsigned("2147483647", 10, INT_MAX), 2147483647u);
+  EXPECT_EQ(parse_unsigned("0xdeadbeef", 0, UINT64_MAX), 0xdeadbeefu);
+  EXPECT_EQ(parse_unsigned("010", 0, UINT64_MAX), 8u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615", 10, UINT64_MAX),
+            UINT64_MAX);
+}
+
+TEST(ParseUnsigned, RejectsSignsJunkAndOverflow) {
+  for (const char* text :
+       {"", "abc", "-3", "+3", "-1", " 3", "12abc", "3 ", "0x", "1.5"}) {
+    EXPECT_EQ(parse_unsigned(text, 0, UINT64_MAX), std::nullopt)
+        << "'" << text << "' at base 0";
+    EXPECT_EQ(parse_unsigned(text, 10, UINT64_MAX), std::nullopt)
+        << "'" << text << "' at base 10";
+  }
+  EXPECT_EQ(parse_unsigned("0xff", 10, UINT64_MAX), std::nullopt);
+  EXPECT_EQ(parse_unsigned("18446744073709551616", 10, UINT64_MAX),
+            std::nullopt);
+  EXPECT_EQ(parse_unsigned("2147483648", 10, INT_MAX), std::nullopt);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@
 // Exit status 0 = everything passed, 1 = a verification failure,
 // 2 = usage / IO error, including an observability output that could not
 // be written.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -30,6 +30,7 @@
 
 #include "trace/cli.hpp"
 #include "trace/trace.hpp"
+#include "util/parse.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/golden.hpp"
 #include "verify/json.hpp"
@@ -123,9 +124,15 @@ int cmd_oracle(std::vector<const char*> args) {
 
 int cmd_fuzz(std::vector<const char*> args) {
   sfc::verify::FuzzOptions opt;
-  if (const char* v = flag_value(args, "--count")) opt.count = std::atoi(v);
+  if (const char* v = flag_value(args, "--count")) {
+    const auto count = sfc::util::parse_unsigned(v, 10, INT_MAX);
+    if (!count) return usage();
+    opt.count = static_cast<int>(*count);
+  }
   if (const char* v = flag_value(args, "--seed")) {
-    opt.seed = std::strtoull(v, nullptr, 0);
+    const auto seed = sfc::util::parse_unsigned(v, 0, UINT64_MAX);
+    if (!seed) return usage();
+    opt.seed = *seed;
   }
   if (const char* v = flag_value(args, "--dump")) opt.dump_dir = v;
   if (!args.empty() || opt.count <= 0) return usage();
