@@ -3,10 +3,12 @@
 // several temperatures, and plot the analog accumulation levels.
 //
 //   $ ./matrix_engine [rows] [columns]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "cim/tile.hpp"
+#include "util/parse.hpp"
 #include "util/plot.hpp"
 #include "util/rng.hpp"
 
@@ -14,14 +16,16 @@ int main(int argc, char** argv) {
   using namespace sfc;
   using namespace sfc::cim;
 
-  int rows = 4;
-  int columns = 16;
-  if (argc > 1) rows = std::atoi(argv[1]);
-  if (argc > 2) columns = std::atoi(argv[2]);
-  if (rows < 1 || rows > 16 || columns < 1 || columns > 64) {
+  std::optional<std::uint64_t> rows_arg = 4;
+  std::optional<std::uint64_t> columns_arg = 16;
+  if (argc > 1) rows_arg = util::parse_unsigned(argv[1], 10, 16);
+  if (argc > 2) columns_arg = util::parse_unsigned(argv[2], 10, 64);
+  if (!rows_arg || !columns_arg || *rows_arg == 0 || *columns_arg == 0) {
     std::fprintf(stderr, "usage: %s [rows<=16] [columns<=64]\n", argv[0]);
     return 1;
   }
+  const int rows = static_cast<int>(*rows_arg);
+  const int columns = static_cast<int>(*columns_arg);
 
   util::Rng rng(99);
   std::vector<std::vector<int>> weights(

@@ -5,17 +5,23 @@
 //
 //   $ ./nn_inference [temperature_c]
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
 #include "nn/vgg.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfc;
 
-  double temperature = 27.0;
-  if (argc > 1) temperature = std::atof(argv[1]);
+  std::optional<double> temperature_arg = 27.0;
+  if (argc > 1) temperature_arg = util::parse_double(argv[1]);
+  if (!temperature_arg) {
+    std::fprintf(stderr, "usage: %s [temperature_c]\n", argv[0]);
+    return 1;
+  }
+  const double temperature = *temperature_arg;
 
   // Small dataset + network so the example runs in seconds.
   data::SynthCifarConfig dcfg;

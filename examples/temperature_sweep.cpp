@@ -4,21 +4,24 @@
 // margins - the experiment behind the paper's Figs. 4 and 8(a).
 //
 //   $ ./temperature_sweep [n_cells]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "cim/mac.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfc::cim;
 
-  int cells = 8;
-  if (argc > 1) cells = std::atoi(argv[1]);
-  if (cells < 1 || cells > 16) {
+  std::optional<std::uint64_t> cells_arg = 8;
+  if (argc > 1) cells_arg = sfc::util::parse_unsigned(argv[1], 10, 16);
+  if (!cells_arg || *cells_arg == 0) {
     std::fprintf(stderr, "usage: %s [n_cells in 1..16]\n", argv[0]);
     return 1;
   }
+  const int cells = static_cast<int>(*cells_arg);
 
   const std::vector<double> temps = {0.0, 20.0, 27.0, 55.0, 85.0};
 

@@ -106,7 +106,7 @@ step "metrics key-set gate (traced verify_runner oracle)"
 step "performance ledger self-test (perfbench, counters at 1 vs T threads)"
 python3 perfbench/run.py --selftest
 
-step "performance ledger pins (one short run per workload vs reference.json)"
+step "performance ledger pins (short runs per workload vs reference.json)"
 # The self-test never reads the reference. These runs do: run.py exits 1
 # when a pinned counter ledger or output hash differs ("correct": false),
 # and set -e turns that into a failed gate.
@@ -114,6 +114,11 @@ workloads="$(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
 for workload in ${workloads}; do
   python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 1
+done
+# Seed N runs input set N % 16. The noisy kernel's logits hashes and row
+# errors are pinned per set, so gate it on three more sets (about 20 s).
+for seed in 1 2 3; do
+  python3 perfbench/run.py --workload vgg_noisy --seed "${seed}" --seconds 1
 done
 
 step "SFC_TRACE=OFF build (zero-instrumentation flavour stays green)"

@@ -75,9 +75,10 @@ std::int64_t masked_dot(std::span<const std::uint8_t> a,
   return total;
 }
 
-/// Cheap content fingerprint over <= 16 sampled elements; guards the
-/// weight-plane cache against a row being rewritten in place (or the
-/// allocator reusing an address for different weights).
+/// Cheap content fingerprint: every element of a row shorter than 16,
+/// else the 16-31 elements at a stride of size / 16, plus the last one.
+/// Guards the weight-plane cache against a row being rewritten in place
+/// (or the allocator reusing an address for different weights).
 std::uint64_t weight_fingerprint(std::span<const std::int8_t> w) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ w.size();
   const std::size_t stride = std::max<std::size_t>(1, w.size() / 16);
@@ -165,16 +166,32 @@ const CimDotEngine::WeightPlanes& CimDotEngine::planes_for(
       static_cast<std::size_t>(weight_mag_bits_) * planes.words, 0);
   planes.neg.assign(
       static_cast<std::size_t>(weight_mag_bits_) * planes.words, 0);
-  for (std::size_t e = 0; e < w.size(); ++e) {
-    const int v = w[e];
-    const unsigned mag = static_cast<unsigned>(v < 0 ? -v : v);
-    auto* target = (v < 0 ? planes.neg.data() : planes.pos.data());
-    const std::size_t word = e >> 6;
-    const std::uint64_t bit = 1ULL << (e & 63);
-    for (int q = 0; q < weight_mag_bits_; ++q) {
-      if ((mag >> q) & 1u) {
-        target[static_cast<std::size_t>(q) * planes.words + word] |= bit;
+  for (std::size_t i = 0; i < planes.words; ++i) {
+    std::uint64_t pos[7] = {};
+    std::uint64_t neg[7] = {};
+    for (std::size_t g = 0; g < 8 && i * 64 + g * 8 < w.size(); ++g) {
+      const std::size_t first = i * 64 + g * 8;
+      const std::size_t n = std::min<std::size_t>(8, w.size() - first);
+      // Element j's low 7 magnitude bits in byte j (-128 has none, so it
+      // contributes nothing) and its sign in bit j of `negative`.
+      std::uint64_t mags = 0;
+      std::uint64_t negative = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const int v = w[first + j];
+        mags |= static_cast<std::uint64_t>((v < 0 ? -v : v) & 0x7f) << (8 * j);
+        negative |= static_cast<std::uint64_t>(v < 0) << j;
       }
+      const std::uint64_t bits = transpose_bits(mags);
+      for (int q = 0; q < weight_mag_bits_; ++q) {
+        const std::uint64_t plane = (bits >> (8 * q)) & 0xff;
+        pos[q] |= (plane & ~negative) << (8 * g);
+        neg[q] |= (plane & negative) << (8 * g);
+      }
+    }
+    for (int q = 0; q < weight_mag_bits_; ++q) {
+      const std::size_t at = static_cast<std::size_t>(q) * planes.words + i;
+      planes.pos[at] = pos[q];
+      planes.neg[at] = neg[q];
     }
   }
   // insert_or_assign (not emplace): the allocator can reuse an address for
@@ -262,25 +279,46 @@ std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
                                       const std::uint64_t* w_plane,
                                       std::size_t words, sfc::util::Rng& rng,
                                       std::int64_t* errors) const {
+  // A local copy, so the stream's state can stay in registers.
+  sfc::util::Rng local = rng;
   std::int64_t total = 0;
   std::int64_t misses = 0;
+  // What mac() returns for a group of true count k given its draw: the
+  // deviate can only move the decode when u1 is at or below k's floor.
+  const auto read_out = [&](std::uint64_t k,
+                            const sfc::util::Rng::NormalDraw& draw) {
+    const Level& level = levels_[k];
+    int digital = level.decoded;
+    if (!(draw.u1 > level.u1_floor)) {
+      digital = model_.decode(level.v + (0.0 + level.sigma * draw.value()));
+    }
+    misses += digital != static_cast<int>(k);
+    total += digital;
+  };
+  // When count 0's floor lies below the smallest u1, every draw passes it,
+  // so an all-zero word reads decoded(0) eight times. A NaN floor fails
+  // the test and takes the exact path.
+  const bool skip_zero_words =
+      levels_[0].u1_floor < sfc::util::Rng::kSmallestU1;
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t counts = byte_popcounts(a_plane[i] & w_plane[i]);
-    for (int b = 0; b < 8; ++b) {
-      const int true_count = static_cast<int>(counts & 0xff);
-      counts >>= 8;
-      const Level& level = levels_[true_count];
-      int digital = level.decoded;
-      // The draw mac() would take; its deviate can only move the decode
-      // when u1 is at or below the level's floor.
-      const sfc::util::Rng::NormalDraw draw = rng.normal_draw();
-      if (!(draw.u1 > level.u1_floor)) {
-        digital = model_.decode(level.v + (0.0 + level.sigma * draw.value()));
-      }
-      if (digital != true_count) ++misses;
-      total += digital;
+    // A row's stream starts fresh and each word takes 8 draws, so every
+    // word starts at a pair boundary: group 2j takes pair j's cosine draw
+    // and group 2j + 1 its sine draw, as consecutive normal_draw()s would.
+    if (counts == 0 && skip_zero_words) {
+      for (int j = 0; j < 4; ++j) local.normal_pair();
+      total += 8 * levels_[0].decoded;
+      misses += zero_misdecodes_ ? 8 : 0;
+      continue;
+    }
+    for (int j = 0; j < 4; ++j) {
+      const sfc::util::Rng::NormalPair pair = local.normal_pair();
+      read_out(counts & 0xff, pair.cosine());
+      read_out((counts >> 8) & 0xff, pair.sine());
+      counts >>= 16;
     }
   }
+  rng = local;
   *errors += misses;
   return total;
 }

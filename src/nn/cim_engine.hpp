@@ -114,8 +114,9 @@ class CimDotEngine final : public DotEngine {
   /// concurrently.
   std::int64_t decode_correction(const WeightPlanes& wp,
                                  std::int64_t* errors) const;
-  /// One noisy binary dot product, drawing per-group noise from `rng`;
-  /// decode misses are tallied into *errors.
+  /// One noisy binary dot product: each 64-element word takes its 8
+  /// groups' draws from `rng` as 4 Box-Muller pairs, so `rng` must sit at
+  /// a pair boundary. Decode misses are tallied into *errors.
   std::int64_t binary_dot(const std::uint64_t* a_plane,
                           const std::uint64_t* w_plane, std::size_t words,
                           sfc::util::Rng& rng, std::int64_t* errors) const;

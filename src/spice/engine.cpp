@@ -126,16 +126,7 @@ SolverWorkspace& Engine::stamp_baseline(const SimContext& ctx,
 bool Engine::plan_assemble_and_solve(const SimContext& ctx,
                                      const std::vector<double>& x,
                                      SolverWorkspace& ws) {
-  if (ws.plan.valid() && !ws.plan.last_factor_full()) {
-    // The previous solve only wrote inside the compiled schedule, and
-    // linear stamps never land outside it, so restoring the touched
-    // entries leaves A bitwise equal to a full copy.
-    const double* src = ws.a_base.data();
-    double* dst = ws.a.data();
-    for (const int idx : ws.plan.touched_indices()) dst[idx] = src[idx];
-  } else {
-    ws.a.copy_from(ws.a_base);
-  }
+  ws.a.copy_from(ws.a_base);
   std::copy(ws.b_base.begin(), ws.b_base.end(), ws.b.begin());
   Stamper stamper(ws.a, ws.b, x, circuit_.num_nodes());
   if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, ws.size);

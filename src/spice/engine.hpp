@@ -79,7 +79,7 @@ class Engine {
                               const std::vector<double>* warm_start = nullptr);
 
   /// Transient from t = 0 to t_stop. Performs a DC operating point first
-  /// (sources at t = 0) unless `initial_x` is supplied.
+  /// (sources at t = 0).
   TransientResult transient(double t_stop, const TransientOptions& options);
 
   /// AC small-signal sweep: solve the DC operating point, then

@@ -106,7 +106,6 @@ bool LuPlan::factor_and_compile(DenseMatrix& a, std::vector<double>& b,
   kvals_.assign(n, 0.0);
   forced_rows_.assign(n, {});
   compile_schedule();
-  full_touch_ = true;  // lu_core wrote the whole matrix
   return true;
 }
 
@@ -134,7 +133,6 @@ void LuPlan::compile_schedule() {
   diag_in_class_.assign(n, 0);
   kpat_.assign(n, 0);
   upat_.assign(n, 0);
-  t_work_.assign(pattern_.begin(), pattern_.end());
   ops_ = 0;
   for (std::size_t k = 0; k < n; ++k) {
     // Candidate rows: structurally-possible nonzeros in column k.
@@ -191,17 +189,6 @@ void LuPlan::compile_schedule() {
         for (std::size_t c = k + 1; c < n; ++c) rrow[c] |= krow[c];
       }
     }
-    // Track every entry a scheduled solve can write: the evolving
-    // envelope rows plus the diagonal (hit by the column-k swap).
-    char* tk = t_work_.data() + k * n;
-    tk[k] = 1;
-    for (std::size_t c = k + 1; c < n; ++c) tk[c] |= krow[c];
-    for (std::size_t ri = row_begin; ri < row_idx_.size(); ++ri) {
-      const auto r = static_cast<std::size_t>(row_idx_[ri]);
-      char* tr = t_work_.data() + r * n;
-      const char* rrow = p.data() + r * n;
-      for (std::size_t c = k + 1; c < n; ++c) tr[c] |= rrow[c];
-    }
     const std::size_t col_begin = col_idx_.size();
     for (std::size_t c = k + 1; c < n; ++c) {
       if (krow[c]) col_idx_.push_back(static_cast<int>(c));
@@ -211,10 +198,6 @@ void LuPlan::compile_schedule() {
     row_ptr_[k + 1] = static_cast<int>(row_idx_.size());
     col_ptr_[k + 1] = static_cast<int>(col_idx_.size());
     swap_ptr_[k + 1] = static_cast<int>(swap_idx_.size());
-  }
-  touched_.clear();
-  for (std::size_t idx = 0; idx < n * n; ++idx) {
-    if (t_work_[idx]) touched_.push_back(static_cast<int>(idx));
   }
 }
 
@@ -346,7 +329,6 @@ bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b) {
   }
 
   if (drifted) ++refreezes_;
-  full_touch_ = false;
   return true;
 }
 
@@ -362,7 +344,6 @@ bool LuPlan::solve_dense_from(std::size_t k0, DenseMatrix& a,
   }
   ++refreezes_;
   compile_schedule();
-  full_touch_ = true;  // the dense tail wrote outside the schedule
   return true;
 }
 

@@ -131,15 +131,6 @@ class LuPlan {
   /// solves means pivots keep leaving their interchange class.
   std::size_t refreeze_count() const { return refreezes_; }
 
-  /// Flat row-major indices of every matrix entry a scheduled
-  /// solve_frozen() can write (envelope fill, swap columns, diagonals).
-  /// A caller restoring the matrix between solves only needs to reset
-  /// these — unless last_factor_full() says the previous factorization
-  /// was a full dense one (fresh factor_and_compile() or a dense-finish
-  /// fallback), which may have written anywhere.
-  const std::vector<int>& touched_indices() const { return touched_; }
-  bool last_factor_full() const { return full_touch_; }
-
  private:
   /// Build the elimination schedule from pattern_ under swap_with_,
   /// widening each step's envelope over the pivot's interchange class.
@@ -160,10 +151,7 @@ class LuPlan {
   std::vector<char> p_work_;           ///< symbolic-elimination scratch
   std::vector<char> kpat_;             ///< scratch: diag row pattern
   std::vector<char> upat_;             ///< scratch: class union pattern
-  std::vector<char> t_work_;           ///< scratch: touched-entry flags
   std::vector<double> kvals_;          ///< scratch: pivot-row gather
-  std::vector<int> touched_;           ///< see touched_indices()
-  bool full_touch_ = true;             ///< see last_factor_full()
   std::vector<char> class_flags_;      ///< per row_idx_ entry: in class?
   std::vector<char> diag_in_class_;    ///< per step: diag row in class?
   /// Rows that once won the pivot search at a step from outside the

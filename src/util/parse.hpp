@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -24,6 +25,19 @@ inline std::optional<std::uint64_t> parse_unsigned(const char* text, int base,
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text, &end, base);
   if (errno == ERANGE || *end != '\0' || value > max) return std::nullopt;
+  return value;
+}
+
+/// The finite double that all of `text` spells as strtod reads it (an
+/// optional sign, decimal or hex digits, an exponent). nullopt for an empty
+/// text, leading space, trailing characters, nan, inf, or a value whose
+/// magnitude overflows; one that underflows reads as its rounded value.
+inline std::optional<double> parse_double(const char* text) {
+  // strtod skips leading space, as strtoull does.
+  if (std::isspace(static_cast<unsigned char>(text[0]))) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) return std::nullopt;
   return value;
 }
 

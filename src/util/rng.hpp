@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace sfc::util {
@@ -50,19 +51,38 @@ class Rng {
     double value() const;
   };
 
+  /// The smallest u1 a draw can hold: uniform() steps by 2^-53, and zero
+  /// is rejected.
+  static constexpr double kSmallestU1 = 0x1.0p-53;
+
+  /// The (u1, u2) that a pair of draws shares.
+  struct NormalPair {
+    double u1 = 1.0;
+    double u2 = 0.0;
+    NormalDraw cosine() const { return {u1, u2, false}; }
+    NormalDraw sine() const { return {u1, u2, true}; }
+  };
+
   /// Advances the stream exactly as normal() does. A pair of draws shares
   /// one (u1, u2): u1 with zero rejected, then u2.
   NormalDraw normal_draw() {
     if (has_pair_) {
       has_pair_ = false;
-      return {pair_u1_, pair_u2_, true};
+      return pending_.sine();
     }
-    do {
-      pair_u1_ = uniform();
-    } while (pair_u1_ <= 0.0);
-    pair_u2_ = uniform();
+    pending_ = fresh_pair();
     has_pair_ = true;
-    return {pair_u1_, pair_u2_, false};
+    return pending_.cosine();
+  }
+
+  /// The next fresh pair: advances the stream exactly as two normal_draw()
+  /// calls from a pair boundary, whose draws are its cosine() and sine().
+  /// Throws std::logic_error when a sine deviate is pending.
+  NormalPair normal_pair() {
+    if (has_pair_) {
+      throw std::logic_error("Rng::normal_pair: a sine deviate is pending");
+    }
+    return fresh_pair();
   }
 
   /// Standard normal via Box-Muller: the cosine deviate of a fresh
@@ -86,10 +106,18 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
+  NormalPair fresh_pair() {
+    NormalPair pair;
+    do {
+      pair.u1 = uniform();
+    } while (pair.u1 <= 0.0);
+    pair.u2 = uniform();
+    return pair;
+  }
+
   std::uint64_t s_[4];
-  bool has_pair_ = false;  ///< (pair_u1_, pair_u2_) owes its sine deviate
-  double pair_u1_ = 1.0;
-  double pair_u2_ = 0.0;
+  bool has_pair_ = false;  ///< pending_ owes its sine deviate
+  NormalPair pending_;
 };
 
 }  // namespace sfc::util

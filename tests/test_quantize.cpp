@@ -138,9 +138,30 @@ void ones_heavy_inputs(std::size_t len, std::uint64_t seed,
   }
 }
 
+/// ones_heavy_inputs with every activation of each odd 64-element word
+/// and 3 in 4 of the rest zeroed, and each even word's weights of one sign
+/// (negative in words 2, 6, ...): at least half of the 64-element words of
+/// a row's plane pairs are all zero, at any length.
+void sparse_inputs(std::size_t len, std::uint64_t seed,
+                   std::vector<std::uint8_t>* a, std::vector<std::int8_t>* w) {
+  ones_heavy_inputs(len, seed, a, w);
+  sfc::util::Rng rng(seed + 1);
+  for (std::size_t i = 0; i < len; ++i) {
+    if ((i / 64) % 2 == 1 || rng.bernoulli(0.75)) (*a)[i] = 0;
+    const int mag = std::abs(static_cast<int>((*w)[i]));
+    (*w)[i] = static_cast<std::int8_t>((i / 128) % 2 == 1 ? -mag : mag);
+  }
+}
+
+/// Row lengths around the 8-element group and the 64-element word.
+const std::vector<std::size_t> kRowLengths = {1,  7,  8,   9,  63,
+                                              64, 65, 200, 512};
+
 struct ReplayedRow {
   std::int64_t result = 0;
   std::int64_t errors = 0;
+  std::int64_t words = 0;       ///< 64-element words over all plane pairs
+  std::int64_t zero_words = 0;  ///< words whose 8 groups all count 0
 };
 
 /// One row as BehavioralArrayModel::mac computes it, in the engine's loop
@@ -162,6 +183,7 @@ ReplayedRow replay_row(const sfc::cim::BehavioralArrayModel& model,
     for (int q = 0; q < opts.weight_bits - 1; ++q) {
       for (const int sign : {1, -1}) {
         std::int64_t sum = 0;
+        int word_count = 0;  // the true counts of the word's groups so far
         for (std::size_t g = 0; g < groups; ++g) {
           int count = 0;
           for (std::size_t e = g * 8; e < std::min(a.size(), g * 8 + 8); ++e) {
@@ -172,6 +194,12 @@ ReplayedRow replay_row(const sfc::cim::BehavioralArrayModel& model,
           const int digital = model.mac(count, opts.temperature_c, noise);
           row.errors += digital != count;
           sum += digital;
+          word_count += count;
+          if (g % 8 == 7) {
+            ++row.words;
+            row.zero_words += word_count == 0;
+            word_count = 0;
+          }
         }
         row.result += sign * (sum << (p + q));
       }
@@ -427,13 +455,68 @@ TEST(CimEngine, DotIsOneRowBatch) {
 }
 
 // The noisy row op returns what BehavioralArrayModel::mac returns, draw
-// for draw, whether or not the draw can move the decode.
+// for draw, whether or not the draw can move the decode, at any row length
+// and wordlength: every word takes its 8 draws as 4 pairs. Ones-heavy rows
+// reach every count. In sparse rows at least half of the words are all
+// zero, and count 0's floor lies below every u1, so those words take their
+// draws without reading their groups.
 TEST(CimEngine, NoisyRowReplaysModelMac) {
-  std::vector<std::uint8_t> a;
-  std::vector<std::int8_t> w;
-  ones_heavy_inputs(200, 12, &a, &w);
-  const ReplayedRow row = expect_replays(noisy_model(), noisy_options(), a, w);
-  EXPECT_GT(row.errors, 0);  // the noise moved some counts
+  std::int64_t errors = 0;
+  for (const int bits : {2, 4, 8}) {
+    CimDotEngine::Options opts = noisy_options();
+    opts.activation_bits = bits;
+    opts.weight_bits = bits;
+    for (const std::size_t len : kRowLengths) {
+      SCOPED_TRACE(testing::Message() << bits << " bits, len " << len);
+      std::vector<std::uint8_t> a;
+      std::vector<std::int8_t> w;
+      ones_heavy_inputs(len, 60 + len, &a, &w);
+      errors += expect_replays(noisy_model(), opts, a, w).errors;
+      sparse_inputs(len, 70 + len, &a, &w);
+      const ReplayedRow sparse = expect_replays(noisy_model(), opts, a, w);
+      EXPECT_GE(2 * sparse.zero_words, sparse.words);
+      errors += sparse.errors;
+    }
+  }
+  EXPECT_GT(errors, 0);  // the noise moved some counts
+}
+
+// All-zero words on both sides of the count-0 floor. Levels 0 and 1
+// coincide, so count 0 sits on its threshold (a zero gap, as in
+// ZeroGapLevelsReplayModelMac): its floor is 1, every count-0 draw
+// evaluates the deviate, and about half of them read 1. The drifted model
+// at 85 degC has sigma 0, so its floors are 0 and every count-0 group reads
+// decoded(0) = 1 without a deviate.
+TEST(CimEngine, AllZeroWordsReplayModelMac) {
+  const auto zero_gap = text_model(
+      {0.10, 0.10, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50}, 0.004);
+  ASSERT_EQ(zero_gap.thresholds()[0], 0.10);
+  const auto drifted = drifted_model();
+  struct Fabric {
+    const sfc::cim::BehavioralArrayModel* model;
+    double temperature_c;
+  };
+  for (const Fabric& fabric :
+       {Fabric{&zero_gap, 27.0}, Fabric{&drifted, 85.0}}) {
+    SCOPED_TRACE(fabric.temperature_c);
+    CimDotEngine::Options opts = noisy_options();
+    opts.temperature_c = fabric.temperature_c;
+    std::int64_t zero_words = 0;
+    std::int64_t errors = 0;
+    for (const std::size_t len : kRowLengths) {
+      SCOPED_TRACE(len);
+      std::vector<std::uint8_t> a;
+      std::vector<std::int8_t> w;
+      sparse_inputs(len, 80 + len, &a, &w);
+      const ReplayedRow row = expect_replays(*fabric.model, opts, a, w);
+      EXPECT_GE(2 * row.zero_words, row.words);
+      zero_words += row.zero_words;
+      errors += row.errors;
+    }
+    // Count 0 misdecodes, so the zero words alone give errors.
+    EXPECT_GT(errors, 0);
+    EXPECT_GT(zero_words, 0);
+  }
 }
 
 // sigma = 0 (no variation calibrated): every draw keeps its level, so a
@@ -494,7 +577,7 @@ TEST(CimEngine, NoiselessRowReplaysModelDecode) {
     CimDotEngine::Options opts;
     opts.temperature_c = fabric.temperature_c;
     std::int64_t errors = 0;
-    for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u, 512u}) {
+    for (const std::size_t len : kRowLengths) {
       std::vector<std::uint8_t> a;
       std::vector<std::int8_t> w;
       ones_heavy_inputs(len, 40 + len, &a, &w);
@@ -505,9 +588,9 @@ TEST(CimEngine, NoiselessRowReplaysModelDecode) {
 }
 
 // The planes hold only the wordlength's bits: a weight of -128 has no
-// magnitude bit below 2^7, and a 4-bit engine sees the low 4 bits of an
-// activation and the low 3 of a weight magnitude. The exact fabric's row
-// is the masked integer dot; a miscounting fabric's row replays mac().
+// magnitude bit below 2^7, and a b-bit engine sees the low b bits of an
+// activation and the low b - 1 of a weight magnitude. The exact fabric's
+// row is the masked integer dot; a miscounting fabric's row replays mac().
 TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
   std::vector<std::uint8_t> a;
   std::vector<std::int8_t> w;
@@ -516,7 +599,7 @@ TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
   ASSERT_GT(std::count(a.begin(), a.end(), 255), 0);
 
   const auto exact = text_model(kEvenLevels, 0.0);
-  for (const int bits : {8, 4}) {
+  for (int bits = 2; bits <= 8; ++bits) {
     SCOPED_TRACE(bits);
     CimDotEngine::Options opts;
     opts.activation_bits = bits;

@@ -3,6 +3,7 @@
 // strict number parsing.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -78,6 +79,42 @@ TEST(Rng, NormalSequenceIsPinned) {
   for (std::size_t i = 0; i < std::size(want); ++i) {
     EXPECT_EQ(rng.normal(), want[i]) << "draw " << i;
   }
+}
+
+bool same_draw(const Rng::NormalDraw& x, const Rng::NormalDraw& y) {
+  return x.u1 == y.u1 && x.u2 == y.u2 && x.second == y.second;
+}
+
+// normal_pair() advances the stream as two normal_draw() calls from a pair
+// boundary do, and its cosine() and sine() are their draws.
+TEST(Rng, NormalPairIsTwoNormalDraws) {
+  for (const std::uint64_t seed : {0ULL, 7ULL, 123ULL, 0xdeadbeefULL}) {
+    Rng by_pair(seed);
+    Rng by_draw(seed);
+    for (int i = 0; i < 100000; ++i) {
+      const Rng::NormalPair pair = by_pair.normal_pair();
+      ASSERT_TRUE(same_draw(pair.cosine(), by_draw.normal_draw()))
+          << "seed " << seed << " pair " << i;
+      ASSERT_TRUE(same_draw(pair.sine(), by_draw.normal_draw()))
+          << "seed " << seed << " pair " << i;
+    }
+    EXPECT_EQ(by_pair.next_u64(), by_draw.next_u64()) << "seed " << seed;
+  }
+}
+
+// A pair starts at a pair boundary, so normal_pair() refuses to run while
+// the last draw's sine deviate is pending, and leaves it pending.
+TEST(Rng, NormalPairThrowsWhileASineDeviateIsPending) {
+  Rng rng(9);
+  Rng twin(9);
+  const Rng::NormalPair first = twin.normal_pair();
+  EXPECT_TRUE(same_draw(rng.normal_draw(), first.cosine()));
+  EXPECT_THROW(rng.normal_pair(), std::logic_error);
+  EXPECT_TRUE(same_draw(rng.normal_draw(), first.sine()));
+  EXPECT_TRUE(same_draw(rng.normal_pair().cosine(),
+                        twin.normal_pair().cosine()));
+  rng.normal();
+  EXPECT_THROW(rng.normal_pair(), std::logic_error);
 }
 
 TEST(Rng, UniformIndexCoversRangeWithoutBias) {
@@ -335,6 +372,26 @@ TEST(ParseUnsigned, RejectsSignsJunkAndOverflow) {
   EXPECT_EQ(parse_unsigned("18446744073709551616", 10, UINT64_MAX),
             std::nullopt);
   EXPECT_EQ(parse_unsigned("2147483648", 10, INT_MAX), std::nullopt);
+}
+
+TEST(ParseDouble, AcceptsWholeFiniteNumbers) {
+  EXPECT_EQ(parse_double("27"), 27.0);
+  EXPECT_EQ(parse_double("-40.5"), -40.5);
+  EXPECT_EQ(parse_double("+85"), 85.0);
+  EXPECT_EQ(parse_double(".5"), 0.5);
+  EXPECT_EQ(parse_double("1e2"), 100.0);
+  EXPECT_EQ(parse_double("0x1p3"), 8.0);
+  EXPECT_EQ(parse_double("1.7976931348623157e308"), DBL_MAX);
+  EXPECT_EQ(parse_double("1e-400"), 0.0);  // underflow reads as rounded
+}
+
+TEST(ParseDouble, RejectsJunkSpaceNanInfAndOverflow) {
+  for (const char* text :
+       {"", "abc", "85x", "8 5", " 85", "\t85", "85 ", "+", "-", ".", "1e",
+        "0x", "1,5", "nan", "-nan", "NAN(1)", "inf", "-inf", "infinity",
+        "1e999", "-1e999"}) {
+    EXPECT_EQ(parse_double(text), std::nullopt) << "'" << text << "'";
+  }
 }
 
 }  // namespace
