@@ -1,11 +1,12 @@
 // CNN-on-CiM walkthrough: train a small CNN on SynthCIFAR, quantize it to
 // int8, and classify test images with every multiply-accumulate executed
 // on the calibrated 2T-1FeFET array model - at a temperature of your
-// choosing.
+// choosing within the model's 0-85 degC calibration grid.
 //
 //   $ ./nn_inference [temperature_c]
 #include <cstdio>
 #include <optional>
+#include <vector>
 
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
@@ -15,10 +16,14 @@
 int main(int argc, char** argv) {
   using namespace sfc;
 
+  // The fabric model does not extrapolate, so a temperature outside its
+  // calibration grid is a usage error, caught before training.
+  const std::vector<double> calibration_temps = {0.0, 27.0, 85.0};
   std::optional<double> temperature_arg = 27.0;
   if (argc > 1) temperature_arg = util::parse_double(argv[1]);
-  if (!temperature_arg) {
-    std::fprintf(stderr, "usage: %s [temperature_c]\n", argv[0]);
+  if (!temperature_arg || *temperature_arg < calibration_temps.front() ||
+      *temperature_arg > calibration_temps.back()) {
+    std::fprintf(stderr, "usage: %s [temperature_c, 0..85]\n", argv[0]);
     return 1;
   }
   const double temperature = *temperature_arg;
@@ -58,7 +63,7 @@ int main(int argc, char** argv) {
   std::printf("calibrating the 2T-1FeFET array model (circuit level)...\n");
   const cim::BehavioralArrayModel fabric =
       cim::BehavioralArrayModel::calibrate(
-          cim::ArrayConfig::proposed_2t1fefet(), {0.0, 27.0, 85.0});
+          cim::ArrayConfig::proposed_2t1fefet(), calibration_temps);
 
   nn::CimDotEngine::Options opts;
   opts.temperature_c = temperature;

@@ -23,9 +23,6 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 step "full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-step "verification layer (ctest -L verify)"
-ctest --test-dir "${BUILD_DIR}" -L verify --output-on-failure -j "${JOBS}"
-
 step "static netlist analysis (sfc_lint over examples/*.cir)"
 # Every shipped example must be fully clean — including the semantic
 # interval passes (subthreshold-window, vth-temp-drift, cim-array-shape,
@@ -54,15 +51,11 @@ for bad in floating-node:'I1 0 x 1u\nC1 x 0 1p\n.end' \
   fi
 done
 
-step "observability layer (ctest -L trace)"
-ctest --test-dir "${BUILD_DIR}" -L trace --output-on-failure -j "${JOBS}"
-
-step "golden / oracle / fuzz summary (verify_runner)"
-"${BUILD_DIR}/tools/verify_runner" golden
-# Traced: the oracle run's metrics snapshot feeds the key-set gate below.
-"${BUILD_DIR}/tools/verify_runner" oracle \
-  --trace "${BUILD_DIR}/trace_oracle.json" \
-  --metrics "${BUILD_DIR}/metrics_oracle.json"
+step "golden / fuzz summary (verify_runner)"
+# Traced: the golden run's metrics snapshot feeds the key-set gate below.
+"${BUILD_DIR}/tools/verify_runner" golden \
+  --trace "${BUILD_DIR}/trace_golden.json" \
+  --metrics "${BUILD_DIR}/metrics_golden.json"
 # ctest already runs the default 200-case campaign; this one covers ten
 # times as many decks from another seed.
 "${BUILD_DIR}/tools/verify_runner" fuzz --count 2000 --seed 1 --dump "${BUILD_DIR}"
@@ -95,12 +88,12 @@ mkdir -p "${SERIAL_RUN_DIR}"
 cmp "${BENCH_RUN_DIR}/bench_fig9_mc.csv" "${SERIAL_RUN_DIR}/bench_fig9_mc.csv"
 echo "bench_fig9_mc.csv is identical at 1 and 4 threads"
 
-step "metrics key-set gate (traced verify_runner oracle)"
-# The deterministic counter/histogram names the oracle run registers (the
-# stamp-plan Newton path, transients, Monte Carlo fan-out) must match the
-# reviewed golden — silent instrumentation drift in the solver hot path
-# fails the tree.
-"${BUILD_DIR}/tools/verify_runner" check-metrics "${BUILD_DIR}/metrics_oracle.json" \
+step "metrics key-set gate (traced verify_runner golden)"
+# The deterministic counter/histogram names the golden run registers (the
+# stamp-plan Newton path, DC solves, transients, Monte Carlo fan-out) must
+# match the reviewed golden — silent instrumentation drift in the solver
+# hot path fails the tree.
+"${BUILD_DIR}/tools/verify_runner" check-metrics "${BUILD_DIR}/metrics_golden.json" \
   --golden tests/goldens/metrics_keys.json
 
 step "performance ledger self-test (perfbench, counters at 1 vs T threads)"
@@ -130,9 +123,9 @@ cmake --build "${NOTRACE_DIR}" -j "${JOBS}" \
 ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS}"
 # The disabled flavour registers no metrics, yet still writes a snapshot
 # that must pass the schema check.
-"${NOTRACE_DIR}/tools/verify_runner" oracle \
-  --metrics "${NOTRACE_DIR}/metrics_oracle.json"
-"${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_oracle.json"
+"${NOTRACE_DIR}/tools/verify_runner" golden \
+  --metrics "${NOTRACE_DIR}/metrics_golden.json"
+"${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_golden.json"
 
 step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util|devices|data\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.

@@ -20,6 +20,19 @@ void require_mac(int mac, int cells, const char* who) {
   }
 }
 
+/// The levels are known only between the first and last calibrated
+/// temperatures; a read beyond them (or at NaN) would be an extrapolation
+/// the characterization never made, so it throws in every build.
+void require_temperature(double t, const std::vector<double>& temps,
+                         const char* who) {
+  if (!(t >= temps.front() && t <= temps.back())) {
+    std::ostringstream msg;
+    msg << who << ": temperature " << t << " degC outside the calibrated "
+        << "range " << temps.front() << ".." << temps.back() << " degC";
+    throw std::invalid_argument(msg.str());
+  }
+}
+
 }  // namespace
 
 BehavioralArrayModel BehavioralArrayModel::calibrate(
@@ -87,10 +100,13 @@ double BehavioralArrayModel::v_acc(int mac, double temperature_c) const {
   if (temps_c_.empty()) {
     throw std::logic_error("BehavioralArrayModel::v_acc: model not calibrated");
   }
+  require_temperature(temperature_c, temps_c_, "BehavioralArrayModel::v_acc");
   const auto stride = static_cast<std::size_t>(cells_ + 1);
   auto at = [&](std::size_t ti) {
     return v_[ti * stride + static_cast<std::size_t>(mac)];
   };
+  // The end points return their stored levels exactly; a lerp there need
+  // not reproduce the calibrated bits.
   if (temperature_c <= temps_c_.front()) return at(0);
   if (temperature_c >= temps_c_.back()) return at(temps_c_.size() - 1);
   for (std::size_t ti = 1; ti < temps_c_.size(); ++ti) {

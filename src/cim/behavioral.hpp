@@ -34,6 +34,8 @@ class BehavioralArrayModel {
   int cells() const { return cells_; }
 
   /// Mean output voltage for a MAC value at temperature T (interpolated).
+  /// Throws std::invalid_argument when T is NaN or lies outside the
+  /// first..last calibrated temperatures: the model does not extrapolate.
   double v_acc(int mac, double temperature_c) const;
 
   /// Process-variation sigma for a MAC value [V] (0 if not calibrated).
@@ -41,7 +43,8 @@ class BehavioralArrayModel {
 
   /// Simulate one analog MAC readout: mean + optional Gaussian noise,
   /// decoded by the fixed ADC thresholds. Returns the *digital* MAC the
-  /// sensing circuit reports.
+  /// sensing circuit reports. Throws like v_acc() for a temperature
+  /// outside the calibrated range.
   int mac(int true_count, double temperature_c,
           util::Rng* noise_rng = nullptr) const;
 
@@ -52,10 +55,12 @@ class BehavioralArrayModel {
   /// references - thresholds recomputed from the calibrated levels at the
   /// actual operating temperature, as a temperature-compensated sensing
   /// periphery would provide. Quantifies how much of the baseline
-  /// design's failure a smarter ADC could recover.
+  /// design's failure a smarter ADC could recover. Throws like v_acc()
+  /// for a temperature outside the calibrated range.
   int decode_tracking(double v, double temperature_c) const;
 
-  /// mac() with tracking references.
+  /// mac() with tracking references; throws like v_acc() for a
+  /// temperature outside the calibrated range.
   int mac_tracking(int true_count, double temperature_c,
                    util::Rng* noise_rng = nullptr) const;
 

@@ -472,11 +472,9 @@ const OperatingIntervals& AnalysisManager::intervals() {
     EngineResult env = run_engine(circuit_, topo, components(true), options_,
                                   true, &out->dc);
     out->envelope = std::move(env.vals);
-    out->envelope_tainted = std::move(env.tainted);
     out->envelope_contradiction = env.contradiction;
   } else {
     out->envelope = out->dc;
-    out->envelope_tainted = out->dc_tainted;
     out->envelope_contradiction = out->dc_contradiction;
   }
   intervals_ = std::move(out);

@@ -84,9 +84,6 @@ struct ConductionComponents {
   std::size_t component_of(spice::NodeId n) const {
     return root[node_slot(n, num_nodes)];
   }
-  bool same_component(spice::NodeId a, spice::NodeId b) const {
-    return component_of(a) == component_of(b);
-  }
 
   static ConductionComponents build(const spice::Circuit& circuit,
                                     bool caps_conduct);
@@ -153,7 +150,6 @@ struct OperatingIntervals {
   std::vector<Interval> dc;        ///< indexed by NodeId
   std::vector<Interval> envelope;  ///< == dc when !has_tran
   std::vector<char> dc_tainted;
-  std::vector<char> envelope_tainted;
   /// An empty interval appeared: the constraints are mutually
   /// inconsistent, i.e. no DC operating point can satisfy the sources
   /// (e.g. two different voltages forced onto one node).
@@ -176,10 +172,6 @@ struct OperatingIntervals {
   bool dc_is_tainted(spice::NodeId n) const {
     return n != spice::kGround &&
            dc_tainted[static_cast<std::size_t>(n)] != 0;
-  }
-  bool envelope_is_tainted(spice::NodeId n) const {
-    return n != spice::kGround &&
-           envelope_tainted[static_cast<std::size_t>(n)] != 0;
   }
 };
 

@@ -50,8 +50,9 @@ class CimDotEngine final : public DotEngine {
     sfc::exec::ExecPolicy exec;
   };
 
-  /// Throws std::invalid_argument unless the model has 8-cell rows and
-  /// both wordlengths lie in 2..8.
+  /// Throws std::invalid_argument unless the model has 8-cell rows, both
+  /// wordlengths lie in 2..8 and `opts.temperature_c` lies within the
+  /// model's calibrated temperatures (BehavioralArrayModel::v_acc).
   CimDotEngine(const sfc::cim::BehavioralArrayModel& model, Options opts);
 
   /// A one-row dot_batch: it takes the next noise row and counts its row

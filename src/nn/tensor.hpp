@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstddef>
 #include <numeric>
-#include <string>
 #include <vector>
 
 namespace sfc::nn {
@@ -57,15 +56,6 @@ class Tensor {
 
   void fill(float v) {
     for (float& x : data_) x = v;
-  }
-
-  std::string shape_string() const {
-    std::string s = "[";
-    for (std::size_t i = 0; i < shape_.size(); ++i) {
-      if (i) s += ", ";
-      s += std::to_string(shape_[i]);
-    }
-    return s + "]";
   }
 
  private:

@@ -34,10 +34,6 @@ double Histogram::bin_high(std::size_t bin) const {
   return bin_low(bin + 1);
 }
 
-double Histogram::bin_center(std::size_t bin) const {
-  return 0.5 * (bin_low(bin) + bin_high(bin));
-}
-
 std::string Histogram::ascii(std::size_t width) const {
   std::size_t peak = 1;
   for (std::size_t c : counts_) peak = std::max(peak, c);

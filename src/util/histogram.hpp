@@ -18,12 +18,10 @@ class Histogram {
   void add(double value);
   void add_all(std::span<const double> values);
 
-  std::size_t bin_count() const { return counts_.size(); }
   std::size_t count(std::size_t bin) const { return counts_.at(bin); }
   std::size_t total() const { return total_; }
   double bin_low(std::size_t bin) const;
   double bin_high(std::size_t bin) const;
-  double bin_center(std::size_t bin) const;
 
   /// Render as rows of "[lo, hi)  count  ####" (bar scaled to `width`).
   std::string ascii(std::size_t width = 40) const;

@@ -234,57 +234,41 @@ GoldenRecord build_fig8_mac_levels() {
   return rec;
 }
 
-/// Level ranges over the golden temperature grid; shared by the sweep and
-/// NMR builders.
-std::vector<sfc::cim::LevelRange> level_ranges_over_temps(
-    std::vector<double>* flat, std::vector<std::string>* labels) {
+GoldenRecord build_temperature_sweep() {
+  GoldenRecord rec("temperature_sweep",
+                   "MAC output voltages of the 8-cell 2T-1FeFET row at "
+                   "0/25/85 degC (the paper's resilience span), and the "
+                   "noise margin rates (Eq. 2) and NMR_min (Eq. 3) of their "
+                   "level ranges");
   sfc::cim::CiMRow row(sfc::cim::ArrayConfig::proposed_2t1fefet());
   const int n = row.cells();
   row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
   std::vector<sfc::cim::LevelRange> ranges(static_cast<std::size_t>(n) + 1);
   for (int k = 0; k <= n; ++k) {
-    ranges[static_cast<std::size_t>(k)].mac = k;
-    ranges[static_cast<std::size_t>(k)].lo = 1e300;
-    ranges[static_cast<std::size_t>(k)].hi = -1e300;
+    ranges[static_cast<std::size_t>(k)] = {k, 1e300, -1e300};
   }
+  std::vector<double> flat;
+  std::vector<std::string> labels;
   for (double t : golden_temps()) {
     const std::vector<double> levels = mac_levels_at(row, t);
     for (int k = 0; k <= n; ++k) {
+      const double v = levels[static_cast<std::size_t>(k)];
       auto& r = ranges[static_cast<std::size_t>(k)];
-      r.lo = std::min(r.lo, levels[static_cast<std::size_t>(k)]);
-      r.hi = std::max(r.hi, levels[static_cast<std::size_t>(k)]);
-      if (flat) {
-        flat->push_back(levels[static_cast<std::size_t>(k)]);
-        labels->push_back(mac_label(t, k));
-      }
+      r.lo = std::min(r.lo, v);
+      r.hi = std::max(r.hi, v);
+      flat.push_back(v);
+      labels.push_back(mac_label(t, k));
     }
   }
-  return ranges;
-}
-
-GoldenRecord build_temperature_sweep() {
-  GoldenRecord rec("temperature_sweep",
-                   "MAC output voltages of the 8-cell 2T-1FeFET row at "
-                   "0/25/85 degC (the paper's resilience span)");
-  std::vector<double> flat;
-  std::vector<std::string> labels;
-  level_ranges_over_temps(&flat, &labels);
   rec.set("v_acc", std::move(flat), std::move(labels), kVoltageTol);
-  return rec;
-}
 
-GoldenRecord build_nmr() {
-  GoldenRecord rec("nmr",
-                   "Noise margin rates (Eq. 2) and NMR_min (Eq. 3) of the "
-                   "8-cell row over 0/25/85 degC");
-  const auto ranges = level_ranges_over_temps(nullptr, nullptr);
   const std::vector<double> nmr = sfc::cim::noise_margin_rates(ranges);
   const sfc::cim::NmrSummary sum = sfc::cim::summarize_nmr(ranges);
-  std::vector<std::string> labels;
+  std::vector<std::string> nmr_labels;
   for (std::size_t i = 0; i < nmr.size(); ++i) {
-    labels.push_back("nmr_" + std::to_string(i));
+    nmr_labels.push_back("nmr_" + std::to_string(i));
   }
-  rec.set("nmr", nmr, std::move(labels), kNmrTol);
+  rec.set("nmr", nmr, std::move(nmr_labels), kNmrTol);
   rec.set_scalar("nmr_min", sum.nmr_min, kNmrTol);
   rec.set_scalar("argmin_mac", sum.argmin_mac, Tolerance{0.0, 0.0});
   rec.set_scalar("separable", sum.separable ? 1.0 : 0.0, Tolerance{0.0, 0.0});
@@ -341,7 +325,6 @@ const std::vector<GoldenCase>& golden_cases() {
       {"dc_op_point", build_dc_op_point},
       {"fig8_mac_levels", build_fig8_mac_levels},
       {"temperature_sweep", build_temperature_sweep},
-      {"nmr", build_nmr},
       {"energy_per_mac", build_energy_per_mac},
       {"montecarlo_quantiles", build_montecarlo_quantiles},
   };

@@ -1,8 +1,8 @@
 // Golden-reference regression layer.
 //
 // Canonical paper experiments (Fig. 8 MAC levels, the 0/25/85 degC
-// temperature sweep, NMR of Eqs. 2-3, energy per MAC, a reduced Fig. 9
-// Monte Carlo) are serialized to versioned JSON files under
+// temperature sweep with the NMR of Eqs. 2-3, energy per MAC, a reduced
+// Fig. 9 Monte Carlo) are serialized to versioned JSON files under
 // tests/goldens/. Every quantity carries its own absolute/relative
 // tolerance, stored IN the golden file, so the tolerance policy is
 // versioned together with the numbers it guards. `ctest -L verify`
@@ -103,7 +103,7 @@ struct GoldenCase {
 };
 
 /// All canonical experiments, in a stable order:
-///   dc_op_point, fig8_mac_levels, temperature_sweep, nmr,
+///   dc_op_point, fig8_mac_levels, temperature_sweep (with its NMR),
 ///   energy_per_mac, montecarlo_quantiles.
 const std::vector<GoldenCase>& golden_cases();
 

@@ -1,5 +1,6 @@
-// Minimal JSON value for the verification subsystem: golden files,
-// structured oracle diffs, and the schema-stable benchmark output.
+// Minimal JSON value for the verification subsystem: golden files, lint
+// reports, metrics snapshots and traces, and the schema-stable benchmark
+// output.
 //
 // Design constraints that rule out an off-the-shelf library:
 //   * objects keep their members in a std::map, so serialization is

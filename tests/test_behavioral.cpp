@@ -3,7 +3,10 @@
 // and text serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cim/behavioral.hpp"
+#include "nn/cim_engine.hpp"
 
 namespace sfc::cim {
 namespace {
@@ -14,6 +17,30 @@ const BehavioralArrayModel& proposed_model() {
   static const BehavioralArrayModel model = BehavioralArrayModel::calibrate(
       ArrayConfig::proposed_2t1fefet(), kTemps);
   return model;
+}
+
+// The lookup replays the row it was calibrated from: at each grid
+// temperature it returns the simulated ladder's levels bit for bit, and
+// between grid points its interpolation stays within 5 mV of a simulation.
+TEST(Behavioral, VaccReplaysSpiceLadder) {
+  const auto& m = proposed_model();
+  CiMRow row(ArrayConfig::proposed_2t1fefet());
+  row.set_stored(std::vector<int>(static_cast<std::size_t>(row.cells()), 1));
+  const auto expect_ladder = [&](double t, double tol) {
+    const std::vector<MacResult> ladder = row.evaluate_levels(t);
+    ASSERT_EQ(ladder.size(), 9u);
+    for (int k = 0; k <= 8; ++k) {
+      const MacResult& r = ladder[static_cast<std::size_t>(k)];
+      ASSERT_TRUE(r.converged) << "T=" << t << " k=" << k;
+      if (tol == 0.0) {
+        EXPECT_EQ(m.v_acc(k, t), r.v_acc) << "T=" << t << " k=" << k;
+      } else {
+        EXPECT_NEAR(m.v_acc(k, t), r.v_acc, tol) << "T=" << t << " k=" << k;
+      }
+    }
+  };
+  for (double t : kTemps) expect_ladder(t, 0.0);
+  expect_ladder(55.0, 5e-3);
 }
 
 TEST(Behavioral, DecodeIsExactAtDesignTemperature) {
@@ -53,9 +80,17 @@ TEST(Behavioral, VaccInterpolatesBetweenCalibratedTemps) {
   const double v_mid = m.v_acc(5, 56.0);
   EXPECT_GT(v_mid, std::min(v_lo, v_hi));
   EXPECT_LT(v_mid, std::max(v_lo, v_hi));
-  // Clamped outside the grid.
-  EXPECT_DOUBLE_EQ(m.v_acc(5, -20.0), m.v_acc(5, 0.0));
-  EXPECT_DOUBLE_EQ(m.v_acc(5, 125.0), m.v_acc(5, 85.0));
+  // The model does not extrapolate: a temperature outside the calibrated
+  // 0..85 degC, or NaN, throws instead of reading an end level.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(m.v_acc(5, -20.0), std::invalid_argument);
+  EXPECT_THROW(m.v_acc(5, 125.0), std::invalid_argument);
+  EXPECT_THROW(m.v_acc(5, nan), std::invalid_argument);
+  EXPECT_THROW(m.mac(5, 125.0), std::invalid_argument);
+  EXPECT_THROW(m.mac_tracking(5, -20.0), std::invalid_argument);
+  nn::CimDotEngine::Options opts;
+  opts.temperature_c = 125.0;
+  EXPECT_THROW(nn::CimDotEngine(m, opts), std::invalid_argument);
 }
 
 TEST(Behavioral, ThresholdsAreMonotone) {

@@ -328,6 +328,7 @@ TEST(Determinism, MonteCarloBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.samples[i].v_acc, serial.samples[i].v_acc)
           << "sample " << i << ", " << threads << " threads";
     }
+    EXPECT_EQ(parallel.nominal_levels, serial.nominal_levels);
     EXPECT_EQ(parallel.max_error_percent, serial.max_error_percent);
     EXPECT_EQ(parallel.mean_error_percent, serial.mean_error_percent);
     EXPECT_EQ(parallel.job.threads_used, std::min(threads, mc.runs));

@@ -3,6 +3,7 @@
 // deliberately perturbed solver constant is caught.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "cim/array.hpp"
@@ -15,14 +16,10 @@ namespace {
 
 std::vector<double> mac_levels(const cim::ArrayConfig& cfg) {
   cim::CiMRow row(cfg);
-  const int n = row.cells();
-  row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
+  row.set_stored(std::vector<int>(static_cast<std::size_t>(row.cells()), 1));
   std::vector<double> out;
-  for (int k = 0; k <= n; ++k) {
-    std::vector<int> inputs(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < k; ++i) inputs[static_cast<std::size_t>(i)] = 1;
-    const cim::MacResult r = row.evaluate(inputs, 27.0);
-    EXPECT_TRUE(r.converged) << "MAC " << k << " failed to converge";
+  for (const cim::MacResult& r : row.evaluate_levels(27.0)) {
+    EXPECT_TRUE(r.converged) << "MAC " << out.size() << " failed to converge";
     out.push_back(r.v_acc);
   }
   return out;
@@ -31,7 +28,7 @@ std::vector<double> mac_levels(const cim::ArrayConfig& cfg) {
 TEST(VerifyGolden, AllCommittedGoldensMatchLiveCode) {
   const std::string dir = default_golden_dir();
   const auto& cases = golden_cases();
-  ASSERT_EQ(cases.size(), 6u);
+  ASSERT_EQ(cases.size(), 5u);
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     const GoldenCompare cmp = run_golden_case(c, dir);
@@ -93,6 +90,24 @@ TEST(VerifyGolden, TolerancePolicyIsAbsPlusRel) {
   ASSERT_EQ(cmp.mismatches.size(), 1u);
   EXPECT_EQ(cmp.mismatches.front().label, "only");
   EXPECT_NEAR(cmp.mismatches.front().allowed, 0.06, 1e-12);
+}
+
+// An infinite band passes every finite value, and |inf - 1| <= inf holds
+// too: only the finiteness guard fails a NaN or infinite actual value.
+TEST(VerifyGolden, NonFiniteActualValuesFail) {
+  const double inf = std::numeric_limits<double>::infinity();
+  GoldenRecord golden("t", "");
+  golden.set("q", {1.0}, {}, Tolerance{inf, 0.0});
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    GoldenRecord actual("t", "");
+    actual.set("q", {bad}, {}, Tolerance{});
+    const GoldenCompare cmp = compare_to_golden(golden, actual);
+    EXPECT_FALSE(cmp.pass) << bad;
+    EXPECT_EQ(cmp.mismatches.size(), 1u) << bad;
+  }
+  GoldenRecord finite("t", "");
+  finite.set("q", {1e300}, {}, Tolerance{});
+  EXPECT_TRUE(compare_to_golden(golden, finite).pass);
 }
 
 TEST(VerifyGolden, ComparisonFlagsMissingExtraAndResized) {

@@ -3,8 +3,6 @@
 //   verify_runner golden [--dir DIR] [--case NAME] [--regen]
 //       Recompute the canonical paper experiments and compare them to the
 //       stored goldens (or rewrite the goldens with --regen).
-//   verify_runner oracle [--case NAME]
-//       Run the differential-oracle pairs and print structured diffs.
 //   verify_runner fuzz [--count N] [--seed S] [--dump DIR]
 //       Run the property-based netlist fuzz campaign; failing cases are
 //       shrunk and dumped as .cir reproducers.
@@ -34,7 +32,6 @@
 #include "verify/fuzz.hpp"
 #include "verify/golden.hpp"
 #include "verify/json.hpp"
-#include "verify/oracle.hpp"
 
 namespace {
 
@@ -43,7 +40,6 @@ using sfc::verify::Json;
 int usage() {
   std::fprintf(stderr,
                "usage: verify_runner golden [--dir DIR] [--case NAME] [--regen]\n"
-               "       verify_runner oracle [--case NAME]\n"
                "       verify_runner fuzz [--count N] [--seed S] [--dump DIR]\n"
                "       verify_runner check-metrics PATH [--golden GOLDEN]\n"
                "(any subcommand: --trace OUT.json --metrics OUT.json)\n");
@@ -101,25 +97,6 @@ int cmd_golden(std::vector<const char*> args) {
     return 2;
   }
   return all_pass ? 0 : 1;
-}
-
-int cmd_oracle(std::vector<const char*> args) {
-  const char* case_flag = flag_value(args, "--case");
-  if (!args.empty()) return usage();
-  bool all_match = true;
-  int ran = 0;
-  for (const auto& c : sfc::verify::oracle_cases()) {
-    if (case_flag && c.name != case_flag) continue;
-    ++ran;
-    const sfc::verify::OracleReport rep = c.run();
-    std::printf("%s\n", rep.summary().c_str());
-    all_match = all_match && rep.match;
-  }
-  if (ran == 0) {
-    std::fprintf(stderr, "no oracle case named '%s'\n", case_flag);
-    return 2;
-  }
-  return all_match ? 0 : 1;
 }
 
 int cmd_fuzz(std::vector<const char*> args) {
@@ -215,7 +192,6 @@ int run(int argc, char** argv) {
   std::vector<const char*> args(argv + 2, argv + argc);
   try {
     if (cmd == "golden") return cmd_golden(std::move(args));
-    if (cmd == "oracle") return cmd_oracle(std::move(args));
     if (cmd == "fuzz") return cmd_fuzz(std::move(args));
     if (cmd == "check-metrics") return cmd_check_metrics(std::move(args));
   } catch (const std::exception& e) {
