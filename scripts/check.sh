@@ -108,10 +108,12 @@ print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]
 for workload in ${workloads}; do
   python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 1
 done
-# Seed N runs input set N % 16. The noisy kernel's logits hashes and row
-# errors are pinned per set, so gate it on three more sets (about 20 s).
+# Seed N runs input set N % 16. The noisy kernel's and the baseline
+# fabric's logits hashes and row errors are pinned per set, so gate
+# vgg_noisy and vgg_clean on three more sets each (about 20 s apiece).
 for seed in 1 2 3; do
   python3 perfbench/run.py --workload vgg_noisy --seed "${seed}" --seconds 1
+  python3 perfbench/run.py --workload vgg_clean --seed "${seed}" --seconds 1
 done
 
 step "SFC_TRACE=OFF build (zero-instrumentation flavour stays green)"

@@ -1,6 +1,6 @@
 #include "cim/behavioral.hpp"
 
-#include <cassert>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,12 +33,28 @@ void require_temperature(double t, const std::vector<double>& temps,
   }
 }
 
+/// v_acc reads the grid's ends as its range and lerps between the first
+/// pair around T, so the grid must be finite and strictly increasing.
+void require_temperature_grid(const std::vector<double>& temps,
+                              const char* who) {
+  bool ordered = !temps.empty();
+  for (std::size_t i = 0; i < temps.size() && ordered; ++i) {
+    ordered = std::isfinite(temps[i]) && (i == 0 || temps[i] > temps[i - 1]);
+  }
+  if (!ordered) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": calibration temperatures must be nonempty, finite and strictly "
+        "increasing");
+  }
+}
+
 }  // namespace
 
 BehavioralArrayModel BehavioralArrayModel::calibrate(
     const ArrayConfig& cfg, const std::vector<double>& temps_c,
     const MonteCarloConfig* variation) {
-  assert(!temps_c.empty());
+  require_temperature_grid(temps_c, "BehavioralArrayModel::calibrate");
   BehavioralArrayModel m;
   m.cells_ = cfg.cells_per_row;
   m.temps_c_ = temps_c;
@@ -195,6 +211,7 @@ BehavioralArrayModel BehavioralArrayModel::from_text(const std::string& text) {
   m.sigma_.resize(static_cast<std::size_t>(m.cells_ + 1));
   for (auto& s : m.sigma_) in >> s;
   if (!in) throw std::runtime_error("BehavioralArrayModel: truncated data");
+  require_temperature_grid(m.temps_c_, "BehavioralArrayModel::from_text");
   m.build_thresholds();
   return m;
 }

@@ -25,7 +25,9 @@ class BehavioralArrayModel {
   BehavioralArrayModel() = default;
 
   /// Characterize a row: simulate every MAC value at every temperature in
-  /// `temps_c` (and optionally a Monte Carlo pass for sigma).
+  /// `temps_c` (and optionally a Monte Carlo pass for sigma). Throws
+  /// std::invalid_argument, before simulating anything, unless `temps_c`
+  /// is nonempty, finite and strictly increasing.
   static BehavioralArrayModel calibrate(const ArrayConfig& cfg,
                                         const std::vector<double>& temps_c,
                                         const MonteCarloConfig* variation =
@@ -69,6 +71,8 @@ class BehavioralArrayModel {
 
   /// Text serialization (levels at 12 significant digits).
   std::string to_text() const;
+  /// Throws std::runtime_error on corrupt text, and std::invalid_argument
+  /// unless the temperatures are finite and strictly increasing.
   static BehavioralArrayModel from_text(const std::string& text);
 
  private:

@@ -1,6 +1,8 @@
 #include "nn/cim_engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -14,7 +16,6 @@ namespace sfc::nn {
 namespace {
 
 constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
-constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
 
 /// SWAR per-byte popcount: returns a word whose every byte holds the
 /// popcount (0..8) of the corresponding input byte.
@@ -75,21 +76,93 @@ std::int64_t masked_dot(std::span<const std::uint8_t> a,
   return total;
 }
 
-/// Cheap content fingerprint: every element of a row shorter than 16,
-/// else the 16-31 elements at a stride of size / 16, plus the last one.
-/// Guards the weight-plane cache against a row being rewritten in place
-/// (or the allocator reusing an address for different weights).
-std::uint64_t weight_fingerprint(std::span<const std::int8_t> w) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ w.size();
-  const std::size_t stride = std::max<std::size_t>(1, w.size() / 16);
-  for (std::size_t i = 0; i < w.size(); i += stride) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint8_t>(w[i])) +
-         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+/// Activation v's spread: bit 7p set for each set bit p of v. Times a
+/// magnitude m <= 127, bit 7p + q holds bit p of v and bit q of m: each
+/// shifted copy of m fits in its 7 bits, so the product cannot carry.
+constexpr std::array<std::uint64_t, 256> kSpread = [] {
+  std::array<std::uint64_t, 256> spread{};
+  for (unsigned v = 0; v < 256; ++v) {
+    for (int p = 0; p < 8; ++p) {
+      spread[v] |= static_cast<std::uint64_t>((v >> p) & 1) << (7 * p);
+    }
   }
-  if (!w.empty()) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint8_t>(w.back())) << 32;
+  return spread;
+}();
+
+/// Set bits of each byte value: a table lookup, where std::popcount is a
+/// library call on x86-64 without -mpopcnt.
+constexpr std::array<std::uint8_t, 256> kBitCount = [] {
+  std::array<std::uint8_t, 256> count{};
+  for (unsigned v = 0; v < 256; ++v) {
+    count[v] = static_cast<std::uint8_t>(std::popcount(v));
   }
-  return h;
+  return count;
+}();
+
+/// Counts 0..8 per bit position, bit sliced: bit i of `ones`, `twos`,
+/// `fours` and `eights` is that bit of position i's count.
+struct BitCounts {
+  std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+};
+
+/// The sum bits of a full adder, bit by bit; *carry takes the carries.
+std::uint64_t full_add(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                       std::uint64_t* carry) {
+  const std::uint64_t u = a ^ b;
+  *carry = (a & b) | (u & c);
+  return u ^ c;
+}
+
+/// How many of x0..x7 have each bit set, by a carry-save adder tree.
+/// `inline` keeps GCC -O2 from calling it out of line.
+inline BitCounts count_bits(std::uint64_t x0, std::uint64_t x1,
+                            std::uint64_t x2, std::uint64_t x3,
+                            std::uint64_t x4, std::uint64_t x5,
+                            std::uint64_t x6, std::uint64_t x7) {
+  std::uint64_t k0 = 0, k1 = 0, k2 = 0, f0 = 0;
+  const std::uint64_t s0 = full_add(x0, x1, x2, &k0);
+  const std::uint64_t s1 = full_add(x3, x4, x5, &k1);
+  const std::uint64_t s2 = full_add(s0, s1, x6, &k2);
+  const std::uint64_t k3 = s2 & x7;  // the twos, like k0..k2
+  const std::uint64_t t0 = full_add(k0, k1, k2, &f0);
+  const std::uint64_t f1 = t0 & k3;  // the fours, like f0
+  return {s2 ^ x7, t0 ^ k3, f0 ^ f1, f0 & f1};
+}
+
+/// Bit i set when count i of `c` reaches k (1..8): count + (16 - k)
+/// carries out of 4 bits. `add` is 16 - k.
+std::uint64_t at_least(const BitCounts& c, unsigned add) {
+  std::uint64_t carry = (add & 1) != 0 ? c.ones : 0;
+  carry = (add & 2) != 0 ? (c.twos | carry) : (c.twos & carry);
+  carry = (add & 4) != 0 ? (c.fours | carry) : (c.fours & carry);
+  return c.eights | carry;  // add >= 8
+}
+
+/// Adds `mask` (one per bit position) to vertical bit-sliced counters:
+/// bit i of counter[b] is bit b of position i's count. The counters must
+/// be wide enough for the sum.
+void add_to_counters(std::uint64_t* counter, std::uint64_t mask) {
+  for (; mask != 0; ++counter) {
+    const std::uint64_t carry = *counter & mask;
+    *counter ^= mask;
+    mask = carry;
+  }
+}
+
+/// Sum over p, q of 2^(p+q) times bit 7p + q of x: the 7-bit fields at
+/// 7p, weighted 2^p, are summed pairwise in three folds.
+std::int64_t plane_weight(std::uint64_t x) {
+  constexpr std::uint64_t kFields7 = 0x7fULL | 0x7fULL << 14 | 0x7fULL << 28 |
+                                     0x7fULL << 42;
+  constexpr std::uint64_t kFields14 = 0x3fffULL | 0x3fffULL << 28;
+  x = (x & kFields7) + ((x >> 7) & kFields7) * 2;     // <= 381 at 14i
+  x = (x & kFields14) + ((x >> 14) & kFields14) * 4;  // <= 1905 at 28i
+  return static_cast<std::int64_t>((x & 0xfffffff) + (x >> 28) * 16);
+}
+
+/// Set bits of x.
+std::int64_t popcount64(std::uint64_t x) {
+  return static_cast<std::int64_t>((byte_popcounts(x) * kByteOnes) >> 56);
 }
 
 /// Floor on Box-Muller's u1 above which v + (0.0 + sigma * z) decodes as v
@@ -143,30 +216,40 @@ CimDotEngine::CimDotEngine(const sfc::cim::BehavioralArrayModel& model,
     const int prev = levels_[k - 1].decoded - (k - 1);
     if (delta == prev) continue;
     DecodeStep& step = steps_[n_steps_++];
-    step.bias = (0x80 - static_cast<std::uint64_t>(k)) * kByteOnes;
+    step.k = k;
     step.delta = delta - prev;
     step.errors = (delta != 0) - (prev != 0);
   }
 }
 
-const CimDotEngine::WeightPlanes& CimDotEngine::planes_for(
+const CimDotEngine::WeightRow& CimDotEngine::row_for(
     std::span<const std::int8_t> w) {
   const void* key = w.data();
-  const std::uint64_t fp = weight_fingerprint(w);
-  auto it = plane_cache_.find(key);
-  if (it != plane_cache_.end() && it->second.length == w.size() &&
-      it->second.fingerprint == fp) {
+  auto it = row_cache_.find(key);
+  if (it != row_cache_.end() && std::ranges::equal(it->second.bytes, w)) {
     return it->second;
   }
-  WeightPlanes planes;
-  planes.length = w.size();
-  planes.fingerprint = fp;
-  planes.words = (w.size() + 63) / 64;
-  planes.pos.assign(
-      static_cast<std::size_t>(weight_mag_bits_) * planes.words, 0);
-  planes.neg.assign(
-      static_cast<std::size_t>(weight_mag_bits_) * planes.words, 0);
-  for (std::size_t i = 0; i < planes.words; ++i) {
+  WeightRow row;
+  row.bytes.assign(w.begin(), w.end());
+  if (!opts_.with_variation_noise) {
+    const auto w_mask = static_cast<std::uint8_t>((1 << weight_mag_bits_) - 1);
+    row.mags.assign(16 * ((w.size() + 7) / 8), 0);
+    row.live.assign((w.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      // |-128| wraps to 0x80, whose low 7 bits are 0.
+      const auto mag = static_cast<std::uint8_t>(
+          static_cast<std::uint8_t>(w[i] < 0 ? -w[i] : w[i]) & w_mask);
+      row.mags[16 * (i / 8) + (w[i] < 0 ? 8 : 0) + i % 8] = mag;
+      row.live[i / 8] |= static_cast<std::uint8_t>((mag != 0) << (i % 8));
+    }
+    return row_cache_.insert_or_assign(key, std::move(row)).first->second;
+  }
+  row.words = (w.size() + 63) / 64;
+  row.pos.assign(
+      static_cast<std::size_t>(weight_mag_bits_) * row.words, 0);
+  row.neg.assign(
+      static_cast<std::size_t>(weight_mag_bits_) * row.words, 0);
+  for (std::size_t i = 0; i < row.words; ++i) {
     std::uint64_t pos[7] = {};
     std::uint64_t neg[7] = {};
     for (std::size_t g = 0; g < 8 && i * 64 + g * 8 < w.size(); ++g) {
@@ -189,14 +272,15 @@ const CimDotEngine::WeightPlanes& CimDotEngine::planes_for(
       }
     }
     for (int q = 0; q < weight_mag_bits_; ++q) {
-      const std::size_t at = static_cast<std::size_t>(q) * planes.words + i;
-      planes.pos[at] = pos[q];
-      planes.neg[at] = neg[q];
+      const std::size_t at = static_cast<std::size_t>(q) * row.words + i;
+      row.pos[at] = pos[q];
+      row.neg[at] = neg[q];
     }
   }
-  // insert_or_assign (not emplace): the allocator can reuse an address for
-  // a different weight row, which must overwrite the stale cache entry.
-  return plane_cache_.insert_or_assign(key, std::move(planes)).first->second;
+  // insert_or_assign (not emplace): a row rewritten in place, or the
+  // allocator reusing an address for a different weight row, must
+  // overwrite the stale cache entry.
+  return row_cache_.insert_or_assign(key, std::move(row)).first->second;
 }
 
 void CimDotEngine::pack_activations(std::span<const std::uint8_t> a) {
@@ -224,52 +308,80 @@ void CimDotEngine::pack_activations(std::span<const std::uint8_t> a) {
   }
 }
 
-std::int64_t CimDotEngine::decode_correction(const WeightPlanes& wp,
+void CimDotEngine::spread_activations(std::span<const std::uint8_t> a) {
+  const std::size_t groups = (a.size() + 7) / 8;
+  const auto a_mask = static_cast<std::uint8_t>((1u << act_bits_) - 1);
+  a_spread_.assign(8 * groups, 0);
+  a_live_.assign(groups, 0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::uint8_t v = a[i] & a_mask;
+    a_spread_[i] = kSpread[v];
+    a_live_[i / 8] |= static_cast<std::uint8_t>((v != 0) << (i % 8));
+  }
+  // A group's counts are at most its nonzero activations, so a group with
+  // fewer than the first step's k reaches no step.
+  a_groups_.clear();
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (kBitCount[a_live_[g]] >= steps_[0].k) a_groups_.push_back(g);
+  }
+}
+
+std::int64_t CimDotEngine::decode_correction(const WeightRow& row,
                                              std::int64_t* errors) const {
-  const std::size_t words = wp.words;
-  std::int64_t result = 0;
-  // The 8 * words * delta(0) term of every plane pair, padding bytes
+  const std::size_t length = row.bytes.size();
+  // The 8 * words * delta(0) term of every plane pair, padding groups
   // included, cancels between the positive and the negative planes of the
   // result but not in the miss count.
   std::int64_t misses =
       zero_misdecodes_ ? static_cast<std::int64_t>(act_bits_) *
                              weight_mag_bits_ * 2 * 8 *
-                             static_cast<std::int64_t>(words)
+                             static_cast<std::int64_t>((length + 63) / 64)
                        : 0;
-  // A group below the first step adds nothing, and its count is at most
-  // its activation byte's. Bias 0: without steps no byte reaches bit 7.
-  const std::uint64_t first_bias = n_steps_ > 0 ? steps_[0].bias : 0;
-  for (int p = 0; p < act_bits_; ++p) {
-    const std::uint64_t* ap =
-        a_planes_.data() + static_cast<std::size_t>(p) * words;
-    for (std::size_t i = 0; i < words; ++i) {
-      const std::uint64_t a = ap[i];
-      if (((byte_popcounts(a) + first_bias) & kByteHighs) == 0) continue;
-      for (int q = 0; q < weight_mag_bits_; ++q) {
-        const std::size_t at = static_cast<std::size_t>(q) * words + i;
-        const std::uint64_t pos_counts = byte_popcounts(a & wp.pos[at]);
-        const std::uint64_t neg_counts = byte_popcounts(a & wp.neg[at]);
-        std::int64_t pair = 0;  // sum_g delta(c_g) - delta(0), pos - neg
-        // The steps rise in k, so once no byte reaches one, none reaches
-        // a later one: a pair below the first step costs one test.
-        for (int s = 0; s < n_steps_; ++s) {
-          const DecodeStep& step = steps_[s];
-          // Bit 0 of a byte flags a positive count >= k, bit 4 a negative
-          // one; the multiply sums the bytes into the top byte (<= 136).
-          const std::uint64_t flags =
-              (((pos_counts + step.bias) & kByteHighs) >> 7) |
-              (((neg_counts + step.bias) & kByteHighs) >> 3);
-          if (flags == 0) break;
-          const auto sums =
-              static_cast<std::int64_t>((flags * kByteOnes) >> 56);
-          const std::int64_t pos_reach = sums & 15;
-          const std::int64_t neg_reach = sums >> 4;
-          pair += step.delta * (pos_reach - neg_reach);
-          misses += step.errors * (pos_reach + neg_reach);
-        }
-        result += pair * (std::int64_t{1} << (p + q));
-      }
+  // Per step and sign, vertical counters of the groups whose count reaches
+  // the step, one bit position per plane pair; `width` bits hold any
+  // count up to the row's number of groups. Only the first
+  // 2 * n_steps_ * width words are used, and they are zeroed here.
+  const auto width =
+      static_cast<std::size_t>(std::bit_width((length + 7) / 8));
+  std::uint64_t counters[8 * 2 * 64];
+  std::fill_n(counters, 2 * static_cast<std::size_t>(n_steps_) * width, 0);
+  for (const std::size_t g : a_groups_) {
+    // Its count is at most its live activation-weight pairs.
+    if (kBitCount[a_live_[g] & row.live[g]] < steps_[0].k) continue;
+    const std::uint64_t* spread = a_spread_.data() + 8 * g;
+    const std::uint8_t* mags = row.mags.data() + 16 * g;
+    const BitCounts pos = count_bits(
+        spread[0] * mags[0], spread[1] * mags[1], spread[2] * mags[2],
+        spread[3] * mags[3], spread[4] * mags[4], spread[5] * mags[5],
+        spread[6] * mags[6], spread[7] * mags[7]);
+    const BitCounts neg = count_bits(
+        spread[0] * mags[8], spread[1] * mags[9], spread[2] * mags[10],
+        spread[3] * mags[11], spread[4] * mags[12], spread[5] * mags[13],
+        spread[6] * mags[14], spread[7] * mags[15]);
+    // The steps rise in k, so once no count reaches one, none reaches a
+    // later one.
+    for (int s = 0; s < n_steps_; ++s) {
+      const auto add = static_cast<unsigned>(16 - steps_[s].k);
+      const std::uint64_t pos_reach = at_least(pos, add);
+      const std::uint64_t neg_reach = at_least(neg, add);
+      if ((pos_reach | neg_reach) == 0) break;
+      add_to_counters(counters + 2 * s * width, pos_reach);
+      add_to_counters(counters + (2 * s + 1) * width, neg_reach);
     }
+  }
+  std::int64_t result = 0;
+  for (int s = 0; s < n_steps_; ++s) {
+    const std::uint64_t* pos = counters + 2 * s * width;
+    const std::uint64_t* neg = pos + width;
+    std::int64_t weight = 0;  // sum over pairs of 2^(p+q) (pos - neg)
+    std::int64_t reach = 0;   // groups reaching the step over all pairs
+    for (std::size_t b = 0; b < width; ++b) {
+      const std::int64_t scale = std::int64_t{1} << b;
+      weight += (plane_weight(pos[b]) - plane_weight(neg[b])) * scale;
+      reach += (popcount64(pos[b]) + popcount64(neg[b])) * scale;
+    }
+    result += steps_[s].delta * weight;
+    misses += steps_[s].errors * reach;
   }
   *errors += misses;
   return result;
@@ -323,20 +435,20 @@ std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
   return total;
 }
 
-std::int64_t CimDotEngine::noisy_row(const WeightPlanes& wp,
+std::int64_t CimDotEngine::noisy_row(const WeightRow& row,
                                      sfc::util::Rng& rng,
                                      std::int64_t* errors) const {
-  const std::size_t words = wp.words;
+  const std::size_t words = row.words;
   std::int64_t result = 0;
   for (int p = 0; p < act_bits_; ++p) {
     const std::uint64_t* ap =
         a_planes_.data() + static_cast<std::size_t>(p) * words;
     for (int q = 0; q < weight_mag_bits_; ++q) {
       const std::int64_t pos = binary_dot(
-          ap, wp.pos.data() + static_cast<std::size_t>(q) * words, words, rng,
+          ap, row.pos.data() + static_cast<std::size_t>(q) * words, words, rng,
           errors);
       const std::int64_t neg = binary_dot(
-          ap, wp.neg.data() + static_cast<std::size_t>(q) * words, words, rng,
+          ap, row.neg.data() + static_cast<std::size_t>(q) * words, words, rng,
           errors);
       result += ((pos - neg) << (p + q));
     }
@@ -382,24 +494,28 @@ void CimDotEngine::dot_batch(std::span<const std::uint8_t> a,
       out[r] = masked_dot(a, row_weights(r), a_mask, w_mask);
     });
   } else {
-    pack_activations(a);
-    // The plane cache is shared mutable state, so resolve every row's
-    // planes serially up front; references into the unordered_map stay
-    // valid while the parallel tasks only read them.
-    row_planes_.resize(rows);
+    if (opts_.with_variation_noise) {
+      pack_activations(a);
+    } else {
+      spread_activations(a);
+    }
+    // The row cache is shared mutable state, so resolve every row
+    // serially up front; references into the unordered_map stay valid
+    // while the parallel tasks only read them.
+    batch_rows_.resize(rows);
     batch_errors_.resize(rows);
     for (std::size_t r = 0; r < rows; ++r) {
-      row_planes_[r] = &planes_for(row_weights(r));
+      batch_rows_[r] = &row_for(row_weights(r));
     }
     sfc::exec::parallel_for(opts_.exec, rows, [&](std::size_t r) {
       std::int64_t err = 0;
       if (opts_.with_variation_noise) {
         sfc::util::Rng rng =
             sfc::exec::stream_rng(opts_.noise_seed, noise_base + r);
-        out[r] = noisy_row(*row_planes_[r], rng, &err);
+        out[r] = noisy_row(*batch_rows_[r], rng, &err);
       } else {
         out[r] = masked_dot(a, row_weights(r), a_mask, w_mask) +
-                 decode_correction(*row_planes_[r], &err);
+                 decode_correction(*batch_rows_[r], &err);
       }
       batch_errors_[r] = err;
     });

@@ -21,7 +21,9 @@
 // weight_bits - 1) plus sum over plane pairs of +-2^(p+q) sum_g delta(c_g).
 // On a fabric where every count decodes exactly (delta = 0) that is a.w
 // alone, with nothing packed. Otherwise the correction sums, per step of
-// delta, the groups whose count reaches the step (DESIGN.md §7).
+// delta, the groups whose count reaches the step; each 8-element group
+// counts all 56 of its plane pairs at once in one 64-bit word per sign
+// (bit 7p + q for pair (p, q); DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -92,28 +94,38 @@ class CimDotEngine final : public DotEngine {
   /// A count k at which delta(k) = decoded(k) - k differs from
   /// delta(k - 1).
   struct DecodeStep {
-    /// 0x80 - k in every byte: a byte count c sets bit 7 of c + bias
-    /// exactly when c >= k.
-    std::uint64_t bias = 0;
+    int k = 0;
     std::int64_t delta = 0;   ///< delta(k) - delta(k - 1)
     std::int64_t errors = 0;  ///< [delta(k) != 0] - [delta(k - 1) != 0]
   };
 
-  struct WeightPlanes {
-    std::size_t length = 0;           ///< element count
-    std::uint64_t fingerprint = 0;    ///< sampled content hash (staleness)
+  /// One weight row as a kernel reads it. A noisy engine keeps its bit
+  /// planes, a noiseless miscounting one its element magnitudes.
+  struct WeightRow {
+    /// The row's bytes when it was packed: a lookup compares all of them.
+    std::vector<std::int8_t> bytes;
     std::size_t words = 0;            ///< packed 64-bit words per plane
     std::vector<std::uint64_t> pos;   ///< per magnitude bit x words
     std::vector<std::uint64_t> neg;
+    /// Per 8-element group, the masked magnitudes of its positive then of
+    /// its negative elements (16 bytes, 0 for the other sign and for the
+    /// padding of the last group).
+    std::vector<std::uint8_t> mags;
+    /// Per group, bit j set when element j's masked magnitude is nonzero.
+    std::vector<std::uint8_t> live;
   };
 
-  const WeightPlanes& planes_for(std::span<const std::int8_t> w);
+  const WeightRow& row_for(std::span<const std::int8_t> w);
+  /// Noisy engines: the activations' bit planes.
   void pack_activations(std::span<const std::uint8_t> a);
+  /// Noiseless miscounting engines: the activations' spreads and the
+  /// groups that can reach the first step.
+  void spread_activations(std::span<const std::uint8_t> a);
   /// Sum over a noiseless row's plane pairs of +-2^(p+q) sum_g delta(c_g)
-  /// against the currently packed activations; misdecoded groups are
+  /// against the currently spread activations; misdecoded groups are
   /// tallied into *errors. Const + reentrant so batched rows can run
   /// concurrently.
-  std::int64_t decode_correction(const WeightPlanes& wp,
+  std::int64_t decode_correction(const WeightRow& row,
                                  std::int64_t* errors) const;
   /// One noisy binary dot product: each 64-element word takes its 8
   /// groups' draws from `rng` as 4 Box-Muller pairs, so `rng` must sit at
@@ -123,7 +135,7 @@ class CimDotEngine final : public DotEngine {
                           sfc::util::Rng& rng, std::int64_t* errors) const;
   /// Full shift-add over all (activation, weight) plane pairs of one noisy
   /// row against the currently packed activations.
-  std::int64_t noisy_row(const WeightPlanes& wp, sfc::util::Rng& rng,
+  std::int64_t noisy_row(const WeightRow& row, sfc::util::Rng& rng,
                          std::int64_t* errors) const;
 
   const sfc::cim::BehavioralArrayModel& model_;
@@ -145,15 +157,21 @@ class CimDotEngine final : public DotEngine {
   int act_bits_ = 8;
   int weight_mag_bits_ = 7;
 
-  /// Weight plane cache keyed by weight data pointer. Assumes weight
-  /// storage is stable for the engine's lifetime (true for
-  /// QuantizedNetwork, whose rows live in the QuantOp vectors).
-  std::unordered_map<const void*, WeightPlanes> plane_cache_;
+  /// Weight row cache keyed by weight data pointer. An entry whose bytes
+  /// differ from the row's (a row rewritten in place, or another row at a
+  /// reused address) is rebuilt.
+  std::unordered_map<const void*, WeightRow> row_cache_;
   /// Scratch activation planes, and the activations padded to whole words.
   std::vector<std::uint64_t> a_planes_;
   std::vector<std::uint8_t> a_padded_;
+  /// Scratch activation spreads padded to whole groups, per group the bit
+  /// mask of its nonzero activations, and the groups with at least the
+  /// first step's k of them.
+  std::vector<std::uint64_t> a_spread_;
+  std::vector<std::uint8_t> a_live_;
+  std::vector<std::size_t> a_groups_;
   /// Per-row scratch of packed batches, resized per call.
-  std::vector<const WeightPlanes*> row_planes_;
+  std::vector<const WeightRow*> batch_rows_;
   std::vector<std::int64_t> batch_errors_;
 };
 

@@ -103,20 +103,57 @@ TEST(Behavioral, ThresholdsAreMonotone) {
 }
 
 TEST(Behavioral, NoiseInjectionFlipsSomeDecodes) {
-  BehavioralArrayModel m = proposed_model();
+  const auto& m = proposed_model();
   // No calibrated sigma -> noise draw changes nothing.
   util::Rng rng(1);
   EXPECT_EQ(m.mac(4, 27.0, &rng), 4);
-
-  // With a synthetic sigma comparable to the level spacing, decodes flip.
-  const std::string text = m.to_text();
-  BehavioralArrayModel noisy = BehavioralArrayModel::from_text(text);
-  // Round-trip keeps behaviour; now test the noise path via a model whose
-  // sigma we can't set directly - so instead sample decode() around a
-  // threshold explicitly:
   const double th = m.thresholds()[3];
   EXPECT_EQ(m.decode(th - 1e-6), 3);
   EXPECT_EQ(m.decode(th + 1e-6), 4);
+
+  // Levels 50 mV apart with a 30 mV sigma: each noisy mac() decodes its
+  // level plus the next normal draw, and some draws cross a threshold.
+  const BehavioralArrayModel noisy = BehavioralArrayModel::from_text(
+      "sfc-behavioral-v1\n8 27 1\n27\n"
+      "0.10 0.15 0.20 0.25 0.30 0.35 0.40 0.45 0.50\n"
+      "0.03 0.03 0.03 0.03 0.03 0.03 0.03 0.03 0.03\n");
+  util::Rng noise(7);
+  util::Rng replay(7);
+  int flipped = 0;
+  for (int i = 0; i < 200; ++i) {
+    const int got = noisy.mac(4, 27.0, &noise);
+    EXPECT_EQ(got, noisy.decode(noisy.v_acc(4, 27.0) +
+                                replay.normal(0.0, noisy.sigma(4))))
+        << "draw " << i;
+    flipped += got != 4;
+  }
+  EXPECT_GT(flipped, 0);
+  EXPECT_EQ(noisy.mac(4, 27.0), 4);
+}
+
+// v_acc reads the grid's ends as its range and lerps between the first
+// pair around T, so both entry points refuse a grid that is not finite and
+// strictly increasing. calibrate refuses it before simulating anything.
+TEST(Behavioral, RejectsUnorderedTemperatureGrid) {
+  const auto text = [](const std::string& temps) {
+    return "sfc-behavioral-v1\n2 27 3\n" + temps +
+           "\n0.20 0.26 0.32 0.22 0.28 0.34 0.21 0.27 0.33\n0 0 0\n";
+  };
+  EXPECT_NO_THROW(BehavioralArrayModel::from_text(text("0 27 85")));
+  EXPECT_THROW(BehavioralArrayModel::from_text(text("0 85 27")),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel::from_text(text("0 27 27")),
+               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> grids = {
+      {0.0, 85.0, 27.0}, {27.0, 27.0}, {27.0, nan}, {0.0, 27.0, inf}, {}};
+  for (const std::vector<double>& grid : grids) {
+    EXPECT_THROW(BehavioralArrayModel::calibrate(
+                     ArrayConfig::proposed_2t1fefet(), grid),
+                 std::invalid_argument)
+        << grid.size() << " temperatures";
+  }
 }
 
 TEST(Behavioral, SerializationRoundTrip) {

@@ -587,6 +587,97 @@ TEST(CimEngine, NoiselessRowReplaysModelDecode) {
   }
 }
 
+/// A model whose counts decode exactly at 27 degC and as j + delta[j] at
+/// 85 degC: its 85 degC level for count j is the design level of
+/// j + delta[j].
+sfc::cim::BehavioralArrayModel decoding_model(const std::vector<int>& delta) {
+  std::vector<double> hot;
+  for (int j = 0; j <= 8; ++j) {
+    hot.push_back(kEvenLevels[static_cast<std::size_t>(j + delta[j])]);
+  }
+  return text_model(kEvenLevels, 0.0, hot);
+}
+
+/// ones_heavy_inputs with 3 in 4 weights zeroed: groups with every
+/// activation nonzero but few nonzero activation-weight pairs.
+void sparse_weights(std::size_t len, std::uint64_t seed,
+                    std::vector<std::uint8_t>* a,
+                    std::vector<std::int8_t>* w) {
+  ones_heavy_inputs(len, seed, a, w);
+  sfc::util::Rng rng(seed + 1);
+  for (auto& v : *w) {
+    if (rng.bernoulli(0.75)) v = 0;
+  }
+}
+
+// Every shape of decode step, replayed group by group through mac(): one
+// step down at each k = 1..8, a +2 step followed by a -2 one, and count 0
+// misdecoding. Ones-heavy rows reach every count; sparse activations leave
+// groups with fewer than k nonzero activations, and sparse weights groups
+// with fewer than k nonzero activation-weight pairs, which reach no step.
+// A row of 4,100 elements has 513 groups, so a plane pair's count of
+// groups reaching a step can pass 255.
+TEST(CimEngine, EveryDecodeStepReplaysModelDecode) {
+  std::vector<std::vector<int>> deltas;
+  for (int k = 1; k <= 8; ++k) {
+    std::vector<int> delta(9, 0);
+    for (int j = k; j <= 8; ++j) delta[static_cast<std::size_t>(j)] = -1;
+    deltas.push_back(delta);
+  }
+  deltas.push_back({0, 0, 2, 2, 2, 0, 0, 0, 0});
+  deltas.push_back({1, 1, 1, 0, 0, 0, 0, 0, 0});
+  using Inputs = void (*)(std::size_t, std::uint64_t,
+                          std::vector<std::uint8_t>*,
+                          std::vector<std::int8_t>*);
+  for (const std::vector<int>& delta : deltas) {
+    const auto model = decoding_model(delta);
+    ASSERT_EQ(decode_errors(model, 85.0), delta);
+    CimDotEngine::Options opts;
+    opts.temperature_c = 85.0;
+    std::int64_t errors = 0;
+    for (const int bits : {2, 4, 8}) {
+      opts.activation_bits = bits;
+      opts.weight_bits = bits;
+      for (const std::size_t len : kRowLengths) {
+        for (const Inputs inputs :
+             {Inputs{ones_heavy_inputs}, Inputs{sparse_inputs},
+              Inputs{sparse_weights}}) {
+          SCOPED_TRACE(testing::Message() << bits << " bits, len " << len);
+          std::vector<std::uint8_t> a;
+          std::vector<std::int8_t> w;
+          inputs(len, 90 + len, &a, &w);
+          errors += expect_replays(model, opts, a, w).errors;
+        }
+      }
+    }
+    std::vector<std::uint8_t> a;
+    std::vector<std::int8_t> w;
+    ones_heavy_inputs(4100, 91, &a, &w);
+    errors += expect_replays(model, opts, a, w).errors;
+    EXPECT_GT(errors, 0);
+  }
+}
+
+// A row rewritten in place between two dot() calls is packed again: the
+// second call equals a fresh engine's, although the rewritten element
+// changes only group 0's counts.
+TEST(CimEngine, RowRewrittenInPlaceIsPackedAgain) {
+  const auto model = decoding_model({0, 0, 0, 0, 0, 0, 0, 0, -1});
+  CimDotEngine::Options opts;
+  opts.temperature_c = 85.0;
+  const std::vector<std::uint8_t> a(200, 255);
+  std::vector<std::int8_t> w(200, 127);
+  CimDotEngine engine(model, opts);
+  IdealDotEngine ideal;
+  // All 25 groups count 8, which reads 7, on every positive plane pair.
+  EXPECT_EQ(engine.dot(a, w) - ideal.dot(a, w), -25LL * 255 * 127);
+  w[1] = 0;  // group 0 now counts 7, which decodes exactly
+  const std::int64_t got = engine.dot(a, w);
+  CimDotEngine fresh(model, opts);
+  EXPECT_EQ(got, fresh.dot(a, w));
+  EXPECT_EQ(got - ideal.dot(a, w), -24LL * 255 * 127);
+}
+
 // The planes hold only the wordlength's bits: a weight of -128 has no
 // magnitude bit below 2^7, and a b-bit engine sees the low b bits of an
 // activation and the low b - 1 of a weight magnitude. The exact fabric's
