@@ -2,7 +2,8 @@
 //   A. feedback loop strength (M2 width) - what the second transistor buys
 //   B. WL disable level - the MAC=0 leakage-creep failure mode
 //   C. cell capacitor sizing - settling vs. creep trade-off
-//   D. AC view: small-signal bandwidth of the sensing path
+//   D. AC view: small-signal WL -> A gain (1 kHz and 100 MHz) and
+//      WL -> OUT gain (1 kHz) of the cell at read bias
 // Each section prints the figure of merit it moves.
 #include <cstdio>
 #include <vector>

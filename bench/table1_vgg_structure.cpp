@@ -1,6 +1,7 @@
-// Table I reproduction: the VGG network executed on CIFAR-10, printed
-// layer by layer, plus the parameter/MAC budget and the width-scaled
-// variant used for CPU-feasible training in this reproduction.
+// Table I reproduction: the VGG network executed on CIFAR-10, read off the
+// network build_vgg returns and printed layer by layer, plus the parameter
+// budget and the width-scaled variant used for CPU-feasible training in
+// this reproduction.
 #include <cstdio>
 
 #include "nn/vgg.hpp"
@@ -10,15 +11,15 @@ using namespace sfc::nn;
 namespace {
 
 void print_table(const char* title, const VggConfig& cfg) {
+  Sequential net = build_vgg(cfg);
   std::printf("%s\n", title);
   std::printf("  %-20s %-12s %-12s %s\n", "Layer", "Input Map", "Output Map",
               "Non Linearity");
-  for (const auto& row : vgg_table(cfg)) {
+  for (const auto& row : vgg_table(net)) {
     std::printf("  %-20s %-12s %-12s %s\n", row.layer.c_str(),
                 row.input_map.c_str(), row.output_map.c_str(),
                 row.nonlinearity.c_str());
   }
-  Sequential net = build_vgg(cfg);
   std::printf("  -> %zu trainable parameters\n\n", net.num_parameters());
 }
 

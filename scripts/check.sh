@@ -109,9 +109,12 @@ for workload in ${workloads}; do
   python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 1
 done
 # Seed N runs input set N % 16. The noisy kernel's and the baseline
-# fabric's logits hashes and row errors are pinned per set, so gate
-# vgg_noisy and vgg_clean on three more sets each (about 20 s apiece).
+# fabric's logits hashes and row errors are pinned per set, and so are the
+# Monte Carlo's solver counters and samples, so gate every workload on
+# three more sets each (about 20 s apiece for the VGG ones, 6 s for
+# mc_fig9).
 for seed in 1 2 3; do
+  python3 perfbench/run.py --workload mc_fig9 --seed "${seed}" --seconds 1
   python3 perfbench/run.py --workload vgg_noisy --seed "${seed}" --seconds 1
   python3 perfbench/run.py --workload vgg_clean --seed "${seed}" --seconds 1
 done

@@ -174,7 +174,6 @@ MacResult CiMRow::evaluate(const std::vector<int>& inputs,
   result.ops = cfg_.cells_per_row + 1;
   sfc::spice::TransientResult tr = engine.transient(t.t_total(), opts);
   result.converged = tr.converged;
-  result.newton_iterations = tr.total_newton_iterations;
   if (!tr.converged) return result;
 
   result.v_acc = tr.final_value(kAccNode);

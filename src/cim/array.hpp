@@ -12,7 +12,8 @@
 
 namespace sfc::cim {
 
-/// Result of one MAC cycle.
+/// Result of one MAC cycle: its physics only. The solver work it took is
+/// counted by the trace ledger (spice.newton.iterations, DESIGN.md §11).
 struct MacResult {
   bool converged = false;
   /// Final voltage on the accumulation capacitor [V] (the MAC output).
@@ -23,8 +24,6 @@ struct MacResult {
   double energy_joules = 0.0;
   /// Ops per row MAC: n multiplications + 1 accumulation (paper Sec. IV-A).
   int ops = 0;
-  /// Newton iterations spent on the cycle (solver benchmark metric).
-  long newton_iterations = 0;
   /// Full waveform record (only populated when requested).
   sfc::spice::TransientResult waveforms;
 

@@ -3,12 +3,17 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/interp.hpp"
 #include "util/stats.hpp"
 
 namespace sfc::cim {
 namespace {
+
+/// The paper's sensing references are designed at room temperature.
+constexpr double kDesignTempC = 27.0;
 
 /// MAC values index the calibrated levels 0..cells. This is a check on the
 /// caller, so it throws in every build instead of asserting.
@@ -51,21 +56,43 @@ void require_temperature_grid(const std::vector<double>& temps,
 
 }  // namespace
 
+BehavioralArrayModel::BehavioralArrayModel(int cells,
+                                           std::vector<double> temps_c,
+                                           std::vector<double> v,
+                                           std::vector<double> sigma)
+    : cells_(cells),
+      temps_c_(std::move(temps_c)),
+      v_(std::move(v)),
+      sigma_(std::move(sigma)) {
+  if (cells_ < 1) {
+    throw std::invalid_argument(
+        "BehavioralArrayModel: a row needs at least one cell");
+  }
+  require_temperature_grid(temps_c_, "BehavioralArrayModel");
+  const auto levels = static_cast<std::size_t>(cells_) + 1;
+  if (v_.size() != temps_c_.size() * levels || sigma_.size() != levels) {
+    throw std::invalid_argument(
+        "BehavioralArrayModel: " + std::to_string(v_.size()) + " levels and " +
+        std::to_string(sigma_.size()) + " sigmas do not fit " +
+        std::to_string(cells_) + " cells at " +
+        std::to_string(temps_c_.size()) + " temperatures");
+  }
+  // Midpoints of the design-temperature levels.
+  for (int k = 0; k < cells_; ++k) {
+    thresholds_.push_back(
+        0.5 * (v_acc(k, kDesignTempC) + v_acc(k + 1, kDesignTempC)));
+  }
+}
+
 BehavioralArrayModel BehavioralArrayModel::calibrate(
     const ArrayConfig& cfg, const std::vector<double>& temps_c,
     const MonteCarloConfig* variation) {
   require_temperature_grid(temps_c, "BehavioralArrayModel::calibrate");
-  BehavioralArrayModel m;
-  m.cells_ = cfg.cells_per_row;
-  m.temps_c_ = temps_c;
-  // The paper's sensing references are designed at room temperature.
-  m.design_temp_c_ = 27.0;
-
   const int n = cfg.cells_per_row;
   CiMRow row(cfg);
   row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
-  m.v_.reserve(temps_c.size() * static_cast<std::size_t>(n + 1));
-
+  std::vector<double> v;
+  v.reserve(temps_c.size() * static_cast<std::size_t>(n + 1));
   for (double t : temps_c) {
     for (const MacResult& r : row.evaluate_levels(t)) {
       if (!r.converged) {
@@ -73,14 +100,14 @@ BehavioralArrayModel BehavioralArrayModel::calibrate(
             "BehavioralArrayModel: row failed to converge during "
             "calibration");
       }
-      m.v_.push_back(r.v_acc);
+      v.push_back(r.v_acc);
     }
   }
 
-  m.sigma_.assign(static_cast<std::size_t>(n + 1), 0.0);
+  std::vector<double> sigma(static_cast<std::size_t>(n + 1), 0.0);
   if (variation != nullptr) {
     MonteCarloConfig mc = *variation;
-    mc.temperature_c = m.design_temp_c_;
+    mc.temperature_c = kDesignTempC;
     const MonteCarloResult mcr = run_montecarlo(cfg, mc);
     // Per-MAC standard deviation of the raw output voltage.
     for (int k = 0; k <= n; ++k) {
@@ -89,26 +116,11 @@ BehavioralArrayModel BehavioralArrayModel::calibrate(
         if (s.mac == k) vals.push_back(s.v_acc);
       }
       if (!vals.empty()) {
-        m.sigma_[static_cast<std::size_t>(k)] = util::stddev(vals);
+        sigma[static_cast<std::size_t>(k)] = util::stddev(vals);
       }
     }
   }
-
-  m.build_thresholds();
-  return m;
-}
-
-void BehavioralArrayModel::build_thresholds() {
-  thresholds_.clear();
-  // Level means at the design temperature.
-  std::vector<double> design_levels(static_cast<std::size_t>(cells_) + 1);
-  for (int k = 0; k <= cells_; ++k) {
-    design_levels[static_cast<std::size_t>(k)] = v_acc(k, design_temp_c_);
-  }
-  for (int k = 0; k < cells_; ++k) {
-    thresholds_.push_back(0.5 * (design_levels[static_cast<std::size_t>(k)] +
-                                 design_levels[static_cast<std::size_t>(k) + 1]));
-  }
+  return BehavioralArrayModel(n, temps_c, std::move(v), std::move(sigma));
 }
 
 double BehavioralArrayModel::v_acc(int mac, double temperature_c) const {
@@ -175,45 +187,6 @@ int BehavioralArrayModel::mac_tracking(int true_count, double temperature_c,
     v += noise_rng->normal(0.0, sigma(true_count));
   }
   return decode_tracking(v, temperature_c);
-}
-
-std::string BehavioralArrayModel::to_text() const {
-  std::ostringstream out;
-  out.precision(12);
-  out << "sfc-behavioral-v1\n";
-  out << cells_ << ' ' << design_temp_c_ << ' ' << temps_c_.size() << '\n';
-  for (double t : temps_c_) out << t << ' ';
-  out << '\n';
-  for (double v : v_) out << v << ' ';
-  out << '\n';
-  for (double s : sigma_) out << s << ' ';
-  out << '\n';
-  return out.str();
-}
-
-BehavioralArrayModel BehavioralArrayModel::from_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
-  in >> magic;
-  if (magic != "sfc-behavioral-v1") {
-    throw std::runtime_error("BehavioralArrayModel: bad header");
-  }
-  BehavioralArrayModel m;
-  std::size_t num_temps = 0;
-  in >> m.cells_ >> m.design_temp_c_ >> num_temps;
-  if (!in || m.cells_ < 1 || num_temps < 1) {
-    throw std::runtime_error("BehavioralArrayModel: bad dimensions");
-  }
-  m.temps_c_.resize(num_temps);
-  for (auto& t : m.temps_c_) in >> t;
-  m.v_.resize(num_temps * static_cast<std::size_t>(m.cells_ + 1));
-  for (auto& v : m.v_) in >> v;
-  m.sigma_.resize(static_cast<std::size_t>(m.cells_ + 1));
-  for (auto& s : m.sigma_) in >> s;
-  if (!in) throw std::runtime_error("BehavioralArrayModel: truncated data");
-  require_temperature_grid(m.temps_c_, "BehavioralArrayModel::from_text");
-  m.build_thresholds();
-  return m;
 }
 
 }  // namespace sfc::cim

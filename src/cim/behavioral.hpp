@@ -7,11 +7,13 @@
 // replay it from a lookup table:
 //   v(mac, T): mean output voltage, bilinear in T,
 //   sigma(mac): process-variation spread (optional, from Monte Carlo),
-//   decode(): ADC with thresholds frozen at the design temperature, so
-//   temperature drift shows up as real misclassified MAC counts.
+//   decode(): ADC with thresholds frozen at the 27 degC design
+//   temperature, so temperature drift shows up as real misclassified MAC
+//   counts.
+// A model is nothing but those levels: calibrate() measures them on a
+// simulated row, and the constructor builds a model from given ones.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cim/array.hpp"
@@ -22,7 +24,19 @@ namespace sfc::cim {
 
 class BehavioralArrayModel {
  public:
+  /// An uncalibrated model, to assign a calibrated one to later: v_acc()
+  /// and the MAC reads built on it throw std::logic_error until then.
   BehavioralArrayModel() = default;
+
+  /// A model from its levels. `v[t * (cells + 1) + mac]` is the mean
+  /// output voltage of MAC 0..cells at temperature `temps_c[t]`, and
+  /// `sigma[mac]` its process-variation spread [V]. The ADC thresholds are
+  /// the midpoints of the levels at 27 degC. Throws std::invalid_argument
+  /// unless cells >= 1, `temps_c` is nonempty, finite, strictly increasing
+  /// and covers 27 degC, `v` holds one level per temperature and MAC, and
+  /// `sigma` one value per MAC.
+  BehavioralArrayModel(int cells, std::vector<double> temps_c,
+                       std::vector<double> v, std::vector<double> sigma);
 
   /// Characterize a row: simulate every MAC value at every temperature in
   /// `temps_c` (and optionally a Monte Carlo pass for sigma). Throws
@@ -69,17 +83,8 @@ class BehavioralArrayModel {
   /// Decision thresholds (midpoints of design-temperature levels).
   const std::vector<double>& thresholds() const { return thresholds_; }
 
-  /// Text serialization (levels at 12 significant digits).
-  std::string to_text() const;
-  /// Throws std::runtime_error on corrupt text, and std::invalid_argument
-  /// unless the temperatures are finite and strictly increasing.
-  static BehavioralArrayModel from_text(const std::string& text);
-
  private:
-  void build_thresholds();
-
   int cells_ = 0;
-  double design_temp_c_ = 27.0;
   std::vector<double> temps_c_;
   /// v_[t * (cells_+1) + mac]
   std::vector<double> v_;

@@ -50,7 +50,6 @@ namespace {
 /// Everything one Monte Carlo run produces; merged in run order.
 struct RunOutcome {
   std::vector<MonteCarloSample> samples;
-  long newton_iterations = 0;
   double wall_ms = 0.0;
 };
 
@@ -76,7 +75,6 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
     row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
     for (const MacResult& r : row.evaluate_levels(mc.temperature_c)) {
       if (!r.converged) result.all_converged = false;
-      result.total_newton_iterations += r.newton_iterations;
       nominal.push_back(r.v_acc);
     }
   }
@@ -115,7 +113,6 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
         bool converged = true;
         for (int k : macs) {
           MacResult r = row.evaluate(level_inputs(n, k), mc.temperature_c);
-          outcome.newton_iterations += r.newton_iterations;
           if (!r.converged) {
             converged = false;
             continue;
@@ -141,7 +138,6 @@ MonteCarloResult run_montecarlo(const ArrayConfig& cfg,
   result.job.task_ms.reserve(outcomes.size());
   for (const auto& outcome : outcomes) {
     result.job.task_ms.push_back(outcome.wall_ms);
-    result.total_newton_iterations += outcome.newton_iterations;
     for (const auto& s : outcome.samples) {
       result.max_error_percent =
           std::max(result.max_error_percent, s.error_percent);

@@ -60,6 +60,9 @@ struct MonteCarloSample {
   double error_levels = 0.0;
 };
 
+/// The samples of a Monte Carlo analysis and their statistics. The solver
+/// work of its MAC cycles is counted by the trace ledger, not here
+/// (DESIGN.md §11).
 struct MonteCarloResult {
   std::vector<MonteCarloSample> samples;
   std::vector<double> nominal_levels;  ///< v_acc per MAC without variation
@@ -71,9 +74,6 @@ struct MonteCarloResult {
   /// the wrong MAC for that sample).
   double max_error_levels = 0.0;
   bool all_converged = true;
-  /// Newton iterations summed over every simulated MAC cycle (nominal
-  /// levels + all runs) — the solver benchmark's work metric.
-  long total_newton_iterations = 0;
   /// The Monte Carlo fan-out: its wall time, each run's own wall time in
   /// job.task_ms (indexed by run, measured inside the run), and in
   /// job.failed the runs in which some MAC cycle did not converge.

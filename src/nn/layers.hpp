@@ -34,7 +34,7 @@ class Layer {
   virtual void zero_gradients();
 
   virtual std::string name() const = 0;
-  /// Output shape given an input shape (for model summaries).
+  /// Output shape given an input shape (vgg_table walks a network by it).
   virtual std::vector<int> output_shape(const std::vector<int>& in) const = 0;
 };
 
@@ -67,7 +67,7 @@ class Conv2d final : public Layer {
   Tensor cached_input_;
 };
 
-/// 2x2 max pooling, stride 2.
+/// window x window max pooling, stride window (Table I: 2x2).
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(int window = 2);
@@ -76,6 +76,7 @@ class MaxPool2d final : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override;
   std::vector<int> output_shape(const std::vector<int>& in) const override;
+  int window() const { return window_; }
 
  private:
   int window_;

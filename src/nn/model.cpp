@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -47,29 +46,6 @@ std::size_t Sequential::num_parameters() {
   std::size_t n = 0;
   for (Tensor* p : parameters()) n += p->size();
   return n;
-}
-
-std::string Sequential::summary(std::vector<int> input_shape) const {
-  std::string out;
-  char line[160];
-  std::vector<int> shape = std::move(input_shape);
-  for (const auto& layer : layers_) {
-    const std::vector<int> next = layer->output_shape(shape);
-    std::string in_str = "(", out_str = "(";
-    for (std::size_t i = 0; i < shape.size(); ++i) {
-      in_str += (i ? "," : "") + std::to_string(shape[i]);
-    }
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      out_str += (i ? "," : "") + std::to_string(next[i]);
-    }
-    in_str += ")";
-    out_str += ")";
-    std::snprintf(line, sizeof(line), "  %-28s %-14s -> %-14s\n",
-                  layer->name().c_str(), in_str.c_str(), out_str.c_str());
-    out += line;
-    shape = next;
-  }
-  return out;
 }
 
 void Sequential::save_weights(const std::string& path) {

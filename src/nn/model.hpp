@@ -37,9 +37,6 @@ class Sequential {
   /// Total parameter count.
   std::size_t num_parameters();
 
-  /// Layer-by-layer summary given an input shape (Table-I style).
-  std::string summary(std::vector<int> input_shape) const;
-
   /// Binary weight (de)serialization; shapes must match exactly.
   void save_weights(const std::string& path);
   void load_weights(const std::string& path);

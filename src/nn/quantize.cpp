@@ -181,9 +181,10 @@ QuantizedNetwork QuantizedNetwork::from_model(
       op.bias.assign(dense->bias().data(),
                      dense->bias().data() + dense->bias().size());
       qn.ops_.push_back(std::move(op));
-    } else if (dynamic_cast<const MaxPool2d*>(&layer) != nullptr) {
+    } else if (const auto* pool = dynamic_cast<const MaxPool2d*>(&layer)) {
       QuantOp op;
       op.kind = QuantOp::Kind::kPool;
+      op.pool_window = pool->window();
       qn.ops_.push_back(std::move(op));
     } else if (dynamic_cast<const Flatten*>(&layer) != nullptr) {
       QuantOp op;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 #include "data/synth_cifar.hpp"
+#include "util/table.hpp"
 
 namespace sfc::nn {
 
@@ -68,69 +68,47 @@ Sequential build_vgg(const VggConfig& cfg) {
   return net;
 }
 
-std::vector<VggTableRow> vgg_table(const VggConfig& cfg) {
+std::vector<VggTableRow> vgg_table(const Sequential& net) {
+  // Table I writes a CHW shape as height x width x channels and a flat one
+  // of N as 1x1xN.
+  const auto map = [](const std::vector<int>& s) {
+    const std::string c = std::to_string(s[0]);
+    return s.size() == 1 ? "1x1x" + c
+                         : std::to_string(s[1]) + 'x' + std::to_string(s[2]) +
+                               'x' + c;
+  };
   std::vector<VggTableRow> rows;
-  char buf[64];
-  const auto& ch = cfg.conv_channels;
-  auto map3 = [&buf](int s, int c) {
-    std::snprintf(buf, sizeof(buf), "%dx%dx%d", s, s, c);
-    return std::string(buf);
-  };
-  auto conv_name = [&buf](int n, int idx) {
-    std::snprintf(buf, sizeof(buf), "%d 3x3 Conv%d", n, idx);
-    return std::string(buf);
-  };
-
-  int size = 32;
-  int in_ch = 3;
-  const double drops[7] = {0.3, 0.0, 0.4, 0.0, 0.4, 0.4, 0.0};
-  int conv_idx = 1;
-  int pool_idx = 1;
-  for (int block = 0; block < 3; ++block) {
-    const int convs = block == 2 ? 3 : 2;
-    for (int k = 0; k < convs; ++k, ++conv_idx) {
-      const int out_ch = ch[static_cast<std::size_t>(conv_idx - 1)];
-      VggTableRow row;
-      row.layer = conv_name(out_ch, conv_idx);
-      row.input_map = map3(size, in_ch);
-      row.output_map = map3(size, out_ch);
-      const double drop = drops[conv_idx - 1];
-      row.nonlinearity = (cfg.with_dropout && drop > 0.0)
-                             ? ("ReLU,dropout(" + std::to_string(drop).substr(0, 3) + ")")
-                             : "ReLU";
-      rows.push_back(row);
-      in_ch = out_ch;
+  std::vector<int> shape = {3, 32, 32};  // a CIFAR-10 image
+  int convs = 0, pools = 0, fcs = 0;
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    const Layer& layer = net.layer(i);
+    const std::vector<int> in = shape;
+    shape = layer.output_shape(in);
+    // A Conv2d, MaxPool2d or Dense opens a row; the ReLU and dropout after
+    // it are that row's nonlinearity.
+    std::string name;
+    if (const auto* conv = dynamic_cast<const Conv2d*>(&layer)) {
+      const std::string k = std::to_string(conv->kernel());
+      name = std::to_string(conv->out_channels()) + ' ' + k + 'x' + k +
+             " Conv" + std::to_string(++convs);
+    } else if (const auto* pool = dynamic_cast<const MaxPool2d*>(&layer)) {
+      const std::string w = std::to_string(pool->window());
+      name = '[' + w + ',' + w + "] MaxPool" + std::to_string(++pools);
+    } else if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
+      name = std::to_string(dense->in_features()) + 'x' +
+             std::to_string(dense->out_features()) + " FC" +
+             std::to_string(++fcs);
+    } else if (!rows.empty()) {
+      std::string& nl = rows.back().nonlinearity;
+      if (dynamic_cast<const Relu*>(&layer) != nullptr) {
+        nl = "ReLU";
+      } else if (const auto* drop = dynamic_cast<const Dropout*>(&layer)) {
+        nl = (nl == "-" ? "" : nl + ",") + "dropout(" +
+             util::fmt(drop->rate()) + ")";
+      }
     }
-    VggTableRow pool;
-    std::snprintf(buf, sizeof(buf), "[2,2] MaxPool%d", pool_idx++);
-    pool.layer = buf;
-    pool.input_map = map3(size, in_ch);
-    size /= 2;
-    pool.output_map = map3(size, in_ch);
-    pool.nonlinearity = "-";
-    rows.push_back(pool);
+    if (!name.empty()) rows.push_back({name, map(in), map(shape), "-"});
   }
-
-  const int flat = size * size * in_ch;
-  auto fc_row = [&](const std::string& name, int in, int out,
-                    const std::string& nl) {
-    VggTableRow row;
-    row.layer = name;
-    std::snprintf(buf, sizeof(buf), "1x1x%d", in);
-    row.input_map = buf;
-    std::snprintf(buf, sizeof(buf), "1x1x%d", out);
-    row.output_map = buf;
-    row.nonlinearity = nl;
-    rows.push_back(row);
-  };
-  std::snprintf(buf, sizeof(buf), "%dx%d FC1", flat, cfg.fc_hidden);
-  fc_row(buf, flat, cfg.fc_hidden,
-         cfg.with_dropout ? "ReLU,dropout(0.5)" : "ReLU");
-  std::snprintf(buf, sizeof(buf), "%dx%d FC2", cfg.fc_hidden, cfg.fc_hidden);
-  fc_row(buf, cfg.fc_hidden, cfg.fc_hidden,
-         cfg.with_dropout ? "ReLU,dropout(0.5)" : "ReLU");
-  std::snprintf(buf, sizeof(buf), "%dx%d FC3", cfg.fc_hidden, kClasses);
-  fc_row(buf, cfg.fc_hidden, kClasses, "-");
   return rows;
 }
 

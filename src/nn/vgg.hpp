@@ -36,6 +36,9 @@ struct VggTableRow {
   std::string output_map;
   std::string nonlinearity;
 };
-std::vector<VggTableRow> vgg_table(const VggConfig& cfg);
+/// Table I read off a network: its layers walked from a 3x32x32 input. A
+/// Conv2d, MaxPool2d or Dense opens a row; the ReLU and Dropout after it
+/// set that row's nonlinearity ("-" without them).
+std::vector<VggTableRow> vgg_table(const Sequential& net);
 
 }  // namespace sfc::nn

@@ -71,7 +71,6 @@ class Circuit {
   /// Assign auxiliary-variable slots. Called automatically by the engine;
   /// idempotent. New devices may be added afterwards (re-finalizes).
   void finalize();
-  bool finalized() const { return finalized_; }
 
   /// Human-readable netlist summary (device name, type-agnostic terminals).
   std::string summary() const;

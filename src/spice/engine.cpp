@@ -26,22 +26,6 @@ Engine::Engine(Circuit& circuit, double temperature_c)
   circuit_.finalize();
 }
 
-void Engine::set_node_guess(const std::string& node, double volts) {
-  node_guesses_.emplace_back(node, volts);
-}
-
-std::vector<double> Engine::initial_vector() const {
-  std::vector<double> x(circuit_.system_size(), 0.0);
-  for (const auto& [name, volts] : node_guesses_) {
-    // Guesses for nodes that were never created are silently ignored; this
-    // lets generic setup code seed optional probe nodes.
-    const std::optional<NodeId> id = circuit_.find_node(name);
-    if (!id || *id == kGround) continue;
-    x[static_cast<std::size_t>(*id)] = volts;
-  }
-  return x;
-}
-
 void Engine::stamp_linear(const SimContext& ctx, Stamper& s) const {
   for (Device* dev : circuit_.linear_devices()) dev->stamp(ctx, s);
   // gmin from every node to ground keeps the matrix nonsingular when
@@ -199,32 +183,27 @@ DcResult Engine::dc_operating_point(const NewtonOptions& options,
   ctx.dt = 0.0;
   ctx.num_nodes = circuit_.num_nodes();
 
-  std::vector<double> x =
-      (warm_start && warm_start->size() == circuit_.system_size())
-          ? *warm_start
-          : initial_vector();
+  const std::size_t size = circuit_.system_size();
+  std::vector<double> x = (warm_start && warm_start->size() == size)
+                              ? *warm_start
+                              : std::vector<double>(size, 0.0);
 
   // Plain attempt at final gmin, then gmin stepping from a large leak.
   ctx.gmin = options.gmin_final;
-  int iters = 0;
-  bool ok = newton_solve(ctx, x, options, &iters);
-  result.iterations += iters;
+  bool ok = newton_solve(ctx, x, options, nullptr);
 
   if (!ok) {
     SFC_TRACE_COUNT("spice.dc.gmin_fallbacks", 1);
-    x = initial_vector();
+    x.assign(size, 0.0);
     double gmin = kGminStart;
     ok = true;
     while (gmin >= options.gmin_final * 0.999) {
       SFC_TRACE_COUNT("spice.newton.gmin_steps", 1);
       ctx.gmin = gmin;
-      int step_iters = 0;
-      if (!newton_solve(ctx, x, options, &step_iters)) {
+      if (!newton_solve(ctx, x, options, nullptr)) {
         ok = false;
-        result.iterations += step_iters;
         break;
       }
-      result.iterations += step_iters;
       if (gmin == options.gmin_final) break;
       gmin = std::max(gmin / kGminStepFactor, options.gmin_final);
     }
@@ -344,7 +323,6 @@ TransientResult Engine::transient(double t_stop,
 
   // Initial condition: DC operating point with sources at t = 0.
   DcResult dc = dc_operating_point(options.newton);
-  result.total_newton_iterations += dc.iterations;
   if (!dc.converged) {
     result.converged = false;
     return result;
@@ -365,7 +343,7 @@ TransientResult Engine::transient(double t_stop,
   }
 
   result.set_signal_names(signal_names());
-  if (options.record_waveforms) result.append_sample(0.0, x);
+  result.append_sample(0.0, x);
 
   const std::vector<double> bps = breakpoints(t_stop);
   std::size_t next_bp = 0;
@@ -414,12 +392,10 @@ TransientResult Engine::transient(double t_stop,
       x_try = x;
       int iters = 0;
       if (newton_solve(ctx, x_try, options.newton, &iters)) {
-        result.total_newton_iterations += iters;
         SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", iters);
         solved = true;
         break;
       }
-      result.total_newton_iterations += iters;
       SFC_TRACE_COUNT("spice.tran.steps_rejected", 1);
       step *= 0.5;
       ++retries;
@@ -453,7 +429,7 @@ TransientResult Engine::transient(double t_stop,
       ++next_bp;
       just_crossed_breakpoint = true;
     }
-    if (options.record_waveforms) result.append_sample(t, x);
+    result.append_sample(t, x);
   }
 
   {
@@ -462,10 +438,6 @@ TransientResult Engine::transient(double t_stop,
       if (energy[di] != 0.0) result.source_energy[dev->name()] = energy[di];
       ++di;
     }
-  }
-  if (!options.record_waveforms) {
-    result.set_signal_names(signal_names());
-    result.append_sample(t, x);
   }
   result.converged = true;
   return result;

@@ -55,8 +55,6 @@ struct TransientOptions {
   double dt = 1e-11;
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   NewtonOptions newton;
-  /// Record waveforms (disable for energy-only runs to save memory).
-  bool record_waveforms = true;
 };
 
 class Engine {
@@ -67,10 +65,6 @@ class Engine {
 
   double temperature_c() const { return temperature_c_; }
   void set_temperature_c(double t) { temperature_c_ = t; }
-
-  /// Initial guess for a node used by the next DC solve (helps Newton on
-  /// high-gain feedback circuits).
-  void set_node_guess(const std::string& node, double volts);
 
   /// DC operating point at the engine temperature. Sources are evaluated
   /// at t = 0. `warm_start` (optional) seeds Newton with a previous
@@ -89,9 +83,10 @@ class Engine {
               const NewtonOptions& options = {});
 
   /// One Newton solve of the system at the given context. `x` is the
-  /// initial guess on entry and the solution on success. Public so tests
-  /// can exercise the hot path directly; most callers want
-  /// dc_operating_point()/transient().
+  /// initial guess on entry and the solution on success; `iterations_out`,
+  /// if given, receives the iterations taken (the trace ledger counts them
+  /// either way). Public so tests can exercise the hot path directly; most
+  /// callers want dc_operating_point()/transient().
   bool newton_solve(const SimContext& ctx, std::vector<double>& x,
                     const NewtonOptions& options, int* iterations_out);
 
@@ -137,13 +132,11 @@ class Engine {
                                const std::vector<double>& x,
                                SolverWorkspace& ws);
 
-  std::vector<double> initial_vector() const;
   std::vector<std::string> signal_names() const;
   std::vector<double> breakpoints(double t_stop) const;
 
   Circuit& circuit_;
   double temperature_c_;
-  std::vector<std::pair<std::string, double>> node_guesses_;
   /// Indexed by AnalysisMode (DC and transient stamp patterns differ).
   SolverWorkspace workspaces_[2];
 };

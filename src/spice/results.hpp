@@ -12,7 +12,6 @@ namespace sfc::spice {
 /// DC operating point.
 struct DcResult {
   bool converged = false;
-  int iterations = 0;
   double gmin_used = 0.0;
   /// Raw solution vector (node voltages then aux currents).
   std::vector<double> x;
@@ -67,8 +66,6 @@ class AcResult {
 class TransientResult {
  public:
   bool converged = false;
-  /// Total Newton iterations over the whole run (solver effort metric).
-  long total_newton_iterations = 0;
 
   void set_signal_names(std::vector<std::string> names);
   void append_sample(double t, const std::vector<double>& values);

@@ -53,10 +53,6 @@ bool Rng::bernoulli(double p_true) {
   return uniform() < p_true;
 }
 
-Rng Rng::split() {
-  return Rng(next_u64() ^ 0xa0761d6478bd642fULL);
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;

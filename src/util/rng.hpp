@@ -95,9 +95,6 @@ class Rng {
   /// Bernoulli draw.
   bool bernoulli(double p_true);
 
-  /// Derive an independent child stream (for per-instance variation).
-  Rng split();
-
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 

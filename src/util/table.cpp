@@ -25,13 +25,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row_numeric(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(fmt(v, precision));
-  add_row(std::move(cells));
-}
-
 std::string Table::render() const {
   std::vector<std::size_t> width(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();

@@ -13,13 +13,8 @@ class Table {
 
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: format doubles with `%.*g`.
-  void add_row_numeric(const std::vector<double>& values, int precision = 5);
-
   /// Render with column alignment and +---+ separators.
   std::string render() const;
-
-  std::size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

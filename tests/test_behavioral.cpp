@@ -1,6 +1,6 @@
 // Behavioural array model tests: calibration fidelity vs the circuit
 // simulation, ADC decode behaviour across temperature, noise injection,
-// and text serialization round-trips.
+// and the checks on a model built from its levels.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -113,10 +113,9 @@ TEST(Behavioral, NoiseInjectionFlipsSomeDecodes) {
 
   // Levels 50 mV apart with a 30 mV sigma: each noisy mac() decodes its
   // level plus the next normal draw, and some draws cross a threshold.
-  const BehavioralArrayModel noisy = BehavioralArrayModel::from_text(
-      "sfc-behavioral-v1\n8 27 1\n27\n"
-      "0.10 0.15 0.20 0.25 0.30 0.35 0.40 0.45 0.50\n"
-      "0.03 0.03 0.03 0.03 0.03 0.03 0.03 0.03 0.03\n");
+  const BehavioralArrayModel noisy(
+      8, {27.0}, {0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50},
+      std::vector<double>(9, 0.03));
   util::Rng noise(7);
   util::Rng replay(7);
   int flipped = 0;
@@ -132,23 +131,25 @@ TEST(Behavioral, NoiseInjectionFlipsSomeDecodes) {
 }
 
 // v_acc reads the grid's ends as its range and lerps between the first
-// pair around T, so both entry points refuse a grid that is not finite and
-// strictly increasing. calibrate refuses it before simulating anything.
+// pair around T, so both the constructor and calibrate refuse a grid that
+// is not finite and strictly increasing. calibrate refuses it before
+// simulating anything.
 TEST(Behavioral, RejectsUnorderedTemperatureGrid) {
-  const auto text = [](const std::string& temps) {
-    return "sfc-behavioral-v1\n2 27 3\n" + temps +
-           "\n0.20 0.26 0.32 0.22 0.28 0.34 0.21 0.27 0.33\n0 0 0\n";
-  };
-  EXPECT_NO_THROW(BehavioralArrayModel::from_text(text("0 27 85")));
-  EXPECT_THROW(BehavioralArrayModel::from_text(text("0 85 27")),
-               std::invalid_argument);
-  EXPECT_THROW(BehavioralArrayModel::from_text(text("0 27 27")),
-               std::invalid_argument);
+  const std::vector<double> sigmas = {0.0, 0.0, 0.0};
+  EXPECT_NO_THROW(BehavioralArrayModel(
+      2, {0.0, 27.0, 85.0},
+      {0.20, 0.26, 0.32, 0.22, 0.28, 0.34, 0.21, 0.27, 0.33}, sigmas));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<std::vector<double>> grids = {
-      {0.0, 85.0, 27.0}, {27.0, 27.0}, {27.0, nan}, {0.0, 27.0, inf}, {}};
+      {0.0, 85.0, 27.0}, {0.0, 27.0, 27.0}, {27.0, 27.0},
+      {27.0, nan},       {0.0, 27.0, inf},  {}};
   for (const std::vector<double>& grid : grids) {
+    // Levels that fit the grid, so that only its order is wrong.
+    const std::vector<double> levels(3 * grid.size(), 0.2);
+    EXPECT_THROW(BehavioralArrayModel(2, grid, levels, sigmas),
+                 std::invalid_argument)
+        << grid.size() << " temperatures";
     EXPECT_THROW(BehavioralArrayModel::calibrate(
                      ArrayConfig::proposed_2t1fefet(), grid),
                  std::invalid_argument)
@@ -156,30 +157,32 @@ TEST(Behavioral, RejectsUnorderedTemperatureGrid) {
   }
 }
 
-TEST(Behavioral, SerializationRoundTrip) {
-  const auto& m = proposed_model();
-  const std::string text = m.to_text();
-  const BehavioralArrayModel copy = BehavioralArrayModel::from_text(text);
-  EXPECT_EQ(copy.cells(), m.cells());
-  for (int k = 0; k <= 8; ++k) {
-    EXPECT_NEAR(copy.v_acc(k, 40.0), m.v_acc(k, 40.0), 1e-9);
-    EXPECT_DOUBLE_EQ(copy.sigma(k), m.sigma(k));
-  }
-  EXPECT_EQ(copy.thresholds().size(), m.thresholds().size());
+// A model holds one level per temperature and MAC and one sigma per MAC,
+// for at least one cell, and its grid covers the 27 degC design point.
+TEST(Behavioral, RejectsLevelsOrSigmasThatDoNotFitTheRow) {
+  const std::vector<double> levels = {0.1, 0.2, 0.3};
+  const std::vector<double> sigmas = {0.0, 0.01, 0.01};
+  EXPECT_NO_THROW(BehavioralArrayModel(2, {27.0}, levels, sigmas));
+  EXPECT_THROW(BehavioralArrayModel(2, {27.0}, {0.1, 0.2}, sigmas),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel(2, {27.0}, {0.1, 0.2, 0.3, 0.4}, sigmas),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel(2, {0.0, 27.0}, levels, sigmas),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel(2, {27.0}, levels, {0.0, 0.01}),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel(2, {27.0}, levels, {0.0, 0.0, 0.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel(0, {27.0}, {0.1}, {0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(BehavioralArrayModel(2, {85.0}, levels, sigmas),
+               std::invalid_argument);
 }
 
-TEST(Behavioral, RejectsCorruptText) {
-  EXPECT_THROW(BehavioralArrayModel::from_text("garbage"),
-               std::runtime_error);
-  EXPECT_THROW(BehavioralArrayModel::from_text("sfc-behavioral-v1\n0 27 0\n"),
-               std::runtime_error);
-}
-
-// A 2-cell model at one temperature, read from text so that no row is
-// simulated. MAC values outside 0..2 throw in every build.
+// A 2-cell model at one temperature, built from its levels so that no row
+// is simulated. MAC values outside 0..2 throw in every build.
 BehavioralArrayModel two_cell_model() {
-  return BehavioralArrayModel::from_text(
-      "sfc-behavioral-v1\n2 27 1\n27\n0.1 0.2 0.3\n0 0.01 0.01\n");
+  return BehavioralArrayModel(2, {27.0}, {0.1, 0.2, 0.3}, {0.0, 0.01, 0.01});
 }
 
 TEST(Behavioral, VaccRejectsMacOutsideRow) {

@@ -238,9 +238,14 @@ TEST(Sequential, ShapePropagationAndParamCount) {
   net.add<MaxPool2d>(2);
   net.add<Flatten>();
   net.add<Dense>(2 * 4 * 4, 10, rng);
-  const std::string summary = net.summary({1, 8, 8});
-  EXPECT_NE(summary.find("Conv2d"), std::string::npos);
-  EXPECT_NE(summary.find("Dense"), std::string::npos);
+  const std::vector<std::vector<int>> expected = {
+      {2, 8, 8}, {2, 8, 8}, {2, 4, 4}, {32}, {10}};
+  std::vector<int> shape = {1, 8, 8};
+  ASSERT_EQ(net.num_layers(), expected.size());
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    shape = net.layer(i).output_shape(shape);
+    EXPECT_EQ(shape, expected[i]) << net.layer(i).name();
+  }
   // params: conv 2*1*9+2=20, dense 32*10+10=330.
   EXPECT_EQ(net.num_parameters(), 350u);
 }

@@ -77,18 +77,33 @@ TEST(Training, EpochCallbackFires) {
   EXPECT_EQ(calls, 3);
 }
 
+// The paper's Table I, cell for cell, read off the network build_vgg
+// returns: 7 conv + 3 pool + 3 FC, FC1's input 4*4*256 = 4096.
 TEST(Vgg, PaperTableStructure) {
-  const VggConfig cfg = VggConfig::paper();
-  const auto rows = vgg_table(cfg);
-  ASSERT_EQ(rows.size(), 13u);  // 7 conv + 3 pool + 3 fc
-  EXPECT_EQ(rows[0].layer, "64 3x3 Conv1");
-  EXPECT_EQ(rows[0].input_map, "32x32x3");
-  EXPECT_EQ(rows[0].output_map, "32x32x64");
-  EXPECT_EQ(rows[2].layer, "[2,2] MaxPool1");
-  EXPECT_EQ(rows.back().layer, "4096x10 FC3");
-  EXPECT_EQ(rows.back().nonlinearity, "-");
-  // FC1 input is 4*4*256 = 4096 exactly as in Table I.
-  EXPECT_EQ(rows[10].input_map, "1x1x4096");
+  const std::vector<std::vector<std::string>> table1 = {
+      {"64 3x3 Conv1", "32x32x3", "32x32x64", "ReLU,dropout(0.3)"},
+      {"64 3x3 Conv2", "32x32x64", "32x32x64", "ReLU"},
+      {"[2,2] MaxPool1", "32x32x64", "16x16x64", "-"},
+      {"128 3x3 Conv3", "16x16x64", "16x16x128", "ReLU,dropout(0.4)"},
+      {"128 3x3 Conv4", "16x16x128", "16x16x128", "ReLU"},
+      {"[2,2] MaxPool2", "16x16x128", "8x8x128", "-"},
+      {"256 3x3 Conv5", "8x8x128", "8x8x256", "ReLU,dropout(0.4)"},
+      {"256 3x3 Conv6", "8x8x256", "8x8x256", "ReLU,dropout(0.4)"},
+      {"256 3x3 Conv7", "8x8x256", "8x8x256", "ReLU"},
+      {"[2,2] MaxPool3", "8x8x256", "4x4x256", "-"},
+      {"4096x4096 FC1", "1x1x4096", "1x1x4096", "ReLU,dropout(0.5)"},
+      {"4096x4096 FC2", "1x1x4096", "1x1x4096", "ReLU,dropout(0.5)"},
+      {"4096x10 FC3", "1x1x4096", "1x1x10", "-"},
+  };
+  const auto rows = vgg_table(build_vgg(VggConfig::paper()));
+  ASSERT_EQ(rows.size(), table1.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ((std::vector<std::string>{rows[i].layer, rows[i].input_map,
+                                        rows[i].output_map,
+                                        rows[i].nonlinearity}),
+              table1[i])
+        << "row " << i;
+  }
 }
 
 TEST(Vgg, BuiltNetworkShapesPropagate) {
@@ -110,7 +125,7 @@ TEST(Vgg, ReducedKeepsTopology) {
   EXPECT_EQ(cfg.conv_channels[0], 8);
   EXPECT_EQ(cfg.conv_channels[6], 32);
   EXPECT_EQ(cfg.fc_hidden, 512);
-  const auto rows = vgg_table(cfg);
+  const auto rows = vgg_table(build_vgg(cfg));
   EXPECT_EQ(rows.size(), 13u);
 }
 

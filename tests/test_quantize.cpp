@@ -82,21 +82,20 @@ const sfc::cim::BehavioralArrayModel& baseline_model() {
   return model;
 }
 
-/// An 8-cell model designed at 27 degC with the given levels and one sigma
-/// for all of them; `hot` levels, if given, are its levels at 85 degC.
-sfc::cim::BehavioralArrayModel text_model(const std::vector<double>& levels,
+/// A model with the given levels at 27 degC and one sigma for all of them;
+/// `hot` levels, if given, are its levels at 85 degC.
+sfc::cim::BehavioralArrayModel fake_model(std::vector<double> levels,
                                           double sigma,
                                           const std::vector<double>& hot = {}) {
-  std::string text = "sfc-behavioral-v1\n" +
-                     std::to_string(levels.size() - 1) + " 27 " +
-                     (hot.empty() ? "1\n27\n" : "2\n27 85\n");
-  for (double v : levels) text += std::to_string(v) + ' ';
-  for (double v : hot) text += std::to_string(v) + ' ';
-  text += '\n';
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    text += std::to_string(sigma) + ' ';
+  const std::size_t counts = levels.size();
+  std::vector<double> temps = {27.0};
+  if (!hot.empty()) {
+    temps.push_back(85.0);
+    levels.insert(levels.end(), hot.begin(), hot.end());
   }
-  return sfc::cim::BehavioralArrayModel::from_text(text + '\n');
+  return sfc::cim::BehavioralArrayModel(
+      static_cast<int>(counts) - 1, std::move(temps), std::move(levels),
+      std::vector<double>(counts, sigma));
 }
 
 /// Evenly spaced levels: every count decodes exactly.
@@ -106,7 +105,7 @@ const std::vector<double> kEvenLevels = {0.10, 0.15, 0.20, 0.25, 0.30,
 /// Even levels at 27 degC whose 85 degC levels read count 0 as 1 and
 /// count 7 as 6: delta = +1, 0 x 6, -1, 0 over counts 0..8.
 sfc::cim::BehavioralArrayModel drifted_model() {
-  return text_model(kEvenLevels, 0.0,
+  return fake_model(kEvenLevels, 0.0,
                     {0.16, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.42, 0.50});
 }
 
@@ -331,6 +330,28 @@ TEST(Quantize, ForwardRejectsImagesOfAnotherSize) {
   EXPECT_THROW(qn.forward(gray, ideal), std::invalid_argument);
 }
 
+// A pooling layer's window carries into its op: a 4x4 pool turns the
+// 2x32x32 conv output into the 128 inputs of the dense layer, where a 2x2
+// pool would hand it 512.
+TEST(Quantize, PoolOpKeepsTheLayersWindow) {
+  sfc::util::Rng rng(5);
+  Sequential net;
+  net.add<Conv2d>(3, 2, 3, true, rng);
+  net.add<Relu>();
+  net.add<MaxPool2d>(4);
+  net.add<Flatten>();
+  net.add<Dense>(2 * 8 * 8, 10, rng);
+  sfc::data::SynthCifarConfig cfg;
+  cfg.train_per_class = 1;
+  const sfc::data::Dataset data = sfc::data::make_synth_cifar_train(cfg);
+  const QuantizedNetwork qn = QuantizedNetwork::from_model(net, data, 2);
+  ASSERT_EQ(qn.ops().size(), 4u);  // conv, pool, flatten, dense
+  EXPECT_EQ(qn.ops()[1].kind, QuantOp::Kind::kPool);
+  EXPECT_EQ(qn.ops()[1].pool_window, 4);
+  IdealDotEngine ideal;
+  EXPECT_EQ(qn.forward(data.images[0], ideal).size(), 10u);
+}
+
 TEST(CimEngine, BitSerialEqualsIdealWithPerfectArray) {
   // With the proposed array at its design temperature every 8-cell count
   // decodes exactly, so the bit-serial path must match the integer dot
@@ -488,7 +509,7 @@ TEST(CimEngine, NoisyRowReplaysModelMac) {
 // at 85 degC has sigma 0, so its floors are 0 and every count-0 group reads
 // decoded(0) = 1 without a deviate.
 TEST(CimEngine, AllZeroWordsReplayModelMac) {
-  const auto zero_gap = text_model(
+  const auto zero_gap = fake_model(
       {0.10, 0.10, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50}, 0.004);
   ASSERT_EQ(zero_gap.thresholds()[0], 0.10);
   const auto drifted = drifted_model();
@@ -538,7 +559,7 @@ TEST(CimEngine, ZeroSigmaNoisyRowIsNoiseless) {
 // (a zero gap): counts 3 and 4 always evaluate the deviate, and about half
 // of their draws cross the threshold.
 TEST(CimEngine, ZeroGapLevelsReplayModelMac) {
-  const auto model = text_model(
+  const auto model = fake_model(
       {0.10, 0.15, 0.20, 0.25, 0.25, 0.35, 0.40, 0.45, 0.50}, 0.004);
   ASSERT_EQ(model.thresholds()[3], 0.25);
   std::vector<std::uint8_t> a;
@@ -595,7 +616,7 @@ sfc::cim::BehavioralArrayModel decoding_model(const std::vector<int>& delta) {
   for (int j = 0; j <= 8; ++j) {
     hot.push_back(kEvenLevels[static_cast<std::size_t>(j + delta[j])]);
   }
-  return text_model(kEvenLevels, 0.0, hot);
+  return fake_model(kEvenLevels, 0.0, hot);
 }
 
 /// ones_heavy_inputs with 3 in 4 weights zeroed: groups with every
@@ -689,7 +710,7 @@ TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
   for (std::size_t i = 0; i < w.size(); i += 3) w[i] = -128;
   ASSERT_GT(std::count(a.begin(), a.end(), 255), 0);
 
-  const auto exact = text_model(kEvenLevels, 0.0);
+  const auto exact = fake_model(kEvenLevels, 0.0);
   for (int bits = 2; bits <= 8; ++bits) {
     SCOPED_TRACE(bits);
     CimDotEngine::Options opts;
@@ -713,12 +734,12 @@ TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
 }
 
 TEST(CimEngine, RejectsRowsOtherThanEightCells) {
-  const auto four_cells = text_model({0.1, 0.2, 0.3, 0.4, 0.5}, 0.0);
+  const auto four_cells = fake_model({0.1, 0.2, 0.3, 0.4, 0.5}, 0.0);
   EXPECT_THROW(CimDotEngine(four_cells, {}), std::invalid_argument);
 }
 
 TEST(CimEngine, RejectsWordlengthsOutsideTwoToEight) {
-  const auto model = text_model(kEvenLevels, 0.0);
+  const auto model = fake_model(kEvenLevels, 0.0);
   for (const int bits : {1, 9}) {
     CimDotEngine::Options opts;
     opts.activation_bits = bits;
@@ -734,7 +755,7 @@ TEST(CimEngine, RejectsWordlengthsOutsideTwoToEight) {
 }
 
 TEST(CimEngine, DotRejectsLengthMismatch) {
-  const auto model = text_model(kEvenLevels, 0.0);
+  const auto model = fake_model(kEvenLevels, 0.0);
   CimDotEngine engine(model, {});
   const std::vector<std::uint8_t> a(16, 255);
   const std::vector<std::int8_t> w(15, 127);
@@ -743,7 +764,7 @@ TEST(CimEngine, DotRejectsLengthMismatch) {
 }
 
 TEST(CimEngine, BatchRejectsShortWeightSpan) {
-  const auto model = text_model(kEvenLevels, 0.0);
+  const auto model = fake_model(kEvenLevels, 0.0);
   CimDotEngine engine(model, {});
   const std::vector<std::uint8_t> a(16, 255);
   const std::vector<std::int8_t> w(3 * 16, 127);

@@ -3,9 +3,9 @@
 // (use_stamp_plan = false: full assemble + dense partial-pivot LU) — not
 // tolerance-close — on the paper's circuits, the paper's rows must satisfy
 // KCL at their DC points, and the steady-state Newton loop must not touch
-// the heap. Trace-counter
-// (TestProbe) assertions cross-check the engine's self-reported iteration
-// totals against the instrumentation; they compile out with SFC_TRACE=OFF.
+// the heap. The trace ledger is the only count of solver work, so the two
+// paths' Newton iterations are compared through TestProbe deltas; those
+// assertions compile out with SFC_TRACE=OFF.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -111,10 +111,11 @@ TEST(SolverHotPath, Fig7CellDcBitIdentical) {
   const DcResult ref = legacy_engine.dc_operating_point(legacy_options());
   ASSERT_TRUE(ref.converged);
 #if SFC_TRACE_ENABLED
-  // The instrumentation and the engine's self-report must agree.
+  // Read before the hot run starts: a probe that is still alive counts it.
+  const std::uint64_t ref_iterations =
+      legacy_probe.counter_delta("spice.newton.iterations");
+  EXPECT_GT(ref_iterations, 0u);
   EXPECT_EQ(legacy_probe.counter_delta("spice.dc.solves"), 1u);
-  EXPECT_EQ(legacy_probe.counter_delta("spice.newton.iterations"),
-            static_cast<std::uint64_t>(ref.iterations));
   EXPECT_GT(legacy_probe.counter_delta("spice.lu.dense_solves"), 0u);
   EXPECT_EQ(legacy_probe.counter_delta("spice.stampplan.compiles"), 0u);
 #endif
@@ -125,12 +126,11 @@ TEST(SolverHotPath, Fig7CellDcBitIdentical) {
 #endif
   const DcResult hot = hot_engine.dc_operating_point(hot_options());
   ASSERT_TRUE(hot.converged);
-  EXPECT_EQ(hot.iterations, ref.iterations);
   EXPECT_TRUE(bits_equal(hot.gmin_used, ref.gmin_used));
   expect_vectors_bitwise_equal(hot.x, ref.x, "x");
 #if SFC_TRACE_ENABLED
   EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
-            static_cast<std::uint64_t>(hot.iterations));
+            ref_iterations);
   EXPECT_GT(hot_probe.counter_delta("spice.stampplan.compiles"), 0u);
   EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
   EXPECT_EQ(hot_probe.counter_delta("spice.lu.dense_solves"), 0u);
@@ -166,18 +166,19 @@ TEST(SolverHotPath, Fig8RowTransientBitIdentical) {
         legacy_row.evaluate(inputs, temp, /*keep_waveforms=*/true);
     ASSERT_TRUE(ref.converged);
 #if SFC_TRACE_ENABLED
-    // Every Newton iteration the MAC transient reports must have passed
-    // through the instrumented wrapper — exact, not approximate.
-    EXPECT_EQ(legacy_probe.counter_delta("spice.newton.iterations"),
-              static_cast<std::uint64_t>(ref.newton_iterations));
+    // Read before the hot run starts: a probe that is still alive counts it.
+    const std::uint64_t ref_iterations =
+        legacy_probe.counter_delta("spice.newton.iterations");
+    EXPECT_GT(ref_iterations, 0u);
     sfc::trace::TestProbe hot_probe;
 #endif
     const cim::MacResult hot =
         hot_row.evaluate(inputs, temp, /*keep_waveforms=*/true);
     ASSERT_TRUE(hot.converged);
 #if SFC_TRACE_ENABLED
+    // Both paths take the same Newton iterations, exactly.
     EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
-              static_cast<std::uint64_t>(hot.newton_iterations));
+              ref_iterations);
     EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
     // Exactly one histogram record per accepted step, by construction.
     EXPECT_EQ(
@@ -192,7 +193,6 @@ TEST(SolverHotPath, Fig8RowTransientBitIdentical) {
 
     EXPECT_TRUE(bits_equal(hot.v_acc, ref.v_acc));
     EXPECT_TRUE(bits_equal(hot.energy_joules, ref.energy_joules));
-    EXPECT_EQ(hot.newton_iterations, ref.newton_iterations);
     expect_vectors_bitwise_equal(hot.v_cell, ref.v_cell, "v_cell");
     expect_transients_bitwise_equal(hot.waveforms, ref.waveforms);
   }
@@ -215,11 +215,22 @@ TEST(SolverHotPath, MonteCarloSamplesBitIdentical) {
   cim::ArrayConfig hot_cfg = cim::ArrayConfig::proposed_2t1fefet();
   hot_cfg.newton.use_stamp_plan = true;
 
+#if SFC_TRACE_ENABLED
+  sfc::trace::TestProbe probe;
+#endif
   const cim::MonteCarloResult ref = cim::run_montecarlo(legacy_cfg, mc);
+#if SFC_TRACE_ENABLED
+  const std::uint64_t ref_iterations =
+      probe.counter_delta("spice.newton.iterations");
+  probe.reset();
+#endif
   const cim::MonteCarloResult hot = cim::run_montecarlo(hot_cfg, mc);
   ASSERT_TRUE(ref.all_converged);
   ASSERT_TRUE(hot.all_converged);
-  EXPECT_EQ(hot.total_newton_iterations, ref.total_newton_iterations);
+#if SFC_TRACE_ENABLED
+  EXPECT_GT(ref_iterations, 0u);
+  EXPECT_EQ(probe.counter_delta("spice.newton.iterations"), ref_iterations);
+#endif
   expect_vectors_bitwise_equal(hot.nominal_levels, ref.nominal_levels,
                                "nominal levels");
   ASSERT_EQ(hot.samples.size(), ref.samples.size());
@@ -261,11 +272,22 @@ D1 mid 0 is=1e-15
     return engine.transient(d.tran.at(0).t_stop, opts);
   };
 
+#if SFC_TRACE_ENABLED
+  sfc::trace::TestProbe probe;
+#endif
   const TransientResult ref = run(false);
   ASSERT_TRUE(ref.converged);
+#if SFC_TRACE_ENABLED
+  const std::uint64_t ref_iterations =
+      probe.counter_delta("spice.newton.iterations");
+  EXPECT_GT(ref_iterations, 0u);
+  probe.reset();
+#endif
   const TransientResult hot = run(true);
   expect_transients_bitwise_equal(hot, ref);
-  EXPECT_EQ(hot.total_newton_iterations, ref.total_newton_iterations);
+#if SFC_TRACE_ENABLED
+  EXPECT_EQ(probe.counter_delta("spice.newton.iterations"), ref_iterations);
+#endif
 }
 
 // ---------------------------------------------------------------------
@@ -300,7 +322,6 @@ TEST(SolverHotPath, TemperatureLadderBitIdenticalToReference) {
     ASSERT_TRUE(ref.op.converged) << where;
     const Solve hot = solve(hot_options());
     ASSERT_TRUE(hot.op.converged) << where;
-    EXPECT_EQ(hot.op.iterations, ref.op.iterations) << where;
     EXPECT_EQ(hot.newton_iterations, ref.newton_iterations) << where;
     expect_vectors_bitwise_equal(hot.op.x, ref.op.x, where);
   }

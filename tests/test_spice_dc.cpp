@@ -141,19 +141,6 @@ TEST(DcOp, SwitchOnOffConductance) {
   }
 }
 
-TEST(DcOp, NodeGuessAccepted) {
-  Circuit ckt;
-  const auto out = ckt.node("out");
-  ckt.add<ISource>("I1", kGround, out, 1e-6);
-  ckt.add<Resistor>("R1", out, kGround, 1e6);
-  Engine engine(ckt, 27.0);
-  engine.set_node_guess("out", 0.9);
-  engine.set_node_guess("no_such_node", 3.0);  // silently ignored
-  const DcResult op = engine.dc_operating_point();
-  ASSERT_TRUE(op.converged);
-  EXPECT_NEAR(op.voltage("out"), 1.0, 1e-6);
-}
-
 // A NaN source value makes the iterate NaN. Newton must not read a NaN
 // update as a small one and report convergence on it.
 TEST(DcOp, NanValueDoesNotConverge) {

@@ -139,18 +139,6 @@ TEST(Transient, RecordsBranchCurrents) {
   EXPECT_NEAR(tr.value("I(V1)", 1), -1e-3, 1e-4);
 }
 
-TEST(Transient, WaveformRecordingCanBeDisabled) {
-  Circuit ckt = make_rc(1e3, 1e-9, 1.0);
-  Engine engine(ckt, 27.0);
-  TransientOptions opts;
-  opts.dt = 1e-8;
-  opts.record_waveforms = false;
-  const TransientResult tr = engine.transient(1e-6, opts);
-  ASSERT_TRUE(tr.converged);
-  EXPECT_EQ(tr.num_samples(), 1u);  // only the final state
-  EXPECT_NEAR(tr.final_value("out"), 1.0 - std::exp(-1.0), 5e-3);
-}
-
 TEST(TransientResult, InterpolationAndErrors) {
   TransientResult tr;
   tr.set_signal_names({"x"});
