@@ -30,19 +30,27 @@ step "static netlist analysis (sfc_lint over examples/*.cir)"
 for deck in examples/*.cir; do
   "${BUILD_DIR}/tools/sfc_lint" "${deck}"
 done
-# The acceptance demos must keep failing: a clean exit here means the
-# linter lost its teeth. The subthreshold-window deck reads with a 1.6 V
-# wordline — statically provable to turn on an erased cell at 85 degC.
+# The acceptance demos must keep failing at error severity (exit 3): any
+# other exit means the linter lost its teeth. The subthreshold-window deck
+# reads with a 1.6 V wordline — statically provable to turn on an erased
+# cell at 85 degC. The last two are parse-time rules: the device
+# constructors refuse an inverted FeFET window and a negative resistor,
+# and the parser reports each under its rule id.
 for bad in floating-node:'I1 0 x 1u\nC1 x 0 1p\n.end' \
            vsource-loop:'V1 a 0 1\nV2 a 0 2\nR1 a 0 1k\n.end' \
-           subthreshold-window:'VG g 0 1.6\nVD d 0 0.05\nZ1 d g 0 state=0\n.end'; do
+           subthreshold-window:'VG g 0 1.6\nVD d 0 0.05\nZ1 d g 0 state=0\n.end' \
+           fefet-vth-window:'V1 g 0 0.35\nR1 g d 10k\nZ1 d g 0 state=1 vthlow=1.8 vthhigh=0.3\n.end' \
+           nonpositive-value:'V1 a 0 1\nR1 a 0 -5\n.end'; do
   rule="${bad%%:*}"
   printf '%b\n' "${bad#*:}" > "${BUILD_DIR}/lint_demo.cir"
-  # sfc_lint exits 3 here by design; capture instead of piping so pipefail
-  # does not eat the expected nonzero status.
+  # Capture the status instead of piping, so pipefail does not eat it.
+  status=0
   out="$("${BUILD_DIR}/tools/sfc_lint" "${BUILD_DIR}/lint_demo.cir")" \
-    && { echo "sfc_lint passed the ${rule} demo deck (expected exit 3)" >&2
-         exit 1; }
+    || status=$?
+  if [[ ${status} -ne 3 ]]; then
+    echo "sfc_lint exited ${status} on the ${rule} demo deck (expected 3)" >&2
+    exit 1
+  fi
   if grep -q "\[${rule}\]" <<<"${out}"; then
     echo "sfc_lint flags the ${rule} demo deck (exit 3, as expected)"
   else

@@ -125,7 +125,7 @@ Mosfet::Mosfet(std::string name, sfc::spice::NodeId drain,
       gate_(gate),
       source_(source),
       params_(params) {
-  if (params_.w <= 0.0 || params_.l <= 0.0) {
+  if (!(params_.w > 0.0) || !(params_.l > 0.0)) {
     throw std::invalid_argument("Mosfet: non-positive geometry");
   }
 }

@@ -95,12 +95,6 @@ class Mosfet : public sfc::spice::Device {
   }
 
   const MosfetParams& params() const { return params_; }
-  /// Mutable parameter access invalidates the cached temperature terms;
-  /// don't hold the reference across stamping.
-  MosfetParams& mutable_params() {
-    terms_temp_c_ = std::numeric_limits<double>::quiet_NaN();
-    return params_;
-  }
 
   /// Additional threshold shift (process variation injection).
   void set_vth_shift(double volts) { vth_shift_ = volts; }

@@ -14,7 +14,7 @@ PreisachModel::PreisachModel(PreisachParams params) : p_(params) {
   if (p_.num_domains < 1) {
     throw std::invalid_argument("PreisachModel: need >= 1 domain");
   }
-  if (p_.vth_high <= p_.vth_low) {
+  if (!(p_.vth_high > p_.vth_low)) {
     throw std::invalid_argument("PreisachModel: vth_high must exceed vth_low");
   }
   const auto n = static_cast<std::size_t>(p_.num_domains);

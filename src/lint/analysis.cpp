@@ -7,7 +7,6 @@
 
 #include "devices/diode.hpp"
 #include "devices/mosfet.hpp"
-#include "fefet/fefet.hpp"
 #include "spice/primitives.hpp"
 
 namespace sfc::lint {
@@ -85,20 +84,10 @@ std::vector<std::pair<NodeId, NodeId>> conduction_edges(const Device& dev,
   return all;
 }
 
-bool is_voltage_defined(const Device& dev) {
-  return dynamic_cast<const spice::VSource*>(&dev) != nullptr;
-}
-
-std::pair<NodeId, NodeId> voltage_branch(const Device& dev) {
-  const auto t = dev.terminals();
-  return {t[0], t[1]};
-}
-
 ConductionComponents ConductionComponents::build(const spice::Circuit& circuit,
                                                  bool caps_conduct) {
   ConductionComponents out;
   out.num_nodes = circuit.num_nodes();
-  out.caps_conduct = caps_conduct;
   Dsu dsu(out.num_nodes + 1);
   for (const auto& dev : circuit.devices()) {
     for (const auto& [a, b] : conduction_edges(*dev, caps_conduct)) {
@@ -112,20 +101,60 @@ ConductionComponents ConductionComponents::build(const spice::Circuit& circuit,
 
 // ------------------------------------------------------------ dc topology
 
+namespace {
+
+/// DC topology for the interval engine: passive adjacency (with
+/// conductance bounds where the element is linear), voltage pins, and the
+/// taint seeds that mark where the maximum principle stops holding.
+struct DcTopology {
+  /// A passive two-terminal branch incident to a node. Passive means
+  /// sign(i) == sign(delta v): resistors, switches, diodes, MOSFET
+  /// channels. `g` bounds the branch conductance when the element is
+  /// linear enough to have one (R, S); nonlinear passive branches keep
+  /// has_g == false and participate only in hull relaxation.
+  struct Edge {
+    NodeId other = spice::kGround;
+    Interval g;  ///< conductance bounds [S]; meaningful iff has_g
+    bool has_g = false;
+  };
+
+  /// A voltage-source branch v(a) - v(b) = value. The value depends on
+  /// the interval mode (DC start value vs whole-waveform range).
+  struct Pin {
+    NodeId a = spice::kGround;
+    NodeId b = spice::kGround;
+    Interval dc_value;        ///< t=0 value (+ .dc sweep hull)
+    Interval envelope_value;  ///< waveform range (+ sweep hull)
+  };
+
+  /// Per non-ground node: incident passive edges. Capacitors are not
+  /// edges: the envelope engine anchors a grounded one's node instead.
+  std::vector<std::vector<Edge>> edges;
+  std::vector<Pin> pins;
+
+  /// Nodes whose island must be widened to the universe in DC mode:
+  /// current-source terminals and unknown device types. The maximum
+  /// principle assumes every non-pin injection is passive; these break it.
+  std::vector<NodeId> dc_taint_seeds;
+  /// Additional seeds for the transient envelope: capacitors not
+  /// referenced to ground.
+  std::vector<NodeId> tran_taint_seeds;
+
+  static DcTopology build(const spice::Circuit& circuit,
+                          const spice::NetlistDeck* deck);
+};
+
 DcTopology DcTopology::build(const spice::Circuit& circuit,
                              const spice::NetlistDeck* deck) {
   DcTopology topo;
   const std::size_t n = circuit.num_nodes();
   topo.edges.resize(n);
 
-  const auto add_edge = [&](const Device* dev, NodeId a, NodeId b,
-                            const Interval& g, bool has_g,
-                            bool is_capacitor) {
+  const auto add_edge = [&](NodeId a, NodeId b, const Interval& g,
+                            bool has_g) {
     Edge e;
-    e.device = dev;
     e.g = g;
     e.has_g = has_g;
-    e.is_capacitor = is_capacitor;
     if (a != spice::kGround) {
       e.other = b;
       topo.edges[static_cast<std::size_t>(a)].push_back(e);
@@ -136,9 +165,6 @@ DcTopology DcTopology::build(const spice::Circuit& circuit,
     }
   };
   const auto taint_dc = [&](NodeId a) { topo.dc_taint_seeds.push_back(a); };
-  const auto taint_tran = [&](NodeId a) {
-    topo.tran_taint_seeds.push_back(a);
-  };
 
   // Hull of every .dc sweep targeting this source (the operating point is
   // recomputed at each sweep value, so the static bound must cover all).
@@ -153,34 +179,22 @@ DcTopology DcTopology::build(const spice::Circuit& circuit,
     return sweep;
   };
 
+  // Element values are positive here: the device constructors reject
+  // anything else, so every R, switch and channel is a passive branch.
   for (const auto& dev : circuit.devices()) {
     const auto t = dev->terminals();
     if (const auto* r = dynamic_cast<const spice::Resistor*>(dev.get())) {
-      if (r->resistance() <= 0.0) {
-        // Negative resistance is active (sign(i) != sign(dv)); the maximum
-        // principle no longer holds anywhere current from it can reach.
-        taint_dc(t[0]);
-        taint_dc(t[1]);
-      } else {
-        add_edge(dev.get(), t[0], t[1],
-                 Interval(1.0) / Interval(r->resistance()), true, false);
-      }
-    } else if (const auto* c =
-                   dynamic_cast<const spice::Capacitor*>(dev.get())) {
-      const bool a_gnd = t[0] == spice::kGround;
-      const bool b_gnd = t[1] == spice::kGround;
-      if (c->capacitance() <= 0.0 || (!a_gnd && !b_gnd)) {
+      add_edge(t[0], t[1], Interval(1.0) / Interval(r->resistance()), true);
+    } else if (dynamic_cast<const spice::Capacitor*>(dev.get()) != nullptr) {
+      if (t[0] != spice::kGround && t[1] != spice::kGround) {
         // A floating capacitor couples two node histories; the transient
         // envelope cannot anchor either side. DC is unaffected (open).
-        taint_tran(t[0]);
-        taint_tran(t[1]);
-      } else if (!(a_gnd && b_gnd)) {
-        add_edge(dev.get(), t[0], t[1], Interval(), false, true);
+        topo.tran_taint_seeds.push_back(t[0]);
+        topo.tran_taint_seeds.push_back(t[1]);
       }
     } else if (const auto* v =
                    dynamic_cast<const spice::VSource*>(dev.get())) {
       Pin pin;
-      pin.device = dev.get();
       pin.a = t[0];
       pin.b = t[1];
       pin.dc_value = Interval(v->waveform().initial());
@@ -198,24 +212,13 @@ DcTopology DcTopology::build(const spice::Circuit& circuit,
     } else if (const auto* s =
                    dynamic_cast<const spice::VSwitch*>(dev.get())) {
       const auto& p = s->params();
-      if (p.r_on <= 0.0 || p.r_off <= 0.0) {
-        taint_dc(t[0]);
-        taint_dc(t[1]);
-      } else {
-        const Interval g = Interval::hull(Interval(1.0) / Interval(p.r_on),
-                                          Interval(1.0) / Interval(p.r_off));
-        add_edge(dev.get(), t[0], t[1], g, true, false);
-      }
+      const Interval g = Interval::hull(Interval(1.0) / Interval(p.r_on),
+                                        Interval(1.0) / Interval(p.r_off));
+      add_edge(t[0], t[1], g, true);
     } else if (dynamic_cast<const devices::Diode*>(dev.get()) != nullptr) {
-      add_edge(dev.get(), t[0], t[1], Interval(), false, false);
-    } else if (const auto* m =
-                   dynamic_cast<const devices::Mosfet*>(dev.get())) {
-      if (m->params().w <= 0.0 || m->params().l <= 0.0) {
-        taint_dc(t[0]);
-        taint_dc(t[2]);
-      } else {
-        add_edge(dev.get(), t[0], t[2], Interval(), false, false);
-      }
+      add_edge(t[0], t[1], Interval(), false);
+    } else if (dynamic_cast<const devices::Mosfet*>(dev.get()) != nullptr) {
+      add_edge(t[0], t[2], Interval(), false);
     } else {
       // Unknown device: no passivity assumption is safe.
       for (NodeId a : t) taint_dc(a);
@@ -226,26 +229,16 @@ DcTopology DcTopology::build(const spice::Circuit& circuit,
 
 // --------------------------------------------------------- interval engine
 
-namespace {
-
-struct EngineResult {
-  std::vector<Interval> vals;
-  std::vector<char> tainted;
-  bool contradiction = false;
-};
-
 /// One fixpoint run of the abstract interpreter. `envelope` selects the
-/// transient mode: VSource pins use their whole-waveform range, and
-/// grounded capacitors anchor their node to the initial condition
-/// (`dc_vals` when no explicit ic was given).
-EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
-                        const ConductionComponents& comps,
-                        const IntervalOptions& opt, bool envelope,
-                        const std::vector<Interval>* dc_vals) {
+/// transient mode: capacitors conduct, VSource pins use their
+/// whole-waveform range, and grounded capacitors anchor their node to the
+/// initial condition (`dc_vals` when no explicit ic was given).
+std::vector<Interval> run_engine(const spice::Circuit& circuit,
+                                 const DcTopology& topo, double gmin_max,
+                                 bool envelope,
+                                 const std::vector<Interval>* dc_vals) {
   const std::size_t n = circuit.num_nodes();
-  EngineResult out;
-  out.vals.assign(n, Interval::universe());
-  out.tainted.assign(n, 0);
+  std::vector<Interval> vals(n, Interval::universe());
 
   // Islands: conduction connectivity EXCLUDING ground. Ground is the
   // Dirichlet boundary of the maximum principle — its potential is fixed,
@@ -255,7 +248,7 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
   // the resistive topo.edges), and the hull pass below runs per island.
   Dsu islands(n);
   for (const auto& dev : circuit.devices()) {
-    for (const auto& [a, b] : conduction_edges(*dev, comps.caps_conduct)) {
+    for (const auto& [a, b] : conduction_edges(*dev, envelope)) {
       if (a == spice::kGround || b == spice::kGround) continue;
       islands.unite(static_cast<std::size_t>(a), static_cast<std::size_t>(b));
     }
@@ -275,8 +268,9 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
   if (envelope) {
     for (NodeId s : topo.tran_taint_seeds) seed(s);
   }
+  std::vector<char> tainted(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (bad_roots.count(island_root[i]) != 0) out.tainted[i] = 1;
+    if (bad_roots.count(island_root[i]) != 0) tainted[i] = 1;
   }
 
   // Pinned nodes: terminals of voltage-source branches. They are
@@ -296,7 +290,7 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
   if (envelope) {
     for (const auto& dev : circuit.devices()) {
       const auto* c = dynamic_cast<const spice::Capacitor*>(dev.get());
-      if (!c || c->capacitance() <= 0.0) continue;
+      if (!c) continue;
       const auto t = dev->terminals();
       const bool a_gnd = t[0] == spice::kGround;
       const bool b_gnd = t[1] == spice::kGround;
@@ -317,19 +311,18 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
 
   const auto val_of = [&](NodeId x) -> Interval {
     return x == spice::kGround ? Interval(0.0)
-                               : out.vals[static_cast<std::size_t>(x)];
+                               : vals[static_cast<std::size_t>(x)];
   };
 
   bool changed = false;
   const auto narrow = [&](NodeId x, const Interval& bound) {
     if (x == spice::kGround) return;
     const std::size_t idx = static_cast<std::size_t>(x);
-    const Interval nv = Interval::intersect(out.vals[idx], bound);
-    if (nv != out.vals[idx]) {
-      out.vals[idx] = nv;
+    const Interval nv = Interval::intersect(vals[idx], bound);
+    if (nv != vals[idx]) {
+      vals[idx] = nv;
       changed = true;
     }
-    if (nv.is_empty()) out.contradiction = true;
   };
 
   // Nodes grouped by island for the hull pass.
@@ -358,7 +351,7 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
       if (bad_roots.count(root) != 0) continue;
       Interval h(0.0);
       for (std::size_t i : nodes) {
-        if (pinned[i]) h |= out.vals[i];
+        if (pinned[i]) h |= vals[i];
         if (is_state[i]) h |= anchor[i];
       }
       for (std::size_t i : nodes) narrow(static_cast<NodeId>(i), h);
@@ -366,17 +359,14 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
 
     // (c) Per-node refinement for interior (non-pinned) nodes.
     for (std::size_t i = 0; i < n; ++i) {
-      if (out.tainted[i] || pinned[i]) continue;
+      if (tainted[i] || pinned[i]) continue;
       const NodeId node = static_cast<NodeId>(i);
 
       Interval neighbor_hull(0.0);  // gmin pulls toward ground
       Interval num(0.0);
       Interval den(0.0);
       bool all_conductance = true;
-      bool any_edge = false;
       for (const DcTopology::Edge& e : topo.edges[i]) {
-        if (e.is_capacitor) continue;  // handled via state anchors
-        any_edge = true;
         const Interval ov = val_of(e.other);
         neighbor_hull |= ov;
         if (e.has_g) {
@@ -394,7 +384,7 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
         narrow(node, Interval::hull(anchor[i], neighbor_hull));
         continue;
       }
-      if (!any_edge) {
+      if (topo.edges[i].empty()) {
         // Only the gmin leak loads this node: v = 0 exactly at any
         // converged solve (the engine stamps gmin > 0 on every node).
         narrow(node, Interval(0.0));
@@ -405,7 +395,7 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
         // Thevenin / weighted-average refinement: KCL at a purely
         // conductive node gives v = sum(g v) / (sum(g) + gmin); interval
         // evaluation contains the true value for any g in its bounds.
-        den = den + Interval(0.0, opt.gmin_max);
+        den = den + Interval(0.0, gmin_max);
         bound &= num / den;
       }
       narrow(node, bound);
@@ -417,75 +407,25 @@ EngineResult run_engine(const spice::Circuit& circuit, const DcTopology& topo,
   // Tainted nodes report the universe regardless of what pin narrowing
   // achieved locally — except pins anchored purely to ground, which stay
   // valid. Keeping the narrowed value is sound: pins are hard facts.
-  return out;
+  return vals;
 }
 
 }  // namespace
 
-// --------------------------------------------------------------- manager
-
-AnalysisManager::AnalysisManager(const spice::Circuit& circuit,
-                                 const spice::NetlistDeck* deck,
-                                 IntervalOptions options)
-    : circuit_(circuit), deck_(deck), options_(options) {}
-
-const NodeIncidence& AnalysisManager::incidence() {
-  if (!incidence_) {
-    incidence_ = std::make_unique<NodeIncidence>(NodeIncidence::build(circuit_));
-  }
-  return *incidence_;
-}
-
-const ConductionComponents& AnalysisManager::components(bool caps_conduct) {
-  auto& slot = components_[caps_conduct ? 1 : 0];
-  if (!slot) {
-    slot = std::make_unique<ConductionComponents>(
-        ConductionComponents::build(circuit_, caps_conduct));
-  }
-  return *slot;
-}
-
-const DcTopology& AnalysisManager::topology() {
-  if (!topology_) {
-    topology_ =
-        std::make_unique<DcTopology>(DcTopology::build(circuit_, deck_));
-  }
-  return *topology_;
-}
-
-const OperatingIntervals& AnalysisManager::intervals() {
-  if (intervals_) return *intervals_;
-  auto out = std::make_unique<OperatingIntervals>();
-  out->has_tran = !deck_ || !deck_->tran.empty();
-  if (deck_ && deck_->has_temperature) {
-    out->temp_lo = out->temp_hi = deck_->temperature_c;
-  }
-
-  const DcTopology& topo = topology();
-  EngineResult dc =
-      run_engine(circuit_, topo, components(false), options_, false, nullptr);
-  out->dc = std::move(dc.vals);
-  out->dc_tainted = std::move(dc.tainted);
-  out->dc_contradiction = dc.contradiction;
-
-  if (out->has_tran) {
-    EngineResult env = run_engine(circuit_, topo, components(true), options_,
-                                  true, &out->dc);
-    out->envelope = std::move(env.vals);
-    out->envelope_contradiction = env.contradiction;
-  } else {
-    out->envelope = out->dc;
-    out->envelope_contradiction = out->dc_contradiction;
-  }
-  intervals_ = std::move(out);
-  return *intervals_;
-}
-
 OperatingIntervals compute_operating_intervals(const spice::Circuit& circuit,
                                                const spice::NetlistDeck* deck,
-                                               const IntervalOptions& options) {
-  AnalysisManager manager(circuit, deck, options);
-  return manager.intervals();
+                                               double gmin_max) {
+  OperatingIntervals out;
+  out.has_tran = !deck || !deck->tran.empty();
+  if (deck && deck->has_temperature) {
+    out.temp_lo = out.temp_hi = deck->temperature_c;
+  }
+  const DcTopology topo = DcTopology::build(circuit, deck);
+  out.dc = run_engine(circuit, topo, gmin_max, false, nullptr);
+  out.envelope = out.has_tran
+                     ? run_engine(circuit, topo, gmin_max, true, &out.dc)
+                     : out.dc;
+  return out;
 }
 
 }  // namespace sfc::lint

@@ -50,7 +50,7 @@ class LintReport {
   int exit_code() const;
 
   /// Sort findings by (line, rule, object) for stable output regardless of
-  /// rule execution order. Called by the Linter after the pipeline runs.
+  /// rule execution order. Called by lint_circuit after the pipeline runs.
   void sort();
 
   /// Compiler-style text, one finding per line, plus a summary line.

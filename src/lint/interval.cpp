@@ -39,11 +39,7 @@ double mulc(double x, double y) {
 /// which the min/max over all four candidates keeps sound because the
 /// matching finite candidates bracket it).
 double divc(double x, double y) {
-  if (x == 0.0) return 0.0;
-  if (std::isinf(y)) {
-    if (std::isinf(x)) return 0.0;
-    return 0.0;
-  }
+  if (x == 0.0 || std::isinf(y)) return 0.0;
   return x / y;
 }
 

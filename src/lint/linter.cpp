@@ -6,12 +6,12 @@
 
 namespace sfc::lint {
 
-Linter::Linter() { validate_rule_table(builtin_rules()); }
-
-LintReport Linter::run(const spice::Circuit& circuit,
-                       const spice::NetlistDeck* deck) const {
-  AnalysisManager analyses(circuit, deck);
-  LintContext ctx{circuit, deck, analyses};
+LintReport lint_circuit(const spice::Circuit& circuit,
+                        const spice::NetlistDeck* deck) {
+  const LintContext ctx{
+      circuit, deck, NodeIncidence::build(circuit),
+      ConductionComponents::build(circuit, !deck || !deck->tran.empty()),
+      compute_operating_intervals(circuit, deck)};
   LintReport report;
   for (const Rule& rule : builtin_rules()) rule.run(ctx, report);
   report.sort();
@@ -40,7 +40,7 @@ LintResult lint_source(const std::string& text) {
     result.report.add(std::move(d));
     return result;
   }
-  result.report = Linter{}.run(circuit, &result.deck);
+  result.report = lint_circuit(circuit, &result.deck);
   return result;
 }
 

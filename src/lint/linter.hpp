@@ -11,20 +11,14 @@
 
 namespace sfc::lint {
 
-class Linter {
- public:
-  /// Runs every builtin rule. Validates the rule table (throws
-  /// std::invalid_argument on duplicate ids).
-  Linter();
-
-  /// Run the pipeline over a finalized-or-not circuit. `deck`
-  /// unlocks the directive rules (tran-step, temp-range, unused-model,
-  /// dc-sweep-source), tells the reachability rule whether capacitors
-  /// conduct, and scopes the interval analysis temperature range. Never
-  /// solves, never mutates the circuit. Findings come back sorted.
-  LintReport run(const spice::Circuit& circuit,
-                 const spice::NetlistDeck* deck = nullptr) const;
-};
+/// Run every builtin rule over a finalized-or-not circuit, after building
+/// the analyses they read once into a LintContext. `deck` unlocks the
+/// directive rules (tran-step, temp-range, unused-model, dc-sweep-source),
+/// tells the reachability rule whether capacitors conduct, and scopes the
+/// interval analysis temperature range. Never solves, never mutates the
+/// circuit. Findings come back sorted.
+LintReport lint_circuit(const spice::Circuit& circuit,
+                        const spice::NetlistDeck* deck = nullptr);
 
 /// Parse + lint outcome. Parse failures are reported as diagnostics (rule
 /// = spice::NetlistError::rule()), not exceptions, so the linter can be

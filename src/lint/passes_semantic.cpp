@@ -1,4 +1,4 @@
-// Semantic lint passes: consume the AnalysisManager's operating-point
+// Semantic lint passes: consume the LintContext's operating-point
 // intervals and FeFET device physics to prove (or refute) the paper's
 // operating regime statically — before any Newton iteration runs.
 //
@@ -8,7 +8,6 @@
 // when it falls inside. Every law involved is piecewise linear in T, so
 // corner evaluation bounds the whole range exactly.
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <vector>
@@ -32,12 +31,6 @@ constexpr double kMinMemoryWindow = 0.2;
 constexpr double kAdcFullScale = 1.2;
 /// adc-range: slack added to the full scale before flagging [V].
 constexpr double kAdcTolerance = 1e-6;
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 /// Corner temperatures of [lo, hi] for the FeFET threshold laws: the two
 /// endpoints plus the temperature where the memory-window shrink clamps
@@ -85,7 +78,7 @@ std::map<NodeId, std::vector<const fefet::FeFet*>> group_by_drain(
 }  // namespace
 
 void subthreshold_window(const LintContext& ctx, LintReport& out) {
-  const OperatingIntervals& iv = ctx.analyses.intervals();
+  const OperatingIntervals& iv = ctx.intervals;
   for (const auto& dev : ctx.circuit.devices()) {
     const auto* z = dynamic_cast<const fefet::FeFet*>(dev.get());
     if (!z) continue;
@@ -178,7 +171,6 @@ void vth_temp_drift(const LintContext& ctx, LintReport& out) {
     const auto* z = dynamic_cast<const fefet::FeFet*>(dev.get());
     if (!z) continue;
     const fefet::PreisachParams& p = z->ferroelectric().params();
-    if (p.vth_low >= p.vth_high) continue;  // fefet-vth-window's finding
 
     // Cell robustness is a property of the device, not of today's deck:
     // always check the paper's full temperature envelope.
@@ -250,7 +242,7 @@ void vth_temp_drift(const LintContext& ctx, LintReport& out) {
 
 void cim_array_shape(const LintContext& ctx, LintReport& out) {
   const auto groups = group_by_drain(ctx.circuit);
-  const NodeIncidence& incidence = ctx.analyses.incidence();
+  const NodeIncidence& incidence = ctx.incidence;
 
   // Ragged-array bookkeeping across all bitlines (>= 2 cells each).
   NodeId first_bl = spice::kGround;
@@ -329,7 +321,7 @@ void cim_array_shape(const LintContext& ctx, LintReport& out) {
 }
 
 void adc_range(const LintContext& ctx, LintReport& out) {
-  const OperatingIntervals& iv = ctx.analyses.intervals();
+  const OperatingIntervals& iv = ctx.intervals;
   for (const auto& [bl, cells] : group_by_drain(ctx.circuit)) {
     if (cells.size() < 2) continue;
     const Interval v = iv.envelope_at(bl);

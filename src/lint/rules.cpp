@@ -1,20 +1,12 @@
 #include "lint/rules.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <unordered_set>
 
-#include "devices/diode.hpp"
-#include "devices/mosfet.hpp"
-#include "fefet/fefet.hpp"
 #include "spice/primitives.hpp"
 
 namespace sfc::lint {
-namespace {
-
-using spice::Device;
-using spice::NodeId;
 
 std::string fmt(double v) {
   char buf[32];
@@ -22,15 +14,19 @@ std::string fmt(double v) {
   return buf;
 }
 
+namespace {
+
+using spice::Device;
+using spice::NodeId;
+
 // ------------------------------------------------------------------ rules
 
 void rule_floating_node(const LintContext& ctx, LintReport& out) {
   const spice::Circuit& c = ctx.circuit;
   const std::size_t n = c.num_nodes();
   if (n == 0) return;
-  const bool caps_conduct = !ctx.deck || !ctx.deck->tran.empty();
-  const ConductionComponents& comps = ctx.analyses.components(caps_conduct);
-  const NodeIncidence& incidence = ctx.analyses.incidence();
+  const ConductionComponents& comps = ctx.components;
+  const NodeIncidence& incidence = ctx.incidence;
   const std::size_t ground = comps.component_of(spice::kGround);
   // One diagnostic per disconnected island, anchored at its first device.
   std::unordered_set<std::size_t> reported;
@@ -69,8 +65,12 @@ void rule_vsource_loop(const LintContext& ctx, LintReport& out) {
   const std::size_t n = c.num_nodes();
   Dsu dsu(n + 1);
   for (const auto& dev : c.devices()) {
-    if (!is_voltage_defined(*dev)) continue;
-    const auto [a, b] = voltage_branch(*dev);
+    // A voltage source fixes its branch voltage whatever the current, so
+    // a loop of them (or a shorted one) makes the MNA matrix singular.
+    if (dynamic_cast<const spice::VSource*>(dev.get()) == nullptr) continue;
+    const auto t = dev->terminals();
+    const NodeId a = t[0];
+    const NodeId b = t[1];
     const std::size_t sa = node_slot(a, n);
     const std::size_t sb = node_slot(b, n);
     Diagnostic d;
@@ -101,7 +101,7 @@ void rule_vsource_loop(const LintContext& ctx, LintReport& out) {
 
 void rule_dangling_terminal(const LintContext& ctx, LintReport& out) {
   const spice::Circuit& c = ctx.circuit;
-  const NodeIncidence& incidence = ctx.analyses.incidence();
+  const NodeIncidence& incidence = ctx.incidence;
   for (std::size_t i = 0; i < incidence.touches.size(); ++i) {
     const auto& touches = incidence.touches[i];
     if (touches.size() != 1) continue;
@@ -122,7 +122,7 @@ void rule_dangling_terminal(const LintContext& ctx, LintReport& out) {
 
 void rule_unused_node(const LintContext& ctx, LintReport& out) {
   const spice::Circuit& c = ctx.circuit;
-  const NodeIncidence& incidence = ctx.analyses.incidence();
+  const NodeIncidence& incidence = ctx.incidence;
   for (std::size_t i = 0; i < incidence.touches.size(); ++i) {
     if (!incidence.touches[i].empty()) continue;
     Diagnostic d;
@@ -132,55 +132,6 @@ void rule_unused_node(const LintContext& ctx, LintReport& out) {
     d.message = "node '" + d.object + "' is declared but no device touches it";
     d.hint = "drop the node or wire a device to it";
     out.add(std::move(d));
-  }
-}
-
-void rule_fefet_vth_window(const LintContext& ctx, LintReport& out) {
-  for (const auto& dev : ctx.circuit.devices()) {
-    const auto* z = dynamic_cast<const fefet::FeFet*>(dev.get());
-    if (!z) continue;
-    const fefet::PreisachParams& p = z->ferroelectric().params();
-    if (p.vth_low < p.vth_high) continue;
-    Diagnostic d;
-    d.rule = "fefet-vth-window";
-    d.severity = Severity::kError;
-    d.line = dev->source_line();
-    d.object = dev->name();
-    d.message = "FeFET '" + dev->name() + "' has vthlow (" + fmt(p.vth_low) +
-                " V) >= vthhigh (" + fmt(p.vth_high) +
-                " V): the memory window is empty or inverted";
-    d.hint = "swap or widen the thresholds (paper reference: 0.25 V / 1.7 V)";
-    out.add(std::move(d));
-  }
-}
-
-void rule_nonpositive_value(const LintContext& ctx, LintReport& out) {
-  const auto flag = [&out](const Device& dev, const std::string& what,
-                           double v) {
-    Diagnostic d;
-    d.rule = "nonpositive-value";
-    d.severity = Severity::kError;
-    d.line = dev.source_line();
-    d.object = dev.name();
-    d.message = "device '" + dev.name() + "' has non-positive " + what +
-                " (" + fmt(v) + ")";
-    d.hint = "physical element values must be > 0";
-    out.add(std::move(d));
-  };
-  for (const auto& dev : ctx.circuit.devices()) {
-    if (const auto* r = dynamic_cast<const spice::Resistor*>(dev.get())) {
-      if (r->resistance() <= 0.0) flag(*dev, "resistance", r->resistance());
-    } else if (const auto* c = dynamic_cast<const spice::Capacitor*>(dev.get())) {
-      if (c->capacitance() <= 0.0) flag(*dev, "capacitance", c->capacitance());
-    } else if (const auto* s = dynamic_cast<const spice::VSwitch*>(dev.get())) {
-      if (s->params().r_on <= 0.0) flag(*dev, "on-resistance", s->params().r_on);
-      if (s->params().r_off <= 0.0) {
-        flag(*dev, "off-resistance", s->params().r_off);
-      }
-    } else if (const auto* m = dynamic_cast<const devices::Mosfet*>(dev.get())) {
-      if (m->params().w <= 0.0) flag(*dev, "channel width", m->params().w);
-      if (m->params().l <= 0.0) flag(*dev, "channel length", m->params().l);
-    }
   }
 }
 
@@ -282,18 +233,12 @@ const std::vector<Rule>& builtin_rules() {
       {"floating-node", Severity::kError,
        "a node (island) has no DC path to ground", rule_floating_node},
       {"vsource-loop", Severity::kError,
-       "loop or short of voltage-defined branches (V/E/L)",
-       rule_vsource_loop},
+       "loop or short of voltage-source branches", rule_vsource_loop},
       {"dangling-terminal", Severity::kWarning,
        "a node is touched by exactly one device terminal",
        rule_dangling_terminal},
       {"unused-node", Severity::kNote,
        "a declared node is touched by no device", rule_unused_node},
-      {"fefet-vth-window", Severity::kError,
-       "FeFET programmed window has vthlow >= vthhigh",
-       rule_fefet_vth_window},
-      {"nonpositive-value", Severity::kError,
-       "non-positive R/C or MOSFET/FeFET W/L", rule_nonpositive_value},
       {"tran-step", Severity::kError, ".tran with dt <= 0 or dt > t_stop",
        rule_tran_step},
       {"temp-range", Severity::kWarning,
@@ -323,18 +268,6 @@ const std::vector<Rule>& builtin_rules() {
   return rules;
 }
 
-void validate_rule_table(const std::vector<Rule>& rules) {
-  std::unordered_set<std::string> seen;
-  for (const Rule& r : rules) {
-    if (!seen.insert(r.id).second) {
-      throw std::invalid_argument("lint: duplicate rule id '" +
-                                  std::string(r.id) +
-                                  "' in rule table (registration would be "
-                                  "silently shadowed)");
-    }
-  }
-}
-
 const std::vector<ParseRuleInfo>& parse_rules() {
   static const std::vector<ParseRuleInfo> rules = {
       {"duplicate-device", "device name redefined (both lines reported)"},
@@ -344,6 +277,7 @@ const std::vector<ParseRuleInfo>& parse_rules() {
       {"undefined-subckt", "X card references a subcircuit never defined"},
       {"subckt-port-mismatch", "X card node count != .subckt port count"},
       {"nonpositive-value", "device card with a non-positive element value"},
+      {"fefet-vth-window", "FeFET card with vthlow >= vthhigh"},
       {"unknown-card", "unrecognized device card letter"},
       {"unknown-directive", "unrecognized dot directive"},
       {"parse-error", "malformed card (missing node/value, bad number, ...)"},

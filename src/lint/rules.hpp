@@ -1,12 +1,14 @@
 // Electrical-rule-check and semantic analysis passes over a parsed
 // Circuit (+ optional NetlistDeck). Each rule is a pure static-analysis
 // function: it inspects the circuit topology / device parameters / deck
-// directives — or the shared analyses cached by the AnalysisManager
-// (analysis.hpp) — and appends Diagnostic records. No solve is ever
-// attempted. The Linter (linter.hpp) runs every rule in table order.
+// directives — or the shared analyses (analysis.hpp) that lint_circuit
+// (linter.hpp) builds once into the LintContext — and appends Diagnostic
+// records. No solve is ever attempted. lint_circuit runs every rule in
+// table order.
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "lint/analysis.hpp"
@@ -23,9 +25,11 @@ struct LintContext {
   /// treated as conductive for reachability — the caller may legitimately
   /// intend a transient).
   const spice::NetlistDeck* deck = nullptr;
-  /// Shared analyses (incidence, conduction graphs, operating intervals),
-  /// computed lazily and cached across the pass pipeline.
-  AnalysisManager& analyses;
+  NodeIncidence incidence;
+  /// Conduction components; capacitors conduct exactly when
+  /// intervals.has_tran (a .tran, or no deck).
+  ConductionComponents components;
+  OperatingIntervals intervals;
 };
 
 struct Rule {
@@ -35,13 +39,11 @@ struct Rule {
   void (*run)(const LintContext&, LintReport&);
 };
 
+/// "%.6g" text of a value, for diagnostic messages.
+std::string fmt(double v);
+
 /// The built-in circuit/deck pass pipeline, in execution order.
 const std::vector<Rule>& builtin_rules();
-
-/// Throws std::invalid_argument when two rules share an id. Run by the
-/// Linter constructor, so an edited rule table with a duplicate id fails
-/// loudly instead of reporting two rules under one id.
-void validate_rule_table(const std::vector<Rule>& rules);
 
 /// Rules enforced during parse_netlist itself (surfaced by lint_source as
 /// diagnostics via spice::NetlistError::rule()). Listed here so the CLI
@@ -52,8 +54,7 @@ struct ParseRuleInfo {
 };
 const std::vector<ParseRuleInfo>& parse_rules();
 
-/// Semantic passes (passes_semantic.cpp), registered in builtin_rules()
-/// and exposed for targeted tests.
+/// Semantic passes (passes_semantic.cpp), registered in builtin_rules().
 namespace passes {
 void subthreshold_window(const LintContext& ctx, LintReport& out);
 void vth_temp_drift(const LintContext& ctx, LintReport& out);

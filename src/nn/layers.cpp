@@ -3,8 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace sfc::nn {
+namespace {
+
+/// The layers' shape check: thrown in every build, since a layer fed the
+/// wrong shape would read past its input.
+[[noreturn]] void reject_input(const Layer& layer, const std::vector<int>& in,
+                               const std::string& expected) {
+  throw std::invalid_argument(layer.name() + ": input shape " +
+                              Tensor::shape_text(in) + ", expected " +
+                              expected);
+}
+
+}  // namespace
 
 void Layer::zero_gradients() {
   for (Tensor* g : gradients()) g->fill(0.0f);
@@ -37,20 +50,21 @@ std::string Conv2d::name() const {
 }
 
 std::vector<int> Conv2d::output_shape(const std::vector<int>& in) const {
-  assert(in.size() == 3 && in[0] == in_channels_);
+  if (in.size() != 3 || in[0] != in_channels_) {
+    reject_input(*this, in, "[" + std::to_string(in_channels_) + ", H, W]");
+  }
   const int h = in[1] + 2 * padding_ - kernel_ + 1;
   const int w = in[2] + 2 * padding_ - kernel_ + 1;
   return {out_channels_, h, w};
 }
 
 Tensor Conv2d::forward(const Tensor& input, const LayerContext& /*ctx*/) {
-  assert(input.shape().size() == 3 && input.dim(0) == in_channels_);
+  Tensor out(output_shape(input.shape()));
   cached_input_ = input;
   const int in_h = input.dim(1);
   const int in_w = input.dim(2);
-  const int out_h = in_h + 2 * padding_ - kernel_ + 1;
-  const int out_w = in_w + 2 * padding_ - kernel_ + 1;
-  Tensor out({out_channels_, out_h, out_w});
+  const int out_h = out.dim(1);
+  const int out_w = out.dim(2);
 
   for (int oc = 0; oc < out_channels_; ++oc) {
     const float b = bias_[static_cast<std::size_t>(oc)];
@@ -132,7 +146,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
 // --------------------------------------------------------------- MaxPool2d
 
-MaxPool2d::MaxPool2d(int window) : window_(window) { assert(window >= 2); }
+MaxPool2d::MaxPool2d(int window) : window_(window) {
+  if (window < 2) {
+    throw std::invalid_argument("MaxPool2d: window " + std::to_string(window) +
+                                " is below 2");
+  }
+}
 
 std::string MaxPool2d::name() const {
   return "MaxPool2d(" + std::to_string(window_) + "x" +
@@ -140,16 +159,16 @@ std::string MaxPool2d::name() const {
 }
 
 std::vector<int> MaxPool2d::output_shape(const std::vector<int>& in) const {
-  assert(in.size() == 3);
+  if (in.size() != 3) reject_input(*this, in, "[C, H, W]");
   return {in[0], in[1] / window_, in[2] / window_};
 }
 
 Tensor MaxPool2d::forward(const Tensor& input, const LayerContext& /*ctx*/) {
+  Tensor out(output_shape(input.shape()));
   in_shape_ = input.shape();
-  const int channels = input.dim(0);
-  const int out_h = input.dim(1) / window_;
-  const int out_w = input.dim(2) / window_;
-  Tensor out({channels, out_h, out_w});
+  const int channels = out.dim(0);
+  const int out_h = out.dim(1);
+  const int out_w = out.dim(2);
   argmax_.assign(out.size(), 0);
 
   std::size_t oi = 0;
@@ -210,15 +229,15 @@ std::string Dense::name() const {
 }
 
 std::vector<int> Dense::output_shape(const std::vector<int>& in) const {
-  assert(static_cast<int>(Tensor::count(in)) == in_features_);
-  (void)in;
+  if (Tensor::count(in) != static_cast<std::size_t>(in_features_)) {
+    reject_input(*this, in, std::to_string(in_features_) + " features");
+  }
   return {out_features_};
 }
 
 Tensor Dense::forward(const Tensor& input, const LayerContext& /*ctx*/) {
-  assert(static_cast<int>(input.size()) == in_features_);
+  Tensor out(output_shape(input.shape()));
   cached_input_ = input;
-  Tensor out({out_features_});
   const float* x = input.data();
   for (int o = 0; o < out_features_; ++o) {
     const float* w = weight_.data() +

@@ -35,6 +35,8 @@ class Layer {
 
   virtual std::string name() const = 0;
   /// Output shape given an input shape (vgg_table walks a network by it).
+  /// Throws std::invalid_argument, naming the layer and both shapes, when
+  /// the layer cannot take `in`; forward checks its input the same way.
   virtual std::vector<int> output_shape(const std::vector<int>& in) const = 0;
 };
 

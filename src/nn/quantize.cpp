@@ -1,7 +1,6 @@
 #include "nn/quantize.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -15,19 +14,36 @@ struct Geometry {
   int c = 0, h = 0, w = 0;
   bool flat = false;
   int features() const { return flat ? c : c * h * w; }
+  std::vector<int> shape() const {
+    return flat ? std::vector<int>{c} : std::vector<int>{c, h, w};
+  }
 };
 
+/// The shape check of every op, thrown in every build: an op fed the
+/// wrong geometry would read past its activations.
+[[noreturn]] void reject_geometry(const char* op, const Geometry& g,
+                                  const std::string& expected) {
+  throw std::invalid_argument(std::string("QuantizedNetwork: ") + op +
+                              " op input " + Tensor::shape_text(g.shape()) +
+                              ", expected " + expected);
+}
+
+/// The geometry after `op`; throws std::invalid_argument when `op` cannot
+/// take `g`.
 Geometry advance(const Geometry& g, const QuantOp& op) {
   Geometry out = g;
   switch (op.kind) {
     case QuantOp::Kind::kConv:
-      assert(!g.flat && g.c == op.in_channels);
+      if (g.flat || g.c != op.in_channels) {
+        reject_geometry("conv", g,
+                        "[" + std::to_string(op.in_channels) + ", H, W]");
+      }
       out.c = op.out_channels;
       out.h = g.h + 2 * op.padding - op.kernel + 1;
       out.w = g.w + 2 * op.padding - op.kernel + 1;
       break;
     case QuantOp::Kind::kPool:
-      assert(!g.flat);
+      if (g.flat) reject_geometry("pool", g, "[C, H, W]");
       out.h = g.h / op.pool_window;
       out.w = g.w / op.pool_window;
       break;
@@ -37,7 +53,10 @@ Geometry advance(const Geometry& g, const QuantOp& op) {
       out.flat = true;
       break;
     case QuantOp::Kind::kDense:
-      assert(g.features() == op.in_features);
+      if (g.features() != op.in_features) {
+        reject_geometry("dense", g,
+                        std::to_string(op.in_features) + " features");
+      }
       out.c = op.out_features;
       out.h = out.w = 1;
       out.flat = true;
@@ -202,6 +221,10 @@ QuantizedNetwork QuantizedNetwork::from_model(
                                layer.name());
     }
   }
+
+  // The ops' shapes must chain from the input image.
+  Geometry g{qn.input_channels_, qn.input_size_, qn.input_size_, false};
+  for (const QuantOp& op : qn.ops_) g = advance(g, op);
 
   // Pass 2: activation-scale calibration. A float twin of the ops - conv
   // and dense layers holding the dequantized weights (what the integer

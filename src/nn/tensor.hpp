@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace sfc::nn {
@@ -28,6 +29,16 @@ class Tensor {
       n *= static_cast<std::size_t>(d);
     }
     return n;
+  }
+
+  /// "[4, 32, 32]", for shape errors.
+  static std::string shape_text(const std::vector<int>& shape) {
+    std::string s = "[";
+    for (std::size_t i = 0; i < shape.size(); ++i) {
+      if (i > 0) s += ", ";
+      s += std::to_string(shape[i]);
+    }
+    return s + "]";
   }
 
   const std::vector<int>& shape() const { return shape_; }

@@ -141,8 +141,7 @@ bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
   const bool plan = options.use_stamp_plan;
   SolverWorkspace* ws = plan ? &stamp_baseline(ctx, x) : nullptr;
   // The reference assembles and solves in buffers of its own (empty on the
-  // plan path): the plan's sparse restore relies on ws.a holding the
-  // baseline outside its schedule.
+  // plan path), so it reads nothing the stamp plan caches.
   const std::size_t ref_size = plan ? 0 : circuit_.system_size();
   DenseMatrix ref_a(ref_size, ref_size);
   std::vector<double> ref_b(ref_size);

@@ -12,13 +12,13 @@ namespace {
 /// Shared real/complex LU factor-and-solve core: partial pivoting, in-place
 /// factorization, forward elimination of b fused into the sweep, back
 /// substitution. Optionally records the pivot sequence (`swap_with`, the
-/// row swapped into position k at step k) and the pivot magnitudes —
-/// LuPlan uses the recording to freeze and compile the pivot order.
+/// row swapped into position k at step k) — LuPlan uses the recording to
+/// freeze and compile the pivot order.
 /// Elimination starts at step `k0`: the columns left of it must already
 /// be eliminated (LuPlan's dense finish of a partly scheduled solve).
 template <typename T>
 bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
-             double* pivot_mag_out, std::size_t k0 = 0) {
+             std::size_t k0 = 0) {
   const std::size_t n = a.rows();
   assert(a.cols() == n);
   assert(b.size() == n);
@@ -43,7 +43,6 @@ bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
       std::swap(b[k], b[pivot_row]);
     }
     if (swap_with) swap_with[k] = static_cast<int>(pivot_row);
-    if (pivot_mag_out) pivot_mag_out[k] = pivot_mag;
     const T pivot = a.at(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
       const T factor = a.at(r, k) / pivot;
@@ -68,11 +67,11 @@ bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
 }  // namespace
 
 bool lu_solve(DenseMatrix& a, std::vector<double>& b) {
-  return lu_core(a, b, nullptr, nullptr);
+  return lu_core(a, b, nullptr);
 }
 
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b) {
-  return lu_core(a, b, nullptr, nullptr);
+  return lu_core(a, b, nullptr);
 }
 
 RowResidual worst_relative_residual(const DenseMatrix& a,
@@ -99,8 +98,7 @@ bool LuPlan::factor_and_compile(DenseMatrix& a, std::vector<double>& b,
   assert(pattern.size() == n * n);
   reset();
   swap_with_.assign(n, 0);
-  ref_pivot_mag_.assign(n, 0.0);
-  if (!lu_core(a, b, swap_with_.data(), ref_pivot_mag_.data())) return false;
+  if (!lu_core(a, b, swap_with_.data())) return false;
   pattern_.assign(pattern.begin(), pattern.end());
   n_ = n;
   kvals_.assign(n, 0.0);
@@ -240,20 +238,18 @@ bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b) {
       reset();
       return false;
     }
-    if (pivot_row != static_cast<std::size_t>(swap_with_[k]) ||
-        pivot_mag < kPivotDegradation * ref_pivot_mag_[k]) {
+    if (pivot_row != static_cast<std::size_t>(swap_with_[k])) {
       // Pivot drifted off the frozen order (near-tied rows trading places
-      // by ulps) or degraded. Inside the interchange class the compiled
-      // structure already covers the swap: re-record and carry on. A
-      // pivot outside the class changes the fill — finish densely from
-      // here (bit-identical: only structural zeros were skipped so far)
-      // and recompile around the new order.
+      // by ulps). Inside the interchange class the compiled structure
+      // already covers the swap: re-record and carry on. A pivot outside
+      // the class changes the fill — finish densely from here
+      // (bit-identical: only structural zeros were skipped so far) and
+      // recompile around the new order.
       const bool in_class = pivot_row == k
                                 ? diag_in_class_[k] != 0
                                 : class_flags_[static_cast<std::size_t>(
                                       row_ptr_[k] + pivot_ri)] != 0;
-      if (pivot_row != static_cast<std::size_t>(swap_with_[k]) &&
-          !in_class) {
+      if (!in_class) {
         // Remember both flip partners so the recompile widens the class
         // over them — a recurring flip between incomparable rows then
         // stays on the compiled path.
@@ -267,7 +263,6 @@ bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b) {
       }
       drifted = true;
       swap_with_[k] = static_cast<int>(pivot_row);
-      ref_pivot_mag_[k] = pivot_mag;
     }
     if (pivot_row != k) {
       // Exchange only the compiled swap columns — both rows hold exact
@@ -338,7 +333,7 @@ bool LuPlan::solve_dense_from(std::size_t k0, DenseMatrix& a,
   // far are exact structural zeros, so the matrix holds bit-identical
   // values to a dense factorization at step k0 and lu_core's tail from k0
   // gives lu_solve's bits, re-recording the order as it goes.
-  if (!lu_core(a, b, swap_with_.data(), ref_pivot_mag_.data(), k0)) {
+  if (!lu_core(a, b, swap_with_.data(), k0)) {
     reset();
     return false;
   }

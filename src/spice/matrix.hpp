@@ -108,25 +108,20 @@ class LuPlan {
   /// compiled candidate rows (the only rows that can be nonzero in the
   /// pivot column), so the numeric result is bit-identical to lu_solve()
   /// by construction. A winning pivot that differs from the frozen order
-  /// but stays in the interchange class (or merely degraded below
-  /// kPivotDegradation times its freeze-time magnitude) is re-recorded in
-  /// place at no cost; one that leaves the class finishes the solve with
+  /// but stays in the interchange class is re-recorded in place at no
+  /// cost; one that leaves the class finishes the solve with
   /// dense elimination from that step — still bit-identical — and
   /// recompiles the schedule around the new order (see refreeze_count()).
   /// Returns false (plan invalidated) only when the matrix is numerically
   /// singular.
   bool solve_frozen(DenseMatrix& a, std::vector<double>& b);
 
-  /// A pivot whose magnitude drops below this fraction of its value at
-  /// freeze time counts as drift and is re-recorded.
-  static constexpr double kPivotDegradation = 1e-6;
-
   /// Inner multiply-add updates the compiled schedule performs per
   /// factorization (diagnostics; dense elimination does ~n^3/3).
   std::size_t compiled_ops() const { return ops_; }
 
   /// Solves (since construction) whose pivot search drifted off the
-  /// frozen order (or hit kPivotDegradation) and re-recorded it.
+  /// frozen order and re-recorded it.
   /// In-class drift is free; a steadily rising count alongside slow
   /// solves means pivots keep leaving their interchange class.
   std::size_t refreeze_count() const { return refreezes_; }
@@ -146,7 +141,6 @@ class LuPlan {
   std::size_t ops_ = 0;
   std::size_t refreezes_ = 0;
   std::vector<int> swap_with_;         ///< per step k: row swapped into k
-  std::vector<double> ref_pivot_mag_;  ///< |pivot k| at freeze time
   std::vector<char> pattern_;          ///< unfactored structural nonzeros
   std::vector<char> p_work_;           ///< symbolic-elimination scratch
   std::vector<char> kpat_;             ///< scratch: diag row pattern

@@ -10,7 +10,7 @@ namespace sfc::spice {
 
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
     : Device(std::move(name)), a_(a), b_(b), ohms_(ohms) {
-  if (ohms <= 0.0) throw std::invalid_argument("Resistor: non-positive R");
+  if (!(ohms > 0.0)) throw std::invalid_argument("Resistor: non-positive R");
 }
 
 void Resistor::stamp(const SimContext& /*ctx*/, Stamper& s) {
@@ -26,7 +26,9 @@ void Resistor::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
 Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads,
                      double ic_volts)
     : Device(std::move(name)), a_(a), b_(b), farads_(farads), ic_(ic_volts) {
-  if (farads <= 0.0) throw std::invalid_argument("Capacitor: non-positive C");
+  if (!(farads > 0.0)) {
+    throw std::invalid_argument("Capacitor: non-positive C");
+  }
 }
 
 double Capacitor::vdiff_x(const std::vector<double>& x) const {
@@ -165,7 +167,7 @@ void ISource::collect_breakpoints(double t_stop,
 VSwitch::VSwitch(std::string name, NodeId a, NodeId b, NodeId ctrl,
                  Params params)
     : Device(std::move(name)), a_(a), b_(b), ctrl_(ctrl), p_(params) {
-  if (p_.r_on <= 0.0 || p_.r_off <= p_.r_on) {
+  if (!(p_.r_on > 0.0) || !(p_.r_off > p_.r_on)) {
     throw std::invalid_argument("VSwitch: need 0 < r_on < r_off");
   }
 }

@@ -348,10 +348,8 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions&) {
   // per-node bias interval that provably contains every DC operating
   // point. The converged solver solution is a witness — an escape is an
   // unsoundness bug in the abstract domain, never a tolerance issue.
-  lint::IntervalOptions iopt;
-  iopt.gmin_max = op.gmin_used;
   const lint::OperatingIntervals iv =
-      lint::compute_operating_intervals(circuit, nullptr, iopt);
+      lint::compute_operating_intervals(circuit, nullptr, op.gmin_used);
   for (std::size_t n = 0; n < num_nodes; ++n) {
     const double v = op.x[n];
     const lint::Interval bound = iv.dc_at(static_cast<spice::NodeId>(n));
@@ -398,7 +396,7 @@ CheckResult check_charge_share(const FuzzNetlist& nl, const FuzzOptions& opt) {
   // no .tran directive here, but a null deck means "a transient may
   // follow", which engages envelope mode).
   const lint::OperatingIntervals iv =
-      lint::compute_operating_intervals(circuit, nullptr, {});
+      lint::compute_operating_intervals(circuit, nullptr);
   double q_end = 0.0;
   for (const spice::Capacitor* c : caps) {
     const spice::NodeId node = c->terminals().front();
@@ -520,13 +518,26 @@ CheckResult check_cim_row(const FuzzNetlist& nl, const FuzzOptions&) {
 }
 
 CheckResult check_case(const FuzzNetlist& nl, const FuzzOptions& opt) {
+  CheckResult r;
   switch (nl.cls) {
-    case FuzzClass::kDcKcl: return check_dc_kcl(nl, opt);
-    case FuzzClass::kChargeShare: return check_charge_share(nl, opt);
-    case FuzzClass::kSubthresholdTemp: return check_subthreshold(nl, opt);
+    case FuzzClass::kDcKcl: r = check_dc_kcl(nl, opt); break;
+    case FuzzClass::kChargeShare: r = check_charge_share(nl, opt); break;
+    case FuzzClass::kSubthresholdTemp: r = check_subthreshold(nl, opt); break;
+    // A cim_row deck is comment-only provenance: nothing to lint.
     case FuzzClass::kCimRow: return check_cim_row(nl, opt);
   }
-  return {};
+  if (r.failure) return r;
+  // Static-analysis cross-check: every generated-valid card-based deck
+  // must come out of the linter with zero diagnostics. It adds nothing to
+  // the observable.
+  const lint::LintResult linted = lint::lint_source(nl.to_cir());
+  if (!linted.report.clean()) {
+    r.failure = fail("lint_clean",
+                     "generated-valid deck produced " +
+                         std::to_string(linted.report.diagnostics().size()) +
+                         " diagnostic(s):\n" + linted.report.to_text());
+  }
+  return r;
 }
 
 }  // namespace
@@ -583,24 +594,9 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
   for (int i = 0; i < options.count; ++i) {
     const FuzzNetlist nl = generate_netlist(options, i);
     ++report.per_class[static_cast<int>(nl.cls)];
-    CheckResult r = check_case(nl, options);
+    const CheckResult r = check_case(nl, options);
     h = hash_double(h, static_cast<double>(r.observable));
     ++report.executed;
-
-    // Static-analysis cross-check: every generated-valid card-based deck
-    // must come out of the linter with zero diagnostics (the cim_row class
-    // dumps a comment-only provenance deck, which has nothing to lint).
-    if (!r.failure && nl.cls != FuzzClass::kCimRow) {
-      const lint::LintResult linted = lint::lint_source(nl.to_cir());
-      if (!linted.report.clean()) {
-        r.failure = fail("lint_clean", "generated-valid deck produced " +
-                                           std::to_string(
-                                               linted.report.diagnostics()
-                                                   .size()) +
-                                           " diagnostic(s):\n" +
-                                           linted.report.to_text());
-      }
-    }
     if (!r.failure) continue;
 
     FuzzFailure f;

@@ -107,8 +107,9 @@ FuzzReport run_fuzz(const FuzzOptions& options);
 /// Generate case `index` of a campaign (exposed for tests/shrinking).
 FuzzNetlist generate_netlist(const FuzzOptions& options, int index);
 
-/// Check a netlist's invariant. Returns nullopt on pass, else a
-/// {invariant, detail} failure pair.
+/// Check a netlist's invariants: its class's, then (card-based classes)
+/// the lint cross-check. Returns nullopt on pass, else a {invariant,
+/// detail} failure pair.
 struct InvariantFailure {
   std::string invariant;
   std::string detail;

@@ -5,14 +5,17 @@
 // zero diagnostics).
 #include <algorithm>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "cim/array.hpp"
-#include "devices/mosfet.hpp"
+#include "fefet/fefet.hpp"
 #include "lint/analysis.hpp"
 #include "lint/interval.hpp"
 #include "lint/linter.hpp"
@@ -128,7 +131,7 @@ TEST(LintRules, UnusedNodeNoted) {
   circuit.add<spice::VSource>("V1", a, spice::kGround, 1.0);
   circuit.add<spice::Resistor>("R1", a, spice::kGround, 1e3);
   circuit.node("orphan");
-  const lint::LintReport report = lint::Linter{}.run(circuit);
+  const lint::LintReport report = lint::lint_circuit(circuit);
   const auto d = find_rule(report, "unused-node");
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->severity, lint::Severity::kNote);
@@ -161,26 +164,37 @@ TEST(LintRules, FefetVthWindowFlagged) {
 
 TEST(LintRules, NonpositiveValueFromParserAndApi) {
   // The parser rejects the card; the linter surfaces it as a diagnostic
-  // instead of crashing.
+  // instead of crashing. An API-built circuit cannot hold such a value:
+  // the device constructors reject it (DeviceConstructorsRejectNaN).
   const lint::LintResult result = lint::lint_source("R1 a 0 -5\n.end\n");
   EXPECT_FALSE(result.parsed);
   const auto d = find_rule(result.report, "nonpositive-value");
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->line, 1u);
-  // API-built circuits reach the circuit-level rule: a zero-width MOSFET
-  // never went through a card, so only the lint pass can catch it.
+}
+
+TEST(LintRules, DeviceConstructorsRejectNaN) {
+  // The constructors own the value checks that parse-time
+  // nonpositive-value and fefet-vth-window report, so a NaN, which passes
+  // every `<= 0` comparison, must be refused where it enters too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   spice::Circuit circuit;
-  const spice::NodeId dnode = circuit.node("d");
+  const spice::NodeId a = circuit.node("a");
   const spice::NodeId g = circuit.node("g");
-  circuit.add<spice::VSource>("VD", dnode, spice::kGround, 0.5);
-  circuit.add<spice::VSource>("VG", g, spice::kGround, 0.5);
-  auto& m = circuit.add<sfc::devices::Mosfet>("M1", dnode, g, spice::kGround,
-                                              sfc::devices::MosfetParams{});
-  m.mutable_params().w = 0.0;  // bypasses the constructor's validation
-  const auto d2 =
-      find_rule(lint::Linter{}.run(circuit), "nonpositive-value");
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_EQ(d2->object, "M1");
+  EXPECT_THROW(circuit.add<spice::Resistor>("R1", a, spice::kGround, nan),
+               std::invalid_argument);
+  EXPECT_THROW(circuit.add<spice::Capacitor>("C1", a, spice::kGround, nan),
+               std::invalid_argument);
+  sfc::fefet::FeFetParams window = sfc::fefet::FeFetParams::reference();
+  window.ferroelectric.vth_low = nan;
+  EXPECT_THROW(circuit.add<sfc::fefet::FeFet>("Z1", a, g, spice::kGround,
+                                              window),
+               std::invalid_argument);
+  sfc::fefet::FeFetParams channel = sfc::fefet::FeFetParams::reference();
+  channel.channel.w = nan;
+  EXPECT_THROW(circuit.add<sfc::fefet::FeFet>("Z2", a, g, spice::kGround,
+                                              channel),
+               std::invalid_argument);
 }
 
 TEST(LintRules, TranStepFlagged) {
@@ -330,6 +344,39 @@ TEST(LintPipeline, RuleTableHasAtLeastTenUniqueIds) {
   std::set<std::string> parse_ids;
   for (const auto& rule : lint::parse_rules()) parse_ids.insert(rule.id);
   EXPECT_GE(parse_ids.size(), 5u);
+}
+
+TEST(LintPipeline, EveryParseTimeRuleIdIsListed) {
+  // One deck per id the parser throws. Each lints to exactly its id, and
+  // --list-rules (parse_rules()) names every one of them.
+  const std::map<std::string, std::string> decks = {
+      {"duplicate-device", "R1 a 0 1k\nR1 a 0 2k\n.end\n"},
+      {"duplicate-model", ".model m nmos\n.model m nmos\n.end\n"},
+      {"duplicate-subckt",
+       ".subckt c p q\nR1 p q 1k\n.ends\n"
+       ".subckt c p q\nR1 p q 1k\n.ends\n.end\n"},
+      {"undefined-model", "V1 d 0 0.5\nM1 d d 0 ghost\n.end\n"},
+      {"undefined-subckt", "X1 a b ghost\n.end\n"},
+      {"subckt-port-mismatch",
+       ".subckt cell in out\nR1 in out 1k\n.ends\nV1 a 0 1.0\nX1 a cell\n"
+       ".end\n"},
+      {"nonpositive-value", "R1 a 0 -5\n.end\n"},
+      {"fefet-vth-window", "Z1 d g 0 vthlow=1.8 vthhigh=0.3\n.end\n"},
+      {"unknown-card", "Q1 a b c 5\n.end\n"},
+      {"unknown-directive", ".frobnicate\n.end\n"},
+      {"parse-error", "R1 a 0\n.end\n"},
+  };
+  std::set<std::string> listed;
+  for (const auto& rule : lint::parse_rules()) listed.insert(rule.id);
+  for (const auto& [id, deck] : decks) {
+    const lint::LintResult result = lint::lint_source(deck);
+    EXPECT_FALSE(result.parsed) << id;
+    ASSERT_EQ(result.report.diagnostics().size(), 1u)
+        << id << "\n" << result.report.to_text(id);
+    EXPECT_EQ(result.report.diagnostics().front().rule, id);
+    EXPECT_EQ(listed.count(id), 1u) << id << " missing from parse_rules()";
+  }
+  EXPECT_EQ(listed.size(), decks.size());
 }
 
 TEST(LintPipeline, ReportIsSortedByLine) {
@@ -497,7 +544,6 @@ TEST(LintAnalysis, DividerBoundsAreTightAndSound) {
   const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
   const lint::OperatingIntervals iv =
       lint::compute_operating_intervals(circuit, &parsed);
-  EXPECT_FALSE(iv.dc_contradiction);
   const spice::NodeId a = *circuit.find_node("a");
   const spice::NodeId mid = *circuit.find_node("mid");
   // The pinned node is exact (up to sweep hulling: none here).
@@ -547,35 +593,9 @@ TEST(LintAnalysis, CurrentSourceTaintsItsComponentOnly) {
   const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
   const lint::OperatingIntervals iv =
       lint::compute_operating_intervals(circuit, &parsed);
-  EXPECT_TRUE(iv.dc_is_tainted(*circuit.find_node("x")));
   EXPECT_TRUE(iv.dc_at(*circuit.find_node("x")).is_universe());
-  EXPECT_FALSE(iv.dc_is_tainted(*circuit.find_node("mid")));
   EXPECT_TRUE(iv.dc_at(*circuit.find_node("mid")).contains(0.5));
   EXPECT_LT(iv.dc_at(*circuit.find_node("mid")).width(), 0.01);
-}
-
-TEST(LintAnalysis, ManagerCachesSharedAnalyses) {
-  const std::string deck = "V1 a 0 1.0\nR1 a 0 1k\n.end\n";
-  spice::Circuit circuit;
-  const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
-  lint::AnalysisManager manager(circuit, &parsed);
-  // Repeated accessor calls return the same cached object.
-  EXPECT_EQ(&manager.incidence(), &manager.incidence());
-  EXPECT_EQ(&manager.topology(), &manager.topology());
-  EXPECT_EQ(&manager.intervals(), &manager.intervals());
-  EXPECT_EQ(&manager.components(true), &manager.components(true));
-  EXPECT_EQ(&manager.components(false), &manager.components(false));
-  // The caps-conduct flavour is a distinct graph, cached separately.
-  EXPECT_NE(&manager.components(true), &manager.components(false));
-}
-
-// -------------------------------------------------- rule-table guards
-
-TEST(LintPipeline, ValidateRuleTableRejectsDuplicateIds) {
-  EXPECT_NO_THROW(lint::validate_rule_table(lint::builtin_rules()));
-  std::vector<lint::Rule> dup = lint::builtin_rules();
-  dup.push_back(dup.front());
-  EXPECT_THROW(lint::validate_rule_table(dup), std::invalid_argument);
 }
 
 // ------------------------------------------- the rows the figures simulate
@@ -588,7 +608,7 @@ namespace {
 lint::LintReport lint_row_after_read(const sfc::cim::ArrayConfig& cfg) {
   sfc::cim::CiMRow row(cfg);
   row.evaluate(sfc::cim::level_inputs(row.cells(), row.cells()), 27.0);
-  return lint::Linter{}.run(row.circuit());
+  return lint::lint_circuit(row.circuit());
 }
 
 /// The paper's 0.35 V read keeps every FeFET of the row subthreshold over

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "nn/model.hpp"
 
@@ -128,6 +129,32 @@ TEST(Dense, GradientsMatchFiniteDifferences) {
   sfc::util::Rng rng(4);
   Dense dense(10, 5, rng);
   check_gradients(dense, random_tensor({10}, rng), 1e-2);
+}
+
+// A layer fed the wrong shape throws in every build instead of reading
+// past its input: 16 floats into a 4096-input Dense, 4 channels into a
+// 3-channel Conv2d, a flat vector into a pool, a window below 2.
+TEST(Layers, WrongInputShapeThrows) {
+  sfc::util::Rng rng(6);
+  LayerContext ctx;
+  Dense dense(4096, 10, rng);
+  EXPECT_THROW(dense.forward(random_tensor({16}, rng), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(dense.output_shape({16}), std::invalid_argument);
+  Conv2d conv(3, 8, 3, true, rng);
+  EXPECT_THROW(conv.forward(random_tensor({4, 8, 8}, rng), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(conv.output_shape({4, 32, 32}), std::invalid_argument);
+  MaxPool2d pool(2);
+  EXPECT_THROW(pool.forward(random_tensor({16}, rng), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(MaxPool2d(1), std::invalid_argument);
+  try {
+    dense.forward(random_tensor({16}, rng), ctx);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "Dense(4096->10): input shape [16], expected 4096 features");
+  }
 }
 
 TEST(MaxPool, ForwardAndRouting) {

@@ -352,6 +352,23 @@ TEST(Quantize, PoolOpKeepsTheLayersWindow) {
   EXPECT_EQ(qn.forward(data.images[0], ideal).size(), 10u);
 }
 
+// A model whose layer shapes do not chain is refused: the 3x32x32 image
+// leaves the conv as 2,048 features, and the dense layer takes 100.
+TEST(Quantize, FromModelRejectsShapesThatDoNotChain) {
+  sfc::util::Rng rng(5);
+  Sequential net;
+  net.add<Conv2d>(3, 2, 3, true, rng);
+  net.add<Flatten>();
+  net.add<Dense>(100, 10, rng);
+  sfc::data::SynthCifarConfig cfg;
+  cfg.train_per_class = 1;
+  const sfc::data::Dataset data = sfc::data::make_synth_cifar_train(cfg);
+  EXPECT_THROW(QuantizedNetwork::from_model(net, data, 2),
+               std::invalid_argument);
+  EXPECT_THROW(QuantizedNetwork::from_model(net, data, 0),
+               std::invalid_argument);
+}
+
 TEST(CimEngine, BitSerialEqualsIdealWithPerfectArray) {
   // With the proposed array at its design temperature every 8-cell count
   // decodes exactly, so the bit-serial path must match the integer dot

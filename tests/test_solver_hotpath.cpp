@@ -376,8 +376,8 @@ TEST(SolverHotPath, PaperRowsDcResidualWithinKclTolerance) {
 
 // ---------------------------------------------------------------------
 // LuPlan: frozen-pivot replay vs dense full pivoting, and the fallback
-// triggers (argmax moved at step 0 or mid-solve / pivot degraded) on
-// ill-conditioned updates.
+// triggers (argmax moved at step 0 or mid-solve) on ill-conditioned
+// updates.
 // ---------------------------------------------------------------------
 
 DenseMatrix matrix_from(const std::vector<std::vector<double>>& rows) {
@@ -516,39 +516,6 @@ TEST(LuPlanFallback, PivotLeavingClassMidSolveFinishesDensely) {
   expect_vectors_bitwise_equal(b2, b_dense, "recompiled solution");
 }
 
-TEST(LuPlanFallback, DegradedPivotTriggersRefreeze) {
-  // Diagonally dominant, so the frozen order is the identity and stays
-  // the argmax even after shrinking — only the degradation rule can (and
-  // must) trip on this deliberately ill-conditioned update.
-  const std::vector<std::vector<double>> base = {
-      {4.0, 1.0},
-      {1.0, 4.0},
-  };
-  DenseMatrix a0 = matrix_from(base);
-  const std::vector<char> pattern = pattern_of(a0);
-  std::vector<double> b0 = {1.0, 1.0};
-  LuPlan plan;
-  ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
-
-  // Scale so row 0 keeps the column-0 argmax but the pivot magnitude
-  // collapses by 1e8 relative to freeze time, past kPivotDegradation: the
-  // degradation rule must force a refreeze, and the answer still matches
-  // the dense factorization bitwise.
-  std::vector<std::vector<double>> shrunk = base;
-  shrunk[0][0] = 4.0e-8;
-  shrunk[0][1] = 1.0e-8;
-  shrunk[1][0] = 0.5e-8;
-  shrunk[1][1] = 4.0e-8;
-  DenseMatrix a1 = matrix_from(shrunk);
-  std::vector<double> b1 = {1.0, 1.0};
-  ASSERT_TRUE(plan.solve_frozen(a1, b1));
-  EXPECT_EQ(plan.refreeze_count(), 1u);
-  DenseMatrix dense = matrix_from(shrunk);
-  std::vector<double> b_dense = {1.0, 1.0};
-  ASSERT_TRUE(lu_solve(dense, b_dense));
-  expect_vectors_bitwise_equal(b1, b_dense, "degraded-pivot solution");
-}
-
 TEST(LuPlanFallback, SingularUpdateInvalidatesPlan) {
   const std::vector<std::vector<double>> base = {
       {2.0, 1.0},
@@ -574,14 +541,14 @@ TEST(LuPlanFallback, SingularUpdateInvalidatesPlan) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level fallback: an update that degrades the pivots mid-solve
-// must still converge to the legacy answer (through refactoring), not
-// fail or drift.
+// Engine-level fallback: an update that moves the pivots mid-solve must
+// still converge to the legacy answer (through refactoring), not fail or
+// drift.
 // ---------------------------------------------------------------------
 
 TEST(SolverHotPath, SwitchTransitionSurvivesPivotFallback) {
   // A steep switch swings its stamped conductance over ~12 decades
-  // between Newton iterates — exactly the pivot-degradation scenario.
+  // between Newton iterates, so its pivots move between solves.
   auto build = [](Circuit& ckt) {
     VSwitch::Params params;
     params.r_on = 10.0;

@@ -145,13 +145,15 @@ TEST(VerifyFuzz, ForcedFailureProducesMinimizedReproducer) {
 
 // The parser numbers circuit nodes in the order the cards first name them:
 // with C1 on n1 listed first, "n1" is circuit node 0. The envelope oracle
-// must check each capacitor against its own node's envelope.
+// must check each capacitor against its own node's envelope. Each node
+// holds two capacitors, so no terminal dangles and the deck lints clean.
 TEST(VerifyFuzz, EnvelopeOracleLooksUpNodesByName) {
   FuzzNetlist nl;
   nl.cls = FuzzClass::kChargeShare;
   nl.t_stop = 20e-9;
   nl.dt = 1e-10;
-  nl.cards = {"C1 n1 0 5e-15 ic=1", "C2 n0 0 5e-15 ic=0"};
+  nl.cards = {"C1 n1 0 5e-15 ic=1", "C2 n0 0 5e-15 ic=0",
+              "C3 n1 0 5e-15 ic=1", "C4 n0 0 5e-15 ic=0"};
   const FuzzOptions opt;
   const auto failure = check_invariants(nl, opt);
   EXPECT_FALSE(failure.has_value())
@@ -193,6 +195,26 @@ TEST(VerifyFuzz, TracedCampaignLeavesNoSpanOpen) {
   GTEST_SKIP() << "built with SFC_TRACE=OFF; spans compile to no-ops";
 }
 #endif
+
+// The lint cross-check is one of the invariants the shrinker re-checks,
+// so a deck the linter rejects is minimized like any other failure. Here
+// n1 dangles from R2: the deck solves, but lints with a warning.
+TEST(VerifyFuzz, LintFailureShrinks) {
+  FuzzNetlist nl;
+  nl.cls = FuzzClass::kDcKcl;
+  nl.cards = {"V1 n0 0 1", "R1 n0 0 1k", "R2 n0 n1 1k"};
+  const FuzzOptions opt;
+  const auto failure = check_invariants(nl, opt);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->invariant, "lint_clean");
+  EXPECT_NE(failure->detail.find("dangling-terminal"), std::string::npos)
+      << failure->detail;
+  const FuzzNetlist shrunk = shrink_netlist(nl, opt);
+  EXPECT_LT(shrunk.cards.size(), nl.cards.size());
+  const auto still_failing = check_invariants(shrunk, opt);
+  ASSERT_TRUE(still_failing.has_value());
+  EXPECT_EQ(still_failing->invariant, "lint_clean");
+}
 
 TEST(VerifyFuzz, ShrinkerIsIdentityOnPassingNetlist) {
   const FuzzOptions opt;
