@@ -205,8 +205,8 @@ CimDotEngine::CimDotEngine(const sfc::cim::BehavioralArrayModel& model,
     level.v = model_.v_acc(k, opts_.temperature_c);
     level.sigma = model_.sigma(k);
     level.decoded = model_.decode(level.v);
-    level.u1_floor =
-        shortcut_u1_floor(level.v, level.sigma, model_.thresholds());
+    level.m1_floor = sfc::util::Rng::mantissa_floor(
+        shortcut_u1_floor(level.v, level.sigma, model_.thresholds()));
     if (level.decoded != k) any_miscount_ = true;
   }
   // delta(k) = decoded(k) - k changes value only at its steps.
@@ -231,7 +231,7 @@ const CimDotEngine::WeightRow& CimDotEngine::row_for(
   }
   WeightRow row;
   row.bytes.assign(w.begin(), w.end());
-  if (!opts_.with_variation_noise) {
+  if (any_miscount_) {
     const auto w_mask = static_cast<std::uint8_t>((1 << weight_mag_bits_) - 1);
     row.mags.assign(16 * ((w.size() + 7) / 8), 0);
     row.live.assign((w.size() + 7) / 8, 0);
@@ -242,6 +242,8 @@ const CimDotEngine::WeightRow& CimDotEngine::row_for(
       row.mags[16 * (i / 8) + (w[i] < 0 ? 8 : 0) + i % 8] = mag;
       row.live[i / 8] |= static_cast<std::uint8_t>((mag != 0) << (i % 8));
     }
+  }
+  if (!opts_.with_variation_noise) {
     return row_cache_.insert_or_assign(key, std::move(row)).first->second;
   }
   row.words = (w.size() + 63) / 64;
@@ -393,46 +395,38 @@ std::int64_t CimDotEngine::binary_dot(const std::uint64_t* a_plane,
                                       std::int64_t* errors) const {
   // A local copy, so the stream's state can stay in registers.
   sfc::util::Rng local = rng;
-  std::int64_t total = 0;
+  std::int64_t flips = 0;
   std::int64_t misses = 0;
-  // What mac() returns for a group of true count k given its draw: the
-  // deviate can only move the decode when u1 is at or below k's floor.
-  const auto read_out = [&](std::uint64_t k,
-                            const sfc::util::Rng::NormalDraw& draw) {
+  // What mac() reads for a group of true count k, given a draw at or below
+  // k's floor, less its noiseless decode; misses likewise.
+  const auto flip = [&](std::uint64_t k,
+                        const sfc::util::Rng::NormalDraw& draw) {
     const Level& level = levels_[k];
-    int digital = level.decoded;
-    if (!(draw.u1 > level.u1_floor)) {
-      digital = model_.decode(level.v + (0.0 + level.sigma * draw.value()));
-    }
-    misses += digital != static_cast<int>(k);
-    total += digital;
+    const int digital =
+        model_.decode(level.v + (0.0 + level.sigma * draw.value()));
+    const int count = static_cast<int>(k);
+    misses += (digital != count) - (level.decoded != count);
+    flips += digital - level.decoded;
   };
-  // When count 0's floor lies below the smallest u1, every draw passes it,
-  // so an all-zero word reads decoded(0) eight times. A NaN floor fails
-  // the test and takes the exact path.
-  const bool skip_zero_words =
-      levels_[0].u1_floor < sfc::util::Rng::kSmallestU1;
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t counts = byte_popcounts(a_plane[i] & w_plane[i]);
     // A row's stream starts fresh and each word takes 8 draws, so every
     // word starts at a pair boundary: group 2j takes pair j's cosine draw
     // and group 2j + 1 its sine draw, as consecutive normal_draw()s would.
-    if (counts == 0 && skip_zero_words) {
-      for (int j = 0; j < 4; ++j) local.normal_pair();
-      total += 8 * levels_[0].decoded;
-      misses += zero_misdecodes_ ? 8 : 0;
-      continue;
-    }
     for (int j = 0; j < 4; ++j) {
-      const sfc::util::Rng::NormalPair pair = local.normal_pair();
-      read_out(counts & 0xff, pair.cosine());
-      read_out((counts >> 8) & 0xff, pair.sine());
+      const sfc::util::Rng::MantissaPair m = local.mantissa_pair();
+      const std::uint64_t cosine_k = counts & 0xff;
+      const std::uint64_t sine_k = (counts >> 8) & 0xff;
+      if (m.m1 <= levels_[cosine_k].m1_floor) {
+        flip(cosine_k, m.pair().cosine());
+      }
+      if (m.m1 <= levels_[sine_k].m1_floor) flip(sine_k, m.pair().sine());
       counts >>= 16;
     }
   }
   rng = local;
   *errors += misses;
-  return total;
+  return flips;
 }
 
 std::int64_t CimDotEngine::noisy_row(const WeightRow& row,
@@ -494,11 +488,11 @@ void CimDotEngine::dot_batch(std::span<const std::uint8_t> a,
       out[r] = masked_dot(a, row_weights(r), a_mask, w_mask);
     });
   } else {
-    if (opts_.with_variation_noise) {
-      pack_activations(a);
-    } else {
-      spread_activations(a);
-    }
+    // A row reads its integer dot plus, over its plane pairs, each group's
+    // decode less its true count: the miscount correction, then the
+    // noise's flips of those decodes.
+    if (opts_.with_variation_noise) pack_activations(a);
+    if (any_miscount_) spread_activations(a);
     // The row cache is shared mutable state, so resolve every row
     // serially up front; references into the unordered_map stay valid
     // while the parallel tasks only read them.
@@ -509,14 +503,14 @@ void CimDotEngine::dot_batch(std::span<const std::uint8_t> a,
     }
     sfc::exec::parallel_for(opts_.exec, rows, [&](std::size_t r) {
       std::int64_t err = 0;
+      std::int64_t value = masked_dot(a, row_weights(r), a_mask, w_mask);
+      if (any_miscount_) value += decode_correction(*batch_rows_[r], &err);
       if (opts_.with_variation_noise) {
         sfc::util::Rng rng =
             sfc::exec::stream_rng(opts_.noise_seed, noise_base + r);
-        out[r] = noisy_row(*batch_rows_[r], rng, &err);
-      } else {
-        out[r] = masked_dot(a, row_weights(r), a_mask, w_mask) +
-                 decode_correction(*batch_rows_[r], &err);
+        value += noisy_row(*batch_rows_[r], rng, &err);
       }
+      out[r] = value;
       batch_errors_[r] = err;
     });
     for (std::size_t r = 0; r < rows; ++r) row_errors_ += batch_errors_[r];

@@ -24,6 +24,11 @@
 // delta, the groups whose count reaches the step; each 8-element group
 // counts all 56 of its plane pairs at once in one 64-bit word per sign
 // (bit 7p + q for pair (p, q); DESIGN.md §7).
+//
+// A noisy row is its noiseless value plus its flips: over plane pairs,
+// +-2^(p+q) sum_g (mac(c_g) - decode(c_g)). Only a draw whose u1 lies at
+// or below its count's floor can flip a decode, so the row walks its
+// stream and evaluates just those draws.
 #pragma once
 
 #include <cstdint>
@@ -84,10 +89,10 @@ class CimDotEngine final : public DotEngine {
   struct Level {
     double v = 0.0;      ///< v_acc(k, T)
     double sigma = 0.0;  ///< the model's process-variation sigma
-    /// A noise draw whose u1 exceeds this floor keeps v + sigma * z inside
-    /// k's decode interval, so it decodes to `decoded` without evaluating
-    /// z (DESIGN.md, "RNG stream splitting").
-    double u1_floor = 0.0;
+    /// A noise draw whose u1 mantissa (Rng::MantissaPair::m1) exceeds
+    /// this floor keeps v + sigma * z inside k's decode interval, so it
+    /// decodes to `decoded` without evaluating z (DESIGN.md §7).
+    std::uint64_t m1_floor = 0;
     int decoded = 0;     ///< noiseless decode of v
   };
 
@@ -100,7 +105,7 @@ class CimDotEngine final : public DotEngine {
   };
 
   /// One weight row as a kernel reads it. A noisy engine keeps its bit
-  /// planes, a noiseless miscounting one its element magnitudes.
+  /// planes, a miscounting one its element magnitudes.
   struct WeightRow {
     /// The row's bytes when it was packed: a lookup compares all of them.
     std::vector<std::int8_t> bytes;
@@ -118,23 +123,25 @@ class CimDotEngine final : public DotEngine {
   const WeightRow& row_for(std::span<const std::int8_t> w);
   /// Noisy engines: the activations' bit planes.
   void pack_activations(std::span<const std::uint8_t> a);
-  /// Noiseless miscounting engines: the activations' spreads and the
-  /// groups that can reach the first step.
+  /// Miscounting engines: the activations' spreads and the groups that can
+  /// reach the first step.
   void spread_activations(std::span<const std::uint8_t> a);
-  /// Sum over a noiseless row's plane pairs of +-2^(p+q) sum_g delta(c_g)
-  /// against the currently spread activations; misdecoded groups are
-  /// tallied into *errors. Const + reentrant so batched rows can run
-  /// concurrently.
+  /// Sum over a row's plane pairs of +-2^(p+q) sum_g delta(c_g) against
+  /// the currently spread activations; misdecoded groups are tallied into
+  /// *errors. Const + reentrant so batched rows can run concurrently.
   std::int64_t decode_correction(const WeightRow& row,
                                  std::int64_t* errors) const;
-  /// One noisy binary dot product: each 64-element word takes its 8
-  /// groups' draws from `rng` as 4 Box-Muller pairs, so `rng` must sit at
-  /// a pair boundary. Decode misses are tallied into *errors.
+  /// One plane pair's noise: sum over its groups of mac(c_g) - decoded(c_g)
+  /// given their draws from `rng`, 4 Box-Muller pairs per 64-element word,
+  /// so `rng` must sit at a pair boundary. Only a draw at or below its
+  /// count's floor is evaluated. Each evaluated draw adds its change in
+  /// decode misses to *errors.
   std::int64_t binary_dot(const std::uint64_t* a_plane,
                           const std::uint64_t* w_plane, std::size_t words,
                           sfc::util::Rng& rng, std::int64_t* errors) const;
-  /// Full shift-add over all (activation, weight) plane pairs of one noisy
-  /// row against the currently packed activations.
+  /// Shift-add of binary_dot over all (activation, weight) plane pairs of
+  /// one row against the currently packed activations: what the noise
+  /// adds to the row's noiseless value.
   std::int64_t noisy_row(const WeightRow& row, sfc::util::Rng& rng,
                          std::int64_t* errors) const;
 

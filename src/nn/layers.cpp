@@ -50,8 +50,13 @@ std::string Conv2d::name() const {
 }
 
 std::vector<int> Conv2d::output_shape(const std::vector<int>& in) const {
-  if (in.size() != 3 || in[0] != in_channels_) {
-    reject_input(*this, in, "[" + std::to_string(in_channels_) + ", H, W]");
+  // The kernel must fit the padded input at least once.
+  const int side = std::max(1, kernel_ - 2 * padding_);
+  if (in.size() != 3 || in[0] != in_channels_ || in[1] < side ||
+      in[2] < side) {
+    reject_input(*this, in,
+                 "[" + std::to_string(in_channels_) + ", H, W] with H, W >= " +
+                     std::to_string(side));
   }
   const int h = in[1] + 2 * padding_ - kernel_ + 1;
   const int w = in[2] + 2 * padding_ - kernel_ + 1;
@@ -159,7 +164,10 @@ std::string MaxPool2d::name() const {
 }
 
 std::vector<int> MaxPool2d::output_shape(const std::vector<int>& in) const {
-  if (in.size() != 3) reject_input(*this, in, "[C, H, W]");
+  if (in.size() != 3 || in[1] < window_ || in[2] < window_) {
+    reject_input(*this, in,
+                 "[C, H, W] with H, W >= " + std::to_string(window_));
+  }
   return {in[0], in[1] / window_, in[2] / window_};
 }
 

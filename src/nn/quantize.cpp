@@ -33,17 +33,25 @@ struct Geometry {
 Geometry advance(const Geometry& g, const QuantOp& op) {
   Geometry out = g;
   switch (op.kind) {
-    case QuantOp::Kind::kConv:
-      if (g.flat || g.c != op.in_channels) {
+    case QuantOp::Kind::kConv: {
+      // The kernel must fit the padded input at least once.
+      const int side = std::max(1, op.kernel - 2 * op.padding);
+      if (g.flat || g.c != op.in_channels || g.h < side || g.w < side) {
         reject_geometry("conv", g,
-                        "[" + std::to_string(op.in_channels) + ", H, W]");
+                        "[" + std::to_string(op.in_channels) +
+                            ", H, W] with H, W >= " + std::to_string(side));
       }
       out.c = op.out_channels;
       out.h = g.h + 2 * op.padding - op.kernel + 1;
       out.w = g.w + 2 * op.padding - op.kernel + 1;
       break;
+    }
     case QuantOp::Kind::kPool:
-      if (g.flat) reject_geometry("pool", g, "[C, H, W]");
+      if (g.flat || g.h < op.pool_window || g.w < op.pool_window) {
+        reject_geometry("pool", g,
+                        "[C, H, W] with H, W >= " +
+                            std::to_string(op.pool_window));
+      }
       out.h = g.h / op.pool_window;
       out.w = g.w / op.pool_window;
       break;

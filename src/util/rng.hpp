@@ -30,11 +30,8 @@ class Rng {
     return result;
   }
 
-  /// Uniform double in [0, 1).
-  double uniform() {
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return unit(next_u64() >> 11); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -51,10 +48,6 @@ class Rng {
     double value() const;
   };
 
-  /// The smallest u1 a draw can hold: uniform() steps by 2^-53, and zero
-  /// is rejected.
-  static constexpr double kSmallestU1 = 0x1.0p-53;
-
   /// The (u1, u2) that a pair of draws shares.
   struct NormalPair {
     double u1 = 1.0;
@@ -63,6 +56,24 @@ class Rng {
     NormalDraw sine() const { return {u1, u2, true}; }
   };
 
+  /// The 53-bit integers behind a pair's (u1, u2): u1 = m1 * 2^-53 with
+  /// m1 in [1, 2^53), and u2 = m2 * 2^-53.
+  struct MantissaPair {
+    std::uint64_t m1 = std::uint64_t{1} << 53;
+    std::uint64_t m2 = 0;
+    NormalPair pair() const { return {unit(m1), unit(m2)}; }
+  };
+
+  /// The mantissa form of a floor on u1: a draw's u1 exceeds `u1_floor`
+  /// exactly when its m1 exceeds the result. That is floor(u1_floor *
+  /// 2^53), an exact product; 0 for a floor at or below 0, and 2^53, above
+  /// every m1, for a floor of 1 or more or NaN (no u1 exceeds NaN).
+  static std::uint64_t mantissa_floor(double u1_floor) {
+    if (!(u1_floor < 1.0)) return std::uint64_t{1} << 53;
+    if (!(u1_floor > 0.0)) return 0;
+    return static_cast<std::uint64_t>(u1_floor * 0x1.0p53);
+  }
+
   /// Advances the stream exactly as normal() does. A pair of draws shares
   /// one (u1, u2): u1 with zero rejected, then u2.
   NormalDraw normal_draw() {
@@ -70,20 +81,24 @@ class Rng {
       has_pair_ = false;
       return pending_.sine();
     }
-    pending_ = fresh_pair();
+    pending_ = fresh_mantissas().pair();
     has_pair_ = true;
     return pending_.cosine();
   }
 
-  /// The next fresh pair: advances the stream exactly as two normal_draw()
-  /// calls from a pair boundary, whose draws are its cosine() and sine().
-  /// Throws std::logic_error when a sine deviate is pending.
-  NormalPair normal_pair() {
+  /// The mantissas of the next fresh pair: advances the stream exactly as
+  /// two normal_draw() calls from a pair boundary. Throws std::logic_error
+  /// when a sine deviate is pending.
+  MantissaPair mantissa_pair() {
     if (has_pair_) {
-      throw std::logic_error("Rng::normal_pair: a sine deviate is pending");
+      throw std::logic_error("Rng: a sine deviate is pending");
     }
-    return fresh_pair();
+    return fresh_mantissas();
   }
+
+  /// The next fresh pair, whose cosine() and sine() are the next two
+  /// normal_draw()s from a pair boundary. Throws as mantissa_pair() does.
+  NormalPair normal_pair() { return mantissa_pair().pair(); }
 
   /// Standard normal via Box-Muller: the cosine deviate of a fresh
   /// (u1, u2), then the sine deviate of the same pair.
@@ -103,13 +118,18 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  NormalPair fresh_pair() {
-    NormalPair pair;
+  static double unit(std::uint64_t mantissa) {
+    return static_cast<double>(mantissa) * 0x1.0p-53;
+  }
+
+  /// The pairing rule: m1 with zero rejected, then m2.
+  MantissaPair fresh_mantissas() {
+    MantissaPair m;
     do {
-      pair.u1 = uniform();
-    } while (pair.u1 <= 0.0);
-    pair.u2 = uniform();
-    return pair;
+      m.m1 = next_u64() >> 11;
+    } while (m.m1 == 0);
+    m.m2 = next_u64() >> 11;
+    return m;
   }
 
   std::uint64_t s_[4];

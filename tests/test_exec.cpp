@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -354,6 +355,9 @@ struct RowKind {
   }
 };
 
+/// Both fabrics carry a sigma from a 4-run sigma_VT Monte Carlo, which
+/// noiseless rows ignore. The baseline misdecodes at 85 degC, so its noisy
+/// rows flip decodes on top of the miscount correction.
 std::vector<RowKind> row_kinds() {
   cim::MonteCarloConfig mc;
   mc.runs = 4;
@@ -363,10 +367,11 @@ std::vector<RowKind> row_kinds() {
           cim::ArrayConfig::proposed_2t1fefet(), {27.0}, &mc);
   static const cim::BehavioralArrayModel baseline =
       cim::BehavioralArrayModel::calibrate(
-          cim::ArrayConfig::baseline_1r_subthreshold(), {27.0, 85.0});
+          cim::ArrayConfig::baseline_1r_subthreshold(), {27.0, 85.0}, &mc);
   return {RowKind{"noiseless", &proposed, 27.0, false},
           RowKind{"baseline", &baseline, 85.0, false},
-          RowKind{"noisy", &proposed, 27.0, true}};
+          RowKind{"noisy", &proposed, 27.0, true},
+          RowKind{"noisy baseline", &baseline, 85.0, true}};
 }
 
 /// A batch of `rows` random int8 rows of length `len` and their uint8
@@ -391,6 +396,7 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
   const BatchInputs batch;
   constexpr std::size_t len = BatchInputs::len;
   constexpr std::size_t rows = BatchInputs::rows;
+  std::map<std::string_view, std::vector<std::int64_t>> serial_by_kind;
   for (const RowKind& kind : row_kinds()) {
     auto run = [&](int threads) {
 #if SFC_TRACE_ENABLED
@@ -421,7 +427,10 @@ TEST(Determinism, DotBatchBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(run(threads), serial) << kind.name << ", " << threads
                                       << " threads";
     }
+    serial_by_kind[kind.name] = serial;
   }
+  // The noise moves the baseline's corrected rows.
+  EXPECT_NE(serial_by_kind["noisy baseline"], serial_by_kind["baseline"]);
 }
 
 #if SFC_TRACE_ENABLED

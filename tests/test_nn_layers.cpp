@@ -155,6 +155,33 @@ TEST(Layers, WrongInputShapeThrows) {
     EXPECT_STREQ(e.what(),
                  "Dense(4096->10): input shape [16], expected 4096 features");
   }
+  // A spatial input smaller than the kernel or the window has no output.
+  Conv2d valid(1, 1, 3, false, rng);
+  EXPECT_THROW(valid.output_shape({1, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(valid.forward(random_tensor({1, 1, 1}, rng), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(valid.output_shape({1, 3, 2}), std::invalid_argument);
+  EXPECT_EQ(valid.output_shape({1, 3, 3}), (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(conv.output_shape({3, 1, 1}), (std::vector<int>{8, 1, 1}));
+  EXPECT_THROW(pool.output_shape({2, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(pool.forward(random_tensor({2, 1, 1}, rng), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(pool.output_shape({2, 2, 1}), std::invalid_argument);
+  EXPECT_EQ(pool.output_shape({2, 2, 3}), (std::vector<int>{2, 1, 1}));
+  try {
+    valid.output_shape({1, 1, 1});
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "Conv2d(1->1, k=3): input shape [1, 1, 1], expected "
+                 "[1, H, W] with H, W >= 3");
+  }
+  try {
+    pool.output_shape({2, 1, 1});
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "MaxPool2d(2x2): input shape [2, 1, 1], expected "
+                 "[C, H, W] with H, W >= 2");
+  }
 }
 
 TEST(MaxPool, ForwardAndRouting) {

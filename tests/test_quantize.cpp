@@ -103,9 +103,9 @@ const std::vector<double> kEvenLevels = {0.10, 0.15, 0.20, 0.25, 0.30,
                                          0.35, 0.40, 0.45, 0.50};
 
 /// Even levels at 27 degC whose 85 degC levels read count 0 as 1 and
-/// count 7 as 6: delta = +1, 0 x 6, -1, 0 over counts 0..8.
-sfc::cim::BehavioralArrayModel drifted_model() {
-  return fake_model(kEvenLevels, 0.0,
+/// count 7 as 6: delta = +1, 0 x 6, -1, 0 over counts 0..8, three steps.
+sfc::cim::BehavioralArrayModel drifted_model(double sigma = 0.0) {
+  return fake_model(kEvenLevels, sigma,
                     {0.16, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.42, 0.50});
 }
 
@@ -352,21 +352,33 @@ TEST(Quantize, PoolOpKeepsTheLayersWindow) {
   EXPECT_EQ(qn.forward(data.images[0], ideal).size(), 10u);
 }
 
-// A model whose layer shapes do not chain is refused: the 3x32x32 image
-// leaves the conv as 2,048 features, and the dense layer takes 100.
+// A model whose layer shapes do not chain is refused, with or without
+// calibration images: the 3x32x32 image leaves the conv as 2,048 features
+// where the dense layer takes 100, and five 2x2 pools leave a 1x1 image,
+// which neither a valid 3x3 conv nor another pool can take.
 TEST(Quantize, FromModelRejectsShapesThatDoNotChain) {
   sfc::util::Rng rng(5);
-  Sequential net;
-  net.add<Conv2d>(3, 2, 3, true, rng);
-  net.add<Flatten>();
-  net.add<Dense>(100, 10, rng);
+  Sequential wide;
+  wide.add<Conv2d>(3, 2, 3, true, rng);
+  wide.add<Flatten>();
+  wide.add<Dense>(100, 10, rng);
+  Sequential small_conv;
+  for (int i = 0; i < 5; ++i) small_conv.add<MaxPool2d>(2);
+  small_conv.add<Conv2d>(3, 2, 3, false, rng);
+  small_conv.add<Flatten>();
+  small_conv.add<Dense>(2, 10, rng);
+  Sequential small_pool;
+  for (int i = 0; i < 6; ++i) small_pool.add<MaxPool2d>(2);
+  small_pool.add<Flatten>();
   sfc::data::SynthCifarConfig cfg;
   cfg.train_per_class = 1;
   const sfc::data::Dataset data = sfc::data::make_synth_cifar_train(cfg);
-  EXPECT_THROW(QuantizedNetwork::from_model(net, data, 2),
-               std::invalid_argument);
-  EXPECT_THROW(QuantizedNetwork::from_model(net, data, 0),
-               std::invalid_argument);
+  for (const Sequential* net : {&wide, &small_conv, &small_pool}) {
+    EXPECT_THROW(QuantizedNetwork::from_model(*net, data, 2),
+                 std::invalid_argument);
+    EXPECT_THROW(QuantizedNetwork::from_model(*net, data, 0),
+                 std::invalid_argument);
+  }
 }
 
 TEST(CimEngine, BitSerialEqualsIdealWithPerfectArray) {
@@ -496,8 +508,8 @@ TEST(CimEngine, DotIsOneRowBatch) {
 // for draw, whether or not the draw can move the decode, at any row length
 // and wordlength: every word takes its 8 draws as 4 pairs. Ones-heavy rows
 // reach every count. In sparse rows at least half of the words are all
-// zero, and count 0's floor lies below every u1, so those words take their
-// draws without reading their groups.
+// zero, and count 0's floor lies below every u1, so those words' draws
+// advance the stream and flip nothing.
 TEST(CimEngine, NoisyRowReplaysModelMac) {
   std::int64_t errors = 0;
   for (const int bits : {2, 4, 8}) {
@@ -555,6 +567,46 @@ TEST(CimEngine, AllZeroWordsReplayModelMac) {
     EXPECT_GT(errors, 0);
     EXPECT_GT(zero_words, 0);
   }
+}
+
+// Noise on a miscounting fabric: the drifted model at 85 degC with
+// sigma = 0.01 V, a fifth of the level spacing. A noisy row is its
+// noiseless value, miscount correction included, plus the decodes its
+// draws flip; draws flip misdecoded groups (count 0 reads 1 and count 7
+// reads 6) as well as exact ones. Ones-heavy rows reach every count, and in
+// sparse rows at least half of the words are all zero, so their count-0
+// groups misdecode and sometimes draw below count 0's floor.
+TEST(CimEngine, NoisyMiscountingRowReplaysModelMac) {
+  const auto model = drifted_model(0.01);
+  ASSERT_EQ(decode_errors(model, 85.0),
+            (std::vector<int>{1, 0, 0, 0, 0, 0, 0, -1, 0}));
+  using Inputs = void (*)(std::size_t, std::uint64_t,
+                          std::vector<std::uint8_t>*,
+                          std::vector<std::int8_t>*);
+  std::int64_t moved = 0;  // rows whose noise moved the value or errors
+  for (const int bits : {2, 4, 8}) {
+    CimDotEngine::Options opts = noisy_options();
+    opts.temperature_c = 85.0;
+    opts.activation_bits = bits;
+    opts.weight_bits = bits;
+    CimDotEngine::Options clean = opts;
+    clean.with_variation_noise = false;
+    for (const std::size_t len : kRowLengths) {
+      for (const Inputs inputs :
+           {Inputs{ones_heavy_inputs}, Inputs{sparse_inputs}}) {
+        SCOPED_TRACE(testing::Message() << bits << " bits, len " << len);
+        std::vector<std::uint8_t> a;
+        std::vector<std::int8_t> w;
+        inputs(len, 100 + len, &a, &w);
+        const ReplayedRow noisy = expect_replays(model, opts, a, w);
+        const ReplayedRow noiseless = replay_row(model, clean, a, w);
+        EXPECT_GT(noiseless.errors, 0);
+        moved += noisy.result != noiseless.result ||
+                 noisy.errors != noiseless.errors;
+      }
+    }
+  }
+  EXPECT_GT(moved, 0);
 }
 
 // sigma = 0 (no variation calibrated): every draw keeps its level, so a

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "util/csv.hpp"
@@ -115,6 +116,64 @@ TEST(Rng, NormalPairThrowsWhileASineDeviateIsPending) {
                         twin.normal_pair().cosine()));
   rng.normal();
   EXPECT_THROW(rng.normal_pair(), std::logic_error);
+}
+
+// mantissa_pair() is normal_pair() before its conversion: the stream
+// advances alike, and m * 2^-53 gives the pair's (u1, u2).
+TEST(Rng, MantissaPairIsNormalPairUnconverted) {
+  for (const std::uint64_t seed : {0ULL, 7ULL, 123ULL, 0xdeadbeefULL}) {
+    Rng by_mantissa(seed);
+    Rng by_pair(seed);
+    for (int i = 0; i < 100000; ++i) {
+      const Rng::MantissaPair m = by_mantissa.mantissa_pair();
+      const Rng::NormalPair pair = by_pair.normal_pair();
+      ASSERT_GE(m.m1, 1u);
+      ASSERT_LT(m.m1, 1ULL << 53);
+      ASSERT_LT(m.m2, 1ULL << 53);
+      ASSERT_EQ(static_cast<double>(m.m1) * 0x1.0p-53, pair.u1)
+          << "seed " << seed << " pair " << i;
+      ASSERT_EQ(static_cast<double>(m.m2) * 0x1.0p-53, pair.u2)
+          << "seed " << seed << " pair " << i;
+      ASSERT_TRUE(same_draw(m.pair().cosine(), pair.cosine()));
+      ASSERT_TRUE(same_draw(m.pair().sine(), pair.sine()));
+    }
+    EXPECT_EQ(by_mantissa.next_u64(), by_pair.next_u64()) << "seed " << seed;
+  }
+  Rng rng(9);
+  rng.normal_draw();
+  EXPECT_THROW(rng.mantissa_pair(), std::logic_error);
+  rng.normal_draw();
+  EXPECT_NO_THROW(rng.mantissa_pair());
+}
+
+// A u1 of mantissa m exceeds a floor f exactly when m exceeds
+// mantissa_floor(f), checked at the mantissas either side of f * 2^53 that
+// a draw can hold (1 to 2^53 - 1): f = 0 and 2^-54 (below every u1), an f
+// that is some u1 exactly, one that lies between two, 1 and NaN (above
+// every u1, as !(u1 > f) holds for every draw).
+TEST(Rng, MantissaFloorMatchesTheU1Floor) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double floor;
+    std::uint64_t want;
+  } cases[] = {{0.0, 0},
+               {0x1.0p-54, 0},
+               {0x1.0p-53, 1},
+               {0.375, 3ULL << 50},
+               {0.1, 900719925474099},
+               {0x1.fffffffffffffp-1, (1ULL << 53) - 1},
+               {1.0, 1ULL << 53},
+               {nan, 1ULL << 53}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.floor);
+    const std::uint64_t f = Rng::mantissa_floor(c.floor);
+    EXPECT_EQ(f, c.want);
+    for (const std::uint64_t m : {f - 1, f, f + 1}) {
+      if (m < 1 || m >= (1ULL << 53)) continue;  // no draw holds m
+      const double u1 = static_cast<double>(m) * 0x1.0p-53;
+      EXPECT_EQ(m > f, u1 > c.floor) << "m = " << m;
+    }
+  }
 }
 
 TEST(Rng, UniformIndexCoversRangeWithoutBias) {
