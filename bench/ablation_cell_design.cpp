@@ -6,6 +6,8 @@
 //      WL -> OUT gain (1 kHz) of the cell at read bias
 // Each section prints the figure of merit it moves.
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cim/mac.hpp"
@@ -19,8 +21,16 @@ namespace {
 
 const std::vector<double> kTemps = {0.0, 27.0, 85.0};
 
-NmrSummary array_nmr(const ArrayConfig& cfg) {
-  return summarize_nmr(mac_level_sweep(cfg, kTemps).levels);
+/// The NMR_min and separable cells of the row over kTemps, or "not
+/// converged" when a cycle of its level sweep fails.
+std::vector<std::string> nmr_cells(const ArrayConfig& cfg) {
+  try {
+    const NmrSummary nmr =
+        summarize_nmr(mac_level_sweep(cfg, kTemps).levels());
+    return {util::fmt(nmr.nmr_min, 3), nmr.separable ? "yes" : "NO"};
+  } catch (const std::runtime_error&) {
+    return {"not converged", "-"};
+  }
 }
 
 }  // namespace
@@ -90,9 +100,8 @@ int main() {
     ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
     cfg.cell2t.m2.w = wl * cfg.cell2t.m2.l;
     const double drift = cell_fluctuation(cfg, kTemps).max;
-    const NmrSummary nmr = array_nmr(cfg);
-    fb2.add_row({util::fmt(wl, 3), util::fmt_percent(drift),
-                 util::fmt(nmr.nmr_min, 3), nmr.separable ? "yes" : "NO"});
+    const std::vector<std::string> nmr = nmr_cells(cfg);
+    fb2.add_row({util::fmt(wl, 3), util::fmt_percent(drift), nmr[0], nmr[1]});
   }
   std::printf("%s", fb2.render().c_str());
   std::printf("   (the cell is robust across a 100x M2 range: with the loop\n"
@@ -107,10 +116,9 @@ int main() {
     ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
     cfg.bias.v_wl_off = v;
     const auto creep = cell_temperature_response(cfg, {85.0}, 1, 0);
-    const NmrSummary nmr = array_nmr(cfg);
-    wl_off.add_row({util::fmt(v, 3), util::fmt(creep.at(0).v_out, 3),
-                    util::fmt(nmr.nmr_min, 3),
-                    nmr.separable ? "yes" : "NO"});
+    const std::vector<std::string> nmr = nmr_cells(cfg);
+    wl_off.add_row(
+        {util::fmt(v, 3), util::fmt(creep.at(0).v_out, 3), nmr[0], nmr[1]});
   }
   std::printf("%s", wl_off.render().c_str());
   std::printf("   (a grounded WL leaks through the low-VTH FeFET and lifts\n"
@@ -126,10 +134,9 @@ int main() {
     cfg.cell2t.c0 = c;
     const auto resp = cell_temperature_response(cfg, {27.0}, 1, 1);
     const double drift = cell_fluctuation(cfg, kTemps).max;
-    const NmrSummary nmr = array_nmr(cfg);
+    const std::vector<std::string> nmr = nmr_cells(cfg);
     c0.add_row({util::fmt(c * 1e15, 3), util::fmt(resp.at(0).v_out, 4),
-                util::fmt_percent(drift), util::fmt(nmr.nmr_min, 3),
-                nmr.separable ? "yes" : "NO"});
+                util::fmt_percent(drift), nmr[0], nmr[1]});
   }
   std::printf("%s", c0.render().c_str());
   std::printf("   (moderate C0 growth *helps*: slower settling filters the\n"

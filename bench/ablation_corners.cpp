@@ -21,7 +21,7 @@ int main() {
   for (const ProcessCorner& corner : standard_corners()) {
     const ArrayConfig cfg =
         apply_corner(ArrayConfig::proposed_2t1fefet(), corner);
-    const NmrSummary nmr = summarize_nmr(mac_level_sweep(cfg, temps).levels);
+    const NmrSummary nmr = summarize_nmr(mac_level_sweep(cfg, temps).levels());
     const EnergySummary energy = measure_energy(cfg, 27.0);
     MonteCarloConfig mc;
     mc.runs = 25;
@@ -44,7 +44,7 @@ int main() {
     ArrayConfig cfg =
         apply_corner(ArrayConfig::proposed_2t1fefet(), standard_corners()[1]);
     cfg.bias.v_wl_read = wl;
-    const NmrSummary nmr = summarize_nmr(mac_level_sweep(cfg, temps).levels);
+    const NmrSummary nmr = summarize_nmr(mac_level_sweep(cfg, temps).levels());
     trim.add_row({util::fmt(wl, 3), util::fmt(nmr.nmr_min, 3),
                   nmr.separable ? "yes" : "NO"});
   }

@@ -33,7 +33,10 @@ NmrSummary nmr_after(void (*prepare)(CiMRow&)) {
   for (double t : {0.0, 27.0, 85.0}) {
     const std::vector<MacResult> ladder = row.evaluate_levels(t);
     for (std::size_t k = 0; k < ladder.size(); ++k) {
-      if (!ladder[k].converged) continue;
+      if (!ladder[k].converged) {
+        throw_not_converged("ablation_reliability", cfg, t,
+                            static_cast<int>(k), "input-driven zeros");
+      }
       levels[k].lo = std::min(levels[k].lo, ladder[k].v_acc);
       levels[k].hi = std::max(levels[k].hi, ladder[k].v_acc);
     }

@@ -1,81 +1,8 @@
-// Fig. 1 reproduction: FeFET I_D-V_G characteristics in the low-VTH and
-// high-VTH states at several temperatures, showing (a) that the 0.35 V
-// read voltage lies in the subthreshold region, and (b) that temperature
-// affects the high-VTH state more strongly than the low-VTH state.
-//
-// Output: a table of drain currents at the two read voltages plus a CSV
-// with the full curves (bench_fig1_idvg.csv).
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "cim/config.hpp"
-#include "fefet/fefet.hpp"
-#include "spice/circuit.hpp"
-#include "util/csv.hpp"
-#include "util/table.hpp"
-
-using namespace sfc;
+// Fig. 1 bench (FeFET I_D-V_G vs temperature): prints the record of
+// verify::fig1_fefet_characteristics, writes it to
+// fig1_fefet_characteristics.json and exits 1 if a paper claim fails.
+#include "verify/experiments.hpp"
 
 int main() {
-  std::printf(
-      "== Fig. 1: FeFET ID-VG at 0/27/85 degC, low-VTH and high-VTH ==\n\n");
-
-  const std::vector<double> temps = {0.0, 27.0, 85.0};
-  const fefet::FeFetParams params = fefet::FeFetParams::reference(10.0);
-  const cim::ReadBias bias;  // BL 1.2 V, SL 0.2 V
-
-  // Device current with the source clamped at the SL level (the operating
-  // condition of the array read).
-  spice::Circuit scratch;
-  fefet::FeFet device("X", scratch.node("d"), scratch.node("g"),
-                      scratch.node("s"), params);
-
-  util::CsvWriter csv("bench_fig1_idvg.csv",
-                      {"state", "temp_c", "vg", "id"});
-  for (const bool stored_one : {true, false}) {
-    device.ferroelectric().set_polarization(stored_one ? 1.0 : -1.0);
-    for (double t : temps) {
-      for (double vg = 0.0; vg <= 1.8 + 1e-9; vg += 0.02) {
-        const double id =
-            device.drain_current(vg, bias.v_bl, bias.v_sl, t);
-        csv.row({stored_one ? 1.0 : 0.0, t, vg, id});
-      }
-    }
-  }
-  std::printf("full curves written to %s\n\n", "bench_fig1_idvg.csv");
-
-  util::Table table({"state", "T [degC]", "ID @ 0.35V [A]", "ID @ 1.3V [A]",
-                     "VTH_eff [V]", "region @ 0.35V"});
-  for (const bool stored_one : {true, false}) {
-    device.ferroelectric().set_polarization(stored_one ? 1.0 : -1.0);
-    for (double t : temps) {
-      const double i_sub = device.drain_current(0.35, bias.v_bl, bias.v_sl, t);
-      const double i_sat = device.drain_current(1.30, bias.v_bl, bias.v_sl, t);
-      const double vth = device.effective_vth(t);
-      const double vgs = 0.35 - bias.v_sl;
-      table.add_row({stored_one ? "low-VTH ('1')" : "high-VTH ('0')",
-                     util::fmt(t, 3), util::fmt(i_sub, 4),
-                     util::fmt(i_sat, 4), util::fmt(vth, 4),
-                     vgs < vth ? "subthreshold" : "inversion"});
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-
-  // Quantify the Fig. 1 asymmetry: ION drift vs IOFF drift.
-  device.ferroelectric().set_polarization(1.0);
-  const double on_ratio =
-      device.drain_current(0.35, bias.v_bl, bias.v_sl, 85.0) /
-      device.drain_current(0.35, bias.v_bl, bias.v_sl, 0.0);
-  device.ferroelectric().set_polarization(-1.0);
-  const double off_ratio =
-      device.drain_current(0.35, bias.v_bl, bias.v_sl, 85.0) /
-      device.drain_current(0.35, bias.v_bl, bias.v_sl, 0.0);
-  std::printf(
-      "temperature sensitivity at Vread = 0.35 V (I(85C)/I(0C)):\n"
-      "  low-VTH  state: %8.3g   (mild drift)\n"
-      "  high-VTH state: %8.3g   (paper: high-VTH markedly more sensitive)\n"
-      "  shape check: high-VTH ratio %s low-VTH ratio\n",
-      on_ratio, off_ratio, off_ratio > on_ratio ? ">" : "<=");
-  return 0;
+  return sfc::verify::publish(sfc::verify::fig1_fefet_characteristics());
 }

@@ -1,55 +1,8 @@
-// Fig. 4 reproduction: output-voltage ranges of the subthreshold
-// 1FeFET-1R CiM array (8 cells/row) for MAC = 0..8 over 0-85 degC. The
-// paper's point: the ranges OVERLAP, so distinct MAC results become
-// indistinguishable under temperature drift.
-#include <cstdio>
-#include <string>
-
-#include "cim/mac.hpp"
-#include "util/csv.hpp"
-#include "util/table.hpp"
-
-using namespace sfc;
-using namespace sfc::cim;
+// Fig. 4 bench (1FeFET-1R row levels overlap over 0-85 degC): prints the
+// record of verify::fig4_1fefet1r_array_overlap, writes it to
+// fig4_1fefet1r_array_overlap.json and exits 1 if a paper claim fails.
+#include "verify/experiments.hpp"
 
 int main() {
-  std::printf(
-      "== Fig. 4: subthreshold 1FeFET-1R array output ranges, 0-85 degC ==\n\n");
-
-  const ArrayConfig cfg = ArrayConfig::baseline_1r_subthreshold();
-  const std::vector<double> temps = default_temperature_grid();
-  const LevelSweepResult sweep = mac_level_sweep(cfg, temps);
-  if (!sweep.all_converged) {
-    std::printf("WARNING: some operating points failed to converge\n");
-  }
-
-  const auto nmr = noise_margin_rates(sweep.levels);
-  util::Table table(
-      {"MAC", "V_lo [V]", "V_hi [V]", "NMR_i", "overlaps next?"});
-  util::CsvWriter csv("bench_fig4_1r_levels.csv",
-                      {"mac", "v_lo", "v_hi", "nmr"});
-  for (std::size_t k = 0; k < sweep.levels.size(); ++k) {
-    const auto& level = sweep.levels[k];
-    const bool has_nmr = k < nmr.size();
-    const bool overlap = has_nmr && nmr[k] < 0.0;
-    table.add_row({std::to_string(level.mac), util::fmt(level.lo, 4),
-                   util::fmt(level.hi, 4),
-                   has_nmr ? util::fmt(nmr[k], 3) : "-",
-                   has_nmr ? (overlap ? "YES" : "no") : "-"});
-    csv.row({static_cast<double>(level.mac), level.lo, level.hi,
-             has_nmr ? nmr[k] : 0.0});
-  }
-  std::printf("%s\n", table.render().c_str());
-
-  const NmrSummary summary = summarize_nmr(sweep.levels);
-  int overlapping = 0;
-  for (double v : nmr) {
-    if (v < 0.0) ++overlapping;
-  }
-  std::printf(
-      "NMR_min = %.3f at MAC = %d; %d of 8 adjacent pairs overlap.\n"
-      "shape check: paper reports overlapping outputs for this design -> %s\n",
-      summary.nmr_min, summary.argmin_mac, overlapping,
-      summary.separable ? "NOT reproduced" : "reproduced");
-  return 0;
+  return sfc::verify::publish(sfc::verify::fig4_1fefet1r_array_overlap());
 }

@@ -34,14 +34,14 @@ int main(int argc, char** argv) {
     cfg.cells_per_row = cells;
     std::printf("=== %s, %d cells/row ===\n", name, cells);
 
-    const LevelSweepResult sweep = mac_level_sweep(cfg, temps);
-    const auto nmr = noise_margin_rates(sweep.levels);
+    const std::vector<LevelRange> levels =
+        mac_level_sweep(cfg, temps).levels();
 
     // Text rendering of the level bands.
     double v_max = 1e-9;
-    for (const auto& level : sweep.levels) v_max = std::max(v_max, level.hi);
+    for (const auto& level : levels) v_max = std::max(v_max, level.hi);
     const int columns = 56;
-    for (const auto& level : sweep.levels) {
+    for (const auto& level : levels) {
       const int lo = static_cast<int>(level.lo / v_max * columns);
       const int hi = static_cast<int>(level.hi / v_max * columns);
       std::string bar(static_cast<std::size_t>(columns + 1), ' ');
@@ -49,13 +49,12 @@ int main(int argc, char** argv) {
       std::printf("  MAC=%d |%s| [%.4f, %.4f] V\n", level.mac, bar.c_str(),
                   level.lo, level.hi);
     }
-    const NmrSummary summary = summarize_nmr(sweep.levels);
+    const NmrSummary summary = summarize_nmr(levels);
     std::printf("  NMR_min = %+.3f at MAC=%d -> %s\n\n", summary.nmr_min,
                 summary.argmin_mac,
                 summary.separable
                     ? "all levels separable over 0-85 degC"
                     : "levels OVERLAP: computation errors under drift");
-    (void)nmr;
   }
   return 0;
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure, build, run the full test suite,
-# the verification layer, the paper benches, Fig. 9's CSV at 1 vs 4
-# threads, the metrics key-set gate, the performance ledger's self-test
-# and pinned outputs, and the sanitizer passes. This is the tier-1 entry
-# point — if this script exits 0 the tree is good.
+# the verification layer, the paper benches (each exits 1 when a paper
+# claim fails), Fig. 9's record at 1 vs 4 threads, the metrics key-set
+# gate, the performance ledger's self-test and pinned outputs, and the
+# sanitizer passes. This is the tier-1 entry point — if this script exits
+# 0 the tree is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -60,19 +61,24 @@ for bad in floating-node:'I1 0 x 1u\nC1 x 0 1p\n.end' \
 done
 
 step "golden / fuzz summary (verify_runner)"
-# Traced: the golden run's metrics snapshot feeds the key-set gate below.
+# The metrics snapshot of the run over every case feeds the key-set gate
+# below. The span trace covers one case: a trace of all eight is over
+# 100 MB, the Fig. 7 case's a few MB.
 "${BUILD_DIR}/tools/verify_runner" golden \
-  --trace "${BUILD_DIR}/trace_golden.json" \
   --metrics "${BUILD_DIR}/metrics_golden.json"
+"${BUILD_DIR}/tools/verify_runner" golden --case fig7_2t1fefet_cell \
+  --trace "${BUILD_DIR}/trace_golden.json"
 # ctest already runs the default 200-case campaign; this one covers ten
 # times as many decks from another seed.
 "${BUILD_DIR}/tools/verify_runner" fuzz --count 2000 --seed 1 --dump "${BUILD_DIR}"
 
 step "paper benches (every bench except the two that train a network)"
 # accuracy_vgg_cim and ablation_wordlength train a VGG and take minutes;
-# the other figure/table benches take about 20 s together. Benches write
-# CSVs to the working directory, so they run in a scratch directory under
-# the build tree; set -e fails the gate on any nonzero exit.
+# the other figure/table benches take about 15 s together. The paper
+# benches write their records (<name>.json) to the working directory, so
+# every bench runs in a scratch directory under the build tree. A paper
+# bench exits 1 when one of its claims fails: the gate then prints that
+# bench's output, which names the claim, and fails.
 BENCH_RUN_DIR="${BUILD_DIR}/bench_run"
 mkdir -p "${BENCH_RUN_DIR}"
 for src in bench/*.cpp; do
@@ -83,24 +89,33 @@ for src in bench/*.cpp; do
     *) args=() ;;
   esac
   echo "${name} ${args[*]}"
-  (cd "${BENCH_RUN_DIR}" && "../bench/${name}" "${args[@]}" >/dev/null)
+  status=0
+  out="$(cd "${BENCH_RUN_DIR}" && "../bench/${name}" "${args[@]}" 2>&1)" \
+    || status=$?
+  if [[ ${status} -ne 0 ]]; then
+    printf '%s\n' "${out}"
+    echo "${name} exited ${status}" >&2
+    exit 1
+  fi
 done
 
-step "Fig. 9 determinism (serial CSV byte-identical to the 4-thread one)"
+step "Fig. 9 determinism (serial record byte-identical to the 4-thread one)"
 # The Monte Carlo samples are a pure function of the run index, so a
-# serial run in a second directory must write the same CSV byte for byte.
+# serial run in a second directory must write the same record byte for
+# byte.
 SERIAL_RUN_DIR="${BUILD_DIR}/bench_run_serial"
 mkdir -p "${SERIAL_RUN_DIR}"
 (cd "${SERIAL_RUN_DIR}" &&
   ../bench/fig9_montecarlo_variation --threads 1 >/dev/null)
-cmp "${BENCH_RUN_DIR}/bench_fig9_mc.csv" "${SERIAL_RUN_DIR}/bench_fig9_mc.csv"
-echo "bench_fig9_mc.csv is identical at 1 and 4 threads"
+cmp "${BENCH_RUN_DIR}/fig9_montecarlo_variation.json" \
+  "${SERIAL_RUN_DIR}/fig9_montecarlo_variation.json"
+echo "fig9_montecarlo_variation.json is identical at 1 and 4 threads"
 
-step "metrics key-set gate (traced verify_runner golden)"
+step "metrics key-set gate (verify_runner golden over every case)"
 # The deterministic counter/histogram names the golden run registers (the
-# stamp-plan Newton path, DC solves, transients, Monte Carlo fan-out) must
-# match the reviewed golden — silent instrumentation drift in the solver
-# hot path fails the tree.
+# stamp-plan Newton path, DC solves, transients, Monte Carlo fan-out, the
+# Table II VGG forward's dot batches) must match the reviewed golden —
+# silent instrumentation drift in the solver hot path fails the tree.
 "${BUILD_DIR}/tools/verify_runner" check-metrics "${BUILD_DIR}/metrics_golden.json" \
   --golden tests/goldens/metrics_keys.json
 

@@ -21,25 +21,32 @@ EnergyBreakdown energy_breakdown(const MacResult& result) {
   return b;
 }
 
-EnergySummary measure_energy(const ArrayConfig& cfg, double temperature_c) {
-  const int n = cfg.cells_per_row;
-  CiMRow row(cfg);
-  row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
-
+EnergySummary summarize_energy(std::vector<double> energy_per_op_by_mac) {
   EnergySummary summary;
-  summary.energy_per_op_by_mac.assign(static_cast<std::size_t>(n) + 1, 0.0);
-  const std::vector<MacResult> levels = row.evaluate_levels(temperature_c);
   double sum = 0.0;
-  int count = 0;
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    if (!levels[k].converged) continue;
-    summary.energy_per_op_by_mac[k] = levels[k].energy_per_op();
-    sum += levels[k].energy_per_op();
-    ++count;
+  for (double e : energy_per_op_by_mac) sum += e;
+  if (!energy_per_op_by_mac.empty()) {
+    summary.mean_energy_per_op =
+        sum / static_cast<double>(energy_per_op_by_mac.size());
   }
-  if (count > 0) summary.mean_energy_per_op = sum / count;
   summary.tops_per_watt = tops_per_watt(summary.mean_energy_per_op);
+  summary.energy_per_op_by_mac = std::move(energy_per_op_by_mac);
   return summary;
+}
+
+EnergySummary measure_energy(const ArrayConfig& cfg, double temperature_c) {
+  CiMRow row(cfg);
+  row.set_stored(std::vector<int>(static_cast<std::size_t>(row.cells()), 1));
+  std::vector<double> energy;
+  for (const MacResult& r : row.evaluate_levels(temperature_c)) {
+    if (!r.converged) {
+      throw_not_converged("measure_energy", cfg, temperature_c,
+                          static_cast<int>(energy.size()),
+                          "input-driven zeros");
+    }
+    energy.push_back(r.energy_per_op());
+  }
+  return summarize_energy(std::move(energy));
 }
 
 }  // namespace sfc::cim

@@ -32,6 +32,12 @@ struct EnergySummary {
   std::vector<double> energy_per_op_by_mac;  ///< [J], index = MAC value
 };
 
+/// The mean of the per-MAC energies per op and its TOPS/W.
+EnergySummary summarize_energy(std::vector<double> energy_per_op_by_mac);
+
+/// summarize_energy over the MAC-level ladder (input-driven zeros, every
+/// weight '1') at `temperature_c`. Throws std::runtime_error naming the
+/// cycle when one fails to converge.
 EnergySummary measure_energy(const ArrayConfig& cfg, double temperature_c);
 
 }  // namespace sfc::cim

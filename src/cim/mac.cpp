@@ -1,10 +1,31 @@
 #include "cim/mac.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 namespace sfc::cim {
+
+void throw_not_converged(const char* who, const ArrayConfig& cfg,
+                         double temperature_c, int mac,
+                         const std::string& pattern) {
+  const char* kind = cfg.kind == CellKind::k2T1FeFet ? "2T-1FeFET"
+                     : cfg.subthreshold_read     ? "subthreshold 1FeFET-1R"
+                                                 : "saturation 1FeFET-1R";
+  std::ostringstream ss;
+  ss << who << ": " << kind << " cycle did not converge at " << temperature_c
+     << " degC, MAC " << mac << ", " << pattern;
+  throw std::runtime_error(ss.str());
+}
+
+namespace {
+
+std::string cell_pattern(int stored_bit, int input_bit) {
+  return "stored " + std::to_string(stored_bit) + ", input " +
+         std::to_string(input_bit);
+}
+
+}  // namespace
 
 std::vector<CellResponse> cell_temperature_response(
     const ArrayConfig& cfg, const std::vector<double>& temps_c,
@@ -21,15 +42,17 @@ std::vector<CellResponse> cell_temperature_response(
   responses.reserve(temps_c.size());
   for (double t : temps_c) {
     MacResult r = row.evaluate({input_bit}, t);
+    if (!r.converged) {
+      throw_not_converged("cell_temperature_response", cfg, t,
+                          stored_bit * input_bit,
+                          cell_pattern(stored_bit, input_bit));
+    }
     CellResponse cr;
     cr.temperature_c = t;
-    cr.converged = r.converged;
-    if (r.converged) {
-      cr.v_out = r.v_cell.at(0);
-      // Average charging current of C0 over the cell phase, measured from
-      // the known precharge level.
-      cr.i_avg = c0 * (cr.v_out - v0) / one.timing.t_settle;
-    }
+    cr.v_out = r.v_cell.at(0);
+    // Average charging current of C0 over the cell phase, measured from
+    // the known precharge level.
+    cr.i_avg = c0 * (cr.v_out - v0) / one.timing.t_settle;
     responses.push_back(cr);
   }
   return responses;
@@ -59,14 +82,16 @@ std::vector<CellCurrentResponse> cell_current_response(
   responses.reserve(temps_c.size());
   for (double t : temps_c) {
     Engine engine(ckt, t);
-    const DcResult op = engine.dc_operating_point();
+    const DcResult op = engine.dc_operating_point(cfg.newton);
+    if (!op.converged) {
+      throw_not_converged("cell_current_response", cfg, t,
+                          stored_bit * input_bit,
+                          cell_pattern(stored_bit, input_bit));
+    }
     CellCurrentResponse cr;
     cr.temperature_c = t;
-    cr.converged = op.converged;
-    if (op.converged) {
-      cr.v_out = op.voltage("out");
-      cr.i_drain = (cr.v_out - cfg.bias.v_sl) / cell.r_current_sense;
-    }
+    cr.v_out = op.voltage("out");
+    cr.i_drain = (cr.v_out - cfg.bias.v_sl) / cell.r_current_sense;
     responses.push_back(cr);
   }
   return responses;
@@ -75,24 +100,51 @@ std::vector<CellCurrentResponse> cell_current_response(
 CellFluctuation cell_fluctuation(const ArrayConfig& cfg,
                                  const std::vector<double>& temps_c) {
   CellFluctuation f;
-  const auto keep = [&f](const auto& r, double current) {
-    if (!r.converged) return;
-    f.temps_c.push_back(r.temperature_c);
-    f.v_out.push_back(r.v_out);
-    f.current.push_back(current);
-  };
   if (cfg.kind == CellKind::k2T1FeFet) {
     for (const auto& r : cell_temperature_response(cfg, temps_c)) {
-      keep(r, r.i_avg);
+      f.v_out.push_back(r.v_out);
+      f.current.push_back(r.i_avg);
     }
   } else {
     for (const auto& r : cell_current_response(cfg, temps_c)) {
-      keep(r, r.i_drain);
+      f.v_out.push_back(r.v_out);
+      f.current.push_back(r.i_drain);
     }
   }
-  f.normalized = normalize_to_reference(f.temps_c, f.current, 27.0);
-  f.max = max_normalized_fluctuation(f.temps_c, f.current, 27.0);
+  f.normalized = normalize_to_reference(temps_c, f.current, 27.0);
+  f.max = max_normalized_fluctuation(temps_c, f.current, 27.0);
   return f;
+}
+
+std::size_t LevelSweepResult::index(ZeroPattern pattern, double temperature_c,
+                                    int mac) const {
+  const auto t = std::find(temps_c.begin(), temps_c.end(), temperature_c);
+  if (t == temps_c.end() || mac < 0 || mac > cells) {
+    throw std::out_of_range("LevelSweepResult: cycle not swept");
+  }
+  const auto p = static_cast<std::size_t>(pattern);
+  const auto ti = static_cast<std::size_t>(t - temps_c.begin());
+  return (p * temps_c.size() + ti) * static_cast<std::size_t>(cells + 1) +
+         static_cast<std::size_t>(mac);
+}
+
+std::vector<LevelRange> LevelSweepResult::levels(double t_min_c) const {
+  std::vector<LevelRange> out;
+  for (int k = 0; k <= cells; ++k) {
+    LevelRange level{k, std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()};
+    for (const ZeroPattern p :
+         {ZeroPattern::kInputDriven, ZeroPattern::kStorageDriven}) {
+      for (double t : temps_c) {
+        if (t < t_min_c) continue;
+        const double v = at(p, t, k).v_acc;
+        level.lo = std::min(level.lo, v);
+        level.hi = std::max(level.hi, v);
+      }
+    }
+    out.push_back(level);
+  }
+  return out;
 }
 
 LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
@@ -102,41 +154,25 @@ LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
   const std::vector<int> all(static_cast<std::size_t>(n), 1);
 
   LevelSweepResult result;
-  result.levels.resize(static_cast<std::size_t>(n) + 1);
-  result.energy_per_op_by_mac.assign(static_cast<std::size_t>(n) + 1, 0.0);
-
+  result.cells = n;
+  result.temps_c = temps_c;
+  result.cycles.resize(2 * temps_c.size() * static_cast<std::size_t>(n + 1));
   for (int k = 0; k <= n; ++k) {
-    auto& level = result.levels[static_cast<std::size_t>(k)];
-    level.mac = k;
-    level.lo = 1e30;
-    level.hi = -1e30;
-    double energy_sum = 0.0;
-    std::size_t energy_count = 0;
-
-    // Pattern A: first k inputs high, all weights stored '1'
-    // (input-driven zeros). Pattern B: all inputs high, first k weights
-    // stored '1' (storage-driven zeros). Real workloads mix both, so the
-    // level range must cover both.
     const std::vector<int> first_k = level_inputs(n, k);
-    for (int pattern = 0; pattern < 2; ++pattern) {
-      row.set_stored(pattern == 0 ? all : first_k);
-      const std::vector<int>& inputs = pattern == 0 ? first_k : all;
-
+    for (const ZeroPattern p :
+         {ZeroPattern::kInputDriven, ZeroPattern::kStorageDriven}) {
+      const bool input_driven = p == ZeroPattern::kInputDriven;
+      row.set_stored(input_driven ? all : first_k);
+      const std::vector<int>& inputs = input_driven ? first_k : all;
       for (double t : temps_c) {
-        MacResult r = row.evaluate(inputs, t);
+        const MacResult r = row.evaluate(inputs, t);
         if (!r.converged) {
-          result.all_converged = false;
-          continue;
+          throw_not_converged("mac_level_sweep", cfg, t, k,
+                              input_driven ? "input-driven zeros"
+                                           : "storage-driven zeros");
         }
-        level.lo = std::min(level.lo, r.v_acc);
-        level.hi = std::max(level.hi, r.v_acc);
-        energy_sum += r.energy_per_op();
-        ++energy_count;
+        result.cycles[result.index(p, t, k)] = {r.v_acc, r.energy_per_op()};
       }
-    }
-    if (energy_count > 0) {
-      result.energy_per_op_by_mac[static_cast<std::size_t>(k)] =
-          energy_sum / static_cast<double>(energy_count);
     }
   }
   return result;

@@ -2,6 +2,8 @@
 // (Figs. 3 and 7) and of MAC output-voltage ranges (Figs. 4 and 8).
 #pragma once
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "cim/array.hpp"
@@ -9,12 +11,15 @@
 
 namespace sfc::cim {
 
+/// Every helper below throws std::runtime_error when a solve fails to
+/// converge, naming the cell kind, the temperature, the MAC value and the
+/// pattern of the cycle that failed; none drops a point.
+
 /// Single-cell response at one temperature.
 struct CellResponse {
   double temperature_c = 0.0;
   double v_out = 0.0;   ///< V_O at the end of the cell phase [V]
   double i_avg = 0.0;   ///< average C0 charging current over the phase [A]
-  bool converged = false;
 };
 
 /// Sweep a single cell (stored bit / input bit as given) over temperature.
@@ -32,7 +37,6 @@ struct CellCurrentResponse {
   double temperature_c = 0.0;
   double i_drain = 0.0;  ///< FeFET drain current through the sense R [A]
   double v_out = 0.0;    ///< clamped output node voltage [V]
-  bool converged = false;
 };
 std::vector<CellCurrentResponse> cell_current_response(
     const ArrayConfig& cfg, const std::vector<double>& temps_c,
@@ -42,9 +46,8 @@ std::vector<CellCurrentResponse> cell_current_response(
 /// 27 degC. The 2T-1FeFET cell reports its average C0 charging current
 /// (cell_temperature_response), the 1FeFET-1R cell its current-mode drain
 /// current (cell_current_response); stored bit and input are both '1'.
-/// Only converged points are kept, so the vectors run parallel.
+/// The vectors run parallel to `temps_c`.
 struct CellFluctuation {
-  std::vector<double> temps_c;
   std::vector<double> v_out;       ///< cell output node [V]
   std::vector<double> current;     ///< [A]
   std::vector<double> normalized;  ///< current / current at 27 degC
@@ -53,16 +56,34 @@ struct CellFluctuation {
 CellFluctuation cell_fluctuation(const ArrayConfig& cfg,
                                  const std::vector<double>& temps_c);
 
-/// MAC level sweep: for every MAC value k in [0, n] and every temperature,
-/// run the full row and collect the output voltage. Two activation
-/// patterns are exercised per k (input-driven zeros and storage-driven
-/// zeros) and the level range covers both.
+/// How a MAC level sweep makes the n - k zero products of MAC value k:
+/// the first k inputs high with every weight stored '1' (input-driven), or
+/// every input high with the first k weights stored '1' (storage-driven).
+enum class ZeroPattern { kInputDriven, kStorageDriven };
+
+/// MAC level sweep: the full row at every MAC value k in [0, n], every
+/// temperature and both zero patterns. Real workloads mix both patterns,
+/// so a level's range covers both.
 struct LevelSweepResult {
-  /// Min/max over temperatures AND patterns.
-  std::vector<LevelRange> levels;
-  /// Mean energy per op at each MAC value, averaged over temperatures [J].
-  std::vector<double> energy_per_op_by_mac;
-  bool all_converged = true;
+  struct Cycle {
+    double v_acc = 0.0;          ///< [V]
+    double energy_per_op = 0.0;  ///< [J]
+  };
+  int cells = 0;
+  std::vector<double> temps_c;
+  /// Pattern-major, then temperature (in temps_c order), then MAC value.
+  std::vector<Cycle> cycles;
+
+  /// Position in `cycles` of MAC value `mac` in `pattern` at a swept
+  /// temperature; throws std::out_of_range for a cycle the sweep did not run.
+  std::size_t index(ZeroPattern pattern, double temperature_c, int mac) const;
+  const Cycle& at(ZeroPattern pattern, double temperature_c, int mac) const {
+    return cycles[index(pattern, temperature_c, mac)];
+  }
+  /// Min/max of each MAC level over both patterns and the swept
+  /// temperatures at or above `t_min_c`.
+  std::vector<LevelRange> levels(
+      double t_min_c = -std::numeric_limits<double>::infinity()) const;
 };
 
 LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
@@ -71,5 +92,11 @@ LevelSweepResult mac_level_sweep(const ArrayConfig& cfg,
 /// Convert an energy-per-op to TOPS/W (1 / (E_op in pJ) = TOPS/W scale:
 /// ops per second per watt / 1e12).
 double tops_per_watt(double energy_per_op_joules);
+
+/// Throw the std::runtime_error of a cycle that did not converge: `who`,
+/// the cell kind of `cfg`, the temperature, the MAC value and the pattern.
+[[noreturn]] void throw_not_converged(const char* who, const ArrayConfig& cfg,
+                                      double temperature_c, int mac,
+                                      const std::string& pattern);
 
 }  // namespace sfc::cim

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -48,36 +50,62 @@ std::size_t Sequential::num_parameters() {
   return n;
 }
 
+namespace {
+constexpr char kWeightMagic[8] = {'s', 'f', 'c', 'n', 'n', 'w', '0', '1'};
+}  // namespace
+
 void Sequential::save_weights(const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot write " + path);
-  const char magic[8] = {'s', 'f', 'c', 'n', 'n', 'w', '0', '1'};
-  out.write(magic, sizeof(magic));
+  out.write(kWeightMagic, sizeof(kWeightMagic));
   for (Tensor* p : parameters()) {
     const auto n = static_cast<std::uint64_t>(p->size());
     out.write(reinterpret_cast<const char*>(&n), sizeof(n));
     out.write(reinterpret_cast<const char*>(p->data()),
               static_cast<std::streamsize>(n * sizeof(float)));
   }
+  out.close();
+  if (!out) throw std::runtime_error("failed writing " + path);
 }
 
 void Sequential::load_weights(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot read " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::string(magic, 8) != "sfcnnw01") {
+  std::string file(static_cast<std::size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(file.data(), static_cast<std::streamsize>(file.size()));
+  if (!in) throw std::runtime_error("cannot read " + path);
+  // Check the whole file before any weight changes: the magic, every
+  // tensor's size and bytes, and nothing after the last tensor.
+  if (file.compare(0, sizeof(kWeightMagic),
+                   std::string(kWeightMagic, sizeof(kWeightMagic))) != 0) {
     throw std::runtime_error("bad weight file " + path);
   }
-  for (Tensor* p : parameters()) {
+  const std::vector<Tensor*> params = parameters();
+  std::vector<std::size_t> offsets;
+  std::size_t pos = sizeof(kWeightMagic);
+  for (const Tensor* p : params) {
     std::uint64_t n = 0;
-    in.read(reinterpret_cast<char*>(&n), sizeof(n));
-    if (!in || n != p->size()) {
+    if (file.size() - pos < sizeof(n)) {
+      throw std::runtime_error("truncated weight file " + path);
+    }
+    std::memcpy(&n, file.data() + pos, sizeof(n));
+    pos += sizeof(n);
+    if (n != p->size()) {
       throw std::runtime_error("weight shape mismatch in " + path);
     }
-    in.read(reinterpret_cast<char*>(p->data()),
-            static_cast<std::streamsize>(n * sizeof(float)));
-    if (!in) throw std::runtime_error("truncated weight file " + path);
+    if ((file.size() - pos) / sizeof(float) < n) {
+      throw std::runtime_error("truncated weight file " + path);
+    }
+    offsets.push_back(pos);
+    pos += n * sizeof(float);
+  }
+  if (pos != file.size()) {
+    throw std::runtime_error("trailing bytes in weight file " + path);
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::memcpy(params[i]->data(), file.data() + offsets[i],
+                params[i]->size() * sizeof(float));
   }
 }
 

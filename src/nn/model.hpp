@@ -37,7 +37,10 @@ class Sequential {
   /// Total parameter count.
   std::size_t num_parameters();
 
-  /// Binary weight (de)serialization; shapes must match exactly.
+  /// Binary weight (de)serialization; shapes must match exactly. Both
+  /// throw std::runtime_error on failure. load_weights checks the whole
+  /// file, to its last byte, before it assigns any weight, so a failed
+  /// load leaves every weight unchanged.
   void save_weights(const std::string& path);
   void load_weights(const std::string& path);
 

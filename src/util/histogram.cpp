@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 namespace sfc::util {
 
@@ -32,23 +31,6 @@ double Histogram::bin_low(std::size_t bin) const {
 
 double Histogram::bin_high(std::size_t bin) const {
   return bin_low(bin + 1);
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t bar =
-        counts_[b] == 0 ? 0 : std::max<std::size_t>(1, counts_[b] * width / peak);
-    std::snprintf(line, sizeof(line), "[%9.4g, %9.4g)  %6zu  ", bin_low(b),
-                  bin_high(b), counts_[b]);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace sfc::util

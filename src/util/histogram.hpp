@@ -1,10 +1,9 @@
-// Fixed-bin histogram with an ASCII renderer, used for the Monte Carlo
-// process-variation figure (Fig. 9) and error distribution reports.
+// Fixed-bin histogram, used for the Monte Carlo process-variation figure
+// (Fig. 9).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace sfc::util {
@@ -22,9 +21,6 @@ class Histogram {
   std::size_t total() const { return total_; }
   double bin_low(std::size_t bin) const;
   double bin_high(std::size_t bin) const;
-
-  /// Render as rows of "[lo, hi)  count  ####" (bar scaled to `width`).
-  std::string ascii(std::size_t width = 40) const;
 
  private:
   double lo_;

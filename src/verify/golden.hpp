@@ -1,13 +1,13 @@
 // Golden-reference regression layer.
 //
-// Canonical paper experiments (Fig. 8 MAC levels, the 0/25/85 degC
-// temperature sweep with the NMR of Eqs. 2-3, energy per MAC, a reduced
-// Fig. 9 Monte Carlo) are serialized to versioned JSON files under
-// tests/goldens/. Every quantity carries its own absolute/relative
-// tolerance, stored IN the golden file, so the tolerance policy is
-// versioned together with the numbers it guards. `ctest -L verify`
-// recomputes each experiment and compares; `verify_runner golden --regen`
-// rewrites the files after an intentional physics change.
+// Each paper experiment (src/verify/experiments.hpp) returns a
+// GoldenRecord holding every number its bench prints, plus a `claims`
+// quantity with the paper's shape claims. The benches publish that record;
+// tests/goldens/<name>.json pins it. Every quantity carries its own
+// absolute/relative tolerance, stored IN the golden file, so the tolerance
+// policy is versioned together with the numbers it guards. `ctest -L
+// verify` recomputes each experiment and compares; `verify_runner golden
+// --regen` rewrites the files after an intentional physics change.
 #pragma once
 
 #include <functional>
@@ -52,6 +52,9 @@ class GoldenRecord {
   void set(const std::string& quantity, std::vector<double> values,
            std::vector<std::string> labels, Tolerance tol);
   void set_scalar(const std::string& quantity, double value, Tolerance tol);
+  /// Append one paper claim to the `claims` quantity: 1 when it holds, 0
+  /// when it fails, labelled with the claim and pinned exactly.
+  void claim(const std::string& label, bool holds);
   const Quantity& at(const std::string& quantity) const;
 
   Json to_json() const;
@@ -102,9 +105,9 @@ struct GoldenCase {
   std::function<GoldenRecord()> build;  ///< recompute from the live code
 };
 
-/// All canonical experiments, in a stable order:
-///   dc_op_point, fig8_mac_levels, temperature_sweep (with its NMR),
-///   energy_per_mac, montecarlo_quantiles.
+/// The experiments of experiments.hpp, in a stable order: dc_op_point,
+/// then the paper's Figs. 1, 3, 4, 7, 8, 9 and Table II. Fig. 9 runs at
+/// every hardware thread; its samples do not depend on the thread count.
 const std::vector<GoldenCase>& golden_cases();
 
 /// Directory the goldens live in: SFC_GOLDEN_DIR when compiled in (tests,

@@ -6,6 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "cim/energy.hpp"
 #include "cim/mac.hpp"
@@ -124,8 +127,7 @@ TEST(CiMRow, ProposedArraySeparableOverTemperature) {
   // Fig. 8(a): no overlapping MAC levels from 0 to 85 degC.
   const LevelSweepResult sweep =
       mac_level_sweep(ArrayConfig::proposed_2t1fefet(), kTemps);
-  ASSERT_TRUE(sweep.all_converged);
-  const NmrSummary nmr = summarize_nmr(sweep.levels);
+  const NmrSummary nmr = summarize_nmr(sweep.levels());
   EXPECT_TRUE(nmr.separable);
   EXPECT_GT(nmr.nmr_min, 0.1);
 }
@@ -134,7 +136,7 @@ TEST(CiMRow, BaselineArrayOverlapsOverTemperature) {
   // Fig. 4: the subthreshold 1FeFET-1R array has overlapping outputs.
   const LevelSweepResult sweep =
       mac_level_sweep(ArrayConfig::baseline_1r_subthreshold(), kTemps);
-  const NmrSummary nmr = summarize_nmr(sweep.levels);
+  const NmrSummary nmr = summarize_nmr(sweep.levels());
   EXPECT_FALSE(nmr.separable);
   EXPECT_LT(nmr.nmr_min, 0.0);
 }
@@ -143,10 +145,31 @@ TEST(CiMRow, WarmRangeNmrImproves) {
   // Paper: NMR_min rises from 0.22 (0-85C) to 2.3 (20-85C).
   const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
   const NmrSummary all =
-      summarize_nmr(mac_level_sweep(cfg, {0.0, 27.0, 85.0}).levels);
+      summarize_nmr(mac_level_sweep(cfg, {0.0, 27.0, 85.0}).levels());
   const NmrSummary warm =
-      summarize_nmr(mac_level_sweep(cfg, {20.0, 27.0, 85.0}).levels);
+      summarize_nmr(mac_level_sweep(cfg, {20.0, 27.0, 85.0}).levels());
   EXPECT_GT(warm.nmr_min, all.nmr_min);
+}
+
+TEST(CiMRow, LevelsAboveABoundAreTheSweepOfThoseTemperatures) {
+  // levels(t) of a sweep is the levels() of a sweep over only its
+  // temperatures at or above t, bit for bit.
+  ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
+  cfg.cells_per_row = 2;
+  const LevelSweepResult sweep = mac_level_sweep(cfg, {0.0, 27.0, 85.0});
+  const LevelSweepResult hot = mac_level_sweep(cfg, {27.0, 85.0});
+  const std::vector<LevelRange> above = sweep.levels(20.0);
+  const std::vector<LevelRange> expected = hot.levels();
+  const std::vector<LevelRange> full = sweep.levels();
+  ASSERT_EQ(above.size(), expected.size());
+  bool narrower = false;
+  for (std::size_t k = 0; k < above.size(); ++k) {
+    EXPECT_EQ(bits(above[k].lo), bits(expected[k].lo)) << "k=" << k;
+    EXPECT_EQ(bits(above[k].hi), bits(expected[k].hi)) << "k=" << k;
+    narrower = narrower || above[k].lo != full[k].lo ||
+               above[k].hi != full[k].hi;
+  }
+  EXPECT_TRUE(narrower) << "0 degC sets no level's range";
 }
 
 TEST(CiMRow, EnergyScalesWithMacValue) {
@@ -205,8 +228,7 @@ TEST(CiMRow, FourCellRowAlsoSeparable) {
   ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
   cfg.cells_per_row = 4;
   const LevelSweepResult sweep = mac_level_sweep(cfg, kTemps);
-  ASSERT_TRUE(sweep.all_converged);
-  EXPECT_TRUE(summarize_nmr(sweep.levels).separable);
+  EXPECT_TRUE(summarize_nmr(sweep.levels()).separable);
 }
 
 // Per-cell arguments of the wrong length throw in every build, before
@@ -255,6 +277,55 @@ TEST(CiMRow, LatencyMatchesPaper) {
   CiMRow row(cfg);
   row.set_stored(std::vector<int>(8, 1));
   EXPECT_EQ(row.evaluate(std::vector<int>(8, 1), 27.0).ops, 9);
+}
+
+/// The what() of the std::runtime_error `run` throws; fails the test
+/// when it throws nothing.
+std::string failure_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "a non-converged cycle did not throw";
+  return "";
+}
+
+// A cycle that fails to converge throws, naming the cell kind, the
+// temperature, the MAC value and the pattern, instead of being left out of
+// a range, an average or a normalization. No Newton solve converges in
+// one iteration.
+TEST(CiMRow, NonConvergedCyclesThrowNamingTheCycle) {
+  ArrayConfig proposed = ArrayConfig::proposed_2t1fefet();
+  proposed.cells_per_row = 2;
+  proposed.newton.max_iterations = 1;
+  ArrayConfig baseline = ArrayConfig::baseline_1r_subthreshold();
+  baseline.newton.max_iterations = 1;
+
+  const std::string sweep =
+      failure_of([&] { mac_level_sweep(proposed, {85.0}); });
+  EXPECT_NE(sweep.find("mac_level_sweep: 2T-1FeFET"), std::string::npos)
+      << sweep;
+  EXPECT_NE(sweep.find("85 degC, MAC 0, input-driven zeros"),
+            std::string::npos)
+      << sweep;
+  const std::string energy =
+      failure_of([&] { measure_energy(proposed, 27.0); });
+  EXPECT_NE(energy.find("measure_energy: 2T-1FeFET"), std::string::npos)
+      << energy;
+  const std::string cell =
+      failure_of([&] { cell_temperature_response(proposed, {0.0}, 1, 0); });
+  EXPECT_NE(cell.find("0 degC, MAC 0, stored 1, input 0"), std::string::npos)
+      << cell;
+  const std::string current =
+      failure_of([&] { cell_current_response(baseline, {27.0}); });
+  EXPECT_NE(current.find("subthreshold 1FeFET-1R"), std::string::npos)
+      << current;
+  EXPECT_NE(current.find("MAC 1, stored 1, input 1"), std::string::npos)
+      << current;
+  for (const ArrayConfig& cfg : {proposed, baseline}) {
+    EXPECT_THROW(cell_fluctuation(cfg, kTemps), std::runtime_error);
+  }
 }
 
 }  // namespace

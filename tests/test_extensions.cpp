@@ -46,7 +46,8 @@ TEST(Corners, TtCornerIsIdentity) {
 TEST(Corners, FastCornerKeepsSeparability) {
   const ArrayConfig ff =
       apply_corner(ArrayConfig::proposed_2t1fefet(), standard_corners()[2]);
-  const auto nmr = summarize_nmr(mac_level_sweep(ff, {0.0, 27.0, 85.0}).levels);
+  const auto nmr =
+      summarize_nmr(mac_level_sweep(ff, {0.0, 27.0, 85.0}).levels());
   EXPECT_TRUE(nmr.separable);
 }
 

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nn/model.hpp"
 
@@ -318,6 +324,61 @@ TEST(Sequential, SaveLoadWeightsRoundTrip) {
   const Tensor ya = a.forward(x, ctx);
   const Tensor yb = b.forward(x, ctx);
   for (std::size_t i = 0; i < ya.size(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
+  std::remove(path.c_str());
+}
+
+/// Every parameter of `net`, flattened in parameter order.
+std::vector<float> all_weights(Sequential& net) {
+  std::vector<float> w;
+  for (Tensor* p : net.parameters()) {
+    w.insert(w.end(), p->data(), p->data() + p->size());
+  }
+  return w;
+}
+
+// A weight file that is cut short, has a byte past its last tensor, or
+// holds another network's shapes throws, and the load leaves every weight
+// as it was: a caller that falls back to training starts from its own
+// initialization, not from half a file.
+TEST(Sequential, BadWeightFilesThrowAndLeaveEveryWeightUnchanged) {
+  sfc::util::Rng rng(11);
+  Sequential saved;
+  saved.add<Dense>(4, 3, rng);
+  saved.add<Dense>(3, 2, rng);
+  Sequential other_shape;
+  other_shape.add<Dense>(4, 3, rng);
+  other_shape.add<Dense>(3, 3, rng);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sfc_weights_bad_test.bin")
+          .string();
+  saved.save_weights(path);
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto write = [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary) << bytes;
+  };
+
+  Sequential target;
+  target.add<Dense>(4, 3, rng);  // different init from `saved`
+  target.add<Dense>(3, 2, rng);
+  const std::vector<float> before = all_weights(target);
+  for (const std::string& bytes :
+       {good.substr(0, good.size() - 4), good + '\0', std::string("sfc")}) {
+    write(bytes);
+    EXPECT_THROW(target.load_weights(path), std::runtime_error)
+        << bytes.size() << " bytes";
+    EXPECT_EQ(all_weights(target), before) << bytes.size() << " bytes";
+  }
+  write(good);
+  const std::vector<float> other_before = all_weights(other_shape);
+  EXPECT_THROW(other_shape.load_weights(path), std::runtime_error);
+  EXPECT_EQ(all_weights(other_shape), other_before);
+
+  target.load_weights(path);
+  EXPECT_EQ(all_weights(target), all_weights(saved));
   std::remove(path.c_str());
 }
 

@@ -1,20 +1,16 @@
 // Unit tests for the utility layer: RNG determinism and distributions,
-// statistics, histogram binning, interpolation, table/CSV formatting,
-// strict number parsing.
+// statistics, histogram binning, interpolation, table formatting, strict
+// number parsing.
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
 
-#include "util/csv.hpp"
 #include "util/histogram.hpp"
 #include "util/interp.hpp"
 #include "util/parse.hpp"
@@ -253,16 +249,6 @@ TEST(Histogram, BinningAndClamping) {
   EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
 }
 
-TEST(Histogram, AsciiRenderContainsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.1);
-  h.add(0.9);
-  h.add(0.95);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_NE(art.find("2"), std::string::npos);
-}
-
 TEST(Interp, PiecewiseLinearInterpolatesAndClamps) {
   PiecewiseLinear f({{0.0, 0.0}, {1.0, 10.0}, {3.0, 10.0}});
   EXPECT_DOUBLE_EQ(f(-1.0), 0.0);   // clamp left
@@ -292,29 +278,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(fmt(3.14159, 3), "3.14");
   EXPECT_EQ(fmt_percent(0.206), "+20.6%");
   EXPECT_EQ(fmt_percent(-0.521), "-52.1%");
-}
-
-TEST(Csv, EscapesAndWrites) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sfc_csv_test.csv").string();
-  {
-    CsvWriter csv(path, {"t", "v"});
-    csv.row({1.0, 2.5});
-    csv.row_text({"x,y", "3"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "t,v");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2.5");
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"x,y\",3");
-  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -374,35 +337,6 @@ TEST(Interp, SinglePointPiecewiseLinearIsConstant) {
 
 TEST(Interp, NanXPropagatesThroughLerp) {
   EXPECT_TRUE(std::isnan(lerp(std::nan(""), 0.0, 0.0, 1.0, 1.0)));
-}
-
-TEST(Csv, SingleRowFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sfc_csv_single.csv").string();
-  {
-    CsvWriter csv(path, {"only"});
-    csv.row({1.5});
-  }
-  std::ifstream in(path);
-  std::string header, row, extra;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, header)));
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, row)));
-  EXPECT_FALSE(static_cast<bool>(std::getline(in, extra)));
-  EXPECT_EQ(header, "only");
-  EXPECT_EQ(row, "1.5");
-  std::filesystem::remove(path);
-}
-
-TEST(Csv, HeaderOnlyFileIsValid) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sfc_csv_empty.csv").string();
-  { CsvWriter csv(path, {"a", "b"}); }
-  std::ifstream in(path);
-  std::string header, extra;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, header)));
-  EXPECT_EQ(header, "a,b");
-  EXPECT_FALSE(static_cast<bool>(std::getline(in, extra)));
-  std::filesystem::remove(path);
 }
 
 TEST(ParseUnsigned, AcceptsWholeNumbersInRange) {

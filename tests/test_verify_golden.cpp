@@ -1,13 +1,18 @@
 // Golden-reference regression layer: committed goldens match the live
-// code, the tolerance policy behaves, JSON round-trips canonically, and a
-// deliberately perturbed solver constant is caught.
+// code, the tolerance policy behaves, JSON round-trips canonically, a
+// deliberately perturbed solver constant is caught, and a published record
+// fails its bench when a claim fails.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "cim/array.hpp"
 #include "cim/config.hpp"
+#include "verify/experiments.hpp"
 #include "verify/golden.hpp"
 #include "verify/json.hpp"
 
@@ -25,10 +30,21 @@ std::vector<double> mac_levels(const cim::ArrayConfig& cfg) {
   return out;
 }
 
+/// The Fig. 8 golden's 27 degC ladder alone: the golden a perturbed
+/// ladder is compared with.
+GoldenRecord golden_ladder_27c() {
+  const GoldenRecord fig8 =
+      load_golden(default_golden_dir() + "/fig8_2t1fefet_array.json");
+  const Quantity& ladder = fig8.at("v_acc_T27");
+  GoldenRecord golden(fig8.name(), "the 27 degC ladder");
+  golden.set("v_acc_T27", ladder.values, ladder.labels, ladder.tol);
+  return golden;
+}
+
 TEST(VerifyGolden, AllCommittedGoldensMatchLiveCode) {
   const std::string dir = default_golden_dir();
   const auto& cases = golden_cases();
-  ASSERT_EQ(cases.size(), 5u);
+  ASSERT_EQ(cases.size(), 8u);
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     const GoldenCompare cmp = run_golden_case(c, dir);
@@ -42,18 +58,17 @@ TEST(VerifyGolden, AllCommittedGoldensMatchLiveCode) {
 // capacitor shifts every charge-share level by ~2 %, far beyond the 0.1 %
 // relative tolerance stored in the golden file.
 TEST(VerifyGolden, PerturbedSenseCapacitanceIsCaught) {
-  const GoldenRecord golden =
-      load_golden(default_golden_dir() + "/fig8_mac_levels.json");
+  const GoldenRecord golden = golden_ladder_27c();
 
   cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
   cfg.sense.c_acc *= 1.02;
-  GoldenRecord actual("fig8_mac_levels", "perturbed");
-  actual.set("v_acc", mac_levels(cfg), {}, Tolerance{});
+  GoldenRecord actual(golden.name(), "perturbed");
+  actual.set("v_acc_T27", mac_levels(cfg), {}, Tolerance{});
 
   const GoldenCompare cmp = compare_to_golden(golden, actual);
   EXPECT_FALSE(cmp.pass);
   ASSERT_FALSE(cmp.mismatches.empty());
-  EXPECT_EQ(cmp.mismatches.front().quantity, "v_acc");
+  EXPECT_EQ(cmp.mismatches.front().quantity, "v_acc_T27");
   // The diff names the level that broke, with the stored tolerance band.
   EXPECT_GT(cmp.mismatches.front().allowed, 0.0);
 }
@@ -61,18 +76,64 @@ TEST(VerifyGolden, PerturbedSenseCapacitanceIsCaught) {
 // Same demo for a pure Newton-solver constant: a gmin floor of 1 uS hangs
 // a visible leak on the 4 fF accumulation node.
 TEST(VerifyGolden, PerturbedGminFloorIsCaught) {
-  const GoldenRecord golden =
-      load_golden(default_golden_dir() + "/fig8_mac_levels.json");
+  const GoldenRecord golden = golden_ladder_27c();
 
   cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
   cfg.newton.gmin_final = 1e-6;
-  GoldenRecord actual("fig8_mac_levels", "perturbed");
-  actual.set("v_acc", mac_levels(cfg), {}, Tolerance{});
+  GoldenRecord actual(golden.name(), "perturbed");
+  actual.set("v_acc_T27", mac_levels(cfg), {}, Tolerance{});
 
   const GoldenCompare cmp = compare_to_golden(golden, actual);
   EXPECT_FALSE(cmp.pass) << cmp.summary();
   ASSERT_FALSE(cmp.mismatches.empty());
-  EXPECT_EQ(cmp.mismatches.front().quantity, "v_acc");
+  EXPECT_EQ(cmp.mismatches.front().quantity, "v_acc_T27");
+}
+
+// publish() prints the record, writes <name>.json to the working directory
+// and returns the bench's exit status: 1 when a claim fails, else 0.
+TEST(VerifyPublish, FailedClaimFailsTheRunAndTheRecordLoadsBack) {
+  namespace fs = std::filesystem;
+  std::string dir = (fs::temp_directory_path() / "sfc_publish_XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+
+  GoldenRecord rec("publish_test", "a record with one failing claim");
+  rec.set("column", {1.0, 2.5}, {"a", "b"}, Tolerance{0.0, 1e-3});
+  rec.set_scalar("scalar", 0.125, Tolerance{1e-6, 0.0});
+  rec.set("series", {3.0, -1.0, 2.0}, {}, Tolerance{});
+  rec.claim("this claim holds", true);
+  rec.claim("this claim fails", false);
+  testing::internal::CaptureStdout();
+  const int failed_status = publish(rec);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(failed_status, 1);
+  EXPECT_NE(out.find("[FAILS] this claim fails"), std::string::npos) << out;
+  EXPECT_NE(out.find("[holds] this claim holds"), std::string::npos) << out;
+  EXPECT_NE(out.find("series: 3 values in [-1, 3]"), std::string::npos)
+      << out;
+
+  const GoldenRecord back = load_golden("publish_test.json");
+  EXPECT_EQ(back.name(), rec.name());
+  EXPECT_EQ(back.description(), rec.description());
+  ASSERT_EQ(back.quantities().size(), rec.quantities().size());
+  for (const auto& [name, q] : rec.quantities()) {
+    SCOPED_TRACE(name);
+    const Quantity& loaded = back.at(name);
+    EXPECT_EQ(loaded.values, q.values);
+    EXPECT_EQ(loaded.labels, q.labels);
+    EXPECT_EQ(loaded.tol.abs, q.tol.abs);
+    EXPECT_EQ(loaded.tol.rel, q.tol.rel);
+  }
+
+  GoldenRecord holds("publish_holds", "every claim holds");
+  holds.claim("this claim holds", true);
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(publish(holds), 0);
+  testing::internal::GetCapturedStdout();
+
+  fs::current_path(cwd);
+  fs::remove_all(dir);
 }
 
 TEST(VerifyGolden, TolerancePolicyIsAbsPlusRel) {
