@@ -2,9 +2,9 @@
 # One-shot verification gate: configure, build, run the full test suite,
 # the verification layer, the paper benches (each exits 1 when a paper
 # claim fails), Fig. 9's record at 1 vs 4 threads, the metrics key-set
-# gate, the performance ledger's self-test and pinned outputs, and the
-# sanitizer passes. This is the tier-1 entry point — if this script exits
-# 0 the tree is good.
+# gate, the performance ledger's self-test and pinned outputs, the scalar
+# (no SSE2) integer-dot build and the sanitizer passes. This is the tier-1
+# entry point — if this script exits 0 the tree is good.
 #
 # Usage: scripts/check.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -155,13 +155,25 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
   --metrics "${NOTRACE_DIR}/metrics_golden.json"
 "${NOTRACE_DIR}/tools/verify_runner" check-metrics "${NOTRACE_DIR}/metrics_golden.json"
 
+step "scalar masked_dot (-U__SSE2__ build, ctest -L \"nn|exec\")"
+# Every x86-64 build defines __SSE2__, so CimDotEngine's integer dot runs
+# SSE2's multiply-add there. This tree compiles and tests the scalar loop
+# that is the whole kernel on targets without SSE2.
+SCALAR_DIR="${BUILD_DIR}-scalar"
+cmake -B "${SCALAR_DIR}" -S . -DCMAKE_CXX_FLAGS=-U__SSE2__ \
+  -DSFC_WARNINGS_AS_ERRORS=ON -DSFC_BUILD_BENCH=OFF \
+  -DSFC_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "${SCALAR_DIR}" -j "${JOBS}" --target test_quantize test_exec
+ctest --test-dir "${SCALAR_DIR}" -L "nn|exec" --output-on-failure -j "${JOBS}"
+
 step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|cim|exec|fefet|util|devices|data\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
 # _GLIBCXX_ASSERTIONS bounds-checks every std::vector / std::optional
 # access, so an out-of-range index aborts here instead of reading garbage.
-# nn covers CimDotEngine's noise-shortcut floors and dot_batch's span
-# bounds; cim covers the row, tile and behavioural-model code and their
-# per-cell length checks; exec covers parallel_for's chunking and drain
+# nn covers CimDotEngine's noise-shortcut floors, dot_batch's span bounds
+# and the integer dot's lane flush on a row of 270,000 elements; cim
+# covers the row, tile and behavioural-model code and their per-cell
+# length checks; exec covers parallel_for's chunking and drain
 # tallies and the Monte Carlo run times; fefet the Preisach polarization
 # cache; util the RNG, its argument checks and the strict CLI number
 # parser; devices the MOSFET/diode models and their temperature caches;

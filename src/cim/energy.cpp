@@ -1,25 +1,10 @@
 #include "cim/energy.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "cim/mac.hpp"
 
 namespace sfc::cim {
-
-EnergyBreakdown energy_breakdown(const MacResult& result) {
-  EnergyBreakdown b;
-  for (const auto& [name, joules] : result.waveforms.source_energy) {
-    b.per_source.push_back({name, joules});
-    b.total_joules += joules;
-  }
-  std::sort(b.per_source.begin(), b.per_source.end(),
-            [](const auto& x, const auto& y) { return x.joules > y.joules; });
-  b.per_op_joules = result.ops > 0
-                        ? b.total_joules / static_cast<double>(result.ops)
-                        : 0.0;
-  b.tops_per_watt = tops_per_watt(b.per_op_joules);
-  return b;
-}
 
 EnergySummary summarize_energy(std::vector<double> energy_per_op_by_mac) {
   EnergySummary summary;

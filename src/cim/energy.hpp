@@ -1,28 +1,12 @@
-// Energy accounting helpers: per-source breakdown of a MAC cycle and the
-// TOPS/W summary the paper reports (Fig. 8b, Table II).
+// Energy accounting: the energy per op and TOPS/W summary the paper
+// reports (Fig. 8b, Table II).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cim/array.hpp"
 
 namespace sfc::cim {
-
-struct EnergyBreakdown {
-  struct Entry {
-    std::string source;
-    double joules = 0.0;
-  };
-  std::vector<Entry> per_source;
-  double total_joules = 0.0;
-  double per_op_joules = 0.0;
-  double tops_per_watt = 0.0;
-};
-
-/// Break down the energy of one MAC evaluation (requires waveforms were
-/// kept so source_energy is populated - evaluate(..., true)).
-EnergyBreakdown energy_breakdown(const MacResult& result);
 
 /// Average energy per op over all MAC values at one temperature; the
 /// number behind "3.14 fJ / 2866 TOPS/W".

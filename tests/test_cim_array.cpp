@@ -184,17 +184,18 @@ TEST(CiMRow, EnergyScalesWithMacValue) {
   EXPECT_GT(e.tops_per_watt, 100.0);
 }
 
-TEST(CiMRow, EnergyBreakdownSumsToTotal) {
+TEST(CiMRow, SourceEnergiesSumToTotal) {
   CiMRow row(ArrayConfig::proposed_2t1fefet());
   row.set_stored(std::vector<int>(8, 1));
   MacResult r = row.evaluate(std::vector<int>(8, 1), 27.0,
                              /*keep_waveforms=*/true);
   ASSERT_TRUE(r.converged);
-  const EnergyBreakdown b = energy_breakdown(r);
-  EXPECT_NEAR(b.total_joules, r.energy_joules,
-              std::fabs(r.energy_joules) * 1e-9);
-  EXPECT_FALSE(b.per_source.empty());
-  EXPECT_GT(b.tops_per_watt, 0.0);
+  const auto& per_source = r.waveforms.source_energy;
+  EXPECT_FALSE(per_source.empty());
+  double sum = 0.0;
+  for (const auto& [source, joules] : per_source) sum += joules;
+  EXPECT_NEAR(sum, r.energy_joules, std::fabs(r.energy_joules) * 1e-9);
+  EXPECT_GT(r.energy_joules, 0.0);
 }
 
 TEST(CiMRow, ProgramPathMatchesDirectSet) {

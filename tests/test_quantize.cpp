@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iterator>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -399,7 +400,7 @@ TEST(CimEngine, BitSerialEqualsIdealWithPerfectArray) {
     const Tensor b = f.qnet.forward(img, cim);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_FLOAT_EQ(a[k], b[k]) << "image " << i << " logit " << k;
+      EXPECT_EQ(a[k], b[k]) << "image " << i << " logit " << k;
     }
   }
   EXPECT_EQ(cim.row_errors(), 0);
@@ -414,7 +415,11 @@ TEST(CimEngine, RawDotsMatchAcrossLengths) {
   CimDotEngine cim(model, opts);
   IdealDotEngine ideal;
   sfc::util::Rng rng(31);
-  for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u}) {
+  // Every tail shape of the 16- and 8-element steps, and a long row.
+  std::vector<std::size_t> lengths(49);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(4100);
+  for (const std::size_t len : lengths) {
     std::vector<std::uint8_t> a(len);
     std::vector<std::int8_t> w(len);
     for (std::size_t i = 0; i < len; ++i) {
@@ -778,6 +783,17 @@ TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
   ones_heavy_inputs(200, 52, &a, &w);
   for (std::size_t i = 0; i < w.size(); i += 3) w[i] = -128;
   ASSERT_GT(std::count(a.begin(), a.end(), 255), 0);
+  // Rows of 16,875 16-element steps of the largest products of one sign,
+  // every 97th weight -128: at 8 bits each 32-bit lane of the exact
+  // fabric's kernel sums about 2.16e9 in magnitude over the row, past
+  // 2^31, unless the kernel flushes its lanes.
+  const std::vector<std::uint8_t> long_a(270000, 255);
+  std::vector<std::int8_t> long_pos(long_a.size(), 127);
+  std::vector<std::int8_t> long_neg(long_a.size(), -127);
+  for (std::size_t i = 0; i < long_a.size(); i += 97) {
+    long_pos[i] = -128;
+    long_neg[i] = -128;
+  }
 
   const auto exact = fake_model(kEvenLevels, 0.0);
   for (int bits = 2; bits <= 8; ++bits) {
@@ -785,17 +801,24 @@ TEST(CimEngine, RowsTruncateValuesWiderThanTheWordlength) {
     CimDotEngine::Options opts;
     opts.activation_bits = bits;
     opts.weight_bits = bits;
-    const int a_mask = (1 << bits) - 1;
-    const int w_mask = (1 << (bits - 1)) - 1;
-    std::int64_t masked = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const int mag = std::abs(static_cast<int>(w[i])) & w_mask;
-      masked += static_cast<std::int64_t>(a[i] & a_mask) *
-                (w[i] < 0 ? -mag : mag);
-    }
+    const auto masked_dot = [bits](std::span<const std::uint8_t> x,
+                                   std::span<const std::int8_t> y) {
+      const int a_mask = (1 << bits) - 1;
+      const int w_mask = (1 << (bits - 1)) - 1;
+      std::int64_t sum = 0;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const int mag = std::abs(static_cast<int>(y[i])) & w_mask;
+        sum += static_cast<std::int64_t>(x[i] & a_mask) *
+               (y[i] < 0 ? -mag : mag);
+      }
+      return sum;
+    };
+    const std::int64_t masked = masked_dot(a, w);
     CimDotEngine engine(exact, opts);
     EXPECT_EQ(engine.dot(a, w), masked);
     EXPECT_EQ(expect_replays(exact, opts, a, w).result, masked);
+    EXPECT_EQ(engine.dot(long_a, long_pos), masked_dot(long_a, long_pos));
+    EXPECT_EQ(engine.dot(long_a, long_neg), masked_dot(long_a, long_neg));
 
     opts.temperature_c = 85.0;
     EXPECT_GT(expect_replays(baseline_model(), opts, a, w).errors, 0);
